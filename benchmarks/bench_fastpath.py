@@ -2,8 +2,8 @@
 
 For each (design, workload) point this runs the simulation twice in
 fresh interpreters — once with the macro-event fast path (the default)
-and once with ``REPRO_REFERENCE_CORE=1 REPRO_DISABLE_MEMO=1`` (the
-readable event-at-a-time core, no memo caches) — and
+and once with ``REPRO_REFERENCE_CORE=1`` (the readable event-at-a-time
+core, no memo caches) — and
 
 1. **fails** unless every observable is byte-identical: execution
    cycles, per-phase attribution, channel counters, rank residencies,
@@ -90,9 +90,8 @@ print(json.dumps({
 }, sort_keys=True))
 """
 
-REFERENCE_ENV = {"REPRO_REFERENCE_CORE": "1", "REPRO_DISABLE_MEMO": "1"}
-_CORE_SWITCHES = ("REPRO_REFERENCE_CORE", "REPRO_DISABLE_MEMO",
-                  "REPRO_DISABLE_FASTPATH")
+REFERENCE_ENV = {"REPRO_REFERENCE_CORE": "1"}
+_CORE_SWITCHES = ("REPRO_REFERENCE_CORE", "REPRO_DISABLE_FASTPATH")
 
 
 def run_point(design: str, workload: str, trace_length: int,

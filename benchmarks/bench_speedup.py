@@ -10,10 +10,10 @@ Two measurements, both honest about the machine they ran on
    parallel result diverges from its serial twin — this is the CI
    perf-smoke divergence gate.
 2. **Hot path** — one fixed single-run scenario timed in two fresh
-   subprocesses: the *reference* core (``REPRO_REFERENCE_CORE=1`` +
-   ``REPRO_DISABLE_MEMO=1``: closure-based event scheduling, the
-   helper-per-constraint ``schedule_run``, bank-scanning residency
-   tracking, memo caches off) against the optimized default.  Cycle
+   subprocesses: the *reference* core (``REPRO_REFERENCE_CORE=1``:
+   closure-based event scheduling, the helper-per-constraint
+   ``schedule_run``, bank-scanning residency tracking, memo caches off)
+   against the optimized default.  Cycle
    counts must match exactly; the wall-clock delta is the measured
    single-run speedup of the hot-path work.
 
@@ -96,8 +96,8 @@ def measure_hotpath_run(trace_length: int, reference: bool,
                         repeats: int = 3) -> Dict[str, object]:
     """Best-of-``repeats`` simulation time in one fresh subprocess.
 
-    The core toggles are read at import, so each variant needs its own
-    interpreter; repeating the run *inside* the process and taking the
+    A fresh process runs the core its environment selects, so each
+    variant gets its own interpreter; repeating the run *inside* the process and taking the
     minimum damps scheduler noise without re-paying import time.
     """
     code = _HOTPATH_SNIPPET.format(design=design, workload=workload,
@@ -106,7 +106,6 @@ def measure_hotpath_run(trace_length: int, reference: bool,
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_REFERENCE_CORE"] = "1" if reference else ""
-    env["REPRO_DISABLE_MEMO"] = "1" if reference else ""
     output = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     cycles, elapsed = output.stdout.split()

@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.crypto.prf import Prf
-from repro.utils.memo import DEFAULT_MEMO_CAP, MEMO_ENABLED
+from repro.utils import memo
+from repro.utils.memo import DEFAULT_MEMO_CAP
 
 
 class CounterModeCipher:
@@ -37,7 +38,7 @@ class CounterModeCipher:
             return cached[:length]
         seed = nonce.to_bytes(8, "little") + counter.to_bytes(8, "little")
         keystream = self._prf.evaluate(b"pad:" + seed, length)
-        if MEMO_ENABLED:
+        if memo.CORE.memo:
             if len(self._pad_cache) >= DEFAULT_MEMO_CAP:
                 self._pad_cache.clear()
             self._pad_cache[(nonce, counter)] = keystream

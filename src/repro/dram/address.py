@@ -15,7 +15,8 @@ from typing import Dict
 
 from repro.config import DramOrganization
 from repro.utils.bitops import extract_bits, log2_exact
-from repro.utils.memo import DEFAULT_MEMO_CAP, MEMO_ENABLED
+from repro.utils import memo
+from repro.utils.memo import DEFAULT_MEMO_CAP
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class AddressMapper:
             low += width
         decoded = DecodedAddress(rank=fields["rank"], bank=fields["bank"],
                                  row=fields["row"], column=fields["column"])
-        if MEMO_ENABLED:
+        if memo.CORE.memo:
             if len(self._decode_cache) >= DEFAULT_MEMO_CAP:
                 self._decode_cache.clear()
             self._decode_cache[line_address] = decoded

@@ -20,7 +20,7 @@ from repro.dram.bank import ScaledTiming
 from repro.dram.commands import PowerState, RowBufferOutcome
 from repro.dram.rank import Rank
 from repro.obs.tracer import CATEGORY_DRAM, NULL_TRACER, Tracer
-from repro.utils.memo import REFERENCE_CORE
+from repro.utils import memo
 
 _request_ids = itertools.count()
 
@@ -180,7 +180,7 @@ class Channel:
         are cycle-identical (``tests/test_refcore.py`` checks them against
         each other; ``REPRO_REFERENCE_CORE=1`` selects the reference one).
         """
-        if REFERENCE_CORE:
+        if memo.CORE.reference:
             return self._schedule_run_reference(address, count, is_write,
                                                 earliest)
         if count < 1:

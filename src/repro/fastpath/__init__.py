@@ -8,10 +8,10 @@ access in one step: cycles, counters, DRAM/protocol trace events, and
 window folds.  Anything else falls through to the existing core, run by
 run, mid-access if necessary.
 
-Enablement: on by default; ``REPRO_DISABLE_FASTPATH=1`` turns it off,
-and ``REPRO_REFERENCE_CORE=1`` (the differential-test twin) always turns
-it off.  The differential suites assert byte-identical results between
-the two cores; see ``docs/performance.md``.
+Enablement: on by default; the core selection in :mod:`repro.utils.memo`
+turns it off (``REPRO_DISABLE_FASTPATH=1``, or ``REPRO_REFERENCE_CORE=1``,
+the differential-test twin).  The differential suites assert
+byte-identical results between the two cores; see ``docs/performance.md``.
 """
 
 from repro.fastpath.access import (AccessFastPath, DELTA_TABLE_CAP,
@@ -19,10 +19,9 @@ from repro.fastpath.access import (AccessFastPath, DELTA_TABLE_CAP,
                                    reset_delta_tables)
 from repro.fastpath.engine import emit_batch, pass_eligible, stamp_pass
 from repro.fastpath.runs import FastLowPowerRuns, FastTreeRuns, PathPattern
-from repro.utils.memo import FASTPATH_ENABLED
 
 __all__ = [
-    "AccessFastPath", "DELTA_TABLE_CAP", "DeltaEntry", "FASTPATH_ENABLED",
+    "AccessFastPath", "DELTA_TABLE_CAP", "DeltaEntry",
     "FastLowPowerRuns", "FastTreeRuns", "PathPattern", "delta_table_for",
     "emit_batch", "pass_eligible", "reset_delta_tables", "stamp_pass",
 ]

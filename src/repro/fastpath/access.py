@@ -41,7 +41,7 @@ from repro.dram.bank import ScaledTiming
 from repro.dram.commands import PowerState
 from repro.fastpath.engine import emit_batch, stamp_pass
 from repro.obs.tracer import (CATEGORY_DRAM, CATEGORY_PROTOCOL, TraceEvent)
-from repro.utils.memo import MEMO_ENABLED
+from repro.utils import memo
 
 _PARKED = (PowerState.POWER_DOWN, PowerState.SELF_REFRESH)
 
@@ -191,7 +191,7 @@ class AccessFastPath:
         self.tracer = tracer
         self.table: Optional[dict] = (
             delta_table_for(self.channels, crypto, tracer.enabled)
-            if MEMO_ENABLED else None)
+            if memo.CORE.memo else None)
         self.attempts = 0
         self.fast_accesses = 0
         self.delta_hits = 0

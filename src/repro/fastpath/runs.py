@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.utils.memo import DEFAULT_MEMO_CAP, MEMO_ENABLED
+from repro.utils import memo
+from repro.utils.memo import DEFAULT_MEMO_CAP
 
 #: One run: ``(channel, rank, bank, row, column, count)``.
 Run6 = Tuple[int, int, int, int, int, int]
@@ -231,7 +232,7 @@ class FastTreeRuns:
         pattern = PathPattern(tuple(runs), self.banks_per_group,
                               tuple(runs5) if channels == 1 else None,
                               sig_ranks)
-        if MEMO_ENABLED:
+        if memo.CORE.memo:
             if len(self._cache) >= DEFAULT_MEMO_CAP:
                 self._cache.clear()
             self._cache[key] = pattern
@@ -301,7 +302,7 @@ class FastLowPowerRuns:
                 remaining -= take
         pattern = PathPattern(tuple(runs), self.banks_per_group,
                               tuple(runs5), ((0, rank),))
-        if MEMO_ENABLED:
+        if memo.CORE.memo:
             if len(self._cache) >= DEFAULT_MEMO_CAP:
                 self._cache.clear()
             self._cache[key] = pattern

@@ -13,10 +13,9 @@ and reports a detection/recovery scoreboard instead of crashing:
   serializes to one canonical JSON payload, so two runs of the same seed
   diff byte-for-byte (the CI smoke job does exactly that).
 
-Campaigns are sweepable: :func:`run_campaign_sweep` mirrors the
-:mod:`repro.parallel.sweep` engine (submission-index merge, cache-first,
-serial fallback) with entries keyed by spec + plan digest + code
-fingerprint through :meth:`RunCache.get_json`.
+Campaigns are sweepable: :func:`run_campaign_sweep` is one
+:func:`repro.parallel.fanout` call, with entries keyed by spec + plan
+digest + code fingerprint.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.indep_split import IndepSplitProtocol
 from repro.core.independent import IndependentProtocol
@@ -38,6 +37,7 @@ from repro.faults.recovery import (ResilienceStats, ResilientLink,
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.oram.path_oram import Op, StashOverflowError
+from repro.parallel import fanout
 from repro.parallel.cache import RunCache
 from repro.parallel.fingerprint import code_fingerprint
 from repro.parallel.serialize import SCHEMA_VERSION
@@ -353,12 +353,9 @@ def campaign_cache_key(spec: CampaignSpec, plan: FaultPlan,
     return hashlib.sha256(rendered.encode()).hexdigest()
 
 
-def _campaign_worker(task: Tuple[int, Dict[str, object]]
-                     ) -> Tuple[int, Dict[str, object]]:
-    """Pool worker: re-derives everything from the picklable spec dict."""
-    index, payload = task
-    spec = CampaignSpec.from_dict(payload)
-    return index, run_campaign(spec).to_dict()
+def _campaign_worker(spec: CampaignSpec) -> Dict[str, object]:
+    """Pool worker: re-derives everything from the picklable spec."""
+    return run_campaign(spec).to_dict()
 
 
 def run_campaign_sweep(specs: Sequence[CampaignSpec], jobs: int = 1,
@@ -366,53 +363,11 @@ def run_campaign_sweep(specs: Sequence[CampaignSpec], jobs: int = 1,
                        ) -> List[Dict[str, object]]:
     """Run several campaigns; results come back in submission order.
 
-    Mirrors :func:`repro.parallel.sweep.run_sweep`: cache-first, pool
-    with serial fallback, submission-index merge so the output is
-    bit-identical regardless of completion order.
+    One :func:`repro.parallel.fanout` call: cache-first, pool with
+    serial fallback, bit-identical regardless of completion order.
     """
-    specs = list(specs)
     fingerprint = code_fingerprint() if cache is not None else None
-    slots: List[Optional[Dict[str, object]]] = [None] * len(specs)
-    pending: List[Tuple[int, Dict[str, object]]] = []
-    keys: Dict[int, str] = {}
-
-    for index, spec in enumerate(specs):
-        if cache is None:
-            pending.append((index, spec.to_dict()))
-            continue
-        key = campaign_cache_key(spec, spec.build_plan(),
-                                 fingerprint=fingerprint)
-        keys[index] = key
-        cached = cache.get_json(key)
-        if cached is not None:
-            slots[index] = cached
-        else:
-            pending.append((index, spec.to_dict()))
-
-    payloads: List[Tuple[int, Dict[str, object]]] = []
-    pool = None
-    if jobs > 1 and len(pending) > 1:
-        from repro.parallel.sweep import _make_pool
-
-        pool = _make_pool(jobs)
-    if pool is None:
-        for task in pending:
-            payloads.append(_campaign_worker(task))
-    else:
-        with pool:
-            # completion order is nondeterministic; the sorted merge
-            # below restores submission order
-            for index, payload in pool.imap_unordered(_campaign_worker,
-                                                      pending):
-                payloads.append((index, payload))
-            pool.close()
-            pool.join()
-
-    for index, payload in sorted(payloads, key=lambda item: item[0]):
-        slots[index] = payload
-        if cache is not None:
-            cache.put_json(keys[index], payload, fingerprint=fingerprint)
-
-    results = [entry for entry in slots if entry is not None]
-    assert len(results) == len(specs), "campaign sweep lost a point"
-    return results
+    outcomes = fanout(specs, _campaign_worker, jobs=jobs, cache=cache,
+                      key=lambda spec: campaign_cache_key(
+                          spec, spec.build_plan(), fingerprint=fingerprint))
+    return [payload for payload, _ in outcomes]

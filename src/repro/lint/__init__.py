@@ -3,8 +3,7 @@
 Secure DIMM's security argument and this reproduction's test strategy
 both rest on coding invariants no ordinary linter checks: MAC/tag
 comparisons must be constant-time (SEC001), protocol control flow must
-not depend on secret state — per-function (SEC002) and whole-program
-(SEC003) — memory addressing on the stash/bucket hot path must be
+not depend on secret state, whole-program (SEC003) — memory addressing on the stash/bucket hot path must be
 oblivious (SEC004), nothing outside the sanctioned RNG may consume
 ambient nondeterminism (DET001), cycle accounting must stay in exact
 integers (DET002), and pool fan-out must be deterministic across

@@ -16,8 +16,8 @@ Two passes, both fixed-point:
   carries ``SECRET`` becomes an *in-place* flow at the sink; a call
   whose argument carries ``SECRET`` into a callee parameter that the
   callee's summary says reaches a sink becomes a *lifted* flow at the
-  call site — the interprocedural finding the per-file SEC002 rule
-  could never produce.
+  call site — the interprocedural finding no per-function analysis
+  could produce.
 
 Precision features (each one retires a class of suppressions the local
 analysis needed):
@@ -79,10 +79,9 @@ _PURE_BUILTINS = frozenset({
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Suppression tokens that silence a sink at its definition site, per
-#: family.  SEC002 is honored for branch sinks so summaries computed
-#: mid-migration (before a directive is retagged) stay quiet too.
+#: family.
 _FAMILY_TOKENS = {
-    "branch": ("SEC002", "SEC003"),
+    "branch": ("SEC003",),
     "address": ("SEC004",),
 }
 

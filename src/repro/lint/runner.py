@@ -4,8 +4,8 @@ A lint run has two phases:
 
 * **per-file** — parse each file once and run every file-scoped rule on
   it.  This phase is embarrassingly parallel (``jobs > 1`` fans it over
-  the same process pool the sweep engine uses, merged by submission
-  index so output is byte-identical to serial) and cacheable (content
+  the process pool of :func:`repro.parallel.fanout`, in submission
+  order so output is byte-identical to serial) and cacheable (content
   hash + rule set + lint-code fingerprint, see
   :mod:`repro.lint.cache`);
 * **project** — build the whole-program view (:mod:`repro.lint
@@ -175,10 +175,10 @@ def _outcome_from_dict(payload: Dict[str, object]) -> FileOutcome:
     )
 
 
-def _file_worker(task: Tuple[int, str, Tuple[str, ...], Optional[str]]
-                 ) -> Tuple[int, Dict[str, object]]:
+def _file_worker(task: Tuple[str, Tuple[str, ...], Optional[str]]
+                 ) -> Dict[str, object]:
     """Pool worker: one file, cache-first, picklable in and out."""
-    index, raw_path, rule_ids, cache_dir = task
+    raw_path, rule_ids, cache_dir = task
     path = Path(raw_path)
     cache: Optional[LintCache] = None
     key: Optional[str] = None
@@ -191,39 +191,22 @@ def _file_worker(task: Tuple[int, str, Tuple[str, ...], Optional[str]]
         if key is not None:
             cached = cache.get(key)
             if cached is not None:
-                return index, cached
+                return cached
     rules = select_rules(rule_ids)
     payload = _outcome_to_dict(check_one_file(path, rules))
     if cache is not None and key is not None:
         cache.put(key, payload)
-    return index, payload
+    return payload
 
 
 def _run_file_phase(files: Sequence[Path], rule_ids: Sequence[str],
                     jobs: int,
                     cache_dir: Optional[str]) -> List[FileOutcome]:
-    tasks = [(index, str(path), tuple(rule_ids), cache_dir)
-             for index, path in enumerate(files)]
-    payloads: List[Tuple[int, Dict[str, object]]] = []
-    pool = None
-    if jobs > 1 and len(tasks) > 1:
-        from repro.parallel.sweep import make_pool
+    from repro.parallel import fanout
 
-        pool = make_pool(jobs)
-    if pool is None:
-        for task in tasks:
-            payloads.append(_file_worker(task))
-    else:
-        with pool:
-            # completion order is nondeterministic; the sorted
-            # index-keyed merge below restores submission order, which
-            # is what makes --jobs N byte-identical to serial
-            for item in pool.imap_unordered(_file_worker, tasks):
-                payloads.append(item)
-            pool.close()
-            pool.join()
-    ordered = sorted(payloads, key=lambda item: item[0])
-    return [_outcome_from_dict(payload) for _, payload in ordered]
+    tasks = [(str(path), tuple(rule_ids), cache_dir) for path in files]
+    return [_outcome_from_dict(payload)
+            for payload, _ in fanout(tasks, _file_worker, jobs=jobs)]
 
 
 # ----------------------------------------------------------------------
@@ -270,26 +253,9 @@ def _load_project(files: Sequence[Path]
 # Unused-suppression audit (LINT001)
 # ----------------------------------------------------------------------
 
-def _supersession_aliases(all_rules_by_id: Dict[str, Rule],
-                          active_ids: Set[str]) -> Dict[str, Set[str]]:
-    """token -> the rule ids whose use also justifies that token.
-
-    A ``disable=SEC002`` directive is judged by SEC002 *or* its active
-    successor SEC003: the old token is still meaningful mid-migration,
-    and stale is stale under either analysis.
-    """
-    aliases: Dict[str, Set[str]] = {}
-    for rule_id, rule in all_rules_by_id.items():
-        successor = rule.superseded_by
-        if successor and successor in active_ids and \
-                rule_id not in active_ids:
-            aliases[rule_id] = {rule_id, successor}
-    return aliases
-
-
 def _unused_suppression_findings(
-        path: str, index: SuppressionIndex, active_ids: Set[str],
-        aliases: Dict[str, Set[str]]) -> Iterator[Finding]:
+        path: str, index: SuppressionIndex,
+        active_ids: Set[str]) -> Iterator[Finding]:
     for directive in index.directives:
         scope = directive.scope
         for token in directive.tokens:
@@ -298,11 +264,9 @@ def _unused_suppression_findings(
                     yield _lint001(path, directive.line, token,
                                    directive.file_level)
                 continue
-            judged = aliases.get(token, {token})
-            if token not in active_ids and token not in aliases:
+            if token not in active_ids:
                 continue   # rule did not run; cannot judge the directive
-            if any((scope, candidate) in index.used
-                   for candidate in sorted(judged)):
+            if (scope, token) in index.used:
                 continue
             yield _lint001(path, directive.line, token,
                            directive.file_level)
@@ -322,15 +286,6 @@ def _lint001(path: str, line: int, token: str,
 # Entry points
 # ----------------------------------------------------------------------
 
-def _active_rules(rules: Sequence[Rule], explicit: bool) -> List[Rule]:
-    """Drop superseded rules on default project-wide runs."""
-    if explicit:
-        return list(rules)
-    ids = {rule.rule_id for rule in rules}
-    return [rule for rule in rules
-            if not (rule.superseded_by and rule.superseded_by in ids)]
-
-
 def lint_paths(paths: Iterable[str],
                selected_rules: Optional[Iterable[str]] = None,
                jobs: int = 1,
@@ -340,16 +295,13 @@ def lint_paths(paths: Iterable[str],
 
     ``jobs > 1`` fans the per-file phase over a process pool; output is
     byte-identical to serial.  ``cache_dir`` enables the per-file
-    result cache.  When ``selected_rules`` is None (a default run),
-    superseded rules (SEC002) are skipped in favor of their
-    whole-program successors.
+    result cache.
 
     Raises:
         FileNotFoundError: a requested path does not exist.
         KeyError: ``selected_rules`` names an unknown rule.
     """
-    requested = select_rules(selected_rules)
-    active = _active_rules(requested, explicit=selected_rules is not None)
+    active = select_rules(selected_rules)
     file_rules = [rule for rule in active
                   if not rule.project and not rule.synthetic]
     project_rules = [rule for rule in active if rule.project]
@@ -388,15 +340,11 @@ def lint_paths(paths: Iterable[str],
                 else:
                     result.findings.append(finding)
         if warn_unused_suppressions:
-            from repro.lint.registry import all_rules
-
-            by_id = {rule.rule_id: rule for rule in all_rules()}
             active_ids = {rule.rule_id for rule in active
                           if not rule.synthetic}
-            aliases = _supersession_aliases(by_id, active_ids)
             for path in sorted(suppressions):
                 result.findings.extend(_unused_suppression_findings(
-                    path, suppressions[path], active_ids, aliases))
+                    path, suppressions[path], active_ids))
 
     result.findings.sort(key=_SORT_KEY)
     return result
@@ -409,7 +357,7 @@ def lint_source(source: str, path: str = "<memory>",
     The ``path`` is used for rule scoping exactly as an on-disk path
     would be, so callers can probe path-scoped rules by faking layouts.
     Single-source runs have no whole-program view: project rules are
-    skipped and SEC002 stays active as the local fallback.
+    skipped.
     """
     rules = select_rules(selected_rules)
     outcome = FileOutcome(path=path)

@@ -47,7 +47,7 @@ from repro.obs.tracer import (CATEGORY_BUS, CATEGORY_DRAM, NULL_TRACER,
                               CollectingTracer, TraceEvent)
 
 #: Argument keys that would carry secret-tainted values if they ever
-#: appeared on an adversary-visible event (SEC002's vocabulary).
+#: appeared on an adversary-visible event (SEC003's secret vocabulary).
 FORBIDDEN_ADVERSARY_ARGS = ("leaf", "address", "plaintext", "secret", "tag")
 
 #: The lane-name prefix of CPU-side (adversary-visible) DRAM channels.
@@ -68,7 +68,7 @@ def adversary_observations(events: Sequence[TraceEvent]) -> List[TraceEvent]:
 
 
 def scan_secret_args(events: Sequence[TraceEvent]) -> List[str]:
-    """SEC002 guard: adversary-visible events must not carry secrets.
+    """SEC003 guard: adversary-visible events must not carry secrets.
 
     Returns a list of violation descriptions (empty = clean).  Checked on
     every audit run and asserted by the tier-1 suite.

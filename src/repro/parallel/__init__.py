@@ -2,10 +2,12 @@
 
 Public surface:
 
+* :func:`~repro.parallel.pool.fanout` — run independent tasks over
+  one warm process pool (or in-process), cache-first, in submission
+  order, each under the task's core selection (``docs/performance.md``);
 * :class:`~repro.parallel.sweep.SweepPoint` /
-  :func:`~repro.parallel.sweep.run_sweep` — fan independent simulation
-  points over a process pool with deterministic, order-independent
-  merging (``docs/performance.md``);
+  :func:`~repro.parallel.sweep.run_sweep` — simulation points on top of
+  :func:`fanout`;
 * :class:`~repro.parallel.cache.RunCache` — content-addressed on-disk
   cache keyed on config + workload + seed + trace length + code
   fingerprint;
@@ -15,11 +17,12 @@ Public surface:
 
 from repro.parallel.cache import (CACHE_DIR_ENV, CachedRun, RunCache,
                                   default_cache_dir)
+from repro.parallel.pool import fanout
 from repro.parallel.fingerprint import code_fingerprint
 from repro.parallel.serialize import (run_result_from_dict,
                                       run_result_to_dict)
 from repro.parallel.sweep import (PointResult, SweepOutcome, SweepPoint,
-                                  execute_point, fold_metrics, run_sweep)
+                                  execute_point, run_sweep)
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -31,7 +34,7 @@ __all__ = [
     "code_fingerprint",
     "default_cache_dir",
     "execute_point",
-    "fold_metrics",
+    "fanout",
     "run_result_from_dict",
     "run_result_to_dict",
     "run_sweep",

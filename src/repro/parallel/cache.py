@@ -30,7 +30,7 @@ import hmac
 import json
 import os
 import tempfile
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.config import SystemConfig
 from repro.parallel.fingerprint import code_fingerprint
@@ -119,86 +119,45 @@ class RunCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, key[:2], key + ".json")
 
-    # -- read ----------------------------------------------------------
+    # -- typed runs ----------------------------------------------------
 
     def get(self, key: str) -> Optional[CachedRun]:
-        """Fetch one entry; corrupt or mismatched files become misses."""
-        path = self._path(key)
-        try:
-            with open(path, "r") as handle:
-                entry = json.load(handle)
-            if entry.get("schema") != SCHEMA_VERSION:
-                raise ValueError("unknown cache schema")
-            if entry.get("key") != key:
-                raise ValueError("entry/key mismatch")
-            payload = entry["result"]
-            # integrity check against torn/bit-rotted files, not an
-            # authentication boundary — but compare_digest costs nothing
-            if not hmac.compare_digest(
-                    hashlib.sha256(canonical_json(payload).encode())
-                    .hexdigest(),
-                    str(entry.get("digest"))):
-                raise ValueError("payload digest mismatch")
-            result = run_result_from_dict(payload)
-        except FileNotFoundError:
-            self.stats.misses += 1
+        """Fetch one run; corrupt or mismatched files become misses."""
+        entry = self._read(key, "result", run_result_from_dict)
+        if entry is None:
             return None
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-            # corrupt entry: remove it so the rewrite heals the cache
-            self.stats.corruptions += 1
-            self.stats.misses += 1
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            return None
-        self.stats.hits += 1
-        return CachedRun(result=result, chrome_json=entry.get("chrome_json"))
-
-    # -- write ---------------------------------------------------------
+        return CachedRun(result=entry["result"],
+                         chrome_json=entry.get("chrome_json"))
 
     def put(self, key: str, result: RunResult,
             chrome_json: Optional[str] = None,
             fingerprint: Optional[str] = None) -> str:
-        """Store one entry atomically; returns the file path."""
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        payload = run_result_to_dict(result)
-        entry = {
-            "schema": SCHEMA_VERSION,
-            "key": key,
-            "fingerprint": fingerprint if fingerprint is not None
-            else code_fingerprint(),
-            "digest": hashlib.sha256(
-                canonical_json(payload).encode()).hexdigest(),
-            "result": payload,
-        }
-        if chrome_json is not None:
-            entry["chrome_json"] = chrome_json
-        handle, temp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w") as stream:
-                json.dump(entry, stream, sort_keys=True,
-                          separators=(",", ":"))
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.remove(temp_path)
-            except OSError:
-                pass
-            raise
-        self.stats.writes += 1
-        return path
+        """Store one run atomically; returns the file path."""
+        extra = {} if chrome_json is None else {"chrome_json": chrome_json}
+        return self._write(key, "result", run_result_to_dict(result),
+                           fingerprint, extra)
 
-    # -- generic JSON payloads (fault campaigns and friends) -----------
+    # -- generic JSON payloads (fan-out results) -----------------------
 
     def get_json(self, key: str) -> Optional[Dict[str, object]]:
-        """Fetch a generic JSON payload stored with :meth:`put_json`.
+        """Fetch a generic JSON payload stored with :meth:`put_json`."""
+        entry = self._read(key, "payload", lambda payload: payload)
+        return None if entry is None else entry["payload"]
 
-        Same durability contract as :meth:`get`: schema, key, and digest
-        are all verified; anything off becomes a miss and the entry is
-        deleted so the rewrite heals it.
+    def put_json(self, key: str, payload: Dict[str, object],
+                 fingerprint: Optional[str] = None) -> str:
+        """Store a generic JSON payload atomically; returns the path."""
+        return self._write(key, "payload", payload, fingerprint, {})
+
+    # -- the one verified read and the one atomic write ----------------
+
+    def _read(self, key: str, field: str,
+              decode: Callable[[Any], Any]) -> Optional[Dict[str, Any]]:
+        """The entry with ``field`` verified and decoded, or ``None``.
+
+        Schema, key and digest are all checked; a file that fails any
+        check (or to decode) is a miss and is deleted, so the rewrite
+        heals the cache.
         """
         path = self._path(key)
         try:
@@ -208,12 +167,15 @@ class RunCache:
                 raise ValueError("unknown cache schema")
             if entry.get("key") != key:
                 raise ValueError("entry/key mismatch")
-            payload = entry["payload"]
+            payload = entry[field]
+            # integrity check against torn/bit-rotted files, not an
+            # authentication boundary — but compare_digest costs nothing
             if not hmac.compare_digest(
                     hashlib.sha256(canonical_json(payload).encode())
                     .hexdigest(),
                     str(entry.get("digest"))):
                 raise ValueError("payload digest mismatch")
+            entry[field] = decode(payload)
         except FileNotFoundError:
             self.stats.misses += 1
             return None
@@ -226,11 +188,10 @@ class RunCache:
                 pass
             return None
         self.stats.hits += 1
-        return payload
+        return entry
 
-    def put_json(self, key: str, payload: Dict[str, object],
-                 fingerprint: Optional[str] = None) -> str:
-        """Store a generic JSON payload atomically; returns the path."""
+    def _write(self, key: str, field: str, payload: Any,
+               fingerprint: Optional[str], extra: Dict[str, object]) -> str:
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         entry = {
@@ -240,7 +201,8 @@ class RunCache:
             else code_fingerprint(),
             "digest": hashlib.sha256(
                 canonical_json(payload).encode()).hexdigest(),
-            "payload": payload,
+            field: payload,
+            **extra,
         }
         handle, temp_path = tempfile.mkstemp(
             dir=os.path.dirname(path), suffix=".tmp")

@@ -2,37 +2,29 @@
 
 Every figure of the paper is a sweep over (design x workload x
 trace-length) points, and each point is an independent, deterministic
-simulation — embarrassingly parallel work.  The engine:
+simulation — embarrassingly parallel work.  :func:`run_sweep` hands the
+points to :func:`repro.parallel.pool.fanout`, which supplies the
+cache-first lookup, the warm pool with its identical in-process
+fallback, submission-order results and the per-point host wall-clock;
+this module adds what is specific to simulation points:
 
-* executes points through a **warm** ``multiprocessing`` pool (``jobs``
-  workers, kept alive across ``run_sweep`` calls and torn down at
-  interpreter exit), falling back to the exact same in-process code path
-  when ``jobs <= 1`` or a pool cannot be created (restricted
-  environments, missing sem support);
-* merges results **by submission index**, never by completion order, so
-  the output is bit-identical no matter how the pool interleaves — the
-  property the golden-master parity tests pin (and reprolint's DET001
-  ``imap_unordered`` check enforces syntactically);
-* consults a :class:`~repro.parallel.cache.RunCache` before spawning any
-  work, and writes every fresh result back, so repeated sweeps cost one
-  disk read per point;
-* folds each worker's metrics into a single
+* the :class:`SweepPoint` request and its :class:`RunCache` key;
+* :func:`execute_point`, the worker that re-derives everything from the
+  point (a small picklable description), never from parent state, which
+  is what makes the serial and parallel paths indistinguishable;
+* folding each worker's metrics into a single
   :class:`~repro.obs.metrics.MetricsRegistry` for the caller.
-
-Workers re-derive everything from the :class:`SweepPoint` (a small
-picklable description), never from parent state, which is what makes the
-serial and parallel paths indistinguishable.
 """
 
 from __future__ import annotations
 
-import time  # host-side wall-clock only; simulated time lives in EventQueue
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.config import DesignPoint, SystemConfig, table2_config
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, fold_metrics_dict
 from repro.parallel.cache import RunCache
+from repro.parallel.pool import fanout
 from repro.parallel.fingerprint import code_fingerprint
 from repro.parallel.serialize import (run_result_from_dict,
                                       run_result_to_dict)
@@ -111,201 +103,45 @@ class SweepOutcome:
 # ----------------------------------------------------------------------
 
 def execute_point(point: SweepPoint) -> Dict[str, object]:
-    """Run one point; returns a picklable payload.
+    """Run one point; returns a JSON-friendly payload (cacheable as-is).
 
     Used verbatim by the serial path and by pool workers, which is the
     determinism argument in one line: both paths run *this* function.
     """
+    from repro.obs.tracer import NULL_TRACER, CollectingTracer
     from repro.sim.system import run_simulation
 
-    tracer = None
-    started = time.perf_counter()  # reprolint: disable=DET001 -- host wall-clock for throughput metrics, never enters simulated state
-    if point.collect_trace:
-        from repro.obs.tracer import CollectingTracer
-
-        tracer = CollectingTracer()
-    config = point.system_config()
-    if tracer is not None:
-        result = run_simulation(config, point.workload,
-                                trace_length=point.trace_length,
-                                trace_seed=point.seed,
-                                window_policy=point.window_policy,
-                                tracer=tracer,
-                                window_cycles=point.window_cycles)
-    else:
-        result = run_simulation(config, point.workload,
-                                trace_length=point.trace_length,
-                                trace_seed=point.seed,
-                                window_policy=point.window_policy,
-                                window_cycles=point.window_cycles)
-    wall_ms = (time.perf_counter() - started) * 1000.0  # reprolint: disable=DET001 -- host wall-clock for throughput metrics, never enters simulated state
+    tracer = CollectingTracer() if point.collect_trace else NULL_TRACER
+    result = run_simulation(point.system_config(), point.workload,
+                            trace_length=point.trace_length,
+                            trace_seed=point.seed,
+                            window_policy=point.window_policy,
+                            tracer=tracer,
+                            window_cycles=point.window_cycles)
     chrome_json = None
     worker_metrics = MetricsRegistry()
-    worker_metrics.counter("sweep/executed").inc()
-    worker_metrics.histogram("sweep/wall_ms").record(int(wall_ms))
-    if tracer is not None:
+    if isinstance(tracer, CollectingTracer):
         from repro.obs.chrome import render_chrome_trace
 
         chrome_json = render_chrome_trace(tracer.events)
         worker_metrics.from_events(tracer.events)
     return {
         "result": run_result_to_dict(result),
-        "wall_ms": wall_ms,
         "chrome_json": chrome_json,
         "metrics": worker_metrics.as_dict(),
     }
-
-
-def _pool_worker(task: Tuple[int, SweepPoint]) -> Tuple[int, Dict[str, object]]:
-    index, point = task
-    return index, execute_point(point)
-
-
-# ----------------------------------------------------------------------
-# Metrics folding
-# ----------------------------------------------------------------------
-
-def fold_metrics(target: MetricsRegistry, payload: Dict[str, object]) -> None:
-    """Fold one worker's ``MetricsRegistry.as_dict()`` into ``target``.
-
-    The merge semantics live in
-    :func:`repro.obs.metrics.fold_metrics_dict` — shared with the
-    time-series window fold so workers and windows merge identically.
-    """
-    from repro.obs.metrics import fold_metrics_dict
-
-    fold_metrics_dict(target, payload)
 
 
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
 
-def make_pool(jobs: int, initializer=None, initargs=()):
-    """A worker pool, or ``None`` when the platform cannot provide one.
-
-    Shared by every fan-out in the tree (sweeps, serve benchmarks, the
-    lint runner): one place encodes the "pool or identical serial
-    fallback" contract.  ``initializer`` runs once in each worker at
-    pool start — the warm-pool layer uses it to resynchronize the A/B
-    switch environment (see :func:`_pool_initializer`).
-    """
-    try:
-        import multiprocessing
-
-        return multiprocessing.get_context().Pool(jobs,
-                                                  initializer=initializer,
-                                                  initargs=initargs)
-    except (ImportError, OSError, ValueError):
-        return None
-
-
-#: Backwards-compatible alias (earlier callers imported the private name).
-_make_pool = make_pool
-
-
-# ----------------------------------------------------------------------
-# Warm pools: reuse workers across run_sweep calls
-# ----------------------------------------------------------------------
-
-#: Live pools keyed by (worker count, A/B switch-env signature).  A
-#: benchmark session runs many sweeps back to back; keeping the workers
-#: alive amortizes process start-up and lets worker-side memo caches
-#: (pattern memos, delta tables) stay warm.  Workers re-derive every
-#: result from the pickled :class:`SweepPoint` alone, so a warm worker
-#: returns byte-identical payloads to a cold one — the jobs-parity tests
-#: pin this.  The signature half of the key is the A/B-toggle guard: a
-#: worker forked under ``REPRO_DISABLE_FASTPATH`` (or the reference-core
-#: / memo switches) would silently keep running that core after the
-#: parent toggled the variable, so a toggle must retire the pool rather
-#: than reuse it (``tests/test_parallel_sweep.py`` pins the differential).
-_WARM_POOLS: Dict[Tuple[int, Tuple[str, ...]], object] = {}
-_ATEXIT_REGISTERED = False
-
-
-def _pool_initializer(signature: Tuple[str, ...]) -> None:
-    """Runs once in every pool worker: re-apply the A/B switch env.
-
-    Fork inherits the parent's *imported module state*, and the switch
-    flags are read once at import and copied by value into consumer
-    modules — so even a freshly created pool can carry settings computed
-    under an environment that no longer holds.  Re-applying the snapshot
-    and refreshing the switches makes the worker run exactly the cores
-    the signature promises, on every start method.
-    """
-    import os
-
-    from repro.utils import memo
-
-    for name, value in zip(memo.SWITCH_ENVS, signature):
-        if value == "":
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
-    memo.refresh_switches()
-
-
-def warm_pool(jobs: int):
-    """The persistent pool for ``jobs`` workers (``None`` if unavailable).
-
-    Pools are created on first use and reused on every later call with
-    the same ``jobs`` *and* the same A/B switch-env signature
-    (:func:`repro.utils.memo.switch_env_signature`); toggling a switch
-    retires the old pool and starts fresh workers under the new setting.
-    Pools are torn down at interpreter exit (or explicitly via
-    :func:`shutdown_pools`).  Callers must not ``close()`` the returned
-    pool; on a worker exception they should hand it to
-    :func:`discard_pool` so the next sweep starts from a fresh pool.
-    """
-    global _ATEXIT_REGISTERED
-    from repro.utils.memo import switch_env_signature
-
-    signature = switch_env_signature()
-    key = (jobs, signature)
-    pool = _WARM_POOLS.get(key)
-    if pool is not None:
-        return pool
-    # a pool for the same jobs under a previous signature is stale by
-    # construction — terminate it rather than let it linger
-    for stale in [entry for entry in _WARM_POOLS if entry[0] == jobs]:
-        _discard_entry(stale)
-    pool = _make_pool(jobs, initializer=_pool_initializer,
-                      initargs=(signature,))
-    if pool is not None:
-        _WARM_POOLS[key] = pool
-        if not _ATEXIT_REGISTERED:
-            import atexit
-
-            atexit.register(shutdown_pools)
-            _ATEXIT_REGISTERED = True
-    return pool
-
-
-def _discard_entry(key: Tuple[int, Tuple[str, ...]]) -> None:
-    pool = _WARM_POOLS.pop(key, None)
-    if pool is not None:
-        pool.terminate()
-        pool.join()
-
-
-def discard_pool(jobs: int) -> None:
-    """Terminate and forget every warm pool for ``jobs`` (error recovery)."""
-    for key in [entry for entry in _WARM_POOLS if entry[0] == jobs]:
-        _discard_entry(key)
-
-
-def shutdown_pools() -> None:
-    """Terminate every warm pool (atexit hook; also used by tests)."""
-    for key in list(_WARM_POOLS):
-        _discard_entry(key)
-
-
 def run_sweep(points: Sequence[SweepPoint], jobs: int = 1,
               cache: Optional[RunCache] = None) -> SweepOutcome:
     """Execute every point; results come back in submission order.
 
     ``jobs <= 1`` (or an unavailable pool) degrades to the in-process
-    serial path — same worker function, same merge, same output.
+    serial path — same worker function, same output.
     """
     points = list(points)
     metrics = MetricsRegistry()
@@ -313,63 +149,30 @@ def run_sweep(points: Sequence[SweepPoint], jobs: int = 1,
     metrics.counter("sweep/points").inc(len(points))
     fingerprint = code_fingerprint() if cache is not None else None
 
-    slots: List[Optional[PointResult]] = [None] * len(points)
-    pending: List[Tuple[int, SweepPoint]] = []
-    keys: Dict[int, str] = {}
+    def key(point: SweepPoint) -> str:
+        assert cache is not None
+        return cache.key_for(point.system_config(), point.workload,
+                             point.trace_length, trace_seed=point.seed,
+                             window_policy=point.window_policy,
+                             collect_trace=point.collect_trace,
+                             window_cycles=point.window_cycles,
+                             fingerprint=fingerprint)
 
-    for index, point in enumerate(points):
-        if cache is None:
-            pending.append((index, point))
-            continue
-        key = cache.key_for(point.system_config(), point.workload,
-                            point.trace_length, trace_seed=point.seed,
-                            window_policy=point.window_policy,
-                            collect_trace=point.collect_trace,
-                            window_cycles=point.window_cycles,
-                            fingerprint=fingerprint)
-        keys[index] = key
-        cached = cache.get(key)
-        if cached is not None:
-            metrics.counter("sweep/cache_hits").inc()
-            slots[index] = PointResult(point=point, result=cached.result,
-                                       from_cache=True, wall_ms=0.0,
-                                       chrome_json=cached.chrome_json)
-        else:
-            metrics.counter("sweep/cache_misses").inc()
-            pending.append((index, point))
-
-    payloads: List[Tuple[int, Dict[str, object]]] = []
-    pool = warm_pool(jobs) if jobs > 1 and len(pending) > 1 else None
-    if pool is None:
-        for task in pending:
-            payloads.append(_pool_worker(task))
-    else:
-        try:
-            # completion order is nondeterministic; the sorted index-keyed
-            # merge below is what makes the sweep order-independent
-            for index, payload in pool.imap_unordered(_pool_worker, pending):
-                payloads.append((index, payload))
-        except BaseException:
-            # a raising worker leaves the pool in an unknown state; drop
-            # it so the next sweep starts from fresh workers
-            discard_pool(jobs)
-            raise
-
-    for index, payload in sorted(payloads, key=lambda item: item[0]):
-        point = points[index]
-        result = run_result_from_dict(payload["result"])
-        chrome_json = payload["chrome_json"]
-        slots[index] = PointResult(point=point, result=result,
-                                   from_cache=False,
-                                   wall_ms=float(payload["wall_ms"]),
-                                   chrome_json=chrome_json)
-        fold_metrics(metrics, payload["metrics"])
+    results: List[PointResult] = []
+    for point, (payload, meta) in zip(points, fanout(
+            points, execute_point, jobs=jobs, cache=cache, key=key)):
+        from_cache = bool(meta["from_cache"])
         if cache is not None:
-            cache.put(keys[index], result, chrome_json=chrome_json,
-                      fingerprint=fingerprint)
-
-    results = [entry for entry in slots if entry is not None]
-    assert len(results) == len(points), "sweep lost a point"
+            metrics.counter("sweep/cache_hits" if from_cache
+                            else "sweep/cache_misses").inc()
+        if not from_cache:
+            metrics.counter("sweep/executed").inc()
+            metrics.histogram("sweep/wall_ms").record(int(meta["wall_ms"]))
+            fold_metrics_dict(metrics, payload["metrics"])
+        results.append(PointResult(
+            point=point, result=run_result_from_dict(payload["result"]),
+            from_cache=from_cache, wall_ms=float(meta["wall_ms"]),
+            chrome_json=payload["chrome_json"]))
     return SweepOutcome(results=results, metrics=metrics,
                         jobs=max(1, jobs),
                         cache_stats=cache.stats.as_dict() if cache else {})

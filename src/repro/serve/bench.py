@@ -3,10 +3,9 @@
 ``serve-bench`` asks the question the closed-loop figures cannot: *what
 request rate can each protocol sustain, and what does the tail look like
 on the way to saturation?*  One :class:`ServeSpec` is one point — a
-protocol, an offered load, an admission queue — and sweeps mirror the
-:mod:`repro.parallel` engine exactly: cache-first through
-:meth:`~repro.parallel.cache.RunCache.get_json`, process-pool fan-out
-with serial fallback, submission-index merge.  The report list is
+protocol, an offered load, an admission queue — and a sweep is one
+:func:`repro.parallel.fanout` call: cache-first, process-pool fan-out
+with serial fallback, submission order.  The report list is
 byte-identical for any ``--jobs`` value and across cached replays.
 """
 
@@ -20,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.control.admission import AdmissionController
 from repro.control.morph import MorphController
 from repro.control.plane import ServeControlPlane
+from repro.parallel import fanout
 from repro.parallel.cache import RunCache
 from repro.parallel.fingerprint import code_fingerprint
 from repro.serve.loadgen import (TenantSpec, generate_stream,
@@ -243,88 +243,24 @@ def serve_cache_key(spec: ServeSpec,
     return hashlib.sha256(rendered.encode()).hexdigest()
 
 
-def _serve_worker(task: Tuple[int, Dict[str, object]]
-                  ) -> Tuple[int, Dict[str, object], float]:
-    """Pool worker: re-derives everything from the picklable spec dict.
-
-    The trailing wall-clock milliseconds are measurement *metadata* —
-    they ride next to the report (never inside it), so report bytes stay
-    identical across ``--jobs`` values and cached replays while the
-    performance ledger still gets an honest host wall-clock.
-    """
-    from repro.obs.ledger import host_clock_s
-
-    index, payload = task
-    spec = ServeSpec.from_dict(payload)
-    started = host_clock_s()
-    report = run_serve(spec)
-    return index, report, (host_clock_s() - started) * 1000.0
-
-
 def run_serve_sweep(specs: Sequence[ServeSpec], jobs: int = 1,
                     cache: Optional[RunCache] = None,
                     meta: Optional[List[Dict[str, object]]] = None
                     ) -> List[Dict[str, object]]:
     """Run several serving points; reports come back in submission order.
 
-    Mirrors :func:`repro.parallel.sweep.run_sweep`: cache-first, warm
-    persistent pool with serial fallback, submission-index merge so the
-    output is bit-identical regardless of completion order or ``jobs``.
+    One :func:`repro.parallel.fanout` call: cache-first, warm pool with
+    serial fallback, byte-identical regardless of completion order or
+    ``jobs``.
 
     ``meta``, when given, receives one ``{"wall_ms", "from_cache"}`` dict
     per spec (submission order) — the volatile side-channel the ledger
     records; the returned reports never contain it.
     """
-    specs = list(specs)
     fingerprint = code_fingerprint() if cache is not None else None
-    slots: List[Optional[Dict[str, object]]] = [None] * len(specs)
-    metas: List[Dict[str, object]] = [{"wall_ms": 0.0, "from_cache": True}
-                                      for _ in specs]
-    pending: List[Tuple[int, Dict[str, object]]] = []
-    keys: Dict[int, str] = {}
-
-    for index, spec in enumerate(specs):
-        if cache is None:
-            pending.append((index, spec.to_dict()))
-            continue
-        key = serve_cache_key(spec, fingerprint=fingerprint)
-        keys[index] = key
-        cached = cache.get_json(key)
-        if cached is not None:
-            slots[index] = cached
-        else:
-            pending.append((index, spec.to_dict()))
-
-    payloads: List[Tuple[int, Dict[str, object], float]] = []
-    pool = None
-    if jobs > 1 and len(pending) > 1:
-        from repro.parallel.sweep import warm_pool
-
-        pool = warm_pool(jobs)
-    if pool is None:
-        for task in pending:
-            payloads.append(_serve_worker(task))
-    else:
-        try:
-            # completion order is nondeterministic; the sorted merge
-            # below restores submission order
-            for item in pool.imap_unordered(_serve_worker, pending):
-                payloads.append(item)
-        except BaseException:
-            from repro.parallel.sweep import discard_pool
-
-            discard_pool(jobs)
-            raise
-
-    for index, payload, wall_ms in sorted(payloads,
-                                          key=lambda item: item[0]):
-        slots[index] = payload
-        metas[index] = {"wall_ms": wall_ms, "from_cache": False}
-        if cache is not None:
-            cache.put_json(keys[index], payload, fingerprint=fingerprint)
-
+    outcomes = fanout(specs, run_serve, jobs=jobs, cache=cache,
+                      key=lambda spec: serve_cache_key(
+                          spec, fingerprint=fingerprint))
     if meta is not None:
-        meta.extend(metas)
-    reports = [entry for entry in slots if entry is not None]
-    assert len(reports) == len(specs), "serve sweep lost a point"
-    return reports
+        meta.extend(entry for _, entry in outcomes)
+    return [report for report, _ in outcomes]

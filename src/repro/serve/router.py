@@ -2,7 +2,7 @@
 
 ``serve-sharded`` runs one :class:`~repro.serve.shard.ShardSpec` through
 ``shards`` persistent worker processes — the warm pools of
-:mod:`repro.parallel.sweep` — and folds the per-shard outcomes into one
+:func:`repro.parallel.fanout` — and folds the per-shard outcomes into one
 canonical aggregate report:
 
 * **routing** is the consistent-hash plan over leaf-MSB subtrees
@@ -32,6 +32,7 @@ import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry, fold_metrics_dict
+from repro.parallel import fanout
 from repro.parallel.cache import RunCache
 from repro.parallel.fingerprint import code_fingerprint
 from repro.serve.shard import (ShardSpec, build_plan, model_migrations,
@@ -208,61 +209,12 @@ def fold_shard_reports(spec: ShardSpec,
     }
 
 
-def run_sharded(spec: ShardSpec, jobs: int = 1,
-                cache: Optional[RunCache] = None,
-                meta: Optional[List[Dict[str, object]]] = None
-                ) -> Dict[str, object]:
-    """Run one sharded serving point; returns the aggregate report.
-
-    Mirrors :func:`repro.parallel.sweep.run_sweep`: cache-first, warm
-    pool with serial fallback, shard-index merge — byte-identical output
-    regardless of completion order, ``jobs``, or pool temperature.
-
-    ``meta``, when given, receives one ``{"wall_ms", "from_cache"}`` dict
-    (the volatile side-channel the ledger records; never in the report).
-    """
-    from repro.obs.ledger import host_clock_s
-
-    fingerprint = code_fingerprint() if cache is not None else None
-    key = None
-    if cache is not None:
-        key = sharded_cache_key(spec, fingerprint=fingerprint)
-        cached = cache.get_json(key)
-        if cached is not None:
-            if meta is not None:
-                meta.append({"wall_ms": 0.0, "from_cache": True})
-            return cached
-
-    started = host_clock_s()
-    tasks = [(shard, spec.to_dict()) for shard in range(spec.shards)]
-    payloads: List[Tuple[int, Dict[str, object]]] = []
-    pool = None
-    if jobs > 1 and len(tasks) > 1:
-        from repro.parallel.sweep import warm_pool
-
-        pool = warm_pool(jobs)
-    if pool is None:
-        for task in tasks:
-            payloads.append(_shard_worker(task))
-    else:
-        try:
-            # completion order is nondeterministic; fold_shard_reports
-            # re-sorts by shard index before any folding
-            for item in pool.imap_unordered(_shard_worker, tasks):
-                payloads.append(item)
-        except BaseException:
-            from repro.parallel.sweep import discard_pool
-
-            discard_pool(jobs)
-            raise
-    payloads = sorted(payloads, key=lambda item: item[0])
-    report = fold_shard_reports(spec, payloads)
-    wall_ms = (host_clock_s() - started) * 1000.0
-    if cache is not None and key is not None:
-        cache.put_json(key, report, fingerprint=fingerprint)
-    if meta is not None:
-        meta.append({"wall_ms": wall_ms, "from_cache": False})
-    return report
+def _sharded_point(task: Tuple[ShardSpec, int]) -> Dict[str, object]:
+    """One sharded point: fan the shards out over ``jobs``, then fold."""
+    spec, jobs = task
+    shards = fanout([(shard, spec.to_dict()) for shard in range(spec.shards)],
+                    _shard_worker, jobs=jobs)
+    return fold_shard_reports(spec, [payload for payload, _ in shards])
 
 
 def run_sharded_sweep(specs: Sequence[ShardSpec], jobs: int = 1,
@@ -271,8 +223,28 @@ def run_sharded_sweep(specs: Sequence[ShardSpec], jobs: int = 1,
                       ) -> List[Dict[str, object]]:
     """Run several sharded points in submission order.
 
-    The fan-out happens *inside* each point (one worker per shard);
-    points run one after another so the pool is reused across them.
+    The fan-out happens *inside* each point (one task per shard); points
+    run one after another in-process, cache-first, so the shard pool is
+    reused across them.  The output is byte-identical regardless of
+    completion order, ``jobs``, pool temperature or cached replay.
+
+    ``meta``, when given, receives one ``{"wall_ms", "from_cache"}`` dict
+    per point (the volatile side-channel the ledger records; never in
+    the report).
     """
-    return [run_sharded(spec, jobs=jobs, cache=cache, meta=meta)
-            for spec in specs]
+    fingerprint = code_fingerprint() if cache is not None else None
+    outcomes = fanout([(spec, jobs) for spec in specs], _sharded_point,
+                      jobs=1, cache=cache,
+                      key=lambda task: sharded_cache_key(
+                          task[0], fingerprint=fingerprint))
+    if meta is not None:
+        meta.extend(entry for _, entry in outcomes)
+    return [report for report, _ in outcomes]
+
+
+def run_sharded(spec: ShardSpec, jobs: int = 1,
+                cache: Optional[RunCache] = None,
+                meta: Optional[List[Dict[str, object]]] = None
+                ) -> Dict[str, object]:
+    """Run one sharded serving point; returns the aggregate report."""
+    return run_sharded_sweep([spec], jobs=jobs, cache=cache, meta=meta)[0]

@@ -31,15 +31,15 @@ from repro.core.lowpower import RankPowerManager
 from repro.dram.address import AddressMapper
 from repro.dram.channel import Channel, MemoryRequest
 from repro.dram.scheduler import FrFcfsScheduler
-from repro.fastpath import (AccessFastPath, FASTPATH_ENABLED,
-                            FastLowPowerRuns, FastTreeRuns, emit_batch,
-                            pass_eligible, stamp_pass)
+from repro.fastpath import (AccessFastPath, FastLowPowerRuns, FastTreeRuns,
+                            emit_batch, pass_eligible, stamp_pass)
 from repro.obs.tracer import (CATEGORY_PROTOCOL, NULL_TRACER, Tracer)
 from repro.oram.layout import LowPowerLayout, TreeLayout
 from repro.oram.plb import PlbFrontend
 from repro.oram.tree import TreeGeometry
 from repro.sim.bus import LinkBus
 from repro.sim.events import EventQueue, WorkQueue
+from repro.utils import memo
 from repro.utils.bitops import ceil_div, log2_exact
 from repro.utils.rng import DeterministicRng
 
@@ -165,7 +165,7 @@ class FreecursiveBackend:
         self.buses: List[LinkBus] = []
         self.counters = BackendCounters()
         self.fastpath: Optional[AccessFastPath] = None
-        if FASTPATH_ENABLED:
+        if memo.CORE.fastpath:
             self.fastpath = AccessFastPath(
                 self.channels,
                 FastTreeRuns(self.layout,
@@ -266,7 +266,7 @@ class SdimmDevice:
         # morphed-mode mapper, built once so its decode memo survives
         self._plain_mapper = AddressMapper(self.channel.organization, 64)
         self.fastpath: Optional[AccessFastPath] = None
-        if FASTPATH_ENABLED:
+        if memo.CORE.fastpath:
             banks_per_group = self.channel._banks_per_group
             producer = (FastLowPowerRuns(self.layout, banks_per_group)
                         if self.low_power

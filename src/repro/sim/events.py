@@ -22,7 +22,7 @@ import heapq
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
-from repro.utils.memo import REFERENCE_CORE
+from repro.utils import memo
 
 _NO_ARGS: Tuple = ()
 
@@ -50,7 +50,7 @@ class EventQueue:
         Storing the arguments in the heap entry instead of a closure keeps
         the per-event allocation down to one tuple.
         """
-        if REFERENCE_CORE:
+        if memo.CORE.reference:
             # closure-based reference scheduler: identical ordering (one
             # sequence number per event), one extra allocation per event
             self.at(time, lambda: fn(*args))

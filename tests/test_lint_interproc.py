@@ -2,7 +2,7 @@
 runner modes (SARIF, baseline, parallel jobs, result cache, LINT00x).
 
 The differential fixtures under ``tests/fixtures/lint/interproc/``
-each isolate one flow the per-function SEC002 rule cannot see; the
+each isolate one flow a per-function rule cannot see; the
 clean fixtures prove the declassifiers hold the false-positive line.
 """
 
@@ -278,14 +278,14 @@ class TestLint001:
         target.write_text("x = 1  # reprolint: disable=DET001 -- stale\n")
         assert lint_paths([str(target)]).findings == []
 
-    def test_legacy_sec002_token_judged_through_supersession(self, tmp_path):
-        # A SEC002 directive that silences nothing is reported even
-        # though SEC002 itself is skipped on default runs.
+    def test_unknown_rule_token_is_not_judged(self, tmp_path):
+        # A token naming no registered rule (the deleted SEC002) belongs
+        # to no rule that ran, so LINT001 cannot judge it either way.
         target = tmp_path / "retired.py"
         target.write_text("x = 1  # reprolint: disable=SEC002 -- stale\n")
         result = lint_paths([str(target)],
                             warn_unused_suppressions=True)
-        assert rules_hit(result) == ["LINT001"]
+        assert rules_hit(result) == []
 
 
 class TestBaseline:

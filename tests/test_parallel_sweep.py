@@ -5,15 +5,18 @@ identical** to ``run_sweep(points, jobs=1)`` — same ``RunResult`` fields
 (including the traced ``phase_cycles`` breakdown), same Chrome-trace
 export, same submission ordering — no matter how pool workers interleave.
 Also covered: the serial fallback when no pool can be created, metrics
-folding, and cache interaction of a full sweep.
+folding, cache interaction of a full sweep, and the core selection
+reaching every task whatever ``jobs`` is.
 """
+
+import concurrent.futures
 
 import pytest
 
 from repro.config import DesignPoint, small_config
 from repro.parallel import RunCache, SweepPoint, run_result_to_dict, run_sweep
 from repro.parallel.serialize import canonical_json
-import repro.parallel.sweep as sweep_module
+import repro.parallel.pool as pool_module
 
 #: 2 designs x 2 workloads, all traced — the matrix the issue asks for.
 POINTS = tuple(
@@ -66,62 +69,63 @@ class TestDeterminism:
 class TestSerialFallback:
     def test_pool_failure_degrades_to_serial(self, serial_outcome,
                                              monkeypatch):
-        sweep_module.shutdown_pools()  # a live warm pool would bypass the patch
-        monkeypatch.setattr(sweep_module, "_make_pool",
-                            lambda jobs, **kwargs: None)
+        pool_module.shutdown_pools()  # a live warm pool would bypass the patch
+
+        def unavailable(max_workers):
+            raise NotImplementedError("no process pools here")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            unavailable)
         fallback = run_sweep(list(POINTS), jobs=4)
         assert result_bytes(fallback) == result_bytes(serial_outcome)
 
     def test_jobs_one_never_builds_a_pool(self, monkeypatch):
-        def boom(jobs, **kwargs):
+        def boom(max_workers):
             raise AssertionError("jobs=1 must not construct a pool")
-        sweep_module.shutdown_pools()
-        monkeypatch.setattr(sweep_module, "_make_pool", boom)
+        pool_module.shutdown_pools()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", boom)
         outcome = run_sweep([POINTS[0]], jobs=1)
         assert len(outcome.results) == 1
 
 
 class TestWarmPools:
     def test_pool_is_reused_across_sweeps(self, monkeypatch):
-        sweep_module.shutdown_pools()
+        pool_module.shutdown_pools()
         builds = []
-        real = sweep_module.make_pool
+        real = concurrent.futures.ProcessPoolExecutor
 
-        def counting(jobs, **kwargs):
-            builds.append(jobs)
-            return real(jobs, **kwargs)
+        def counting(max_workers):
+            builds.append(max_workers)
+            return real(max_workers=max_workers)
 
-        monkeypatch.setattr(sweep_module, "_make_pool", counting)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            counting)
         first = run_sweep(list(POINTS), jobs=2)
         second = run_sweep(list(POINTS), jobs=2)
         assert result_bytes(first) == result_bytes(second)
         assert builds == [2]  # second sweep reused the warm pool
-        sweep_module.shutdown_pools()
+        pool_module.shutdown_pools()
 
     def test_warm_pool_results_match_serial(self, serial_outcome):
-        sweep_module.shutdown_pools()
+        pool_module.shutdown_pools()
         run_sweep(list(POINTS[:2]), jobs=2)  # warms the 2-worker pool
         warm = run_sweep(list(POINTS), jobs=2)
         assert result_bytes(warm) == result_bytes(serial_outcome)
-        sweep_module.shutdown_pools()
+        pool_module.shutdown_pools()
 
     def test_env_switch_toggle_reaches_warm_pool_workers(self, monkeypatch):
-        """A/B switches must not go stale inside a reused warm pool.
+        """A core switch must not go stale inside a reused warm pool.
 
-        The switches (``REPRO_DISABLE_FASTPATH`` & co) are read once at
-        import, so a forked worker inherits whatever they were when the
-        pool was built.  Pools are therefore keyed on the env snapshot
-        and re-initialized per signature — two sweeps with the switch
-        toggled in between must see different fastpath behaviour even
-        though both ran at the same ``jobs`` on warm pools.
+        The pool is built under the default core; every task carries the
+        core selection read from the environment at call time, so a
+        toggle between two sweeps on the same warm pool takes effect.
         """
-        sweep_module.shutdown_pools()
+        pool_module.shutdown_pools()
         monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
         points = list(POINTS[:2])
         enabled = run_sweep(points, jobs=2)
         monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
         disabled = run_sweep(points, jobs=2)
-        sweep_module.shutdown_pools()
+        pool_module.shutdown_pools()
         for entry in enabled.results:
             assert entry.result.extras["fastpath_hit_rate"] == 1.0
         for entry in disabled.results:
@@ -132,31 +136,61 @@ class TestWarmPools:
                 [entry.result.execution_cycles
                  for entry in disabled.results])
 
-    def test_warm_pools_are_keyed_on_env_signature(self, monkeypatch):
-        sweep_module.shutdown_pools()
-        monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
-        run_sweep(list(POINTS[:2]), jobs=2)
-        keys_before = set(sweep_module._WARM_POOLS)
-        monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
-        run_sweep(list(POINTS[:2]), jobs=2)
-        keys_after = set(sweep_module._WARM_POOLS)
-        sweep_module.shutdown_pools()
-        assert len(keys_before) == 1 and len(keys_after) == 1
-        # the stale same-jobs pool was replaced, not kept alongside
-        assert keys_before != keys_after
-        assert next(iter(keys_before))[0] == next(iter(keys_after))[0] == 2
-
     def test_discard_pool_recovers_after_worker_error(self, monkeypatch):
-        sweep_module.shutdown_pools()
+        pool_module.shutdown_pools()
         bad = SweepPoint(DesignPoint.FREECURSIVE, "no-such-workload",
                          trace_length=300,
                          config=small_config(DesignPoint.FREECURSIVE))
         with pytest.raises(Exception):
             run_sweep([bad, bad], jobs=2)
-        assert sweep_module._WARM_POOLS == {}  # broken pool was dropped
+        assert pool_module._POOLS == {}  # broken pool was dropped
         outcome = run_sweep(list(POINTS), jobs=2)
         assert len(outcome.results) == len(POINTS)
-        sweep_module.shutdown_pools()
+        pool_module.shutdown_pools()
+
+
+class TestCoreSelection:
+    """The core selection reaches every task, whatever ``jobs`` is."""
+
+    def test_toggle_gives_identical_results_for_any_jobs(self, monkeypatch):
+        points = list(POINTS[:2])
+        monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+        run_sweep(points, jobs=1)
+        monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
+        serial = run_sweep(points, jobs=1)
+        parallel = run_sweep(points, jobs=2)
+        pool_module.shutdown_pools()
+        assert result_bytes(serial) == result_bytes(parallel)
+        for entry in serial.results:
+            assert entry.result.extras["fastpath_hit_rate"] == 0.0
+
+    def test_in_process_selection_does_not_leak(self, monkeypatch):
+        from repro.utils import memo
+
+        before = memo.CORE
+        monkeypatch.setenv("REPRO_REFERENCE_CORE", "1")
+        run_sweep([POINTS[0]], jobs=1)
+        assert memo.CORE == before
+
+    def test_cache_never_replays_another_cores_result(self, tmp_path,
+                                                      monkeypatch):
+        cache = RunCache(str(tmp_path / "runs"))
+        points = list(POINTS[:2])
+        monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+        run_sweep(points, jobs=2, cache=cache)
+        monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
+        toggled = run_sweep(points, jobs=2, cache=cache)
+        fresh = run_sweep(points, jobs=2)
+        pool_module.shutdown_pools()
+        assert all(not entry.from_cache for entry in toggled.results)
+        assert ([bytes_ for bytes_, _, _ in result_bytes(toggled)] ==
+                [bytes_ for bytes_, _, _ in result_bytes(fresh)])
+        for entry in toggled.results:
+            assert entry.result.extras["fastpath_hit_rate"] == 0.0
+        # and the toggled entries replay under the toggled core
+        replay = run_sweep(points, jobs=2, cache=cache)
+        assert all(entry.from_cache for entry in replay.results)
+        assert result_bytes(replay)[0][0] == result_bytes(toggled)[0][0]
 
 
 class TestMetrics:

@@ -3,7 +3,7 @@
 The optimized ``Channel.schedule_run``, ``Rank.note_active`` and the
 tuple-based event scheduler must be *bit-identical* in behaviour to the
 straightforward reference implementations they replaced
-(``REPRO_REFERENCE_CORE=1`` selects the references at import time; see
+(``REPRO_REFERENCE_CORE=1`` selects the references, unmemoized; see
 ``repro.utils.memo``).  These tests drive both sides with the same
 randomized command streams and compare every observable — returned
 timings, counters, bus state, power-state residency — which is a much
@@ -147,6 +147,5 @@ class TestReferenceCoreEndToEnd:
 
     def test_reference_env_matches_optimized(self):
         optimized = self.run_cycles({})
-        reference = self.run_cycles({"REPRO_REFERENCE_CORE": "1",
-                                     "REPRO_DISABLE_MEMO": "1"})
+        reference = self.run_cycles({"REPRO_REFERENCE_CORE": "1"})
         assert optimized == reference

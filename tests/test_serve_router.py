@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-import repro.parallel.sweep as sweep_module
+import repro.parallel.pool as pool_module
 from repro.cli import main
 from repro.parallel.cache import RunCache
 from repro.serve import (ShardSpec, canonical_json, fold_shard_reports,
@@ -30,7 +30,7 @@ def spec(**overrides):
 
 class TestDeterminism:
     def test_parallel_is_byte_identical_to_serial(self):
-        sweep_module.shutdown_pools()
+        pool_module.shutdown_pools()
         point = spec(shards=4, subtrees=16)
         serial = canonical_json(run_sharded(point, jobs=1))
         parallel = canonical_json(run_sharded(point, jobs=4))
@@ -38,7 +38,7 @@ class TestDeterminism:
         # and again on the now-warm pool
         warm = canonical_json(run_sharded(point, jobs=4))
         assert warm == serial
-        sweep_module.shutdown_pools()
+        pool_module.shutdown_pools()
 
     def test_cached_replay_is_byte_identical(self, tmp_path):
         cache = RunCache(str(tmp_path / "runs"))
@@ -48,7 +48,7 @@ class TestDeterminism:
         replay = run_sharded(point, jobs=1, cache=cache, meta=meta)
         assert canonical_json(fresh) == canonical_json(replay)
         assert [entry["from_cache"] for entry in meta] == [False, True]
-        sweep_module.shutdown_pools()
+        pool_module.shutdown_pools()
 
     def test_cache_key_depends_on_shard_geometry(self):
         fingerprint = "f" * 64
@@ -120,7 +120,7 @@ class TestQuarantine:
     def test_degraded_mode_is_reported_honestly(self):
         point = spec(quarantined=(1,))
         report = run_sharded(point, jobs=2)
-        sweep_module.shutdown_pools()
+        pool_module.shutdown_pools()
         degraded = report["degraded"]
         assert degraded["quarantined"] == [1]
         assert degraded["degraded_shards"] == 1
@@ -150,7 +150,7 @@ class TestCli:
                                  "--report", str(first)]) == 0
         assert main(self.ARGS + ["--jobs", "2",
                                  "--report", str(second)]) == 0
-        sweep_module.shutdown_pools()
+        pool_module.shutdown_pools()
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
         payload = json.loads(first.read_text())
