@@ -19,12 +19,10 @@ Subcommands:
   (``docs/serving.md``): bounded admission, batching with read
   coalescing, p50/p95/p99/p999 sojourn times, shed rates against the
   Section IV-C M/M/1/K prediction; exits non-zero if any report shows
-  the queue-depth bound violated.
-* ``serve-sharded`` — the sharded serving tier: leaf-MSB consistent-hash
-  routing to one worker process per shard, per-shard bounded admission,
-  aggregate SLO folding, transfer-queue migration accounting, and an
-  optional quarantined (degraded) shard; same exit contract as
-  ``serve-bench``, applied per shard.
+  the queue-depth bound violated.  ``--shards N`` serves each point
+  from N worker processes over leaf-MSB consistent-hash routing, with
+  per-shard bounded admission, aggregate SLO folding, transfer-queue
+  migration accounting, and optional quarantined (degraded) shards.
 * ``perf-report`` — summarize a performance-ledger trajectory file and
   optionally render the static HTML dashboard (``docs/observability.md``).
 * ``perf-gate``  — re-measure the fixed gate suite and compare against
@@ -286,9 +284,15 @@ def cmd_serve_bench(args) -> int:
 
     One :class:`~repro.serve.ServeSpec` per (design, rate) pair, swept
     through :func:`~repro.serve.run_serve_sweep` — cached, parallel with
-    ``--jobs``, byte-identical reports either way.  Exit code 0 requires
-    every report's peak queue depth to respect the admission bound (the
-    backpressure contract: overload sheds, it never buffers unboundedly).
+    ``--jobs``, byte-identical reports either way.  With ``--shards N``
+    (N > 1) each point fans out to one worker process per shard and
+    folds into one aggregate report (``docs/serving.md``); the ledger
+    then gets one ``serve-shard`` record per shard plus one
+    ``serve-sharded`` record per point instead of one ``serve`` record.
+    Exit code 0 requires every report's peak queue depth to respect the
+    admission bound (the backpressure contract: overload sheds, it never
+    buffers unboundedly).  A spec the serving tier cannot run is a usage
+    error (exit 2), reported before any point starts.
     """
     import json
 
@@ -297,17 +301,23 @@ def cmd_serve_bench(args) -> int:
 
     designs = list(args.design) if args.design else ["split"]
     rates = list(args.rates) if args.rates else [0.002, 0.008, 0.02]
-    specs = [ServeSpec(design=design, levels=args.levels, sites=args.sites,
-                       rate=rate, requests=args.requests,
-                       capacity=args.capacity, batch=args.batch,
-                       tenants=args.tenants, arrival=args.arrival,
-                       zipf_exponent=args.zipf,
-                       write_fraction=args.write_fraction,
-                       profile=args.profile, seed=args.seed,
-                       adapt=args.adapt, slo_p99=args.slo_target,
-                       window_ticks=args.window_ticks,
-                       declassified=tuple(args.declassify or ()))
-             for design in designs for rate in rates]
+    try:
+        specs = [ServeSpec(design=design, levels=args.levels,
+                           sites=args.sites, rate=rate,
+                           requests=args.requests, capacity=args.capacity,
+                           batch=args.batch, tenants=args.tenants,
+                           arrival=args.arrival, zipf_exponent=args.zipf,
+                           write_fraction=args.write_fraction,
+                           profile=args.profile, seed=args.seed,
+                           adapt=args.adapt, slo_p99=args.slo_target,
+                           window_ticks=args.window_ticks,
+                           declassified=tuple(args.declassify or ()),
+                           shards=args.shards, subtrees=args.subtrees,
+                           quarantined=tuple(args.quarantine_shard or ()))
+                 for design in designs for rate in rates]
+    except ValueError as error:
+        args.usage_error(str(error))
+    sharded = args.shards > 1
     meta: List[dict] = []
     reports = run_serve_sweep(specs, jobs=args.jobs,
                               cache=_sweep_cache(args), meta=meta)
@@ -318,10 +328,22 @@ def cmd_serve_bench(args) -> int:
 
         fingerprint = code_fingerprint()
         for report, info in zip(reports, meta):
+            from_cache = bool(info["from_cache"])
+            core = serve_core(report, fingerprint=fingerprint)
+            if sharded:
+                for shard_report in report["shards"]:
+                    shard_core = serve_core(shard_report,
+                                            fingerprint=fingerprint)
+                    shard_core["point"]["shard"] = \
+                        shard_report["spec"]["shard"]
+                    ledger.append(make_record(
+                        "serve-shard", shard_core, jobs=args.jobs,
+                        from_cache=from_cache))
+                core["point"]["shards"] = args.shards
             ledger.append(make_record(
-                "serve", serve_core(report, fingerprint=fingerprint),
+                "serve-sharded" if sharded else "serve", core,
                 wall_ms=float(info["wall_ms"]), jobs=args.jobs,
-                from_cache=bool(info["from_cache"])))
+                from_cache=from_cache))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write("[")
@@ -332,6 +354,9 @@ def cmd_serve_bench(args) -> int:
               file=sys.stderr)
     if args.json:
         print(json.dumps(reports, indent=2, sort_keys=True))
+    elif sharded:
+        for report in reports:
+            _print_sharded(report)
     else:
         for design in designs:
             block = [report for report in reports
@@ -356,96 +381,32 @@ def cmd_serve_bench(args) -> int:
     return 0 if bounded else 1
 
 
-def cmd_serve_sharded(args) -> int:
-    """Handle ``repro serve-sharded``.
+def _print_sharded(report: dict) -> None:
+    """The per-shard table plus degraded, migration and control lines."""
+    from repro.serve import render_table
 
-    One :class:`~repro.serve.ShardSpec` per offered rate, fanned out to
-    one worker process per shard through
-    :func:`~repro.serve.run_sharded`, then folded into one aggregate
-    report (``docs/serving.md``).  The ledger gets one ``serve-shard``
-    record per shard plus one ``serve-sharded`` record per point.  Exit
-    code 0 requires every shard's peak queue depth to respect the
-    per-shard admission bound.
-    """
-    import json
-
-    from repro.serve import (ShardSpec, canonical_json, render_table,
-                             run_sharded_sweep)
-
-    rates = list(args.rates) if args.rates else [0.002, 0.008, 0.02]
-    quarantined = tuple(args.quarantine_shard or ())
-    specs = [ShardSpec(design=args.design, levels=args.levels,
-                       sites=args.sites, rate=rate, requests=args.requests,
-                       capacity=args.capacity, batch=args.batch,
-                       tenants=args.tenants, arrival=args.arrival,
-                       zipf_exponent=args.zipf,
-                       write_fraction=args.write_fraction,
-                       profile=args.profile, seed=args.seed,
-                       shards=args.shards, subtrees=args.subtrees,
-                       quarantined=quarantined,
-                       adapt=args.adapt, slo_p99=args.slo_target,
-                       window_ticks=args.window_ticks,
-                       declassified=tuple(args.declassify or ()))
-             for rate in rates]
-    meta: List[dict] = []
-    reports = run_sharded_sweep(specs, jobs=args.jobs,
-                                cache=_sweep_cache(args), meta=meta)
-    ledger = _ledger(args)
-    if ledger is not None:
-        from repro.obs.ledger import make_record, serve_core
-        from repro.parallel.fingerprint import code_fingerprint
-
-        fingerprint = code_fingerprint()
-        for report, info in zip(reports, meta):
-            for shard_report in report["shards"]:
-                core = serve_core(shard_report, fingerprint=fingerprint)
-                core["point"]["shard"] = shard_report["spec"].get("shard")
-                ledger.append(make_record(
-                    "serve-shard", core, jobs=args.jobs,
-                    from_cache=bool(info["from_cache"])))
-            core = serve_core(report, fingerprint=fingerprint)
-            core["point"]["shards"] = report["spec"].get("shards")
-            ledger.append(make_record(
-                "serve-sharded", core, wall_ms=float(info["wall_ms"]),
-                jobs=args.jobs, from_cache=bool(info["from_cache"])))
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write("[")
-            handle.write(",".join(canonical_json(report)
-                                  for report in reports))
-            handle.write("]\n")
-        print(f"wrote {len(reports)} sharded reports to {args.report}",
-              file=sys.stderr)
-    if args.json:
-        print(json.dumps(reports, indent=2, sort_keys=True))
-    else:
-        for report in reports:
-            rate = report["spec"]["rate"]
-            print(render_table(
-                report["shards"],
-                title=f"{args.design} rate={rate} "
-                      f"(per shard; {args.shards} shards)"))
-            degraded = report["degraded"]
-            if degraded["quarantined"]:
-                print(f"  degraded: shards {degraded['quarantined']} "
-                      f"quarantined, "
-                      f"{degraded['degraded_accesses']} degraded accesses, "
-                      f"{degraded['lost_appends']} lost appends")
-            migration = report["migration"]
-            print(f"  migration: {migration['migrations']} cross-shard "
-                  f"moves ({migration['migration_fraction']:.1%}, "
-                  f"expected {migration['expected_migration_fraction']:.1%}"
-                  f"), {migration['overflows']} overflows")
-            control = report.get("control")
-            if control:
-                finals = (control.get("migration") or {}).get("final", {})
-                print(f"  control: {control['decisions']} decisions, "
-                      f"{control['applied']} applied (shards + migration); "
-                      f"final drain p per shard {finals}")
-    bounded = all(report["queue"]["depth_bounded"] for report in reports)
-    print("queue depth bounded by K on every shard" if bounded
-          else "queue-depth bound VIOLATED", file=sys.stderr)
-    return 0 if bounded else 1
+    spec = report["spec"]
+    print(render_table(
+        report["shards"],
+        title=f"{spec['design']} rate={spec['rate']} "
+              f"(per shard; {spec['shards']} shards)"))
+    degraded = report["degraded"]
+    if degraded["quarantined"]:
+        print(f"  degraded: shards {degraded['quarantined']} "
+              f"quarantined, "
+              f"{degraded['degraded_accesses']} degraded accesses, "
+              f"{degraded['lost_appends']} lost appends")
+    migration = report["migration"]
+    print(f"  migration: {migration['migrations']} cross-shard "
+          f"moves ({migration['migration_fraction']:.1%}, "
+          f"expected {migration['expected_migration_fraction']:.1%}"
+          f"), {migration['overflows']} overflows")
+    control = report.get("control")
+    if control:
+        finals = (control.get("migration") or {}).get("final", {})
+        print(f"  control: {control['decisions']} decisions, "
+              f"{control['applied']} applied (shards + migration); "
+              f"final drain p per shard {finals}")
 
 
 def _sweep_cache(args):
@@ -764,26 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: $REPRO_LEDGER; "
                               "REPRO_NO_LEDGER=1 disables)")
 
-    def adaptive_opts(sub):
-        sub.add_argument("--adapt", action="store_true",
-                         help="close the loop: admission/batch (and, with "
-                              "--declassify, morph) controllers re-plan at "
-                              "every window boundary; decisions ride in "
-                              "the report's control section")
-        sub.add_argument("--slo-target", type=int, default=0,
-                         metavar="TICKS",
-                         help="p99 sojourn target the admission controller "
-                              "steers toward (0 = default)")
-        sub.add_argument("--window-ticks", type=int, default=0,
-                         metavar="TICKS",
-                         help="control window length in ticks "
-                              "(0 = default)")
-        sub.add_argument("--declassify", action="append", default=None,
-                         metavar="TENANT",
-                         help="allow TENANT to morph into non-secure mode "
-                              "under sustained load (repeatable; "
-                              "requires --adapt)")
-
     simulate = subparsers.add_parser(
         "simulate", help="run one design on one workload")
     simulate.add_argument("design", type=_design)
@@ -899,7 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser(
         "serve-bench",
         help="open-loop serving rate sweep: admission, batching, "
-             "backpressure, SLO quantiles (docs/serving.md)")
+             "backpressure, SLO quantiles; --shards N serves each point "
+             "from N leaf-MSB shards (docs/serving.md)")
     serve.add_argument("--design", action="append", default=None,
                        choices=("independent", "split", "indep-split"),
                        help="protocol to serve through (repeatable; "
@@ -908,9 +850,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="R", help="offered rates in requests per "
                        "tick (default: 0.002 0.008 0.02)")
     serve.add_argument("--requests", type=int, default=512,
-                       help="offered requests per point")
+                       help="offered requests per point (pre-routing)")
     serve.add_argument("--capacity", type=int, default=32,
-                       help="admission queue capacity K")
+                       help="admission queue capacity K (per shard)")
     serve.add_argument("--batch", type=int, default=8,
                        help="requests drained per scheduling round")
     serve.add_argument("--tenants", type=int, default=1,
@@ -927,69 +869,43 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--levels", type=int, default=9)
     serve.add_argument("--sites", type=int, default=2,
                        help="SDIMM count (independent) or group count "
-                            "(indep-split)")
+                            "(indep-split), per shard")
     serve.add_argument("--seed", type=int, default=2018)
+    serve.add_argument("--shards", type=int, default=1,
+                       help="worker shard count (power of two; 1 = one "
+                            "server)")
+    serve.add_argument("--subtrees", type=int, default=16,
+                       help="leaf-MSB subtrees on the shard hash ring "
+                            "(power of two, >= shards)")
+    serve.add_argument("--quarantine-shard", type=int, action="append",
+                       default=None, metavar="S",
+                       help="run shard S in degraded quarantine mode "
+                            "(repeatable; independent/indep-split only)")
+    serve.add_argument("--adapt", action="store_true",
+                       help="close the loop: admission/batch (and, with "
+                            "--declassify, morph) controllers re-plan at "
+                            "every window boundary; decisions ride in "
+                            "the report's control section")
+    serve.add_argument("--slo-target", type=int, default=0,
+                       metavar="TICKS",
+                       help="p99 sojourn target the admission controller "
+                            "steers toward (0 = default)")
+    serve.add_argument("--window-ticks", type=int, default=0,
+                       metavar="TICKS",
+                       help="control window length in ticks (0 = default)")
+    serve.add_argument("--declassify", action="append", default=None,
+                       metavar="TENANT",
+                       help="allow TENANT (t0, t1, ...) to morph into "
+                            "non-secure mode under sustained load "
+                            "(repeatable; requires --adapt)")
     serve.add_argument("--report", default=None, metavar="FILE",
                        help="write the canonical JSON reports "
                             "(byte-identical across --jobs and replays)")
     serve.add_argument("--json", action="store_true",
                        help="emit machine-readable reports on stdout")
-    adaptive_opts(serve)
     concurrency(serve)
     ledger_opt(serve)
-    serve.set_defaults(handler=cmd_serve_bench)
-
-    sharded = subparsers.add_parser(
-        "serve-sharded",
-        help="sharded serving tier: leaf-MSB consistent-hash routing to "
-             "one worker process per shard (docs/serving.md)")
-    sharded.add_argument("--design", default="independent",
-                         choices=("independent", "split", "indep-split"),
-                         help="protocol every shard runs "
-                              "(default: independent)")
-    sharded.add_argument("--shards", type=int, default=2,
-                         help="worker shard count (power of two)")
-    sharded.add_argument("--subtrees", type=int, default=16,
-                         help="leaf-MSB subtrees on the hash ring "
-                              "(power of two, >= shards)")
-    sharded.add_argument("--quarantine-shard", type=int, action="append",
-                         default=None, metavar="S",
-                         help="run shard S in degraded quarantine mode "
-                              "(repeatable; independent/indep-split only)")
-    sharded.add_argument("--rates", type=float, nargs="+", default=None,
-                         metavar="R", help="offered rates in requests per "
-                         "tick (default: 0.002 0.008 0.02)")
-    sharded.add_argument("--requests", type=int, default=512,
-                         help="offered requests per point (pre-routing)")
-    sharded.add_argument("--capacity", type=int, default=32,
-                         help="admission queue capacity K, per shard")
-    sharded.add_argument("--batch", type=int, default=8,
-                         help="requests drained per scheduling round")
-    sharded.add_argument("--tenants", type=int, default=1,
-                         help="independent tenant streams sharing the rate")
-    sharded.add_argument("--arrival", default="poisson",
-                         choices=("poisson", "burst", "uniform"))
-    sharded.add_argument("--zipf", type=float, default=0.0,
-                         help="Zipf exponent over each tenant's addresses "
-                              "(0 = uniform)")
-    sharded.add_argument("--write-fraction", type=float, default=0.25)
-    sharded.add_argument("--profile", default=None,
-                         help="borrow a workload profile's locality knobs "
-                              "(see `repro workloads`)")
-    sharded.add_argument("--levels", type=int, default=9)
-    sharded.add_argument("--sites", type=int, default=2,
-                         help="SDIMM count (independent) or group count "
-                              "(indep-split), per shard")
-    sharded.add_argument("--seed", type=int, default=2018)
-    sharded.add_argument("--report", default=None, metavar="FILE",
-                         help="write the canonical JSON aggregate reports "
-                              "(byte-identical across --jobs and replays)")
-    sharded.add_argument("--json", action="store_true",
-                         help="emit machine-readable reports on stdout")
-    adaptive_opts(sharded)
-    concurrency(sharded)
-    ledger_opt(sharded)
-    sharded.set_defaults(handler=cmd_serve_sharded)
+    serve.set_defaults(handler=cmd_serve_bench, usage_error=serve.error)
 
     perf_report = subparsers.add_parser(
         "perf-report",

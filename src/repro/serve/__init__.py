@@ -3,12 +3,12 @@
 Load generation (:mod:`~repro.serve.loadgen`), the bounded batching
 scheduler with backpressure (:mod:`~repro.serve.scheduler`), SLO
 reporting against the Section IV-C queueing model
-(:mod:`~repro.serve.slo`), cached parallel rate sweeps
-(:mod:`~repro.serve.bench`) behind ``python -m repro serve-bench``, and
-the sharded multi-process tier over leaf-MSB partitions
+(:mod:`~repro.serve.slo`), and cached parallel rate sweeps
+(:mod:`~repro.serve.bench`) behind ``python -m repro serve-bench``.  One
+:class:`ServeSpec` describes every point: ``shards == 1`` is the single
+server, ``shards > 1`` the multi-process tier over leaf-MSB partitions
 (:mod:`~repro.serve.shard` routing and per-shard workers,
-:mod:`~repro.serve.router` fan-out and aggregate folding) behind
-``python -m repro serve-sharded``.
+:mod:`~repro.serve.router` fan-out and aggregate folding).
 """
 
 from repro.serve.bench import (
@@ -20,6 +20,7 @@ from repro.serve.bench import (
     run_serve,
     run_serve_sweep,
     serve_cache_key,
+    serve_requests,
 )
 from repro.serve.loadgen import (
     Request,
@@ -35,16 +36,9 @@ from repro.serve.scheduler import (
     Completion,
     SchedulerOutcome,
 )
-from repro.serve.router import (
-    SHARD_SCHEMA,
-    fold_shard_reports,
-    run_sharded,
-    run_sharded_sweep,
-    sharded_cache_key,
-)
+from repro.serve.router import fold_shard_reports
 from repro.serve.shard import (
     ShardPlan,
-    ShardSpec,
     build_plan,
     model_migrations,
     route_requests,
@@ -52,6 +46,7 @@ from repro.serve.shard import (
 )
 from repro.serve.slo import (
     REPORT_SCHEMA,
+    SHARD_SCHEMA,
     build_report,
     canonical_json,
     compare_with_model,
@@ -70,7 +65,6 @@ __all__ = [
     "SchedulerOutcome",
     "ServeSpec",
     "ShardPlan",
-    "ShardSpec",
     "TenantSpec",
     "build_plan",
     "build_report",
@@ -87,9 +81,7 @@ __all__ = [
     "run_serve",
     "run_serve_sweep",
     "run_shard",
-    "run_sharded",
-    "run_sharded_sweep",
     "serve_cache_key",
-    "sharded_cache_key",
+    "serve_requests",
     "tenant_from_profile",
 ]

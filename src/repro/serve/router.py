@@ -1,8 +1,9 @@
 """The sharded front-end router: fan out, admit, fold (docs/serving.md).
 
-``serve-sharded`` runs one :class:`~repro.serve.shard.ShardSpec` through
-``shards`` persistent worker processes — the warm pools of
-:func:`repro.parallel.fanout` — and folds the per-shard outcomes into one
+A sharded point — a :class:`~repro.serve.bench.ServeSpec` with
+``shards > 1``, swept by ``serve-bench --shards N`` — runs through
+``shards`` persistent worker processes (the warm pools of
+:func:`repro.parallel.fanout`) and folds the per-shard outcomes into one
 canonical aggregate report:
 
 * **routing** is the consistent-hash plan over leaf-MSB subtrees
@@ -27,45 +28,23 @@ report, for any ``--jobs``, warm or cold pools, cached or fresh.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry, fold_metrics_dict
 from repro.parallel import fanout
-from repro.parallel.cache import RunCache
-from repro.parallel.fingerprint import code_fingerprint
-from repro.serve.shard import (ShardSpec, build_plan, model_migrations,
-                               route_requests, run_shard)
-from repro.serve.slo import _round
+from repro.serve.bench import ServeSpec
+from repro.serve.shard import (build_plan, model_migrations, route_requests,
+                               run_shard)
+from repro.serve.slo import SHARD_SCHEMA, _round
 from repro.sim.stats import LatencyStats
 from repro.utils.rng import DeterministicRng
 
-#: Bump when the aggregate report layout changes (cache entries key on it).
-#: 2: adaptive-control sections, migration measured-utilization fields,
-#: drain-lottery draw-order fix in the migration replay.
-SHARD_SCHEMA = 2
 
-
-def sharded_cache_key(spec: ShardSpec,
-                      fingerprint: Optional[str] = None) -> str:
-    """Content hash identifying one sharded serving request."""
-    request = {
-        "artifact": "serve-sharded",
-        "schema": SHARD_SCHEMA,
-        "spec": spec.to_dict(),
-        "fingerprint": fingerprint if fingerprint is not None
-        else code_fingerprint(),
-    }
-    rendered = json.dumps(request, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(rendered.encode()).hexdigest()
-
-
-def _shard_worker(task: Tuple[int, Dict[str, object]]
+def _shard_worker(task: Tuple[ServeSpec, int]
                   ) -> Tuple[int, Dict[str, object]]:
-    """Pool worker: one shard, re-derived entirely from the spec dict."""
-    shard, payload = task
-    return shard, run_shard(ShardSpec.from_dict(payload), shard)
+    """Pool worker: one shard, re-derived entirely from the spec."""
+    spec, shard = task
+    return shard, run_shard(spec, shard)
 
 
 def _fold_latency(sample_lists: List[List[int]], seed: int,
@@ -78,7 +57,7 @@ def _fold_latency(sample_lists: List[List[int]], seed: int,
     return stats.summary()
 
 
-def fold_shard_reports(spec: ShardSpec,
+def fold_shard_reports(spec: ServeSpec,
                        payloads: Sequence[Tuple[int, Dict[str, object]]]
                        ) -> Dict[str, object]:
     """Fold per-shard worker payloads (shard order) into one report."""
@@ -209,42 +188,8 @@ def fold_shard_reports(spec: ShardSpec,
     }
 
 
-def _sharded_point(task: Tuple[ShardSpec, int]) -> Dict[str, object]:
+def fan_out_shards(spec: ServeSpec, jobs: int = 1) -> Dict[str, object]:
     """One sharded point: fan the shards out over ``jobs``, then fold."""
-    spec, jobs = task
-    shards = fanout([(shard, spec.to_dict()) for shard in range(spec.shards)],
+    shards = fanout([(spec, shard) for shard in range(spec.shards)],
                     _shard_worker, jobs=jobs)
     return fold_shard_reports(spec, [payload for payload, _ in shards])
-
-
-def run_sharded_sweep(specs: Sequence[ShardSpec], jobs: int = 1,
-                      cache: Optional[RunCache] = None,
-                      meta: Optional[List[Dict[str, object]]] = None
-                      ) -> List[Dict[str, object]]:
-    """Run several sharded points in submission order.
-
-    The fan-out happens *inside* each point (one task per shard); points
-    run one after another in-process, cache-first, so the shard pool is
-    reused across them.  The output is byte-identical regardless of
-    completion order, ``jobs``, pool temperature or cached replay.
-
-    ``meta``, when given, receives one ``{"wall_ms", "from_cache"}`` dict
-    per point (the volatile side-channel the ledger records; never in
-    the report).
-    """
-    fingerprint = code_fingerprint() if cache is not None else None
-    outcomes = fanout([(spec, jobs) for spec in specs], _sharded_point,
-                      jobs=1, cache=cache,
-                      key=lambda task: sharded_cache_key(
-                          task[0], fingerprint=fingerprint))
-    if meta is not None:
-        meta.extend(entry for _, entry in outcomes)
-    return [report for report, _ in outcomes]
-
-
-def run_sharded(spec: ShardSpec, jobs: int = 1,
-                cache: Optional[RunCache] = None,
-                meta: Optional[List[Dict[str, object]]] = None
-                ) -> Dict[str, object]:
-    """Run one sharded serving point; returns the aggregate report."""
-    return run_sharded_sweep([spec], jobs=jobs, cache=cache, meta=meta)[0]

@@ -21,7 +21,8 @@ exactly that key one layer up:
   walk (:class:`~repro.core.transfer_queue.TransferQueue`, Section
   IV-C), with the Figure 13 analytic curves as cross-checks.
 
-Everything here is a pure function of the picklable :class:`ShardSpec`:
+Everything here is a pure function of the picklable sharded
+:class:`~repro.serve.bench.ServeSpec` (``shards > 1``):
 workers re-derive the full timeline and routing from the spec alone,
 which is what makes the sharded reports byte-identical for any
 ``--jobs`` value, across warm and cold pools, and across cached replays.
@@ -31,139 +32,12 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.bench import ServeSpec, build_serving_protocol, \
-    generate_requests
+from repro.serve.bench import ServeSpec, generate_requests, serve_requests
 from repro.serve.loadgen import Request
-from repro.serve.scheduler import BatchingScheduler
 from repro.serve.slo import build_report
-
-#: Designs whose protocol exposes the ``quarantine`` resilience seam.
-_QUARANTINABLE = ("independent", "indep-split")
-
-
-def _is_power_of_two(value: int) -> bool:
-    return value >= 1 and (value & (value - 1)) == 0
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """One sharded serving point (picklable, canonical, cache-keyable).
-
-    Extends the single-server :class:`~repro.serve.bench.ServeSpec`
-    surface with the shard-tier knobs: how many worker shards, how many
-    leaf-MSB subtrees the ring distributes, the migration queue, and
-    which shards (if any) are quarantined for a degraded-mode run.
-    """
-
-    design: str = "independent"
-    levels: int = 9
-    sites: int = 2
-    rate: float = 0.002
-    requests: int = 512
-    #: admission queue capacity K — per shard
-    capacity: int = 32
-    batch: int = 8
-    tenants: int = 1
-    arrival: str = "poisson"
-    zipf_exponent: float = 0.0
-    write_fraction: float = 0.25
-    profile: Optional[str] = None
-    seed: int = 2018
-    blocks_per_bucket: int = 4
-    block_bytes: int = 64
-    stash_capacity: int = 256
-    #: worker shard count (power of two)
-    shards: int = 2
-    #: leaf-MSB subtrees on the hash ring (power of two, >= shards)
-    subtrees: int = 16
-    #: virtual ring nodes per shard (evens out the consistent hash)
-    virtual_nodes: int = 8
-    #: cross-shard migration transfer-queue capacity K (Section IV-C)
-    migration_capacity: int = 64
-    #: per-arrival drain-lottery probability p of the migration queue
-    migration_drain: float = 0.05
-    #: shards whose whole protocol is quarantined (degraded mode)
-    quarantined: Tuple[int, ...] = field(default_factory=tuple)
-    #: close the loop per shard: admission/batch controllers on every
-    #: shard's scheduler plus a drain controller per migration queue
-    adapt: bool = False
-    #: p99 sojourn target in ticks (0 = serve-tier default)
-    slo_p99: int = 0
-    #: control window length in ticks (0 = serve-tier default)
-    window_ticks: int = 0
-    #: tenants allowed to morph into non-secure mode
-    declassified: Tuple[str, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        # delegate the shared serving-field validation to ServeSpec
-        self.base_spec()
-        if not _is_power_of_two(self.shards):
-            raise ValueError("shard count must be a power of two")
-        if not _is_power_of_two(self.subtrees):
-            raise ValueError("subtree count must be a power of two")
-        if self.subtrees < self.shards:
-            raise ValueError("need at least one subtree per shard")
-        if self.subtrees > self.address_limit:
-            raise ValueError("more subtrees than leaves: "
-                             f"{self.subtrees} > {self.address_limit}")
-        if self.virtual_nodes < 1:
-            raise ValueError("need at least one virtual node per shard")
-        if self.migration_capacity < 1:
-            raise ValueError("migration queue needs capacity >= 1")
-        if not 0.0 <= self.migration_drain <= 1.0:
-            raise ValueError("migration drain must be a probability")
-        quarantined = tuple(sorted(set(int(s) for s in self.quarantined)))
-        object.__setattr__(self, "quarantined", quarantined)
-        object.__setattr__(self, "declassified",
-                           tuple(self.declassified))
-        for shard in quarantined:
-            if not 0 <= shard < self.shards:
-                raise ValueError(f"quarantined shard {shard} out of range")
-        if quarantined and self.design not in _QUARANTINABLE:
-            raise ValueError(
-                f"design {self.design!r} has no quarantine seam; "
-                f"choose one of {_QUARANTINABLE}")
-
-    @property
-    def address_limit(self) -> int:
-        return 1 << (self.levels - 1)
-
-    @property
-    def subtree_bits(self) -> int:
-        return self.subtrees.bit_length() - 1
-
-    def base_spec(self) -> ServeSpec:
-        """The single-server spec every shard worker re-derives from."""
-        return ServeSpec(
-            design=self.design, levels=self.levels, sites=self.sites,
-            rate=self.rate, requests=self.requests, capacity=self.capacity,
-            batch=self.batch, tenants=self.tenants, arrival=self.arrival,
-            zipf_exponent=self.zipf_exponent,
-            write_fraction=self.write_fraction, profile=self.profile,
-            seed=self.seed, blocks_per_bucket=self.blocks_per_bucket,
-            block_bytes=self.block_bytes,
-            stash_capacity=self.stash_capacity, adapt=self.adapt,
-            slo_p99=self.slo_p99, window_ticks=self.window_ticks,
-            declassified=self.declassified)
-
-    def to_dict(self) -> Dict[str, object]:
-        payload = asdict(self)
-        payload["quarantined"] = list(self.quarantined)
-        payload["declassified"] = list(self.declassified)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ShardSpec":
-        fields = {key: payload[key]
-                  for key in cls.__dataclass_fields__  # noqa: SLF001
-                  if key in payload}
-        if "quarantined" in fields:
-            fields["quarantined"] = tuple(fields["quarantined"])
-        return cls(**fields)
 
 
 class ShardPlan:
@@ -198,11 +72,6 @@ class ShardPlan:
         self._ring_shards = [shard for _, shard in points]
         self._subtree_shard = [self._ring_lookup(f"subtree:{index}")
                                for index in range(subtrees)]
-
-    @classmethod
-    def from_spec(cls, spec: ShardSpec) -> "ShardPlan":
-        return cls(spec.shards, spec.subtrees, spec.levels,
-                   spec.virtual_nodes)
 
     @staticmethod
     def _hash(label: str) -> int:
@@ -241,12 +110,13 @@ class ShardPlan:
         return [count / self.subtrees for count in counts]
 
 
-def build_plan(spec: ShardSpec) -> ShardPlan:
+def build_plan(spec: ServeSpec) -> ShardPlan:
     """The spec's routing plan (a pure function of the spec)."""
-    return ShardPlan.from_spec(spec)
+    return ShardPlan(spec.shards, spec.subtrees, spec.levels,
+                     spec.virtual_nodes)
 
 
-def route_requests(spec: ShardSpec,
+def route_requests(spec: ServeSpec,
                    plan: Optional[ShardPlan] = None
                    ) -> List[Tuple[int, Request]]:
     """The full timeline with each request's owning shard, arrival order.
@@ -256,7 +126,7 @@ def route_requests(spec: ShardSpec,
     """
     if plan is None:
         plan = build_plan(spec)
-    timeline = generate_requests(spec.base_spec())
+    timeline = generate_requests(spec)
     return [(plan.shard_of_address(request.address), request)
             for request in timeline]
 
@@ -265,7 +135,7 @@ def route_requests(spec: ShardSpec,
 # The per-shard worker
 # ----------------------------------------------------------------------
 
-def run_shard(spec: ShardSpec, shard: int) -> Dict[str, object]:
+def run_shard(spec: ServeSpec, shard: int) -> Dict[str, object]:
     """Serve one shard's slice of the timeline; returns a payload dict.
 
     The payload carries the canonical per-shard report plus the raw
@@ -278,22 +148,11 @@ def run_shard(spec: ShardSpec, shard: int) -> Dict[str, object]:
         raise ValueError(f"shard {shard} out of range")
     routed = route_requests(spec)
     mine = [request for owner, request in routed if owner == shard]
-    base = spec.base_spec()
-    protocol = build_serving_protocol(base)
-    if shard in spec.quarantined:
-        # a whole-shard outage: every site of this shard's protocol is
-        # quarantined, so each access runs the degraded (link-shape
-        # preserving, zero-data) path and is counted honestly
-        for site in range(spec.sites):
-            protocol.quarantine(site)
     metrics = MetricsRegistry()
     metrics.gauge("shard/id").set(shard)
     metrics.counter("shard/routed").inc(len(mine))
-    scheduler = BatchingScheduler(protocol, queue_capacity=spec.capacity,
-                                  batch_size=spec.batch, metrics=metrics,
-                                  sample_seed=spec.seed,
-                                  control=base.control_plane())
-    outcome = scheduler.run(mine)
+    protocol, outcome = serve_requests(
+        spec, mine, quarantined=shard in spec.quarantined, metrics=metrics)
     share = len(mine) / len(routed) if routed else 0.0
     shard_payload = spec.to_dict()
     shard_payload["shard"] = shard
@@ -319,7 +178,7 @@ def run_shard(spec: ShardSpec, shard: int) -> Dict[str, object]:
 # Cross-shard migration: the Section IV-C random walk, one tier up
 # ----------------------------------------------------------------------
 
-def model_migrations(spec: ShardSpec, plan: ShardPlan,
+def model_migrations(spec: ServeSpec, plan: ShardPlan,
                      routed: List[Tuple[int, Request]]) -> Dict[str, object]:
     """Replay the transfer-queue random walk over the routed timeline.
 
@@ -374,7 +233,7 @@ def model_migrations(spec: ShardSpec, plan: ShardPlan,
             for index in range(spec.shards)
         ]
         decisions = []
-        window_ticks = spec.base_spec().effective_window_ticks
+        window_ticks = spec.effective_window_ticks
     shares = plan.shares()
     migrations = 0
     expected = 0.0

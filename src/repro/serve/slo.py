@@ -33,6 +33,11 @@ from repro.serve.scheduler import SchedulerOutcome
 #: 2: adaptive-control section (``control``), plain-access totals.
 REPORT_SCHEMA = 2
 
+#: Bump when the sharded aggregate layout changes (cache entries key on it).
+#: 2: adaptive-control sections, migration measured-utilization fields,
+#: drain-lottery draw-order fix in the migration replay.
+SHARD_SCHEMA = 2
+
 
 def _round(value: float, digits: int = 9) -> float:
     """Stabilize float fields against accumulation-order noise.

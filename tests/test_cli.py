@@ -117,3 +117,58 @@ class TestFaultsCommand:
     def test_audit_trace_with_faults_flag_parses(self):
         args = build_parser().parse_args(["audit-trace", "--with-faults"])
         assert args.with_faults
+
+
+class TestServeBench:
+    ARGS = ["serve-bench", "--rates", "0.02", "--requests", "96",
+            "--levels", "6", "--capacity", "16", "--batch", "4",
+            "--no-cache"]
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--write-fraction", "2"], "write_fraction must be a probability"),
+        (["--profile", "nope"], "unknown workload 'nope'"),
+        (["--levels", "2"], "at least 3 levels"),
+        (["--capacity", "0"], "capacity must be at least 1"),
+        (["--design", "independent", "--sites", "3"],
+         "power-of-two site count"),
+        (["--design", "independent", "--shards", "2", "--levels", "4"],
+         "more subtrees than leaves"),
+        (["--design", "split", "--shards", "2", "--quarantine-shard", "0"],
+         "no quarantine seam"),
+        (["--adapt", "--tenants", "3", "--declassify", "t9"],
+         "unknown declassified tenants ['t9']"),
+    ], ids=["write-fraction", "profile", "levels", "capacity", "sites",
+            "subtrees", "quarantine-design", "declassify"])
+    def test_invalid_input_is_a_usage_error(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.ARGS + flags + ["--jobs", "2"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro serve-bench: error: " in err
+        assert message in err
+
+    @pytest.mark.parametrize("shards,kinds", [
+        (1, ["serve"]),
+        (2, ["serve-shard", "serve-shard", "serve-sharded"]),
+    ])
+    def test_report_file_is_the_sweep(self, shards, kinds, tmp_path,
+                                      capsys, monkeypatch):
+        import json
+
+        from repro.serve import ServeSpec, canonical_json, run_serve_sweep
+
+        monkeypatch.delenv("REPRO_NO_LEDGER", raising=False)
+        report = tmp_path / "report.json"
+        ledger = tmp_path / "ledger.jsonl"
+        assert main(self.ARGS + ["--design", "independent",
+                                 "--shards", str(shards),
+                                 "--report", str(report),
+                                 "--ledger", str(ledger)]) == 0
+        capsys.readouterr()
+        spec = ServeSpec(design="independent", levels=6, rate=0.02,
+                         requests=96, capacity=16, batch=4, shards=shards)
+        expected = ",".join(canonical_json(entry)
+                            for entry in run_serve_sweep([spec]))
+        assert report.read_text() == f"[{expected}]\n"
+        assert [json.loads(line)["kind"]
+                for line in ledger.read_text().splitlines()] == kinds

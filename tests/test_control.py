@@ -18,9 +18,7 @@ from repro.oram.path_oram import Op
 from repro.parallel.cache import RunCache
 from repro.serve.bench import ServeSpec, run_serve, run_serve_sweep
 from repro.serve.loadgen import Request
-from repro.serve.router import run_sharded
 from repro.serve.scheduler import BatchingScheduler
-from repro.serve.shard import ShardSpec
 from repro.serve.slo import canonical_json
 
 
@@ -56,12 +54,18 @@ class TestSpecValidation:
         assert ServeSpec.from_dict(spec.to_dict()) == spec
 
     def test_shard_spec_threads_control_fields(self):
-        spec = ShardSpec(adapt=True, slo_p99=300, window_ticks=128,
+        spec = ServeSpec(design="independent", shards=2, adapt=True,
+                         slo_p99=300, window_ticks=128,
                          declassified=("t0",))
-        base = spec.base_spec()
-        assert base.adapt and base.slo_p99 == 300
-        assert base.window_ticks == 128
-        assert base.declassified == ("t0",)
+        plane = spec.control_plane()
+        assert plane.window_ticks == 128
+        assert plane.admission.slo_p99 == 300
+        assert plane.morph is not None
+        assert spec.to_dict()["declassified"] == ["t0"]
+
+    def test_unknown_declassified_tenant_is_rejected(self):
+        with pytest.raises(ValueError, match="t9"):
+            adaptive_spec(tenants=3, declassified=("t9",))
 
 
 class TestAdaptiveDeterminism:
@@ -210,15 +214,15 @@ class TestShardedAdaptive:
                     migration_capacity=4, migration_drain=0.2, seed=7,
                     adapt=True, window_ticks=256, slo_p99=512)
         base.update(overrides)
-        return ShardSpec(**base)
+        return ServeSpec(**base)
 
     def test_sharded_adaptive_identical_across_jobs(self):
         spec = self.spec()
-        assert canonical_json(run_sharded(spec, jobs=1)) == \
-            canonical_json(run_sharded(spec, jobs=2))
+        assert canonical_json(run_serve_sweep([spec], jobs=1)) == \
+            canonical_json(run_serve_sweep([spec], jobs=2))
 
     def test_aggregate_control_section_folds_shards(self):
-        report = run_sharded(self.spec(), jobs=1)
+        [report] = run_serve_sweep([self.spec()])
         control = report["control"]
         assert control is not None
         per_shard = [shard["control"] for shard in report["shards"]]
@@ -229,7 +233,7 @@ class TestShardedAdaptive:
             control["decisions"]
 
     def test_migration_controller_retargets_drain(self):
-        report = run_sharded(self.spec(), jobs=1)
+        [report] = run_serve_sweep([self.spec()])
         migration = report["migration"]
         assert migration["control"]["window_ticks"] == 256
         assert migration["measured_utilization"] is not None
@@ -242,7 +246,7 @@ class TestShardedAdaptive:
                 "drain_probability"] == probability
 
     def test_open_loop_sharded_has_no_control_sections(self):
-        report = run_sharded(self.spec(adapt=False), jobs=1)
+        [report] = run_serve_sweep([self.spec(adapt=False)])
         assert report["control"] is None
         assert "control" not in report["migration"]
 

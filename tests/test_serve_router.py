@@ -14,29 +14,34 @@ import pytest
 import repro.parallel.pool as pool_module
 from repro.cli import main
 from repro.parallel.cache import RunCache
-from repro.serve import (ShardSpec, canonical_json, fold_shard_reports,
-                         run_shard, run_sharded, run_sharded_sweep,
-                         sharded_cache_key)
+from repro.serve import (ServeSpec, canonical_json, fold_shard_reports,
+                         run_serve, run_serve_sweep, run_shard,
+                         serve_cache_key)
 
-SMALL = dict(levels=6, requests=96, capacity=16, batch=4, rate=0.02,
-             seed=2018, shards=2, subtrees=8)
+SMALL = dict(design="independent", levels=6, requests=96, capacity=16,
+             batch=4, rate=0.02, seed=2018, shards=2, subtrees=8)
 
 
 def spec(**overrides):
     merged = dict(SMALL)
     merged.update(overrides)
-    return ShardSpec(**merged)
+    return ServeSpec(**merged)
+
+
+def run_point(point, jobs=1, **sweep):
+    [report] = run_serve_sweep([point], jobs=jobs, **sweep)
+    return report
 
 
 class TestDeterminism:
     def test_parallel_is_byte_identical_to_serial(self):
         pool_module.shutdown_pools()
         point = spec(shards=4, subtrees=16)
-        serial = canonical_json(run_sharded(point, jobs=1))
-        parallel = canonical_json(run_sharded(point, jobs=4))
+        serial = canonical_json(run_point(point, jobs=1))
+        parallel = canonical_json(run_point(point, jobs=4))
         assert parallel == serial
         # and again on the now-warm pool
-        warm = canonical_json(run_sharded(point, jobs=4))
+        warm = canonical_json(run_point(point, jobs=4))
         assert warm == serial
         pool_module.shutdown_pools()
 
@@ -44,24 +49,40 @@ class TestDeterminism:
         cache = RunCache(str(tmp_path / "runs"))
         point = spec()
         meta = []
-        fresh = run_sharded(point, jobs=2, cache=cache, meta=meta)
-        replay = run_sharded(point, jobs=1, cache=cache, meta=meta)
+        fresh = run_point(point, jobs=2, cache=cache, meta=meta)
+        replay = run_point(point, jobs=1, cache=cache, meta=meta)
         assert canonical_json(fresh) == canonical_json(replay)
         assert [entry["from_cache"] for entry in meta] == [False, True]
         pool_module.shutdown_pools()
 
     def test_cache_key_depends_on_shard_geometry(self):
         fingerprint = "f" * 64
-        assert sharded_cache_key(spec(), fingerprint=fingerprint) != \
-            sharded_cache_key(spec(shards=4, subtrees=16),
-                              fingerprint=fingerprint)
-        assert sharded_cache_key(spec(), fingerprint=fingerprint) != \
-            sharded_cache_key(spec(quarantined=(0,)),
-                              fingerprint=fingerprint)
+        assert serve_cache_key(spec(), fingerprint=fingerprint) != \
+            serve_cache_key(spec(shards=4, subtrees=16),
+                            fingerprint=fingerprint)
+        assert serve_cache_key(spec(), fingerprint=fingerprint) != \
+            serve_cache_key(spec(quarantined=(0,)),
+                            fingerprint=fingerprint)
+        assert serve_cache_key(spec(), fingerprint=fingerprint) != \
+            serve_cache_key(spec(shards=1), fingerprint=fingerprint)
+
+    def test_sweep_point_is_the_folded_shards(self):
+        point = spec()
+        folded = fold_shard_reports(
+            point, [(shard, run_shard(point, shard))
+                    for shard in range(point.shards)])
+        assert canonical_json(run_point(point)) == canonical_json(folded)
+
+    def test_mixed_sweep_keeps_order_and_single_server_bytes(self):
+        single = spec(shards=1)
+        reports = run_serve_sweep([single, spec()], jobs=2)
+        pool_module.shutdown_pools()
+        assert canonical_json(reports[0]) == canonical_json(run_serve(single))
+        assert reports[1]["spec"]["shards"] == 2
 
     def test_sweep_preserves_submission_order(self):
         points = [spec(rate=0.01), spec(rate=0.03)]
-        reports = run_sharded_sweep(points, jobs=1)
+        reports = run_serve_sweep(points, jobs=1)
         assert [report["spec"]["rate"] for report in reports] == \
             [0.01, 0.03]
 
@@ -69,7 +90,7 @@ class TestDeterminism:
 class TestFolding:
     def test_totals_are_the_shard_sums(self):
         point = spec()
-        report = run_sharded(point, jobs=1)
+        report = run_point(point, jobs=1)
         assert len(report["shards"]) == point.shards
         for key in ("offered", "admitted", "completed", "shed",
                     "accesses"):
@@ -86,20 +107,20 @@ class TestFolding:
         assert canonical_json(forward) == canonical_json(reversed_)
 
     def test_aggregate_sojourn_covers_all_completions(self):
-        report = run_sharded(spec(), jobs=1)
+        report = run_point(spec(), jobs=1)
         assert report["sojourn"]["aggregate"]["count"] == \
             report["totals"]["completed"]
 
     def test_plan_section_names_every_subtree(self):
         point = spec(shards=4, subtrees=16)
-        report = run_sharded(point, jobs=1)
+        report = run_point(point, jobs=1)
         assert len(report["plan"]["assignments"]) == point.subtrees
         assert sum(report["plan"]["shares"]) == pytest.approx(1.0)
 
     def test_serve_core_consumes_shard_and_aggregate_reports(self):
         from repro.obs.ledger import serve_core
 
-        report = run_sharded(spec(), jobs=1)
+        report = run_point(spec(), jobs=1)
         aggregate = serve_core(report, fingerprint="f" * 64)
         assert aggregate["measure"]["totals"] == report["totals"]
         assert aggregate["measure"]["utilization"] == \
@@ -111,7 +132,7 @@ class TestFolding:
 
     def test_metrics_fold_across_shards(self):
         point = spec(shards=4, subtrees=16)
-        report = run_sharded(point, jobs=1)
+        report = run_point(point, jobs=1)
         counters = report["metrics"]["counters"]
         assert counters["shard/routed"] == point.requests
 
@@ -119,7 +140,7 @@ class TestFolding:
 class TestQuarantine:
     def test_degraded_mode_is_reported_honestly(self):
         point = spec(quarantined=(1,))
-        report = run_sharded(point, jobs=2)
+        report = run_point(point, jobs=2)
         pool_module.shutdown_pools()
         degraded = report["degraded"]
         assert degraded["quarantined"] == [1]
@@ -131,15 +152,16 @@ class TestQuarantine:
         assert report["totals"]["completed"] == report["totals"]["admitted"]
 
     def test_quarantine_changes_data_not_shape(self):
-        healthy = run_sharded(spec(), jobs=1)
-        sick = run_sharded(spec(quarantined=(0,)), jobs=1)
+        healthy = run_point(spec(), jobs=1)
+        sick = run_point(spec(quarantined=(0,)), jobs=1)
         assert healthy["totals"]["accesses"] == sick["totals"]["accesses"]
         assert healthy["service"]["busy_ticks"] == \
             sick["service"]["busy_ticks"]
 
 
 class TestCli:
-    ARGS = ["serve-sharded", "--rates", "0.02", "--requests", "96",
+    ARGS = ["serve-bench", "--design", "independent",
+            "--rates", "0.02", "--requests", "96",
             "--levels", "6", "--capacity", "16", "--batch", "4",
             "--shards", "2", "--subtrees", "8", "--no-cache"]
 
@@ -187,6 +209,9 @@ class TestCli:
                            if record["kind"] == "serve-shard")
         assert shard_ids == [0, 1]
 
-    def test_rejects_invalid_geometry(self):
-        with pytest.raises(ValueError):
-            main(["serve-sharded", "--shards", "3", "--no-cache"])
+    def test_rejects_invalid_geometry(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.ARGS + ["--shards", "3"])
+        assert excinfo.value.code == 2
+        assert "shard count must be a power of two" in \
+            capsys.readouterr().err

@@ -2,63 +2,90 @@
 
 import pytest
 
-from repro.serve.shard import (ShardPlan, ShardSpec, build_plan,
-                               model_migrations, route_requests, run_shard)
+from repro.serve.bench import ServeSpec
+from repro.serve.shard import (ShardPlan, build_plan, model_migrations,
+                               route_requests, run_shard)
 
-SMALL = dict(levels=6, requests=96, capacity=16, batch=4, rate=0.02,
-             seed=2018)
+SMALL = dict(design="independent", levels=6, requests=96, capacity=16,
+             batch=4, rate=0.02, seed=2018)
+
+
+def shard_spec(**fields):
+    """A small two-shard point; ``fields`` override."""
+    merged = dict(SMALL, shards=2)
+    merged.update(fields)
+    return ServeSpec(**merged)
 
 
 class TestShardSpec:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            ShardSpec(shards=3, **SMALL)
+            shard_spec(shards=3)
         with pytest.raises(ValueError):
-            ShardSpec(shards=2, subtrees=6, **SMALL)
+            shard_spec(shards=2, subtrees=6)
         with pytest.raises(ValueError):
-            ShardSpec(shards=4, subtrees=2, **SMALL)
+            shard_spec(shards=4, subtrees=2)
         with pytest.raises(ValueError):
             # levels=6 -> 32 leaves; 64 subtrees cannot fit
-            ShardSpec(shards=2, subtrees=64, **SMALL)
+            shard_spec(shards=2, subtrees=64)
         with pytest.raises(ValueError):
-            ShardSpec(virtual_nodes=0, **SMALL)
+            shard_spec(virtual_nodes=0)
         with pytest.raises(ValueError):
-            ShardSpec(migration_capacity=0, **SMALL)
+            shard_spec(migration_capacity=0)
         with pytest.raises(ValueError):
-            ShardSpec(migration_drain=1.5, **SMALL)
+            shard_spec(migration_drain=1.5)
         with pytest.raises(ValueError):
-            ShardSpec(quarantined=(9,), shards=2, **SMALL)
+            shard_spec(quarantined=(9,), shards=2)
 
     def test_shared_serving_validation_is_delegated(self):
         with pytest.raises(ValueError):
-            ShardSpec(design="mystery", **SMALL)
+            shard_spec(design="mystery")
         with pytest.raises(ValueError):
-            ShardSpec(capacity=0, levels=6, rate=0.02)
+            shard_spec(capacity=0, levels=6, rate=0.02)
 
     def test_quarantine_needs_a_quarantinable_design(self):
-        ShardSpec(design="independent", quarantined=(0,), **SMALL)
-        ShardSpec(design="indep-split", quarantined=(0,), **SMALL)
+        shard_spec(design="independent", quarantined=(0,))
+        shard_spec(design="indep-split", quarantined=(0,))
         with pytest.raises(ValueError):
-            ShardSpec(design="split", quarantined=(0,), **SMALL)
+            shard_spec(design="split", quarantined=(0,))
 
     def test_quarantined_is_canonicalized(self):
-        spec = ShardSpec(quarantined=(1, 0, 1), **SMALL)
+        spec = shard_spec(quarantined=(1, 0, 1))
         assert spec.quarantined == (0, 1)
 
     def test_round_trips_through_dict(self):
-        spec = ShardSpec(shards=4, subtrees=16, quarantined=(2,), **SMALL)
-        assert ShardSpec.from_dict(spec.to_dict()) == spec
+        spec = shard_spec(shards=4, subtrees=16, quarantined=(2,))
+        assert ServeSpec.from_dict(spec.to_dict()) == spec
 
     def test_dict_payload_is_json_ready(self):
         import json
 
-        payload = ShardSpec(quarantined=(1,), **SMALL).to_dict()
+        payload = shard_spec(quarantined=(1,)).to_dict()
         assert json.loads(json.dumps(payload)) == payload
+
+    def test_one_shard_serializes_as_the_single_server(self):
+        shard_fields = {"shards", "subtrees", "virtual_nodes",
+                        "migration_capacity", "migration_drain",
+                        "quarantined"}
+        single = ServeSpec(**SMALL).to_dict()
+        assert not shard_fields & set(single)
+        assert set(shard_spec().to_dict()) - set(single) == shard_fields
+
+    def test_shard_geometry_is_checked_only_when_sharded(self):
+        # levels=4 -> 8 leaves: the default 16 subtrees matter only once
+        # the leaf space is actually cut into shards
+        ServeSpec(**dict(SMALL, levels=4))
+        with pytest.raises(ValueError, match="more subtrees than leaves"):
+            shard_spec(levels=4)
+
+    def test_quarantine_needs_more_than_one_shard(self):
+        with pytest.raises(ValueError, match="shards > 1"):
+            ServeSpec(**dict(SMALL, quarantined=(0,)))
 
 
 class TestShardPlan:
     def test_plan_is_a_pure_function_of_the_spec(self):
-        spec = ShardSpec(shards=4, subtrees=16, **SMALL)
+        spec = shard_spec(shards=4, subtrees=16)
         assert build_plan(spec).assignments() == \
             build_plan(spec).assignments()
 
@@ -101,7 +128,7 @@ class TestShardPlan:
 
 class TestRouting:
     def test_routing_covers_the_whole_timeline(self):
-        spec = ShardSpec(shards=4, subtrees=16, **SMALL)
+        spec = shard_spec(shards=4, subtrees=16)
         routed = route_requests(spec)
         assert len(routed) == spec.requests
         assert all(0 <= shard < spec.shards for shard, _ in routed)
@@ -110,7 +137,7 @@ class TestRouting:
                    for shard, request in routed)
 
     def test_shard_slices_partition_the_timeline(self):
-        spec = ShardSpec(shards=4, subtrees=16, **SMALL)
+        spec = shard_spec(shards=4, subtrees=16)
         routed = route_requests(spec)
         per_shard = [[r for owner, r in routed if owner == shard]
                      for shard in range(spec.shards)]
@@ -119,22 +146,22 @@ class TestRouting:
 
 class TestRunShard:
     def test_worker_is_deterministic(self):
-        spec = ShardSpec(shards=2, subtrees=8, **SMALL)
+        spec = shard_spec(shards=2, subtrees=8)
         assert run_shard(spec, 0) == run_shard(spec, 0)
 
     def test_out_of_range_shard_rejected(self):
-        spec = ShardSpec(shards=2, subtrees=8, **SMALL)
+        spec = shard_spec(shards=2, subtrees=8)
         with pytest.raises(ValueError):
             run_shard(spec, 2)
 
     def test_reports_carry_the_shard_identity(self):
-        spec = ShardSpec(shards=2, subtrees=8, **SMALL)
+        spec = shard_spec(shards=2, subtrees=8)
         payload = run_shard(spec, 1)
         assert payload["report"]["spec"]["shard"] == 1
         assert payload["metrics"]["gauges"]["shard/id"]["last"] == 1
 
     def test_quarantined_shard_degrades_every_access(self):
-        spec = ShardSpec(shards=2, subtrees=8, quarantined=(1,), **SMALL)
+        spec = shard_spec(shards=2, subtrees=8, quarantined=(1,))
         healthy = run_shard(spec, 0)
         degraded = run_shard(spec, 1)
         assert healthy["report"]["degraded"]["quarantined"] is False
@@ -151,8 +178,8 @@ class TestRunShard:
         """Degraded accesses must be link-indistinguishable: same total
         per-access traffic as the healthy run of the same slice."""
         base = dict(SMALL)
-        healthy_spec = ShardSpec(shards=2, subtrees=8, **base)
-        sick_spec = ShardSpec(shards=2, subtrees=8, quarantined=(0,),
+        healthy_spec = shard_spec(shards=2, subtrees=8, **base)
+        sick_spec = shard_spec(shards=2, subtrees=8, quarantined=(0,),
                               **base)
         healthy = run_shard(healthy_spec, 0)["report"]
         sick = run_shard(sick_spec, 0)["report"]
@@ -165,7 +192,7 @@ class TestMigrationModel:
     def spec(self, **overrides):
         merged = dict(SMALL, shards=4, subtrees=16)
         merged.update(overrides)
-        return ShardSpec(**merged)
+        return ServeSpec(**merged)
 
     def test_migration_fraction_tracks_expectation(self):
         spec = self.spec(requests=400)
