@@ -86,6 +86,9 @@ class _StoreCell:
 
     Only this way's *slice* of the shared counter is stored (the paper:
     "half the counter"); the CPU reassembles the full value from all ways.
+    The metadata slice and the data slots are cut from one ciphertext under
+    one (bucket, counter) keystream: metadata at offset 0, then each slot at
+    its own offset, so no two stored slices share pad bytes.
     """
 
     counter_slice: int
@@ -101,6 +104,7 @@ class _StashSlice:
     plaintext: Optional[bytes] = None
     ciphertext: Optional[bytes] = None
     origin_bucket: Optional[int] = None
+    origin_slot: int = 0
 
 
 @dataclass
@@ -156,7 +160,7 @@ class SplitBuffer:
                 self.bucket_trace.append(("read", bucket))
             cell = self._store.get(bucket)
             for slot in range(self.blocks_per_bucket):
-                entry = _StashSlice(origin_bucket=bucket)
+                entry = _StashSlice(origin_bucket=bucket, origin_slot=slot)
                 if cell is None:
                     entry.plaintext = bytes(self.slice_bytes)
                 else:
@@ -214,9 +218,14 @@ class SplitBuffer:
         if entry.plaintext is not None:
             return
         counter = counters[entry.origin_bucket]
-        entry.plaintext = self._cipher.decrypt(entry.ciphertext,
-                                               entry.origin_bucket, counter)
+        entry.plaintext = self._cipher.decrypt(
+            entry.ciphertext, entry.origin_bucket, counter,
+            self._slot_offset(entry.origin_slot))
         entry.ciphertext = None
+
+    def _slot_offset(self, slot: int) -> int:
+        """Keystream offset of data slot ``slot`` within its bucket."""
+        return self.meta_slice_bytes + slot * self.slice_bytes
 
     # ------------------------------------------------------------------
     # Step 5: RECEIVE_LIST
@@ -252,24 +261,26 @@ class SplitBuffer:
                 path_buckets, placements, metadata_slices, new_counters):
             if self.record_trace:
                 self.bucket_trace.append(("write", bucket))
-            data_ciphertexts = []
+            plaintexts = [metadata]
             for slot_index in slots:
                 if slot_index is None:
-                    plaintext = bytes(self.slice_bytes)
+                    plaintexts.append(bytes(self.slice_bytes))
                 else:
                     entry = self.stash[slot_index]
                     self._materialize(entry, old_counters)
-                    plaintext = entry.plaintext
+                    plaintexts.append(entry.plaintext)
                     consumed.add(slot_index)
-                data_ciphertexts.append(
-                    self._cipher.encrypt(plaintext, bucket, counter))
-            metadata_ciphertext = self._cipher.encrypt(metadata, bucket,
-                                                       counter)
+            # One keystream per (bucket, counter), cut at _slot_offset.
+            joined = self._cipher.encrypt(b"".join(plaintexts), bucket,
+                                          counter)
+            metadata_ciphertext = joined[:self.meta_slice_bytes]
+            data_ciphertexts = [
+                joined[self._slot_offset(slot):self._slot_offset(slot + 1)]
+                for slot in range(len(slots))]
             counter_slice = split_bits_round_robin(
                 counter, _COUNTER_BITS, self.ways)[self.way]
-            payload = metadata_ciphertext + b"".join(data_ciphertexts)
             mac = self._mac.tag(self._mac_index(bucket), counter_slice,
-                                payload)
+                                joined)
             self._store[bucket] = _StoreCell(counter_slice,
                                              metadata_ciphertext,
                                              data_ciphertexts, mac)

@@ -44,13 +44,20 @@ class CounterModeCipher:
             self._pad_cache[(nonce, counter)] = keystream
         return keystream
 
-    def encrypt(self, plaintext: bytes, nonce: int, counter: int) -> bytes:
-        """XOR ``plaintext`` with the (nonce, counter) pad."""
-        pad = self.pad(nonce, counter, len(plaintext))
+    def encrypt(self, plaintext: bytes, nonce: int, counter: int,
+                offset: int = 0) -> bytes:
+        """XOR ``plaintext`` with the (nonce, counter) pad from ``offset``.
+
+        Pieces of one message encrypted separately must sit at disjoint
+        offsets of the keystream; two pieces under the same bytes of pad
+        XOR to the XOR of their plaintexts.
+        """
+        pad = self.pad(nonce, counter, offset + len(plaintext))[offset:]
         mask = int.from_bytes(plaintext, "little") ^ \
             int.from_bytes(pad, "little")
         return mask.to_bytes(len(plaintext), "little")
 
-    def decrypt(self, ciphertext: bytes, nonce: int, counter: int) -> bytes:
+    def decrypt(self, ciphertext: bytes, nonce: int, counter: int,
+                offset: int = 0) -> bytes:
         """Counter mode is an involution: decryption equals encryption."""
-        return self.encrypt(ciphertext, nonce, counter)
+        return self.encrypt(ciphertext, nonce, counter, offset)

@@ -1,4 +1,4 @@
-"""A keyed pseudo-random function over SHA-256.
+"""A keyed pseudo-random function over SHAKE-256.
 
 Stands in for the AES block cipher: deterministic under a key, unpredictable
 without it, and fast enough for functional simulation.  All higher-level
@@ -8,15 +8,17 @@ constructions (counter-mode pads, MACs, key derivation) are built on this.
 from __future__ import annotations
 
 import hashlib
-import hmac
 
 
 class Prf:
     """Keyed PRF producing arbitrary-length outputs.
 
-    Output for input ``message`` is the concatenation of
-    ``HMAC-SHA256(key, message || block_index)`` blocks, truncated to the
-    requested length — a simple counter-based expansion.
+    Output for input ``message`` is ``SHAKE-256(len(key) || key ||
+    message)`` squeezed to the requested length, ``len(key)`` being four
+    little-endian bytes.  The length prefix keeps ``(key, message)`` pairs
+    unambiguous, so ``key + b"x"`` and ``b"x" + message`` never collide.
+    Being an XOF, a shorter output is always a prefix of a longer one for
+    the same message, which the counter-mode pad cache relies on.
     """
 
     DIGEST_BYTES = 32
@@ -24,23 +26,18 @@ class Prf:
     def __init__(self, key: bytes):
         if len(key) < 16:
             raise ValueError("PRF key must be at least 128 bits")
-        self._key = key
-        # HMAC's key schedule (two padded key blocks) is the same for
-        # every evaluation; hash it once and fork copies per message.
-        self._template = hmac.new(key, b"", hashlib.sha256)
+        # The keyed state is the same for every evaluation; absorb it
+        # once and fork copies per message.
+        self._template = hashlib.shake_256(len(key).to_bytes(4, "little") +
+                                           key)
 
     def evaluate(self, message: bytes, length: int = DIGEST_BYTES) -> bytes:
         """Return ``length`` pseudo-random bytes for ``message``."""
         if length < 0:
             raise ValueError("length must be non-negative")
-        output = bytearray()
-        block_index = 0
-        while len(output) < length:
-            mac = self._template.copy()
-            mac.update(message + block_index.to_bytes(4, "little"))
-            output.extend(mac.digest())
-            block_index += 1
-        return bytes(output[:length])
+        xof = self._template.copy()
+        xof.update(message)
+        return xof.digest(length)
 
     def derive_key(self, label: str) -> bytes:
         """Derive an independent sub-key for a named purpose."""

@@ -40,8 +40,16 @@ class TestPrf:
         assert len(Prf(KEY_A).evaluate(b"x", length)) == length
 
     def test_long_output_extends_prefix(self):
+        # CounterModeCipher.pad serves short requests from a cached long pad.
         prf = Prf(KEY_A)
-        assert prf.evaluate(b"x", 100)[:32] == prf.evaluate(b"x", 32)
+        for short in (8, 32, 64, 65, 256):
+            assert prf.evaluate(b"x", 300)[:short] == \
+                prf.evaluate(b"x", short)
+
+    def test_key_length_separates_key_from_message(self):
+        """Moving a byte from the key to the message changes the output."""
+        assert Prf(KEY_A + b"\x01").evaluate(b"msg") != \
+            Prf(KEY_A).evaluate(b"\x01msg")
 
     def test_derive_key_distinct_labels(self):
         prf = Prf(KEY_A)
@@ -51,6 +59,37 @@ class TestPrf:
         prf = Prf(KEY_A)
         for bits in (1, 8, 31, 64):
             assert prf.evaluate_int(b"x", bits) < (1 << bits)
+
+
+class TestKnownAnswers:
+    """Pinned outputs: any change to the construction shows up here."""
+
+    PRF_MSG_256 = (
+        "e9717a2539ba4468ba37903d748a7d29eedd4f4bc7899efa3580cdff312cc56b"
+        "dde06931690eb0c8cf4ca968b68418ba997396fa0dc9ccf6ff24ebe4e6878e4b"
+        "5b0d41158613698c22039f350cd1a6eb78e1a060c1b0c4571784a19158548d30"
+        "aca154953b94a1d027c97218a8fd024f82698322af798226b2a2740c3d4cf211"
+        "36ea8ec1b05674ad9251bb21dc0523eb2261de95670a1e4c3906a165745fd2e0"
+        "4f35d10b2a0ae8ff782de4ed4183c59c78591540f8ef5eec3e98ff80e08f6bcc"
+        "13d1f5c668a9816d82dad9a78a81c69ed106b1e84bca79429104747d91641292"
+        "f3709834b897969881d72549a1c2512cc335a2c916c5541f8ea227330e156088")
+
+    @pytest.mark.parametrize("length", [8, 32, 256])
+    def test_prf(self, length):
+        assert Prf(KEY_A).evaluate(b"msg", length).hex() == \
+            self.PRF_MSG_256[:2 * length]
+
+    def test_mac_tag(self):
+        assert MacEngine(KEY_A).tag(b"payload").hex() == "64676dffa7a51355"
+
+    def test_pmmac_tag(self):
+        assert PmmacAuthenticator(KEY_A).tag(42, 7, b"bucket bytes").hex() \
+            == "84521355a9409e10"
+
+    def test_counter_mode_pad(self):
+        assert CounterModeCipher(KEY_A).pad(3, 9, 64).hex() == (
+            "78e40e6c5f6fe37b7259af707b79a3d5129e21526df29b418d244d43919f3084"
+            "640d6e9e354661a3225e7b2cf6342adc91f49733bcb1695b5da74a2a45a7d801")
 
 
 class TestCounterMode:
@@ -75,6 +114,14 @@ class TestCounterMode:
         cipher = CounterModeCipher(KEY_A)
         ciphertext = cipher.encrypt(b"secret block", 0, 5)
         assert cipher.decrypt(ciphertext, 0, 6) != b"secret block"
+
+    @given(st.binary(max_size=96), st.integers(min_value=0, max_value=200))
+    def test_offset_uses_that_slice_of_the_pad(self, plaintext, offset):
+        cipher = CounterModeCipher(KEY_A)
+        ciphertext = cipher.encrypt(plaintext, 3, 9, offset)
+        pad = cipher.pad(3, 9, offset + len(plaintext))[offset:]
+        assert ciphertext == bytes(p ^ k for p, k in zip(plaintext, pad))
+        assert cipher.decrypt(ciphertext, 3, 9, offset) == plaintext
 
     def test_pad_precomputable(self):
         cipher = CounterModeCipher(KEY_A)

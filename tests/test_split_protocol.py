@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.commands import SdimmCommand
+from repro.core.indep_split import IndepSplitProtocol
 from repro.core.split import SplitIntegrityError, SplitProtocol
 from repro.oram.path_oram import Op
+from repro.utils.bitops import bit_slice
 
 
 def make_protocol(levels=6, ways=2, seed=2018, **kwargs):
@@ -16,6 +18,30 @@ def make_protocol(levels=6, ways=2, seed=2018, **kwargs):
 
 def payload(value):
     return value.to_bytes(4, "little") * 4
+
+
+#: A block with no zero byte, so each of its way-slices is non-trivial.
+SECRET_BLOCK = bytes(range(1, 65))
+
+
+def assert_slices_share_no_pad(buffers, ways):
+    """No stored slice repeats, and no two XOR to a slice of the block.
+
+    Under a shared pad a dummy slot's ciphertext *is* the pad, so a real
+    slot XOR a dummy slot would hand DRAM the plaintext slice.
+    """
+    way_slices = {bit_slice(SECRET_BLOCK, way, ways) for way in range(ways)}
+    cells = [cell for buffer in buffers for cell in buffer._store.values()]
+    assert cells
+    for cell in cells:
+        slices = [cell.metadata_ciphertext] + cell.data_ciphertexts
+        assert len(set(slices)) == len(slices)
+        data = cell.data_ciphertexts
+        for first in range(len(data)):
+            for second in range(first + 1, len(data)):
+                mixed = bytes(x ^ y for x, y in zip(data[first],
+                                                    data[second]))
+                assert mixed not in way_slices
 
 
 class TestCorrectness:
@@ -81,6 +107,24 @@ class TestSlicing:
                 for ciphertext in cell.data_ciphertexts:
                     assert len(ciphertext) == 8  # 16 bytes / 2 ways
                     assert secret not in ciphertext
+
+    def test_slices_of_one_bucket_use_distinct_pads(self):
+        protocol = SplitProtocol(levels=5, ways=2, block_bytes=64, seed=3)
+        protocol.write(7, SECRET_BLOCK)
+        for address in (2, 7, 11):
+            protocol.read(address)
+        assert_slices_share_no_pad(protocol.buffers, 2)
+
+    def test_indep_split_slices_use_distinct_pads(self):
+        protocol = IndepSplitProtocol(global_levels=6, groups=2, ways=2,
+                                      block_bytes=64, seed=3)
+        for address in range(4):
+            protocol.write(address, SECRET_BLOCK)
+        for address in range(4):
+            assert protocol.read(address) == SECRET_BLOCK
+        buffers = [buffer for group in protocol.groups
+                   for buffer in group.split.buffers]
+        assert_slices_share_no_pad(buffers, 2)
 
     def test_stashes_stay_aligned(self):
         protocol = make_protocol()
