@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.control.admission import AdmissionController
 from repro.control.morph import MorphController
 from repro.control.plane import ServeControlPlane
+from repro.crypto.prf import Prf
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import fanout
 from repro.parallel.cache import RunCache
@@ -48,6 +49,9 @@ DEFAULT_SLO_P99 = 2048
 
 #: Key material for bench protocols (serving always encrypts on-DIMM).
 _SERVE_KEY = b"serve-bench-key"
+#: Root the per-shard keys derive from (``Prf`` needs 16 key bytes, and
+#: ``_SERVE_KEY`` has 15).
+_SHARD_KEY_ROOT = b"serve-bench-shard-key-root"
 
 
 @dataclass(frozen=True)
@@ -249,8 +253,21 @@ class ServeSpec:
         return specs
 
 
-def build_serving_protocol(spec: ServeSpec):
+def serving_key(spec: ServeSpec, shard: int = 0) -> bytes:
+    """The protocol key of one shard.
+
+    A one-shard spec keeps ``_SERVE_KEY``.  Each shard of a sharded spec
+    gets its own key from the PRF's ``derive:`` domain, so two shards
+    never share a pad for an equal (bucket, counter).
+    """
+    if spec.shards == 1:
+        return _SERVE_KEY
+    return Prf(_SHARD_KEY_ROOT).derive_key(f"shard/{shard}")
+
+
+def build_serving_protocol(spec: ServeSpec, shard: int = 0):
     """One protocol instance wired for serving (link metering on)."""
+    key = serving_key(spec, shard)
     if spec.design == "independent":
         from repro.core.independent import IndependentProtocol
 
@@ -259,7 +276,7 @@ def build_serving_protocol(spec: ServeSpec):
             blocks_per_bucket=spec.blocks_per_bucket,
             block_bytes=spec.block_bytes,
             stash_capacity=spec.stash_capacity, seed=spec.seed,
-            record_link=True, encryption_key=_SERVE_KEY)
+            record_link=True, encryption_key=key)
     if spec.design == "split":
         from repro.core.split import SplitProtocol
 
@@ -268,7 +285,7 @@ def build_serving_protocol(spec: ServeSpec):
             blocks_per_bucket=spec.blocks_per_bucket,
             block_bytes=spec.block_bytes,
             stash_capacity=spec.stash_capacity, seed=spec.seed,
-            key=_SERVE_KEY, record_link=True)
+            key=key, record_link=True)
     from repro.core.indep_split import IndepSplitProtocol
 
     return IndepSplitProtocol(
@@ -276,7 +293,7 @@ def build_serving_protocol(spec: ServeSpec):
         blocks_per_bucket=spec.blocks_per_bucket,
         block_bytes=spec.block_bytes,
         stash_capacity=spec.stash_capacity, seed=spec.seed,
-        key=_SERVE_KEY, record_link=True)
+        key=key, record_link=True)
 
 
 def generate_requests(spec: ServeSpec):
@@ -291,6 +308,7 @@ def generate_requests(spec: ServeSpec):
 
 
 def serve_requests(spec: ServeSpec, requests: Sequence[Request], *,
+                   shard: int = 0,
                    quarantined: bool = False,
                    metrics: Optional[MetricsRegistry] = None,
                    keep_read_bytes: bool = False
@@ -298,12 +316,13 @@ def serve_requests(spec: ServeSpec, requests: Sequence[Request], *,
     """Serve one timeline through a fresh protocol and bounded scheduler.
 
     The single server passes the whole timeline, a shard worker its
-    routed slice.  ``quarantined`` models a whole-shard outage: every
-    site is quarantined, so each access runs the degraded (link-shape
+    routed slice and its index ``shard``, which picks its key.
+    ``quarantined`` models a whole-shard outage: every site is
+    quarantined, so each access runs the degraded (link-shape
     preserving, zero-data) path and is counted honestly.  Returns the
     protocol and the scheduler outcome.
     """
-    protocol = build_serving_protocol(spec)
+    protocol = build_serving_protocol(spec, shard)
     if quarantined:
         for site in range(spec.sites):
             protocol.quarantine(site)

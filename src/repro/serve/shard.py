@@ -152,7 +152,8 @@ def run_shard(spec: ServeSpec, shard: int) -> Dict[str, object]:
     metrics.gauge("shard/id").set(shard)
     metrics.counter("shard/routed").inc(len(mine))
     protocol, outcome = serve_requests(
-        spec, mine, quarantined=shard in spec.quarantined, metrics=metrics)
+        spec, mine, shard=shard, quarantined=shard in spec.quarantined,
+        metrics=metrics)
     share = len(mine) / len(routed) if routed else 0.0
     shard_payload = spec.to_dict()
     shard_payload["shard"] = shard

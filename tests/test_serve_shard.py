@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.serve.bench import ServeSpec
+from repro.serve.bench import (ServeSpec, _SERVE_KEY, build_serving_protocol,
+                               serving_key)
 from repro.serve.shard import (ShardPlan, build_plan, model_migrations,
                                route_requests, run_shard)
 
@@ -233,3 +234,41 @@ class TestMigrationModel:
             transfer_queue_overflow_probability(spec.migration_drain,
                                                 spec.migration_capacity))
         assert 0.0 <= model["undrained_first_passage"] <= 1.0
+
+
+class TestShardKeys:
+    def test_one_shard_keeps_the_serving_key(self):
+        assert serving_key(ServeSpec(**SMALL)) == _SERVE_KEY == \
+            b"serve-bench-key"
+
+    def test_every_shard_gets_its_own_key(self):
+        spec = shard_spec(shards=4, subtrees=16)
+        keys = {serving_key(spec, shard) for shard in range(4)}
+        assert len(keys) == 4
+        assert _SERVE_KEY not in keys
+
+    def test_shards_with_equal_bucket_and_counter_share_no_pad(self):
+        """Under one key per tier, two shards' DRAM cells with an equal
+        (bucket, counter) used one pad, so their ciphertexts XORed to the
+        XOR of their plaintexts."""
+        spec = ServeSpec(design="independent", shards=2, levels=8, sites=2)
+        protocols = [build_serving_protocol(spec, shard)
+                     for shard in range(2)]
+        protocols[0].write(3, bytes([0x5A]) * spec.block_bytes)
+        protocols[1].write(40, bytes([0xC3]) * spec.block_bytes)
+        shared = 0
+        for first, second in zip(protocols[0].sdimms, protocols[1].sdimms):
+            stores = (first.oram.store, second.oram.store)
+            for bucket, counter in stores[0]._expected_counters.items():
+                if stores[1]._expected_counters.get(bucket) != counter:
+                    continue
+                shared += 1
+                cells = [store.snapshot(bucket)[0] for store in stores]
+                plains = [store._cipher.decrypt(cell, bucket, counter)
+                          for store, cell in zip(stores, cells)]
+                assert xor(*cells) != xor(*plains)
+        assert shared > 0
+
+
+def xor(left, right):
+    return bytes(a ^ b for a, b in zip(left, right))
