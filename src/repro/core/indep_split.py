@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from repro.core.commands import SdimmCommand
 from repro.core.secure_buffer import LinkRecorder
-from repro.core.split import SplitProtocol, _ShadowEntry, _StashSlice
+from repro.core.split import SplitProtocol, _ShadowEntry
 from repro.core.transfer_queue import TransferQueue
 from repro.obs.tracer import (
     CATEGORY_PROTOCOL,
@@ -96,9 +96,8 @@ class SplitGroup:
             split.shadow.append(_ShadowEntry(address,
                                              self._local(old_global_leaf)))
             for buffer in split.buffers:
-                buffer.stash.append(_StashSlice(
-                    plaintext=bit_slice(waiting.data, buffer.way,
-                                        buffer.ways)))
+                buffer.stash.append(bit_slice(waiting.data, buffer.way,
+                                              buffer.ways))
         split.posmap.set(address, self._local(old_global_leaf))
 
         new_global_leaf = self._rng.random_leaf(self._global_leaf_count)
@@ -124,9 +123,8 @@ class SplitGroup:
         self.split.shadow.append(_ShadowEntry(serviced.address, local_leaf))
         self.split.posmap.set(serviced.address, local_leaf)
         for buffer in self.split.buffers:
-            buffer.stash.append(_StashSlice(
-                plaintext=bit_slice(serviced.data, buffer.way,
-                                    buffer.ways)))
+            buffer.stash.append(bit_slice(serviced.data, buffer.way,
+                                          buffer.ways))
 
     def append(self, block: Optional[Block]) -> int:
         """Absorb an APPEND; real blocks enter the split stashes sliced.

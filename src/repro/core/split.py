@@ -22,13 +22,17 @@ overhead the paper accepts).  One access proceeds as:
    entries identically, keeping the stashes aligned.
 
 Stash state inside the buffer chip is trusted SRAM, so slices live there in
-plaintext once the counters arrive; DRAM only ever sees ciphertext.
+plaintext once the counters arrive; DRAM only ever sees ciphertext.  The
+bucket is the unit of storage and crypto: each way keeps one ciphertext
+and one MAC per bucket, and decrypts a fetched bucket's data slots in one
+call.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.commands import SdimmCommand
 from repro.core.secure_buffer import LinkRecorder
@@ -53,10 +57,10 @@ from repro.utils.bitops import (
 )
 from repro.utils.rng import DeterministicRng
 
-#: Serialized metadata entry per block slot: 8-byte tag + 8-byte leaf.
-_META_ENTRY_BYTES = 16
 #: Tag marking a dummy slot, matching repro.oram.bucket.DUMMY_TAG.
 _DUMMY_TAG = (1 << 64) - 1
+#: (tag, leaf) metadata of an empty slot.
+_EMPTY_ENTRY = (_DUMMY_TAG, 0)
 
 
 class SplitIntegrityError(Exception):
@@ -80,31 +84,20 @@ class SplitIntegrityError(Exception):
 _COUNTER_BITS = 32
 
 
-@dataclass
-class _StoreCell:
+class _StoreCell(NamedTuple):
     """One bucket's slice as it sits in untrusted DRAM.
 
     Only this way's *slice* of the shared counter is stored (the paper:
     "half the counter"); the CPU reassembles the full value from all ways.
-    The metadata slice and the data slots are cut from one ciphertext under
-    one (bucket, counter) keystream: metadata at offset 0, then each slot at
-    its own offset, so no two stored slices share pad bytes.
+    The metadata slice and the data slots are one ciphertext under one
+    (bucket, counter) keystream: metadata at offset 0, then slot ``s`` at
+    :meth:`SplitBuffer._slot_offset`, so no two stored slices share pad
+    bytes.  The MAC covers the whole ciphertext.
     """
 
     counter_slice: int
-    metadata_ciphertext: bytes
-    data_ciphertexts: List[bytes]
+    ciphertext: bytes
     mac: bytes
-
-
-@dataclass
-class _StashSlice:
-    """One stash slot inside a buffer: ciphertext until counters arrive."""
-
-    plaintext: Optional[bytes] = None
-    ciphertext: Optional[bytes] = None
-    origin_bucket: Optional[int] = None
-    origin_slot: int = 0
 
 
 @dataclass
@@ -138,11 +131,17 @@ class SplitBuffer:
         self.blocks_per_bucket = blocks_per_bucket
         self.block_bytes = block_bytes
         self.slice_bytes = block_bytes // ways
-        self.meta_slice_bytes = (blocks_per_bucket * _META_ENTRY_BYTES) // ways
+        #: metadata per slot: 8-byte tag + 8-byte leaf, sliced across ways
+        self.meta_slice_bytes = (blocks_per_bucket * 16) // ways
         self._cipher = CounterModeCipher(key + bytes([way]))
         self._mac = PmmacAuthenticator(key + bytes([way]))
         self._store: Dict[int, _StoreCell] = {}
-        self.stash: List[_StashSlice] = []
+        #: plaintext data slices (trusted SRAM); None marks a slot of a
+        #: fetched bucket whose counter has not arrived yet
+        self.stash: List[Optional[bytes]] = []
+        #: first stash index -> (bucket, data ciphertext) of every fetched
+        #: bucket still encrypted
+        self._pending: Dict[int, Tuple[int, bytes]] = {}
         self.local_line_transfers = 0
         self.writes = 0
         self.record_trace = record_trace
@@ -154,19 +153,24 @@ class SplitBuffer:
     # ------------------------------------------------------------------
 
     def fetch_data(self, leaf: int) -> None:
-        """Pull this way's data slices of the whole path into the stash."""
+        """Pull this way's data slices of the whole path into the stash.
+
+        A never-written bucket contributes zero slices.  A written one
+        contributes placeholders, and its data ciphertext waits as
+        pending until the CPU's counters arrive.
+        """
+        slots = self.blocks_per_bucket
         for bucket in self.geometry.path(leaf):
             if self.record_trace:
                 self.bucket_trace.append(("read", bucket))
             cell = self._store.get(bucket)
-            for slot in range(self.blocks_per_bucket):
-                entry = _StashSlice(origin_bucket=bucket, origin_slot=slot)
-                if cell is None:
-                    entry.plaintext = bytes(self.slice_bytes)
-                else:
-                    entry.ciphertext = cell.data_ciphertexts[slot]
-                self.stash.append(entry)
-                self.local_line_transfers += 1
+            if cell is None:
+                self.stash.extend([bytes(self.slice_bytes)] * slots)
+            else:
+                self._pending[len(self.stash)] = (
+                    bucket, cell.ciphertext[self.meta_slice_bytes:])
+                self.stash.extend([None] * slots)
+            self.local_line_transfers += slots
 
     # ------------------------------------------------------------------
     # Step 2: metadata reads (regular RAS/CAS, data returns to the CPU)
@@ -185,16 +189,15 @@ class SplitBuffer:
         cell = self._store.get(bucket)
         if cell is None:
             return 0, None
-        payload = cell.metadata_ciphertext + b"".join(cell.data_ciphertexts)
         try:
             self._mac.verify(self._mac_index(bucket), cell.counter_slice,
-                             payload, cell.mac)
+                             cell.ciphertext, cell.mac)
         except MacError as error:
             raise SplitIntegrityError(
                 f"bucket {bucket} slice failed its way-{self.way} MAC: "
                 f"{error}", bucket=bucket, way=self.way,
                 kind="mac") from error
-        return cell.counter_slice, cell.metadata_ciphertext
+        return cell.counter_slice, cell.ciphertext[:self.meta_slice_bytes]
 
     def _mac_index(self, bucket: int) -> int:
         return bucket * self.ways + self.way
@@ -208,20 +211,25 @@ class SplitBuffer:
 
         ``counter_hints`` maps origin bucket -> full counter; within one
         access the CPU has just reassembled them from the metadata reads.
+        Only the bucket holding ``index`` is decrypted here.
         """
-        entry = self.stash[index]
-        self._materialize(entry, counter_hints)
-        return entry.plaintext
+        if self.stash[index] is None:
+            slots = self.blocks_per_bucket
+            self._decrypt_pending(
+                next(first for first in self._pending
+                     if first <= index < first + slots), counter_hints)
+        return self.stash[index]
 
-    def _materialize(self, entry: _StashSlice,
-                     counters: Dict[int, int]) -> None:
-        if entry.plaintext is not None:
-            return
-        counter = counters[entry.origin_bucket]
-        entry.plaintext = self._cipher.decrypt(
-            entry.ciphertext, entry.origin_bucket, counter,
-            self._slot_offset(entry.origin_slot))
-        entry.ciphertext = None
+    def _decrypt_pending(self, first: int, counters: Dict[int, int]) -> None:
+        """Decrypt one fetched bucket's data slots in one call."""
+        bucket, ciphertext = self._pending.pop(first)
+        plaintext = self._cipher.decrypt(ciphertext, bucket,
+                                         counters[bucket],
+                                         self.meta_slice_bytes)
+        size = self.slice_bytes
+        self.stash[first:first + self.blocks_per_bucket] = [
+            plaintext[offset:offset + size]
+            for offset in range(0, len(plaintext), size)]
 
     def _slot_offset(self, slot: int) -> int:
         """Keystream offset of data slot ``slot`` within its bucket."""
@@ -235,57 +243,50 @@ class SplitBuffer:
                      placements: List[List[Optional[int]]],
                      metadata_slices: List[bytes],
                      new_counters: List[int],
+                     counter_slices: List[List[int]],
                      old_counters: Dict[int, int],
                      updated_index: int, updated_slice: bytes,
                      discard_indices: List[int]) -> None:
         """Execute the CPU's write-back order.
 
         ``placements[i][slot]`` names the stash index whose slice fills
-        ``path_buckets[i]``'s ``slot`` (None = dummy).  All referenced
-        slices are decrypted with ``old_counters``, re-encrypted under the
-        bucket's ``new_counters[i]``, and stored with fresh MACs.  Placed
-        and discarded indices are then removed, keeping this stash aligned
-        with the CPU's shadow.
+        ``path_buckets[i]``'s ``slot`` (None = dummy).  Every fetched
+        bucket still pending is decrypted with ``old_counters``; each path
+        bucket is then re-encrypted as one ciphertext under its
+        ``new_counters[i]`` and stored with this way's slice of
+        ``counter_slices[i]`` and a fresh MAC.  Placed and discarded
+        indices are removed, keeping this stash aligned with the CPU's
+        shadow.
         """
-        # Decrypt everything fetched this access while its counters are at
-        # hand; leftovers from earlier accesses are already plaintext, so
-        # after every RECEIVE_LIST the whole (trusted-SRAM) stash is clear.
-        for entry in self.stash:
-            self._materialize(entry, old_counters)
-        if 0 <= updated_index < len(self.stash):
-            entry = self.stash[updated_index]
-            entry.plaintext = updated_slice
-            entry.ciphertext = None
+        # After every RECEIVE_LIST the whole (trusted-SRAM) stash is clear.
+        for first in list(self._pending):
+            self._decrypt_pending(first, old_counters)
+        stash = self.stash
+        if 0 <= updated_index < len(stash):
+            stash[updated_index] = updated_slice
+        empty = bytes(self.slice_bytes)
         consumed = set(discard_indices)
-        for bucket, slots, metadata, counter in zip(
-                path_buckets, placements, metadata_slices, new_counters):
+        for bucket, slots, metadata, counter, slices in zip(
+                path_buckets, placements, metadata_slices, new_counters,
+                counter_slices):
             if self.record_trace:
                 self.bucket_trace.append(("write", bucket))
             plaintexts = [metadata]
             for slot_index in slots:
                 if slot_index is None:
-                    plaintexts.append(bytes(self.slice_bytes))
+                    plaintexts.append(empty)
                 else:
-                    entry = self.stash[slot_index]
-                    self._materialize(entry, old_counters)
-                    plaintexts.append(entry.plaintext)
+                    plaintexts.append(stash[slot_index])
                     consumed.add(slot_index)
-            # One keystream per (bucket, counter), cut at _slot_offset.
-            joined = self._cipher.encrypt(b"".join(plaintexts), bucket,
-                                          counter)
-            metadata_ciphertext = joined[:self.meta_slice_bytes]
-            data_ciphertexts = [
-                joined[self._slot_offset(slot):self._slot_offset(slot + 1)]
-                for slot in range(len(slots))]
-            counter_slice = split_bits_round_robin(
-                counter, _COUNTER_BITS, self.ways)[self.way]
-            mac = self._mac.tag(self._mac_index(bucket), counter_slice,
-                                joined)
-            self._store[bucket] = _StoreCell(counter_slice,
-                                             metadata_ciphertext,
-                                             data_ciphertexts, mac)
+            ciphertext = self._cipher.encrypt(b"".join(plaintexts), bucket,
+                                              counter)
+            counter_slice = slices[self.way]
+            self._store[bucket] = _StoreCell(
+                counter_slice, ciphertext,
+                self._mac.tag(self._mac_index(bucket), counter_slice,
+                              ciphertext))
             self.writes += 1
-        self.stash = [entry for index, entry in enumerate(self.stash)
+        self.stash = [entry for index, entry in enumerate(stash)
                       if index not in consumed]
 
     # ------------------------------------------------------------------
@@ -293,16 +294,16 @@ class SplitBuffer:
     def tamper_bucket(self, bucket: int) -> None:
         """Adversarial hook: flip a bit of a stored data slice."""
         cell = self._store[bucket]
-        first = cell.data_ciphertexts[0]
-        cell.data_ciphertexts[0] = bytes([first[0] ^ 1]) + first[1:]
+        flipped = bytearray(cell.ciphertext)
+        flipped[self._slot_offset(0)] ^= 1
+        self._store[bucket] = cell._replace(ciphertext=bytes(flipped))
 
     def snapshot_bucket(self, bucket: int) -> Optional[_StoreCell]:
-        """Copy one bucket's raw cell (fault-injection save point)."""
-        cell = self._store.get(bucket)
-        if cell is None:
-            return None
-        return _StoreCell(cell.counter_slice, cell.metadata_ciphertext,
-                          list(cell.data_ciphertexts), cell.mac)
+        """One bucket's raw cell (fault-injection save point).
+
+        Cells are immutable, so the stored cell is its own snapshot.
+        """
+        return self._store.get(bucket)
 
     def restore_bucket(self, bucket: int,
                        cell: Optional[_StoreCell]) -> None:
@@ -349,6 +350,11 @@ class SplitProtocol:
         # decrypts metadata slices itself once the merged counter is known.
         self._way_ciphers = [CounterModeCipher(key + bytes([way]))
                              for way in range(ways)]
+        #: one bucket's metadata: (tag, leaf) per slot, little-endian u64s
+        self._metadata = struct.Struct(f"<{2 * blocks_per_bucket}Q")
+        empty = self._metadata.pack(*_EMPTY_ENTRY * blocks_per_bucket)
+        self._empty_metadata_slices = [bit_slice(empty, way, ways)
+                                       for way in range(ways)]
         # Trusted expected-counter chain (the PMMAC recursion stand-in):
         # a replayed stale slice desynchronizes the merged counter, which
         # this mirror catches even though each slice's own MAC verifies.
@@ -400,27 +406,8 @@ class SplitProtocol:
         self.posmap.set(address, new_leaf)
         path = self.geometry.path(old_leaf)
 
-        # Step 1: FETCH_DATA to every buffer (command only on the channel).
-        start = self.clock.now
-        for way, buffer in enumerate(self.buffers):
-            self.link.up(SdimmCommand.FETCH_DATA, way, 0)
-            buffer.fetch_data(old_leaf)
-        self._phase_span("FETCH_DATA", start)
-
-        # Step 2+3: metadata reads; merge slices and extend the shadow.
-        start = self.clock.now
-        old_counters: Dict[int, int] = {}
-        for bucket in path:
-            metadata = self._read_bucket_metadata(bucket)
-            old_counters[bucket] = metadata.counter
-            for slot in range(self.blocks_per_bucket):
-                tag = metadata.tags[slot]
-                if tag == _DUMMY_TAG:
-                    self.shadow.append(_ShadowEntry(None))
-                else:
-                    self.shadow.append(_ShadowEntry(tag,
-                                                    metadata.leaves[slot]))
-        self._phase_span("METADATA", start)
+        self._fetch_data(old_leaf)
+        old_counters = self._read_path_metadata(path)
 
         # Step 3b: find the requested block among the real tags.
         found_index = None
@@ -432,22 +419,12 @@ class SplitProtocol:
             self.shadow.append(_ShadowEntry(address, new_leaf))
             found_index = len(self.shadow) - 1
             for buffer in self.buffers:
-                buffer.stash.append(_StashSlice(
-                    plaintext=bytes(buffer.slice_bytes)))
+                buffer.stash.append(bytes(buffer.slice_bytes))
         else:
             self.shadow[found_index].leaf = new_leaf
 
-        # Step 4: FETCH_STASH from every buffer; merge the data slices.
-        start = self.clock.now
-        slices = []
-        for way, buffer in enumerate(self.buffers):
-            self.link.up(SdimmCommand.FETCH_STASH, way, 8)
-            piece = buffer.fetch_stash(found_index, old_counters)
-            self.link.down(SdimmCommand.FETCH_STASH, way,
-                           buffer.slice_bytes)
-            slices.append(piece)
-        self._phase_span("FETCH_STASH", start)
-        merged = merge_bit_slices(slices)
+        merged = merge_bit_slices(self._fetch_stash(found_index,
+                                                    old_counters))
         result = merged
         if op is Op.WRITE:
             merged = data
@@ -479,38 +456,56 @@ class SplitProtocol:
         leaf = self.rng.random_leaf(self.geometry.leaf_count)
         path = self.geometry.path(leaf)
         self.accesses += 1
-        start = self.clock.now
-        for way, buffer in enumerate(self.buffers):
-            self.link.up(SdimmCommand.FETCH_DATA, way, 0)
-            buffer.fetch_data(leaf)
-        self._phase_span("FETCH_DATA", start)
+        self._fetch_data(leaf)
         base_index = len(self.shadow)
-        start = self.clock.now
-        old_counters: Dict[int, int] = {}
-        for bucket in path:
-            metadata = self._read_bucket_metadata(bucket)
-            old_counters[bucket] = metadata.counter
-            for slot in range(self.blocks_per_bucket):
-                tag = metadata.tags[slot]
-                if tag == _DUMMY_TAG:
-                    self.shadow.append(_ShadowEntry(None))
-                else:
-                    self.shadow.append(_ShadowEntry(tag,
-                                                    metadata.leaves[slot]))
-        self._phase_span("METADATA", start)
-        start = self.clock.now
-        for way, buffer in enumerate(self.buffers):
-            self.link.up(SdimmCommand.FETCH_STASH, way, 8)
-            piece = buffer.fetch_stash(base_index, old_counters)
-            self.link.down(SdimmCommand.FETCH_STASH, way,
-                           buffer.slice_bytes)
-        self._phase_span("FETCH_STASH", start)
+        old_counters = self._read_path_metadata(path)
+        self._fetch_stash(base_index, old_counters)
         start = self.clock.now
         self._write_back(path, old_counters, -1, bytes(self.block_bytes))
         self._phase_span("RECEIVE_LIST", start)
         self.stash_peak = max(self.stash_peak, len(self.shadow))
 
     # ------------------------------------------------------------------
+
+    def _fetch_data(self, leaf: int) -> None:
+        """Step 1: FETCH_DATA to every buffer (command only on the channel)."""
+        start = self.clock.now
+        for way, buffer in enumerate(self.buffers):
+            self.link.up(SdimmCommand.FETCH_DATA, way, 0)
+            buffer.fetch_data(leaf)
+        self._phase_span("FETCH_DATA", start)
+
+    def _read_path_metadata(self, path: List[int]) -> Dict[int, int]:
+        """Steps 2-3: merge each path bucket's metadata into the shadow.
+
+        Returns each bucket's merged (old) counter.
+        """
+        start = self.clock.now
+        old_counters: Dict[int, int] = {}
+        for bucket in path:
+            metadata = self._read_bucket_metadata(bucket)
+            old_counters[bucket] = metadata.counter
+            for slot, tag in enumerate(metadata.tags):
+                if tag == _DUMMY_TAG:
+                    self.shadow.append(_ShadowEntry(None))
+                else:
+                    self.shadow.append(_ShadowEntry(tag,
+                                                    metadata.leaves[slot]))
+        self._phase_span("METADATA", start)
+        return old_counters
+
+    def _fetch_stash(self, index: int,
+                     old_counters: Dict[int, int]) -> List[bytes]:
+        """Step 4: FETCH_STASH from every buffer; their data slices."""
+        start = self.clock.now
+        slices = []
+        for way, buffer in enumerate(self.buffers):
+            self.link.up(SdimmCommand.FETCH_STASH, way, 8)
+            slices.append(buffer.fetch_stash(index, old_counters))
+            self.link.down(SdimmCommand.FETCH_STASH, way,
+                           buffer.slice_bytes)
+        self._phase_span("FETCH_STASH", start)
+        return slices
 
     def _read_bucket_metadata(self, bucket: int) -> BucketMetadata:
         """Merge one bucket's metadata, retrying on verification failure.
@@ -549,9 +544,7 @@ class SplitProtocol:
             counter_slice, ciphertext = buffer.read_metadata_slice(bucket)
             counter_slices.append(counter_slice)
             ciphertexts.append(ciphertext)
-            self.link.down(None, buffer.way,
-                           (len(ciphertext) if ciphertext else
-                            self.buffers[0].meta_slice_bytes) + 8)
+            self.link.down(None, buffer.way, buffer.meta_slice_bytes + 8)
         counter = merge_bits_round_robin(counter_slices, _COUNTER_BITS)
         expected = self._expected_counters.get(bucket, 0)
         if counter != expected:
@@ -559,30 +552,12 @@ class SplitProtocol:
                 f"bucket {bucket} counter {counter} does not match the "
                 f"trusted chain ({expected}): stale or desynchronized "
                 f"slices", bucket=bucket, kind="counter")
-        metadata_slices = []
-        for buffer, ciphertext in zip(self.buffers, ciphertexts):
-            if ciphertext is None:
-                metadata_slices.append(
-                    self._empty_metadata_slice(buffer.way))
-            else:
-                metadata_slices.append(
-                    self._way_ciphers[buffer.way].decrypt(
-                        ciphertext, bucket, counter))
-        full = merge_bit_slices(metadata_slices)
-        tags = []
-        leaves = []
-        for slot in range(self.blocks_per_bucket):
-            offset = slot * _META_ENTRY_BYTES
-            tags.append(int.from_bytes(full[offset:offset + 8], "little"))
-            leaves.append(int.from_bytes(full[offset + 8:offset + 16],
-                                         "little"))
-        return BucketMetadata(tags, leaves, counter)
-
-    def _empty_metadata_slice(self, way: int) -> bytes:
-        full = b""
-        for _ in range(self.blocks_per_bucket):
-            full += _DUMMY_TAG.to_bytes(8, "little") + bytes(8)
-        return bit_slice(full, way, self.ways)
+        values = self._metadata.unpack(merge_bit_slices([
+            self._empty_metadata_slices[way] if ciphertext is None
+            else self._way_ciphers[way].decrypt(ciphertext, bucket, counter)
+            for way, ciphertext in enumerate(ciphertexts)]))
+        return BucketMetadata(list(values[0::2]), list(values[1::2]),
+                              counter)
 
     def _write_back(self, path: List[int], old_counters: Dict[int, int],
                     updated_index: int, updated_data: bytes) -> None:
@@ -602,22 +577,20 @@ class SplitProtocol:
         metadata_full: List[bytes] = []
         new_counters: List[int] = []
         for level, bucket in enumerate(path):
-            slots: List[Optional[int]] = []
             chosen = placement.get(level, [])
-            metadata = b""
-            for slot in range(self.blocks_per_bucket):
-                if slot < len(chosen):
-                    block = chosen[slot]
-                    slots.append(index_of[block.address])
-                    metadata += block.address.to_bytes(8, "little")
-                    metadata += block.leaf.to_bytes(8, "little")
-                else:
-                    slots.append(None)
-                    metadata += _DUMMY_TAG.to_bytes(8, "little") + bytes(8)
-            placements.append(slots)
-            metadata_full.append(metadata)
+            padding = self.blocks_per_bucket - len(chosen)
+            slots: List[Optional[int]] = [index_of[block.address]
+                                          for block in chosen]
+            placements.append(slots + [None] * padding)
+            fields = [field for block in chosen
+                      for field in (block.address, block.leaf)]
+            metadata_full.append(self._metadata.pack(
+                *fields, *_EMPTY_ENTRY * padding))
             new_counters.append(old_counters[bucket] + 1)
             self._expected_counters[bucket] = new_counters[-1]
+        counter_slices = [split_bits_round_robin(counter, _COUNTER_BITS,
+                                                 self.ways)
+                          for counter in new_counters]
 
         placed = {index for slots in placements for index in slots
                   if index is not None}
@@ -632,7 +605,7 @@ class SplitProtocol:
                 len(updated_slice) + 8 * len(path)
             self.link.up(SdimmCommand.RECEIVE_LIST, way, payload)
             buffer.receive_list(path, placements, metadata_slices,
-                                new_counters, old_counters,
+                                new_counters, counter_slices, old_counters,
                                 updated_index, updated_slice, discard)
 
         consumed = placed | set(discard)

@@ -78,17 +78,17 @@ class Stash:
         Returns a map from level to the block list for that level's bucket.
         """
         placement: Dict[int, List[Block]] = {}
-        remaining = list(self._blocks.values())
+        # Each block's deepest level on the path, computed once per call.
+        remaining = [(geometry.deepest_common_level(block.leaf, leaf), block)  # reprolint: disable=SEC003 -- leaf comparison inside trusted SRAM; result never leaves the stash
+                     for block in self._blocks.values()]
         for level in range(geometry.levels - 1, -1, -1):
             chosen: List[Block] = []
-            survivors: List[Block] = []
-            for block in remaining:
-                fits = (len(chosen) < bucket_capacity and
-                        geometry.deepest_common_level(block.leaf, leaf) >= level)  # reprolint: disable=SEC003 -- leaf comparison inside trusted SRAM; result never leaves the stash
-                if fits:  # reprolint: disable=SEC003 -- greedy eviction runs in trusted SRAM; write-back shape is the fixed full path regardless of which blocks fit
+            survivors = []
+            for depth, block in remaining:
+                if len(chosen) < bucket_capacity and depth >= level:  # reprolint: disable=SEC003 -- greedy eviction runs in trusted SRAM; write-back shape is the fixed full path regardless of which blocks fit
                     chosen.append(block)
                 else:
-                    survivors.append(block)
+                    survivors.append((depth, block))
             remaining = survivors
             if chosen:
                 placement[level] = chosen

@@ -87,25 +87,31 @@ def split_bits_round_robin(value: int, width: int, ways: int) -> List[int]:
 
     Used for slicing tags, leaf IDs and counters across split SDIMMs.  Bit
     ``i`` of ``value`` lands in slice ``i % ways`` at position ``i // ways``.
+    In the value's ``width``-digit binary string, bit ``i`` sits at index
+    ``width - 1 - i``, so each slice is one stride-``ways`` string slice.
     """
     if width < 0:
         raise ValueError("width must be non-negative")
     if value >> width:
         raise ValueError(f"value {value} does not fit in {width} bits")
-    parts = [0] * ways
-    for bit in range(width):
-        if value >> bit & 1:
-            parts[bit % ways] |= 1 << (bit // ways)
-    return parts
+    digits = format(value, f"0{width}b")
+    return [int(digits[(width - 1 - way) % ways::ways] or "0", 2)
+            for way in range(ways)]
 
 
 def merge_bits_round_robin(parts: Sequence[int], width: int) -> int:
-    """Inverse of :func:`split_bits_round_robin`."""
+    """Inverse of :func:`split_bits_round_robin`.
+
+    Bits of a part beyond its share of the ``width`` bits are ignored.
+    """
     ways = len(parts)
     if ways == 0:
         raise ValueError("need at least one part")
-    value = 0
-    for bit in range(width):
-        if parts[bit % ways] >> (bit // ways) & 1:
-            value |= 1 << bit
-    return value
+    if width <= 0:
+        return 0
+    digits = bytearray(width)
+    for way, part in enumerate(parts[:width]):
+        count = (width - 1 - way) // ways + 1
+        digits[(width - 1 - way) % ways::ways] = format(
+            part & ((1 << count) - 1), f"0{count}b").encode()
+    return int(digits, 2)

@@ -162,6 +162,35 @@ class TestEvictionPlanner:
             for placed in blocks:
                 assert tree.on_path(bucket, placed.leaf)
 
+    @settings(max_examples=25)
+    @given(st.integers(min_value=1, max_value=8), st.data())
+    def test_placement_equals_per_level_loop(self, levels, data):
+        """Placement and leftovers match the loop that recomputed each
+        block's deepest common level at every level."""
+        tree = TreeGeometry(levels)
+        leaves = data.draw(st.lists(
+            st.integers(0, tree.leaf_count - 1), max_size=30))
+        leaf = data.draw(st.integers(0, tree.leaf_count - 1))
+        capacity = data.draw(st.integers(1, 4))
+        stash = Stash(1000)
+        for index, block_leaf in enumerate(leaves):
+            stash.add(block(index, block_leaf))
+        expected = {}
+        remaining = list(range(len(leaves)))
+        for level in range(levels - 1, -1, -1):
+            chosen = []
+            for address in list(remaining):
+                if (len(chosen) < capacity and tree.deepest_common_level(
+                        leaves[address], leaf) >= level):
+                    chosen.append(address)
+                    remaining.remove(address)
+            if chosen:
+                expected[level] = chosen
+        placement = stash.plan_eviction(tree, leaf, capacity)
+        assert {level: [placed.address for placed in blocks]
+                for level, blocks in placement.items()} == expected
+        assert stash.addresses() == remaining
+
 
 class TestPositionMap:
     def test_lookup_is_stable(self):

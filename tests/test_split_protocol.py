@@ -1,5 +1,7 @@
 """Functional tests for the Split ORAM protocol."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,15 @@ def payload(value):
 SECRET_BLOCK = bytes(range(1, 65))
 
 
+def stored_slices(buffer, cell):
+    """(metadata slice, data slot slices) cut from a cell's one ciphertext."""
+    ciphertext = cell.ciphertext
+    data = [ciphertext[buffer._slot_offset(slot):
+                       buffer._slot_offset(slot + 1)]
+            for slot in range(buffer.blocks_per_bucket)]
+    return ciphertext[:buffer.meta_slice_bytes], data
+
+
 def assert_slices_share_no_pad(buffers, ways):
     """No stored slice repeats, and no two XOR to a slice of the block.
 
@@ -31,17 +42,28 @@ def assert_slices_share_no_pad(buffers, ways):
     slot XOR a dummy slot would hand DRAM the plaintext slice.
     """
     way_slices = {bit_slice(SECRET_BLOCK, way, ways) for way in range(ways)}
-    cells = [cell for buffer in buffers for cell in buffer._store.values()]
+    cells = [(buffer, cell) for buffer in buffers
+             for cell in buffer._store.values()]
     assert cells
-    for cell in cells:
-        slices = [cell.metadata_ciphertext] + cell.data_ciphertexts
+    for buffer, cell in cells:
+        metadata, data = stored_slices(buffer, cell)
+        slices = [metadata] + data
         assert len(set(slices)) == len(slices)
-        data = cell.data_ciphertexts
         for first in range(len(data)):
             for second in range(first + 1, len(data)):
                 mixed = bytes(x ^ y for x, y in zip(data[first],
                                                     data[second]))
                 assert mixed not in way_slices
+
+
+def assert_stash_state(protocol):
+    """Between accesses every stash slot is plaintext and nothing waits."""
+    assert protocol.stashes_aligned()
+    for buffer in protocol.buffers:
+        assert buffer._pending == {}
+        for entry in buffer.stash:
+            assert isinstance(entry, bytes)
+            assert len(entry) == buffer.slice_bytes
 
 
 class TestCorrectness:
@@ -104,7 +126,7 @@ class TestSlicing:
         for buffer in protocol.buffers:
             cells = buffer._store.values()
             for cell in cells:
-                for ciphertext in cell.data_ciphertexts:
+                for ciphertext in stored_slices(buffer, cell)[1]:
                     assert len(ciphertext) == 8  # 16 bytes / 2 ways
                     assert secret not in ciphertext
 
@@ -131,6 +153,37 @@ class TestSlicing:
         for address in range(30):
             protocol.write(address, payload(address))
             assert protocol.stashes_aligned()
+
+    def test_stash_state_between_accesses(self):
+        """Reads, writes and dummy accesses leave no slot encrypted."""
+        protocol = make_protocol(levels=6, seed=4)
+        rng = random.Random(4)
+        for _ in range(80):
+            choice = rng.random()
+            if choice < 0.2:
+                protocol.dummy_access()
+            elif choice < 0.6:
+                protocol.write(rng.randrange(24), payload(rng.randrange(256)))
+            else:
+                protocol.read(rng.randrange(24))
+            assert_stash_state(protocol)
+
+    def test_indep_split_stash_state_through_migrations(self):
+        protocol = IndepSplitProtocol(global_levels=7, groups=2, ways=2,
+                                      block_bytes=16, seed=6,
+                                      drain_probability=0.3)
+        rng = random.Random(6)
+        for _ in range(80):
+            address = rng.randrange(24)
+            if rng.random() < 0.5:
+                protocol.write(address, payload(rng.randrange(256)))
+            else:
+                protocol.read(address)
+            for group in protocol.groups:
+                assert_stash_state(group.split)
+        queues = [group.queue for group in protocol.groups]
+        assert sum(queue.arrivals for queue in queues) > 0
+        assert sum(queue.drain_services for queue in queues) > 0
 
     def test_dummy_access_preserves_alignment(self):
         protocol = make_protocol()
@@ -173,6 +226,30 @@ class TestIntegrity:
         with pytest.raises(SplitIntegrityError):
             for _ in range(200):
                 protocol.read(1)
+
+    @pytest.mark.parametrize("where", ["metadata", "slot0", "last-slot",
+                                       "counter"])
+    @pytest.mark.parametrize("way", [0, 1])
+    def test_flipped_byte_detected(self, where, way):
+        """One flipped byte anywhere in a cell fails that way's MAC."""
+        protocol = make_protocol(seed=5)
+        protocol.write(1, payload(1))
+        victim = protocol.buffers[way]
+        cell = victim._store[0]  # the root: every access reads it first
+        if where == "counter":
+            victim._store[0] = cell._replace(
+                counter_slice=cell.counter_slice ^ 1)
+        else:
+            offset = {"metadata": 0,
+                      "slot0": victim._slot_offset(0),
+                      "last-slot": len(cell.ciphertext) - 1}[where]
+            flipped = bytearray(cell.ciphertext)
+            flipped[offset] ^= 0x80
+            victim._store[0] = cell._replace(ciphertext=bytes(flipped))
+        with pytest.raises(SplitIntegrityError) as caught:
+            protocol.read(1)
+        assert (caught.value.bucket, caught.value.way,
+                caught.value.kind) == (0, way, "mac")
 
     def test_clean_run_verifies(self):
         protocol = make_protocol()

@@ -130,3 +130,59 @@ class TestRoundRobinBits:
 
     def test_single_way_is_identity(self):
         assert split_bits_round_robin(0xABC, 12, 1) == [0xABC]
+
+
+def reference_split(value, width, ways):
+    """The per-bit loop the string-slicing split must equal."""
+    if width < 0:
+        raise ValueError("width must be non-negative")
+    if value >> width:
+        raise ValueError(f"value {value} does not fit in {width} bits")
+    parts = [0] * ways
+    for bit in range(width):
+        if value >> bit & 1:
+            parts[bit % ways] |= 1 << (bit // ways)
+    return parts
+
+
+def reference_merge(parts, width):
+    """The per-bit loop the string-slicing merge must equal."""
+    ways = len(parts)
+    if ways == 0:
+        raise ValueError("need at least one part")
+    value = 0
+    for bit in range(width):
+        if parts[bit % ways] >> (bit // ways) & 1:
+            value |= 1 << bit
+    return value
+
+
+class TestRoundRobinMatchesReference:
+    @given(st.data(), st.integers(min_value=0, max_value=64),
+           st.integers(min_value=1, max_value=4))
+    def test_split_equals_loop(self, data, width, ways):
+        value = data.draw(st.integers(min_value=0,
+                                      max_value=(1 << width) - 1))
+        assert split_bits_round_robin(value, width, ways) == \
+            reference_split(value, width, ways)
+
+    @given(st.integers(min_value=0, max_value=64),
+           st.lists(st.integers(min_value=-(1 << 40), max_value=1 << 40),
+                    min_size=1, max_size=4))
+    def test_merge_equals_loop(self, width, parts):
+        assert merge_bits_round_robin(parts, width) == \
+            reference_merge(parts, width)
+
+    @given(st.data(), st.integers(min_value=0, max_value=64),
+           st.integers(min_value=1, max_value=4))
+    def test_out_of_range_raises_like_loop(self, data, width, ways):
+        value = data.draw(st.integers(min_value=1 << width,
+                                      max_value=1 << (width + 8)))
+        for split in (split_bits_round_robin, reference_split):
+            with pytest.raises(ValueError):
+                split(value, width, ways)
+
+    def test_empty_parts_raise_like_loop(self):
+        for merge in (merge_bits_round_robin, reference_merge):
+            with pytest.raises(ValueError):
+                merge([], 8)
