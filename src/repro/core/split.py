@@ -433,11 +433,7 @@ class SplitProtocol:
             # dummy so the write-back discards it on every side at once.
             self.shadow[found_index].address = None
 
-        # Step 5: plan eviction on the shadow, ship RECEIVE_LIST.
-        start = self.clock.now
         self._write_back(path, old_counters, found_index, merged)
-        self._phase_span("RECEIVE_LIST", start)
-        self.stash_peak = max(self.stash_peak, len(self.shadow))
         return result
 
     def _phase_span(self, name: str, start: int) -> None:
@@ -460,10 +456,7 @@ class SplitProtocol:
         base_index = len(self.shadow)
         old_counters = self._read_path_metadata(path)
         self._fetch_stash(base_index, old_counters)
-        start = self.clock.now
         self._write_back(path, old_counters, -1, bytes(self.block_bytes))
-        self._phase_span("RECEIVE_LIST", start)
-        self.stash_peak = max(self.stash_peak, len(self.shadow))
 
     # ------------------------------------------------------------------
 
@@ -561,6 +554,8 @@ class SplitProtocol:
 
     def _write_back(self, path: List[int], old_counters: Dict[int, int],
                     updated_index: int, updated_data: bytes) -> None:
+        """Step 5: plan eviction on the shadow, ship RECEIVE_LIST."""
+        start = self.clock.now
         # Greedy eviction over the shadow (tags only), reusing the standard
         # Path ORAM planner via throwaway Block records.
         planner = Stash(self.stash_capacity)
@@ -611,6 +606,8 @@ class SplitProtocol:
         consumed = placed | set(discard)
         self.shadow = [entry for index, entry in enumerate(self.shadow)
                        if index not in consumed]
+        self._phase_span("RECEIVE_LIST", start)
+        self.stash_peak = max(self.stash_peak, len(self.shadow))
 
     def _leaf_of_path(self, path: List[int]) -> int:
         leaf_bucket = path[-1]
