@@ -4,8 +4,8 @@
 backend over its striped channels, or one SDIMM device over its internal
 channel).  Per access it runs a two-tier fast path:
 
-* **Tier A** — look up a :class:`DeltaEntry` keyed on the path's run
-  pattern plus a clamped channel-state signature; on a hit, stamp the
+* **Tier A** — look up a :class:`DeltaEntry` keyed on the path's row
+  segments plus a clamped channel-state signature; on a hit, stamp the
   whole access (cycles, counters, bank/rank/bus post-state, trace
   events) from the precomputed deltas without touching the constraint
   chain at all.  This is the ISSUE's per-(design, path-signature,
@@ -202,8 +202,8 @@ class AccessFastPath:
         if start < 0:
             return None
         pattern = self.producer.pattern(leaf, self.skip_levels)
-        runs = pattern.runs
-        if not runs:
+        per_channel = pattern.per_channel
+        if not per_channel:
             return None
         channels = self.channels
         clean = True
@@ -214,7 +214,7 @@ class AccessFastPath:
             if rank.refresh_enabled and rank._next_refresh_due <= start:
                 clean = False
         # ``seen`` gates the Tier-A machinery on pattern *re-occurrence*:
-        # a delta entry can only ever be hit by the same run pattern, so
+        # a delta entry can only ever be hit by the same segments, so
         # first-seen patterns (the overwhelming case on big trees, where
         # leaves effectively never repeat) skip the signature and the
         # recording overhead entirely.
@@ -224,7 +224,7 @@ class AccessFastPath:
         sig = None
         if table is not None and clean and seen > 1:
             sig = _signature(channels, pattern, start)
-            entry = table.get((runs, sig))
+            entry = table.get((per_channel, sig))
             if entry is not None:
                 write_start = start + entry.rel_write_start
                 for ch, rank_index in pattern.sig_ranks:
@@ -256,7 +256,8 @@ class AccessFastPath:
                       for part in per_channel]
             act_parts: List[tuple] = []
             first_parts: List[tuple] = []
-        read_batch = ([None] * len(pattern.runs) if multi else []) \
+        run_count = pattern.run_count if traced and multi else 0
+        read_batch = ([None] * run_count if multi else []) \
             if traced else None
         read_end = 0
         for part in per_channel:
@@ -273,7 +274,7 @@ class AccessFastPath:
                 first_parts.append((ch, part_firsts))
         write_start = read_end + crypto
         # One per-rank scan decides both prongs: whether the write pass
-        # needs per-run refresh checks in ``stamp_pass`` and — because
+        # needs per-segment refresh checks in ``stamp_pass`` and — because
         # the signature omits the refresh clock — whether this access is
         # recordable (``clean`` already proved the read pass refresh-free
         # for that purpose).  The access still stamps fast either way.
@@ -286,7 +287,7 @@ class AccessFastPath:
                 break
         if not write_clean:
             recording = False
-        write_batch = ([None] * len(pattern.runs) if multi else []) \
+        write_batch = ([None] * run_count if multi else []) \
             if traced else None
         write_end = 0
         for part in per_channel:
@@ -357,7 +358,7 @@ class AccessFastPath:
                 note_first, bursts)
             if len(table) >= DELTA_TABLE_CAP:
                 table.clear()
-            table[(pattern.runs, sig)] = entry
+            table[(per_channel, sig)] = entry
         self.fast_accesses += 1
         return return_time
 

@@ -2,19 +2,33 @@
 
 :func:`stamp_pass` is the Tier-B workhorse of the macro-replay core: it
 applies the exact DDR constraint chain of
-:meth:`repro.dram.channel.Channel.schedule_run` to every run of one pass
-with the timing fields, bus state, and counters hoisted into locals, and
-collects the burst trace events into a plain list instead of pushing
+:meth:`repro.dram.channel.Channel.schedule_run` once per **row segment**
+of one pass (see :mod:`repro.fastpath.runs`) with the timing fields, bus
+state, and counters hoisted into locals, and collects the burst trace
+events — still one per sub-run — into a plain list instead of pushing
 them through the tracer one at a time.  :func:`emit_batch` then commits
 such a list — straight into a :class:`CollectingTracer`'s event list and
 through an inlined window fold when a :class:`WindowedTracer` wraps it.
 
+Why a segment stamps as one run: a sub-run that follows another of the
+same pass on the same (rank, bank, row) is a row hit with no ACT, and
+every constraint on its CAS resolves to ``last_cas + max(tBURST,
+tCCD_L)`` — the bank's ``ready_cas`` and the group's last CAS give
+``last_cas + tCCD_L``, the data bus gives ``last_cas + tBURST`` (same
+rank, no switch), write-to-read does not move inside a pass, and no
+refresh can fall due (the first sub-run's check already moved the
+rank's refresh clock past the pass start).  So hits, lines, busy cycles
+and all post-state equal one run of the summed length; only the first
+sub-run's ``data_end`` (residency transition, Tier A's ``firsts``) and
+the per-sub-run burst events need the sub-run lengths.
+
 Exactness contract: for an *eligible* pass (no touched rank parked —
 callers check via :func:`pass_eligible`; refreshes are handled inline),
 ``stamp_pass`` leaves every bank, rank, bus, and counter field
-byte-identical to a ``schedule_run`` loop over the same runs, and the
-batched events are byte-identical to the tracer's.  The differential
-tests against ``REPRO_REFERENCE_CORE=1`` pin this.
+byte-identical to a ``schedule_run`` loop over the segments' sub-runs,
+and the batched events are byte-identical to the tracer's.  The
+differential tests against ``REPRO_REFERENCE_CORE=1`` and
+``tests/test_fastpath_stamp.py`` pin this.
 """
 
 from __future__ import annotations
@@ -48,21 +62,22 @@ def pass_eligible(channel, rank_indices, earliest: int) -> bool:
     return True
 
 
-def stamp_pass(channel, runs, is_write: bool, earliest: int,
+def stamp_pass(channel, segments, is_write: bool, earliest: int,
                batch: Optional[list] = None, slots=None,
                acts: Optional[list] = None,
                firsts: Optional[Dict[int, int]] = None,
                refresh: bool = True) -> int:
-    """Stamp one pass of ``runs`` on ``channel``; return its end cycle.
+    """Stamp one pass of ``segments`` on ``channel``; return its end cycle.
 
-    ``runs`` are ``(rank, bank, row, column, count)`` tuples (one
-    channel's share of a :class:`~repro.fastpath.runs.PathPattern`).
-    Burst events append to ``batch`` when given, or land at
-    ``batch[slots[i]]`` when ``slots`` maps runs back to a multi-channel
-    emission order.  The Tier-A recorder passes ``acts`` to collect
-    ``(rank, issue_time)`` per ACT and ``firsts`` (read passes) to
-    record the first data_end per touched rank — replay needs both to
-    rebuild ACT pacing state and the active-standby transition exactly.
+    ``segments`` are ``(rank, bank, row, lines, counts)`` row segments
+    (one channel's share of a :class:`~repro.fastpath.runs.PathPattern`).
+    Burst events — one per sub-run — append to ``batch`` when given, or
+    land at ``batch[slots[i]]`` when ``slots`` maps sub-runs back to a
+    multi-channel emission order.  The Tier-A recorder passes ``acts``
+    to collect ``(rank, issue_time)`` per ACT and ``firsts`` (read
+    passes) to record the first data_end per touched rank — replay needs
+    both to rebuild ACT pacing state and the active-standby transition
+    exactly.
 
     The caller must have established :func:`pass_eligible`; this body is
     the ``schedule_run`` constraint chain with wake elided (no touched
@@ -74,6 +89,9 @@ def stamp_pass(channel, runs, is_write: bool, earliest: int,
     tccd_l = t.tccd_l
     stride = tburst if tburst > tccd_l else tccd_l
     cas_latency = t.tcwl if is_write else t.tcl
+    # data_end of a sub-run of ``count`` lines whose first CAS issues at
+    # ``cas``: cas + (count - 1) * stride + tail
+    tail = cas_latency + tburst - stride
     trp = t.trp
     trcd = t.trcd
     tras = t.tras
@@ -101,7 +119,7 @@ def stamp_pass(channel, runs, is_write: bool, earliest: int,
     total_lines = 0
     end = 0
     slot_index = 0
-    for rank_index, bank_index, row, _column, count in runs:
+    for rank_index, bank_index, row, lines, counts in segments:
         rank = ranks[rank_index]
         run_start = start
         if refresh and rank.refresh_enabled \
@@ -110,7 +128,7 @@ def stamp_pass(channel, runs, is_write: bool, earliest: int,
             # gating on the due time makes this call-for-call identical
             # to ``schedule_run``'s unconditional one.  Callers that
             # already proved no touched rank is due at ``earliest`` pass
-            # ``refresh=False`` to skip the per-run checks outright.
+            # ``refresh=False`` to skip the per-segment checks outright.
             run_start = rank.maybe_refresh(run_start)
         bank = rank.banks[bank_index]
         open_row = bank.open_row
@@ -168,8 +186,7 @@ def stamp_pass(channel, runs, is_write: bool, earliest: int,
             ready = write_to_read.get(rank_index, 0)
             if ready > cas_issue:
                 cas_issue = ready
-        last_cas = cas_issue + (count - 1) * stride
-        data_start = cas_issue + cas_latency
+        last_cas = cas_issue + (lines - 1) * stride
         data_end = last_cas + cas_latency + tburst
         if is_write:
             ready = last_cas + write_recovery
@@ -181,34 +198,41 @@ def stamp_pass(channel, runs, is_write: bool, earliest: int,
             if ready > bank.ready_precharge:
                 bank.ready_precharge = ready
             if firsts is not None and rank_index not in firsts:
-                firsts[rank_index] = data_end
+                firsts[rank_index] = cas_issue + counts[0] * stride + tail
         ready = last_cas + tccd_l
         if ready > bank.ready_cas:
             bank.ready_cas = ready
         last_group_cas[group] = last_cas
         bus_free = data_end
         last_bus_rank = rank_index
-        if count > 1:
-            row_hits += count - 1
-        total_lines += count
+        if lines > 1:
+            row_hits += lines - 1
+        total_lines += lines
         if rank.power_state is not _ACTIVE:
             # ``note_active`` early-exits when the rank is already in
             # active standby (the steady state) or parked; eligibility
-            # excluded parked ranks, so this guard elides only no-ops.
-            rank.note_active(data_end)
+            # excluded parked ranks, so this guard elides only no-ops —
+            # and only the first sub-run's call can be a transition.
+            rank.note_active(cas_issue + counts[0] * stride + tail)
         if data_end > end:
             end = data_end
         if batch is not None:
-            event = TraceEvent(
-                "span", "burst", CATEGORY_DRAM, channel_name, data_start,
-                data_end - data_start,
-                {"rank": rank_index, "bank": bank_index, "row": row,
-                 "write": write_flag, "lines": count, "outcome": outcome})
-            if slots is None:
-                batch.append(event)
-            else:
-                batch[slots[slot_index]] = event
-        slot_index += 1
+            cas = cas_issue
+            for count in counts:
+                data_start = cas + cas_latency
+                cas += count * stride
+                event = TraceEvent(
+                    "span", "burst", CATEGORY_DRAM, channel_name,
+                    data_start, cas + tail - data_start,
+                    {"rank": rank_index, "bank": bank_index, "row": row,
+                     "write": write_flag, "lines": count,
+                     "outcome": outcome})
+                if slots is None:
+                    batch.append(event)
+                else:
+                    batch[slots[slot_index]] = event
+                    slot_index += 1
+                outcome = _HIT
     channel._bus_free = bus_free
     channel._last_bus_rank = last_bus_rank
     channel._last_bus_was_write = is_write

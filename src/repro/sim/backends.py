@@ -584,7 +584,7 @@ class SplitGroupDevice:
         if producer is not None:
             self.fastpath_attempts += 1
             pattern = producer.pattern(leaf, leader.skip_levels)
-            if pattern.runs:
+            if pattern.per_channel:
                 shares = pattern.slices(self.ways)
                 rank_indices = tuple(rank for _, rank in pattern.sig_ranks)
         all_fast = shares is not None

@@ -99,10 +99,17 @@ class LinkBus:
         future requests ask for ``earliest >= now``), so they are dropped to
         keep allocation fast.
         """
-        self._prune_before = max(self._prune_before, now)
-        if self._busy and self._busy[0][1] < self._prune_before:
-            self._busy = [interval for interval in self._busy
-                          if interval[1] >= self._prune_before]
+        if now > self._prune_before:
+            self._prune_before = now
+        busy = self._busy
+        prune_before = self._prune_before
+        # sorted and disjoint, so the ends are sorted too: the dead
+        # intervals are a prefix
+        dead = 0
+        while dead < len(busy) and busy[dead][1] < prune_before:
+            dead += 1
+        if dead:
+            del busy[:dead]
 
     # ------------------------------------------------------------------
 
@@ -114,29 +121,38 @@ class LinkBus:
         return start, start + duration
 
     def _find_gap(self, earliest: int, duration: int) -> int:
+        busy = self._busy
         candidate = earliest
         # skip intervals that end at or before the candidate
-        index = bisect.bisect_right(self._busy, (candidate, candidate)) - 1
-        index = max(index, 0)
-        for busy_start, busy_end in self._busy[index:]:
+        index = bisect.bisect_right(busy, (candidate, candidate)) - 1
+        if index < 0:
+            index = 0
+        for position in range(index, len(busy)):
+            busy_start, busy_end = busy[position]
             if busy_end <= candidate:
                 continue
             if busy_start - candidate >= duration:
                 return candidate
-            candidate = max(candidate, busy_end)
+            candidate = busy_end
         return candidate
 
     def _insert(self, start: int, end: int) -> None:
-        index = bisect.bisect_left(self._busy, (start, end))
-        self._busy.insert(index, (start, end))
-        # merge neighbours touching this interval
-        merged: List[Tuple[int, int]] = []
-        for interval in self._busy:
-            if merged and interval[0] <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], interval[1]))
-            else:
-                merged.append(interval)
-        self._busy = merged
+        """Add ``[start, end)``, which :meth:`_find_gap` placed in a gap.
+
+        The list stays sorted, disjoint and never touching, and the new
+        interval overlaps nothing — so only its two neighbours can merge
+        with it, in place.
+        """
+        busy = self._busy
+        index = bisect.bisect_left(busy, (start, end))
+        low = high = index
+        if index > 0 and busy[index - 1][1] == start:
+            low = index - 1
+            start = busy[low][0]
+        if index < len(busy) and busy[index][0] == end:
+            high = index + 1
+            end = busy[index][1]
+        busy[low:high] = [(start, end)]
 
     @property
     def free_at(self) -> int:

@@ -37,10 +37,15 @@ from repro.utils.rng import DeterministicRng
 seed = int(sys.argv[1])
 
 SIM_OPS = [
-    ("sim", "freecursive", "mcf", "in-order", 700),
-    ("sim", "freecursive", "gromacs", "out-of-order", 0),
-    ("sim", "indep-2", "mcf", "in-order", 900),
-    ("sim", "split-2", "mcf", "out-of-order", 700),
+    ("sim", "freecursive", "mcf", "in-order", 700, 1),
+    ("sim", "freecursive", "gromacs", "out-of-order", 0, 1),
+    ("sim", "indep-2", "mcf", "in-order", 900, 1),
+    ("sim", "split-2", "mcf", "out-of-order", 700, 1),
+    # striped channels: per-channel segments stamped back into the
+    # layout's emission order by slot
+    ("sim", "freecursive", "libquantum", "in-order", 700, 2),
+    # Split groups on two channels: per-way segment shares
+    ("sim", "indep-split", "mcf", "out-of-order", 900, 2),
 ]
 CAMPAIGN_OPS = [
     ("campaign", dict(design="independent", accesses=24, levels=5,
@@ -60,9 +65,10 @@ digest = []
 for index in order:
     op = ops[index]
     if op[0] == "sim":
-        _, design, workload, policy, window_cycles = op
+        _, design, workload, policy, window_cycles, channels = op
         tracer = CollectingTracer()
-        result = run_simulation(small_config(DesignPoint(design)),
+        result = run_simulation(small_config(DesignPoint(design),
+                                             channels=channels),
                                 workload, trace_length=300,
                                 trace_seed=seed,
                                 window_policy=policy, tracer=tracer,
@@ -72,7 +78,7 @@ for index in order:
               sorted(e.args.items())) for e in tracer.events],
             sort_keys=True).encode()).hexdigest()
         digest.append({
-            "op": op[:5],
+            "op": op,
             "execution_cycles": result.execution_cycles,
             "phase_cycles": result.phase_cycles,
             "channel_counters": result.channel_counters,

@@ -1,6 +1,10 @@
 """Tests for the backfilling link bus."""
 
+import bisect
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.bus import LinkBus
 
@@ -89,3 +93,76 @@ class TestBackfill:
             ends.append(end)
         # widely spaced requests never queue
         assert all(end - index * 100 == 5 for index, end in enumerate(ends))
+
+
+class _WholeListBus(LinkBus):
+    """The former allocator: copy the tail to scan, re-merge on insert."""
+
+    def advance(self, now):
+        self._prune_before = max(self._prune_before, now)
+        if self._busy and self._busy[0][1] < self._prune_before:
+            self._busy = [interval for interval in self._busy
+                          if interval[1] >= self._prune_before]
+
+    def _find_gap(self, earliest, duration):
+        candidate = earliest
+        index = bisect.bisect_right(self._busy, (candidate, candidate)) - 1
+        index = max(index, 0)
+        for busy_start, busy_end in self._busy[index:]:
+            if busy_end <= candidate:
+                continue
+            if busy_start - candidate >= duration:
+                return candidate
+            candidate = max(candidate, busy_end)
+        return candidate
+
+    def _insert(self, start, end):
+        index = bisect.bisect_left(self._busy, (start, end))
+        self._busy.insert(index, (start, end))
+        merged = []
+        for interval in self._busy:
+            if merged and interval[0] <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], interval[1]))
+            else:
+                merged.append(interval)
+        self._busy = merged
+
+
+_BUS_OPS = st.lists(st.one_of(
+    st.tuples(st.just("block"), st.integers(-5, 400)),
+    st.tuples(st.just("lines"), st.integers(-5, 400), st.integers(0, 6)),
+    st.tuples(st.just("stall"), st.integers(-5, 400), st.integers(1, 30)),
+    st.tuples(st.just("advance"), st.integers(0, 400)),
+), max_size=60)
+
+
+class TestInPlaceAllocation:
+    @settings(max_examples=300, deadline=None)
+    @given(burst=st.integers(1, 9), command=st.integers(0, 3), ops=_BUS_OPS)
+    def test_matches_whole_list_merge(self, burst, command, ops):
+        bus = LinkBus(burst, command)
+        reference = _WholeListBus(burst, command)
+        for op in ops:
+            if op[0] == "block":
+                results = [b.reserve_block(op[1]) for b in (bus, reference)]
+            elif op[0] == "lines":
+                results = [b.reserve_lines(op[1], op[2])
+                           for b in (bus, reference)]
+            elif op[0] == "stall":
+                results = [b.inject_stall(op[1], op[2])
+                           for b in (bus, reference)]
+            else:
+                results = [b.advance(op[1]) for b in (bus, reference)]
+            assert results[0] == results[1]
+            assert bus._busy == reference._busy
+            assert bus.free_at == reference.free_at
+        for field in ("block_transfers", "line_transfers", "busy_cycles",
+                      "stall_cycles", "stalls_injected"):
+            assert getattr(bus, field) == getattr(reference, field)
+
+    def test_gap_fill_merges_both_neighbours(self):
+        bus = LinkBus(8, command_cycles=1)
+        bus.reserve_block(0)       # [0, 9)
+        bus.reserve_block(18)      # [18, 27)
+        bus.reserve_block(0)       # fills [9, 18) exactly
+        assert bus._busy == [(0, 27)]
