@@ -19,6 +19,7 @@ from repro.dram.address import DecodedAddress
 from repro.dram.bank import ScaledTiming
 from repro.dram.commands import PowerState, RowBufferOutcome
 from repro.dram.rank import Rank
+from repro.fastpath.engine import stamp_pass
 from repro.obs.tracer import CATEGORY_DRAM, NULL_TRACER, Tracer
 from repro.utils import memo
 
@@ -26,6 +27,7 @@ _request_ids = itertools.count()
 
 _PARKED = (PowerState.POWER_DOWN, PowerState.SELF_REFRESH)
 _HIT = RowBufferOutcome.HIT
+_MISS = RowBufferOutcome.MISS
 _CONFLICT = RowBufferOutcome.CONFLICT
 
 
@@ -52,10 +54,6 @@ class AccessTiming(NamedTuple):
     data_start: int
     data_end: int
     outcome: RowBufferOutcome
-
-    @property
-    def latency_from(self) -> int:
-        return self.data_end
 
 
 class Channel:
@@ -98,70 +96,21 @@ class Channel:
         self._last_group_cas[self._bank_group(address)] = issue_time
 
     # ------------------------------------------------------------------
-    # Core scheduling primitive
+    # Core scheduling primitives
     # ------------------------------------------------------------------
 
     def schedule_access(self, address: DecodedAddress, is_write: bool,
                         earliest: int) -> AccessTiming:
         """Schedule one column access no earlier than ``earliest``.
 
-        Applies the full DDR3 constraint chain — power-state exit, overdue
-        refresh, PRE/ACT as the row buffer demands, tRRD/tFAW pacing,
-        CAS-to-data latency, data-bus occupancy, rank-to-rank switch and
-        write-to-read turnaround — and commits the resulting state.
+        The FR-FCFS scheduler's per-request primitive: a one-line run
+        through :meth:`schedule_run`'s private helper, without the run
+        checks a single line cannot fail.
         """
-        rank = self.ranks[address.rank]
-        start = max(earliest, 0)
-        start = rank.wake(start)
-        start = rank.maybe_refresh(start)
-        bank = rank.banks[address.bank]
-
-        outcome = bank.classify(address.row)
-        if outcome is RowBufferOutcome.CONFLICT:
-            precharge_time = max(start, bank.ready_precharge)
-            bank.precharge(precharge_time)
-            self.counters.precharges += 1
-        if bank.open_row is None:
-            activate_time = max(start, bank.ready_activate)
-            activate_time = rank.earliest_activate(activate_time)
-            bank.activate(activate_time, address.row)
-            rank.record_activate(activate_time)
-            self.counters.activates += 1
-
-        cas_latency = self.timing.tcwl if is_write else self.timing.tcl
-        cas_issue = max(start, bank.ready_cas,
-                        self._group_cas_ready(address))
-        cas_issue = max(cas_issue, self._bus_ready(address.rank) - cas_latency)
-        if not is_write:
-            cas_issue = max(cas_issue,
-                            self._write_to_read_ready.get(address.rank, 0))
-
-        data_start = cas_issue + cas_latency
-        data_end = data_start + self.timing.tburst
-
-        if is_write:
-            bank.write(cas_issue)
-            self._write_to_read_ready[address.rank] = (
-                data_end + self.timing.twtr)
-            self.counters.writes += 1
-        else:
-            bank.read(cas_issue)
-            self.counters.reads += 1
-        self._note_cas(address, cas_issue)
-
-        self._bus_free = data_end
-        self._last_bus_rank = address.rank
-        self._last_bus_was_write = is_write
-        self.counters.note_outcome(outcome)
-        self.counters.busy_cycles += self.timing.tburst
-        rank.note_active(data_end)
-        if self.tracer.enabled:
-            self.tracer.span("burst", CATEGORY_DRAM, self.name,
-                             data_start, data_end, rank=address.rank,
-                             bank=address.bank, row=address.row,
-                             write=int(is_write), lines=1,
-                             outcome=outcome.value)
-        return AccessTiming(cas_issue, data_start, data_end, outcome)
+        if memo.CORE.reference:
+            return self._schedule_run_reference(address, 1, is_write,
+                                                earliest)
+        return self._stamp_run(address, 1, is_write, earliest)
 
     def schedule_run(self, address: DecodedAddress, count: int,
                      is_write: bool, earliest: int) -> AccessTiming:
@@ -169,16 +118,18 @@ class Channel:
 
         The run starts at ``address`` and streams consecutive columns —
         exactly what the subtree-packed ORAM layout produces.  Equivalent to
-        ``count`` calls of :meth:`schedule_access` (one potential PRE/ACT,
-        then CAS streaming at the burst rate) but O(1), which is what makes
-        a pure-Python path access affordable.
+        ``count`` one-line accesses (one potential PRE/ACT, then CAS
+        streaming at the burst rate) but O(1), which is what makes a
+        pure-Python path access affordable.
 
-        This is the hottest function of a timing-tier run, so the body
-        trades the helper-per-constraint style of
-        :meth:`_schedule_run_reference` for hoisted locals and inline
-        comparisons.  Both versions apply the same constraint chain and
-        are cycle-identical (``tests/test_refcore.py`` checks them against
-        each other; ``REPRO_REFERENCE_CORE=1`` selects the reference one).
+        Applies the full DDR3 constraint chain — power-state exit, overdue
+        refresh, PRE/ACT as the row buffer demands, tRRD/tFAW pacing,
+        CAS-to-data latency, data-bus occupancy, rank-to-rank switch and
+        write-to-read turnaround — and commits the resulting state.  The
+        chain itself is :func:`repro.fastpath.engine.stamp_pass`;
+        ``REPRO_REFERENCE_CORE=1`` selects the helper-per-constraint
+        :meth:`_schedule_run_reference` instead, and
+        ``tests/test_refcore.py`` checks the two are cycle-identical.
         """
         if memo.CORE.reference:
             return self._schedule_run_reference(address, count, is_write,
@@ -187,89 +138,47 @@ class Channel:
             raise ValueError("run must cover at least one line")
         if address.column + count > self._row_lines:
             raise ValueError("run crosses a row boundary")
-        t = self.timing
-        counters = self.counters
+        return self._stamp_run(address, count, is_write, earliest)
+
+    def _stamp_run(self, address: DecodedAddress, count: int,
+                   is_write: bool, earliest: int) -> AccessTiming:
+        """One run through :func:`stamp_pass` as a one-sub-run segment.
+
+        Wake and refresh come first, then the outcome is read off the
+        bank: both close the row, so classifying earlier would call a
+        miss a conflict.  ``stamp_pass`` re-checks the refresh clock,
+        which the ``maybe_refresh`` here has already moved past ``start``.
+        """
         rank_index = address.rank
         rank = self.ranks[rank_index]
         start = earliest if earliest > 0 else 0
         if rank.power_state in _PARKED:
             start = rank.wake(start)
-        if rank.refresh_enabled:
+        if rank.refresh_enabled and rank._next_refresh_due <= start:
             start = rank.maybe_refresh(start)
-        bank = rank.banks[address.bank]
-
         row = address.row
-        if bank.open_row == row:
+        open_row = rank.banks[address.bank].open_row
+        if open_row == row:
             outcome = _HIT
-            counters.row_hits += 1
+        elif open_row is None:
+            outcome = _MISS
         else:
-            outcome = bank.classify(row)
-            if outcome is _CONFLICT:
-                ready = bank.ready_precharge
-                bank.precharge(start if start > ready else ready)
-                counters.precharges += 1
-                counters.row_conflicts += 1
-            else:
-                counters.row_misses += 1
-            ready = bank.ready_activate
-            activate_time = rank.earliest_activate(
-                start if start > ready else ready)
-            bank.activate(activate_time, row)
-            rank.record_activate(activate_time)
-            counters.activates += 1
-
-        cas_latency = t.tcwl if is_write else t.tcl
-        cas_issue = start
-        ready = bank.ready_cas
-        if ready > cas_issue:
-            cas_issue = ready
-        group = (rank_index, address.bank // self._banks_per_group)
-        last_group_cas = self._last_group_cas
-        last = last_group_cas.get(group)
-        if last is not None:
-            ready = last + t.tccd_l
-            if ready > cas_issue:
-                cas_issue = ready
-        ready = self._bus_free
-        last_bus_rank = self._last_bus_rank
-        if last_bus_rank is not None and last_bus_rank != rank_index:
-            ready += t.trtrs
-        ready -= cas_latency
-        if ready > cas_issue:
-            cas_issue = ready
-        if not is_write:
-            ready = self._write_to_read_ready.get(rank_index, 0)
-            if ready > cas_issue:
-                cas_issue = ready
-
-        tburst = t.tburst
-        tccd_l = t.tccd_l
-        stride = tburst if tburst > tccd_l else tccd_l
-        data_start = cas_issue + cas_latency
-        data_end = data_start + (count - 1) * stride + tburst
-        last_cas = cas_issue + (count - 1) * stride
-
-        if is_write:
-            bank.write(last_cas)
-            self._write_to_read_ready[rank_index] = data_end + t.twtr
-            counters.writes += count
-        else:
-            bank.read(last_cas)
-            counters.reads += count
-        last_group_cas[group] = last_cas
-        self._bus_free = data_end
-        self._last_bus_rank = rank_index
-        self._last_bus_was_write = is_write
+            outcome = _CONFLICT
+        data_end = stamp_pass(
+            self, ((rank_index, address.bank, row, count, (count,)),),
+            is_write, start)
+        t = self.timing
+        data_start = data_end - t.tburst
         if count > 1:
-            counters.row_hits += count - 1
-        counters.busy_cycles += count * tburst
-        rank.note_active(data_end)
+            stride = t.tburst if t.tburst > t.tccd_l else t.tccd_l
+            data_start -= (count - 1) * stride
         if self.tracer.enabled:
             self.tracer.span("burst", CATEGORY_DRAM, self.name,
                              data_start, data_end, rank=rank_index,
                              bank=address.bank, row=row,
                              write=int(is_write), lines=count,
                              outcome=outcome.value)
+        cas_issue = data_start - (t.tcwl if is_write else t.tcl)
         return AccessTiming(cas_issue, data_start, data_end, outcome)
 
     def _schedule_run_reference(self, address: DecodedAddress, count: int,
@@ -348,36 +257,6 @@ class Channel:
         if self._last_bus_rank is not None and self._last_bus_rank != rank_index:
             ready += self.timing.trtrs
         return ready
-
-    # ------------------------------------------------------------------
-    # Convenience for protocol bursts
-    # ------------------------------------------------------------------
-
-    def schedule_lines(self, addresses, is_write: bool,
-                       earliest: int) -> AccessTiming:
-        """Schedule a burst of line accesses; return the last access timing.
-
-        Used by ORAM backends for path reads/writes: each line flows through
-        :meth:`schedule_access`, so row-buffer locality of the subtree layout
-        shows up naturally as CAS-only hits.
-        """
-        last: Optional[AccessTiming] = None
-        for address in addresses:
-            last = self.schedule_access(address, is_write, earliest)
-        if last is None:
-            raise ValueError("schedule_lines requires at least one address")
-        return last
-
-    def command_slot(self, earliest: int) -> int:
-        """Occupy one command-bus slot (PROBE polling); returns its time.
-
-        Short commands ride the command/address bus.  We charge them a
-        single memory-clock cycle of bus occupancy, serialized against data
-        bursts only loosely (command and data buses are separate wires).
-        """
-        slot = max(earliest, self._bus_free - self.timing.tburst)
-        self.counters.command_slots += 1
-        return slot
 
     @property
     def bus_free_at(self) -> int:

@@ -1,14 +1,19 @@
-"""The flat pass engine: stamp a whole read/write pass in one call.
+"""The flat pass engine: the one optimized DDR constraint chain.
 
-:func:`stamp_pass` is the Tier-B workhorse of the macro-replay core: it
-applies the exact DDR constraint chain of
-:meth:`repro.dram.channel.Channel.schedule_run` once per **row segment**
-of one pass (see :mod:`repro.fastpath.runs`) with the timing fields, bus
-state, and counters hoisted into locals, and collects the burst trace
-events — still one per sub-run — into a plain list instead of pushing
-them through the tracer one at a time.  :func:`emit_batch` then commits
-such a list — straight into a :class:`CollectingTracer`'s event list and
-through an inlined window fold when a :class:`WindowedTracer` wraps it.
+:func:`stamp_pass` applies the DDR3 constraint chain — overdue refresh,
+PRE/ACT as the row buffer demands, tRRD/tFAW pacing, same-group tCCD_L,
+CAS-to-data latency, data-bus occupancy, rank-to-rank switch and
+write-to-read turnaround — once per **row segment** of one pass (see
+:mod:`repro.fastpath.runs`), with the timing fields, bus state and
+counters hoisted into locals.  It collects the burst trace events —
+still one per sub-run — into a plain list instead of pushing them
+through the tracer one at a time; :func:`emit_batch` then commits such a
+list, straight into a :class:`CollectingTracer`'s event list and through
+an inlined window fold when a :class:`WindowedTracer` wraps it.
+:meth:`repro.dram.channel.Channel.schedule_run` and
+:meth:`~repro.dram.channel.Channel.schedule_access` stamp their single
+run through it too, so the only other copy of the chain is the
+helper-per-constraint ``Channel._schedule_run_reference``.
 
 Why a segment stamps as one run: a sub-run that follows another of the
 same pass on the same (rank, bank, row) is a row hit with no ACT, and
@@ -19,21 +24,21 @@ rank, no switch), write-to-read does not move inside a pass, and no
 refresh can fall due (the first sub-run's check already moved the
 rank's refresh clock past the pass start).  So hits, lines, busy cycles
 and all post-state equal one run of the summed length; only the first
-sub-run's ``data_end`` (residency transition, Tier A's ``firsts``) and
-the per-sub-run burst events need the sub-run lengths.
+sub-run's ``data_end`` (the residency transition) and the per-sub-run
+burst events need the sub-run lengths.
 
 Exactness contract: for an *eligible* pass (no touched rank parked —
 callers check via :func:`pass_eligible`; refreshes are handled inline),
 ``stamp_pass`` leaves every bank, rank, bus, and counter field
-byte-identical to a ``schedule_run`` loop over the segments' sub-runs,
-and the batched events are byte-identical to the tracer's.  The
-differential tests against ``REPRO_REFERENCE_CORE=1`` and
-``tests/test_fastpath_stamp.py`` pin this.
+byte-identical to a ``_schedule_run_reference`` loop over the segments'
+sub-runs, and the batched events are byte-identical to the tracer's.
+``tests/test_fastpath_stamp.py`` and the differential tests against
+``REPRO_REFERENCE_CORE=1`` pin this.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.dram.commands import PowerState
 from repro.obs.timeseries import WindowSnapshot, WindowedTracer
@@ -63,26 +68,19 @@ def pass_eligible(channel, rank_indices, earliest: int) -> bool:
 
 
 def stamp_pass(channel, segments, is_write: bool, earliest: int,
-               batch: Optional[list] = None, slots=None,
-               acts: Optional[list] = None,
-               firsts: Optional[Dict[int, int]] = None,
-               refresh: bool = True) -> int:
+               batch: Optional[list] = None, slots=None) -> int:
     """Stamp one pass of ``segments`` on ``channel``; return its end cycle.
 
     ``segments`` are ``(rank, bank, row, lines, counts)`` row segments
     (one channel's share of a :class:`~repro.fastpath.runs.PathPattern`).
     Burst events — one per sub-run — append to ``batch`` when given, or
     land at ``batch[slots[i]]`` when ``slots`` maps sub-runs back to a
-    multi-channel emission order.  The Tier-A recorder passes ``acts``
-    to collect ``(rank, issue_time)`` per ACT and ``firsts`` (read
-    passes) to record the first data_end per touched rank — replay needs
-    both to rebuild ACT pacing state and the active-standby transition
-    exactly.
+    multi-channel emission order.
 
     The caller must have established :func:`pass_eligible`; this body is
-    the ``schedule_run`` constraint chain with wake elided (no touched
-    rank is parked), refresh delegated to the rank's own
-    ``maybe_refresh`` when due, and the bank state machine inlined.
+    the reference constraint chain with wake elided (no touched rank is
+    parked), refresh delegated to the rank's own ``maybe_refresh`` when
+    due, and the bank state machine inlined.
     """
     t = channel.timing
     tburst = t.tburst
@@ -122,13 +120,10 @@ def stamp_pass(channel, segments, is_write: bool, earliest: int,
     for rank_index, bank_index, row, lines, counts in segments:
         rank = ranks[rank_index]
         run_start = start
-        if refresh and rank.refresh_enabled \
-                and rank._next_refresh_due <= run_start:
+        if rank.refresh_enabled and rank._next_refresh_due <= run_start:
             # ``maybe_refresh`` is a strict no-op when nothing is due, so
             # gating on the due time makes this call-for-call identical
-            # to ``schedule_run``'s unconditional one.  Callers that
-            # already proved no touched rank is due at ``earliest`` pass
-            # ``refresh=False`` to skip the per-segment checks outright.
+            # to the reference's unconditional one.
             run_start = rank.maybe_refresh(run_start)
         bank = rank.banks[bank_index]
         open_row = bank.open_row
@@ -164,8 +159,6 @@ def stamp_pass(channel, segments, is_write: bool, earliest: int,
             history.append(candidate)
             rank._last_act_time = candidate
             activates += 1
-            if acts is not None:
-                acts.append((rank_index, candidate))
         cas_issue = run_start
         ready = bank.ready_cas
         if ready > cas_issue:
@@ -197,8 +190,6 @@ def stamp_pass(channel, segments, is_write: bool, earliest: int,
             ready = last_cas + trtp
             if ready > bank.ready_precharge:
                 bank.ready_precharge = ready
-            if firsts is not None and rank_index not in firsts:
-                firsts[rank_index] = cas_issue + counts[0] * stride + tail
         ready = last_cas + tccd_l
         if ready > bank.ready_cas:
             bank.ready_cas = ready

@@ -22,21 +22,16 @@ walks the DDR constraint chain once per segment.
 against the layouts' ``path_runs`` merged by (rank, bank, row).
 
 The product is a :class:`PathPattern`: the per-channel segment lists
-plus the derived metadata the fast access core needs — the touched
-ranks eagerly (the eligibility check reads them every access) and the
-first-touch banks / touched bank groups lazily (only the Tier-A
-signature reads those, and on big trees patterns effectively never
-repeat so the signature is rarely built).  Patterns are immutable and
-memoized per ``(leaf, skip)`` with the same bounded clear-when-full
-policy the layouts use.
+plus the touched ranks (the eligibility check reads them every access).
+Patterns are built fresh per access and not memoized: Path ORAM maps
+every access to a fresh uniform leaf, so at the paper's tree sizes a
+cache keyed by ``(leaf, skip)`` does not hit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.utils import memo
-from repro.utils.memo import DEFAULT_MEMO_CAP
 
 def _level_terms(total_levels: int, sub_total: int, subtree_levels: int,
                  lines_per_bucket: int, rank_levels: int) -> tuple:
@@ -155,63 +150,27 @@ def _channel_segments(terms, leaf: int, lines_per_bucket: int,
 
 
 class PathPattern:
-    """One path access's row segments plus signature/stamping metadata.
+    """One path access's row segments plus the ranks they touch.
 
     ``per_channel`` holds ``(channel, segments, slots)`` per touched
-    channel and doubles as the Tier-A delta-table key component.
+    channel; ``sig_ranks`` the touched ``(channel, rank)`` pairs.
     ``slots`` is ``None`` for a one-channel pattern; otherwise it maps
     each sub-run, in segment order, to its position in the layout's
     emission order, so a multi-channel stamp reproduces the slow core's
     event order exactly.
     """
 
-    __slots__ = ("per_channel", "sig_ranks", "seen", "_banks_per_group",
-                 "_sig_banks", "_sig_groups", "_slice_cache")
+    __slots__ = ("per_channel", "sig_ranks")
 
-    def __init__(self, per_channel: tuple, sig_ranks: tuple,
-                 banks_per_group: int):
+    def __init__(self, per_channel: tuple, sig_ranks: tuple):
         self.per_channel = per_channel
         self.sig_ranks = sig_ranks
-        self.seen = 0
-        self._banks_per_group = banks_per_group
-        self._sig_banks: Optional[tuple] = None
-        self._sig_groups: Optional[tuple] = None
-        self._slice_cache: Dict[int, tuple] = {}
 
     @property
     def run_count(self) -> int:
         """Sub-runs over all channels: one burst event each per pass."""
         return sum(len(segment[4]) for _channel, segments, _slots
                    in self.per_channel for segment in segments)
-
-    @property
-    def sig_banks(self) -> tuple:
-        """First-touch ``(channel, rank, bank, first_row)`` per bank."""
-        banks = self._sig_banks
-        if banks is None:
-            first: Dict[Tuple[int, int, int], int] = {}
-            for channel, segments, _slots in self.per_channel:
-                for rank, bank, row, _lines, _counts in segments:
-                    key = (channel, rank, bank)
-                    if key not in first:
-                        first[key] = row
-            banks = self._sig_banks = tuple(
-                key + (row,) for key, row in first.items())
-        return banks
-
-    @property
-    def sig_groups(self) -> tuple:
-        """Touched ``(channel, rank, bank_group)`` triples."""
-        groups = self._sig_groups
-        if groups is None:
-            seen: Dict[Tuple[int, int, int], None] = {}
-            per_group = self._banks_per_group
-            for channel, segments, _slots in self.per_channel:
-                for segment in segments:
-                    seen.setdefault(
-                        (channel, segment[0], segment[1] // per_group), None)
-            groups = self._sig_groups = tuple(seen)
-        return groups
 
     def slices(self, ways: int) -> Tuple[tuple, ...]:
         """Per-way segment shares, matching ``SdimmDevice.slice_runs``.
@@ -223,33 +182,30 @@ class PathPattern:
         Split members run one channel, so only the first channel's
         segments are sliced.
         """
-        cached = self._slice_cache.get(ways)
-        if cached is None:
-            segments = self.per_channel[0][1] if self.per_channel else ()
-            shares = []
-            for way in range(ways):
-                offset = ways - 1 - way
-                share: list = []
-                for rank, bank, row, _lines, counts in segments:
-                    # a ``count``-line sub-run gives this way nothing
-                    # when ``count <= way``
-                    portions = tuple([(count + offset) // ways
-                                      for count in counts if count > way])
-                    if not portions:
-                        continue
-                    if share and share[-1][:3] == (rank, bank, row):
-                        # only a segment this way dropped kept them apart
-                        portions = share.pop()[4] + portions
-                    share.append((rank, bank, row, sum(portions), portions))
-                shares.append(tuple(share))
-            cached = self._slice_cache[ways] = tuple(shares)
-        return cached
+        segments = self.per_channel[0][1] if self.per_channel else ()
+        shares = []
+        for way in range(ways):
+            offset = ways - 1 - way
+            share: list = []
+            for rank, bank, row, _lines, counts in segments:
+                # a ``count``-line sub-run gives this way nothing when
+                # ``count <= way``
+                portions = tuple([(count + offset) // ways
+                                  for count in counts if count > way])
+                if not portions:
+                    continue
+                if share and share[-1][:3] == (rank, bank, row):
+                    # only a segment this way dropped kept them apart
+                    portions = share.pop()[4] + portions
+                share.append((rank, bank, row, sum(portions), portions))
+            shares.append(tuple(share))
+        return tuple(shares)
 
 
 class FastTreeRuns:
     """Pattern producer mirroring :class:`TreeLayout` (striped channels)."""
 
-    def __init__(self, layout, banks_per_group: int):
+    def __init__(self, layout):
         self.layout = layout
         self.levels = layout.geometry.levels
         self.lines_per_bucket = layout.oram.lines_per_bucket
@@ -259,33 +215,20 @@ class FastTreeRuns:
         self.banks = decoder.banks
         self.ranks = decoder.ranks
         self.rows = decoder.rows
-        self.banks_per_group = banks_per_group
         self._terms = _level_terms(self.levels, self.levels,
                                    layout.subtree_levels,
                                    self.lines_per_bucket, 0)
-        self._cache: Dict[Tuple[int, int], PathPattern] = {}
 
     def pattern(self, leaf: int, skip_levels: int) -> PathPattern:
-        key = (leaf, skip_levels)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if self.channels == 1:
-            segments, rank_mask = _channel_segments(
-                self._terms[skip_levels:], leaf, self.lines_per_bucket,
-                self.columns, self.banks, self.ranks, self.rows, 0)
-            pattern = PathPattern(
-                ((0, segments, None),) if segments else (),
-                tuple((0, rank) for rank in range(self.ranks)
-                      if rank_mask >> rank & 1),
-                self.banks_per_group)
-        else:
-            pattern = self._striped(leaf, skip_levels)
-        if memo.CORE.memo:
-            if len(self._cache) >= DEFAULT_MEMO_CAP:
-                self._cache.clear()
-            self._cache[key] = pattern
-        return pattern
+        if self.channels != 1:
+            return self._striped(leaf, skip_levels)
+        segments, rank_mask = _channel_segments(
+            self._terms[skip_levels:], leaf, self.lines_per_bucket,
+            self.columns, self.banks, self.ranks, self.rows, 0)
+        return PathPattern(
+            ((0, segments, None),) if segments else (),
+            tuple((0, rank) for rank in range(self.ranks)
+                  if rank_mask >> rank & 1))
 
     def _striped(self, leaf: int, skip_levels: int) -> PathPattern:
         """Multi-channel pattern: stripe each bucket range, then segment.
@@ -352,13 +295,13 @@ class FastTreeRuns:
                           for channel in range(channels)
                           for rank in range(ranks)
                           if rank_masks[channel] >> rank & 1)
-        return PathPattern(per_channel, sig_ranks, self.banks_per_group)
+        return PathPattern(per_channel, sig_ranks)
 
 
 class FastLowPowerRuns:
     """Pattern producer mirroring :class:`LowPowerLayout` (one rank/path)."""
 
-    def __init__(self, layout, banks_per_group: int):
+    def __init__(self, layout):
         self.layout = layout
         self.levels = layout.geometry.levels
         self.rank_levels = layout.rank_levels
@@ -367,18 +310,12 @@ class FastLowPowerRuns:
         self.columns = decoder.columns
         self.banks = decoder.banks
         self.rows = decoder.rows
-        self.banks_per_group = banks_per_group
         self._terms = _level_terms(self.levels,
                                    layout._rank_geometry.levels,
                                    layout.subtree_levels,
                                    self.lines_per_bucket, self.rank_levels)
-        self._cache: Dict[Tuple[int, int], PathPattern] = {}
 
     def pattern(self, leaf: int, skip_levels: int) -> PathPattern:
-        key = (leaf, skip_levels)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         rank_levels = self.rank_levels
         sub_bits = self.levels - 1 - rank_levels
         rank = leaf >> sub_bits
@@ -388,10 +325,5 @@ class FastLowPowerRuns:
             leaf & ((1 << sub_bits) - 1),
             self.lines_per_bucket, self.columns, self.banks, 1, self.rows,
             rank)
-        pattern = PathPattern(((0, segments, None),) if segments else (),
-                              ((0, rank),), self.banks_per_group)
-        if memo.CORE.memo:
-            if len(self._cache) >= DEFAULT_MEMO_CAP:
-                self._cache.clear()
-            self._cache[key] = pattern
-        return pattern
+        return PathPattern(((0, segments, None),) if segments else (),
+                           ((0, rank),))

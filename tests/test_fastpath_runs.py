@@ -81,10 +81,7 @@ def _tree_cases():
         geometry = TreeGeometry(config.oram.levels)
         layout = TreeLayout(geometry, config.oram, config.organization,
                             config.channels)
-        organization = config.organization
-        banks_per_group = (organization.banks_per_rank //
-                           organization.bank_groups)
-        yield label, config, geometry, layout, banks_per_group
+        yield label, config, geometry, layout
 
 
 TREE_CASES = list(_tree_cases())
@@ -98,17 +95,15 @@ def lowpower_case():
     geometry = TreeGeometry(levels)
     oram = replace(config.oram, levels=levels)
     layout = LowPowerLayout(geometry, oram, organization)
-    banks_per_group = (organization.banks_per_rank //
-                       organization.bank_groups)
-    return geometry, layout, banks_per_group
+    return geometry, layout
 
 
-@pytest.mark.parametrize("label,config,geometry,layout,banks_per_group",
+@pytest.mark.parametrize("label,config,geometry,layout",
                          TREE_CASES, ids=[case[0] for case in TREE_CASES])
 class TestTreeRunsEquality:
     def test_runs_match_layout_everywhere(self, label, config, geometry,
-                                          layout, banks_per_group):
-        fast = FastTreeRuns(layout, banks_per_group)
+                                          layout):
+        fast = FastTreeRuns(layout)
         leaves = _sample_leaves(geometry.leaf_count)
         skips = sorted({0, 1, config.effective_cached_levels,
                         config.oram.levels - 1})
@@ -128,8 +123,8 @@ class TestTreeRunsEquality:
         assert segments < runs
 
     def test_pattern_metadata_is_consistent(self, label, config, geometry,
-                                            layout, banks_per_group):
-        fast = FastTreeRuns(layout, banks_per_group)
+                                            layout):
+        fast = FastTreeRuns(layout)
         skip = config.effective_cached_levels
         for leaf in _sample_leaves(geometry.leaf_count)[:24]:
             pattern = fast.pattern(leaf, skip)
@@ -154,22 +149,6 @@ class TestTreeRunsEquality:
                 for slot, run in zip(slots, sub_runs):
                     rebuilt[slot] = run
             assert rebuilt == runs
-            # first-touch banks and touched groups
-            assert sorted(pattern.sig_banks) == sorted(
-                (ch, rank, bank,
-                 next(run[3] for run in runs
-                      if run[0] == ch and run[1] == rank and run[2] == bank))
-                for ch, rank, bank in {(run[0], run[1], run[2])
-                                       for run in runs})
-            assert sorted(pattern.sig_groups) == sorted(
-                {(run[0], run[1], run[2] // banks_per_group)
-                 for run in runs})
-
-    def test_patterns_are_memoized(self, label, config, geometry, layout,
-                                   banks_per_group):
-        fast = FastTreeRuns(layout, banks_per_group)
-        first = fast.pattern(3, 0)
-        assert fast.pattern(3, 0) is first
 
 
 def _expected_shares(path_runs, ways):
@@ -186,8 +165,8 @@ class TestSliceShares:
         not 5 / 5.
         """
         single = [case for case in TREE_CASES if case[1].channels == 1]
-        for label, config, geometry, layout, banks_per_group in single:
-            fast = FastTreeRuns(layout, banks_per_group)
+        for label, config, geometry, layout in single:
+            fast = FastTreeRuns(layout)
             for skip in (0, config.effective_cached_levels):
                 for leaf in _sample_leaves(geometry.leaf_count)[::3]:
                     pattern = fast.pattern(leaf, skip)
@@ -197,8 +176,8 @@ class TestSliceShares:
                         assert pattern.slices(ways) == \
                             _expected_shares(path_runs, ways), \
                             f"{label}: leaf={leaf} skip={skip} ways={ways}"
-        geometry, layout, banks_per_group = lowpower_case
-        fast = FastLowPowerRuns(layout, banks_per_group)
+        geometry, layout = lowpower_case
+        fast = FastLowPowerRuns(layout)
         for skip in (0, layout.rank_levels + 1):
             for leaf in _sample_leaves(geometry.leaf_count)[::3]:
                 pattern = fast.pattern(leaf, skip)
@@ -208,16 +187,10 @@ class TestSliceShares:
                         _expected_shares(path_runs, ways), \
                         f"lowpower: leaf={leaf} skip={skip} ways={ways}"
 
-    def test_slices_are_memoized(self):
-        label, config, geometry, layout, banks_per_group = TREE_CASES[-1]
-        fast = FastTreeRuns(layout, banks_per_group)
-        pattern = fast.pattern(1, 0)
-        assert pattern.slices(2) is pattern.slices(2)
-
     def test_slices_split_each_sub_run(self):
         """A 5 + 5 segment over 2 ways is 3 + 3 and 2 + 2 lines."""
-        label, config, geometry, layout, banks_per_group = TREE_CASES[0]
-        fast = FastTreeRuns(layout, banks_per_group)
+        label, config, geometry, layout = TREE_CASES[0]
+        fast = FastTreeRuns(layout)
         for leaf in _sample_leaves(geometry.leaf_count):
             pattern = fast.pattern(leaf, 0)
             segment = next((segment for segment in pattern.per_channel[0][1]
@@ -233,8 +206,8 @@ class TestSliceShares:
 
 class TestLowPowerRunsEquality:
     def test_runs_match_layout_everywhere(self, lowpower_case):
-        geometry, layout, banks_per_group = lowpower_case
-        fast = FastLowPowerRuns(layout, banks_per_group)
+        geometry, layout = lowpower_case
+        fast = FastLowPowerRuns(layout)
         skips = sorted({0, 1, layout.rank_levels, layout.rank_levels + 1,
                         geometry.levels - 1})
         for skip in skips:
@@ -246,8 +219,8 @@ class TestLowPowerRunsEquality:
                     f"leaf={leaf} skip={skip}"
 
     def test_single_rank_invariant(self, lowpower_case):
-        geometry, layout, banks_per_group = lowpower_case
-        fast = FastLowPowerRuns(layout, banks_per_group)
+        geometry, layout = lowpower_case
+        fast = FastLowPowerRuns(layout)
         for leaf in _sample_leaves(geometry.leaf_count)[:32]:
             pattern = fast.pattern(leaf, 0)
             owner = layout.rank_of_leaf(leaf)

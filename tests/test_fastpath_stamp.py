@@ -1,17 +1,18 @@
-"""``stamp_pass`` over row segments vs ``schedule_run`` over their runs.
+"""``stamp_pass`` over row segments vs the reference chain over their runs.
 
 A row segment ``(rank, bank, row, lines, counts)`` stands for
 ``len(counts)`` consecutive runs of one pass on one (rank, bank, row).
 :func:`repro.fastpath.engine.stamp_pass` walks the DDR constraint chain
 once per segment; these tests drive random segment streams through it
-and, on a twin channel, through a plain :meth:`Channel.schedule_run`
-loop over the unmerged runs, and require everything observable to be
-identical: every bank, rank, bus and counter field, the power-state
-residency, the per-rank first ``data_end`` of read passes, and the burst
-event list.  The streams run with refresh enabled (including a refresh
-forced due mid-pass), ranks entering passes in precharge standby, and a
-traced batch — on DDR3 (Table II) timing and on DDR4, whose tCCD_L
-exceeds tBURST.
+and, on a twin channel, through a plain
+:meth:`Channel._schedule_run_reference` loop over the unmerged runs —
+``schedule_run`` itself stamps through ``stamp_pass``, so only the
+reference is an independent chain — and require everything observable
+to be identical: every bank, rank, bus and counter field, the
+power-state residency, and the burst event list.  The streams run with
+refresh enabled (including a refresh forced due mid-pass), ranks
+entering passes in precharge standby, and a traced batch — on DDR3
+(Table II) timing and on DDR4, whose tCCD_L exceeds tBURST.
 """
 
 import random
@@ -123,22 +124,18 @@ def test_stamp_pass_equals_schedule_run_loop(timing_name, seed):
             # a multi-channel caller places events by emission slot
             part = [None] * len(runs)
             slots = tuple(reversed(range(len(runs))))
-        firsts = None if is_write else {}
         fast_end = stamp_pass(fast, segments, is_write, earliest,
-                              part if traced else None, slots, None, firsts)
+                              part if traced else None, slots)
         tracer.enabled = traced
         slow_end = 0
-        slow_firsts = {}
         for address, count in runs:
-            timing = slow.schedule_run(address, count, is_write, earliest)
-            slow_firsts.setdefault(address.rank, timing.data_end)
+            timing = slow._schedule_run_reference(address, count, is_write,
+                                                  earliest)
             slow_end = max(slow_end, timing.data_end)
         tracer.enabled = True
         if slots is not None:
             batch.extend(reversed(part))
         assert fast_end == slow_end
-        if not is_write:
-            assert firsts == slow_firsts
         assert _state(fast) == _state(slow)
         now = max(slow_end, earliest)
     assert refreshes_forced > 0
@@ -154,6 +151,7 @@ def test_segment_is_one_run_of_the_summed_length():
     """Merged sub-runs cost exactly one run's hits, lines and busy time."""
     fast, slow, _ = _channels("ddr3-table2")
     end = stamp_pass(fast, [(0, 0, 7, 12, (5, 4, 3))], False, 100)
-    timing = slow.schedule_run(DecodedAddress(0, 0, 7, 0), 12, False, 100)
+    timing = slow._schedule_run_reference(DecodedAddress(0, 0, 7, 0), 12,
+                                          False, 100)
     assert end == timing.data_end
     assert fast.counters.as_dict() == slow.counters.as_dict()

@@ -1,7 +1,9 @@
 """Differential tests: optimized hot-path cores vs their references.
 
-The optimized ``Channel.schedule_run``, ``Rank.note_active`` and the
-tuple-based event scheduler must be *bit-identical* in behaviour to the
+The optimized ``Channel.schedule_run`` and ``Channel.schedule_access``
+(both stamped through ``repro.fastpath.engine.stamp_pass``),
+``Rank.note_active`` and the tuple-based event scheduler must be
+*bit-identical* in behaviour to the
 straightforward reference implementations they replaced
 (``REPRO_REFERENCE_CORE=1`` selects the references, unmemoized; see
 ``repro.utils.memo``).  These tests drive both sides with the same
@@ -48,36 +50,49 @@ def random_runs(seed: int, count: int):
         yield address, run_len, rng.random() < 0.5, now
 
 
-class TestScheduleRunDifferential:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("refresh", [False, True])
-    def test_matches_reference_on_random_streams(self, seed, refresh):
+def assert_matches_reference(runs, refresh=False, parked=False):
+    """Both entry points against ``_schedule_run_reference``.
+
+    ``schedule_run`` takes every run whole and ``schedule_access`` takes
+    its first line, each on a fresh channel beside a reference twin;
+    returned timings (outcome included), counters, bus state and
+    power-state residency must all match.
+    """
+    runs = list(runs)
+    for one_line in (False, True):
         optimized = Channel(TIMING, ORGANIZATION, scale=2,
                             refresh_enabled=refresh)
         reference = Channel(TIMING, ORGANIZATION, scale=2,
                             refresh_enabled=refresh)
-        for address, count, is_write, earliest in random_runs(seed, 600):
-            fast = optimized.schedule_run(address, count, is_write, earliest)
+        if parked:
+            for channel in (optimized, reference):
+                for rank in channel.ranks:
+                    rank.enter_power_down(0)
+        for address, count, is_write, earliest in runs:
+            if one_line:
+                count = 1
+                fast = optimized.schedule_access(address, is_write, earliest)
+            else:
+                fast = optimized.schedule_run(address, count, is_write,
+                                              earliest)
             slow = reference._schedule_run_reference(address, count,
                                                      is_write, earliest)
             assert fast == slow
         assert optimized.counters.as_dict() == reference.counters.as_dict()
         assert optimized.bus_free_at == reference.bus_free_at
-
-    def test_matches_reference_after_power_down(self):
-        optimized = Channel(TIMING, ORGANIZATION, scale=2)
-        reference = Channel(TIMING, ORGANIZATION, scale=2)
-        for channel in (optimized, reference):
-            for rank in channel.ranks:
-                rank.enter_power_down(0)
-        for address, count, is_write, earliest in random_runs(7, 200):
-            fast = optimized.schedule_run(address, count, is_write, earliest)
-            slow = reference._schedule_run_reference(address, count,
-                                                     is_write, earliest)
-            assert fast == slow
         residency = [rank.state_residency for rank in optimized.ranks]
         assert residency == [rank.state_residency
                              for rank in reference.ranks]
+
+
+class TestScheduleRunDifferential:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("refresh", [False, True])
+    def test_matches_reference_on_random_streams(self, seed, refresh):
+        assert_matches_reference(random_runs(seed, 600), refresh=refresh)
+
+    def test_matches_reference_after_power_down(self):
+        assert_matches_reference(random_runs(7, 200), parked=True)
 
     def test_rejects_bad_runs_like_reference(self):
         channel = Channel(TIMING, ORGANIZATION, scale=2)
