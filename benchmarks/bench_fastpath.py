@@ -14,12 +14,8 @@ core, no memo caches) — and
    ``--min-speedup`` (default 2.0) — the CI floor that keeps the fast
    path from silently decaying into a no-op.
 
-The measurement is merged into ``benchmarks/results/BENCH_pr8.json``
-under the ``"fastpath"`` key (the rest of that file is written by
-``bench_perf_trend.py``), so the committed artifact and the CI artifact
-have one shape.
-
-Run directly::
+It prints one line per point and writes no file; the exit code is the
+verdict.  Run directly::
 
     python benchmarks/bench_fastpath.py --trace-length 1200
 """
@@ -36,9 +32,6 @@ from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
-RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "results")
-DEFAULT_OUT = os.path.join(RESULTS_DIR, "BENCH_pr8.json")
 
 #: The differential suite: every timing-tier design family x two
 #: workload personalities (memory-bound and compute-bound).
@@ -145,20 +138,6 @@ def measure_fastpath(trace_length: int = 1200, repeats: int = 3,
     }
 
 
-def merge_into(out_path: str, fastpath: Dict[str, object]) -> None:
-    """Fold the measurement into ``BENCH_pr8.json`` under ``fastpath``."""
-    payload: Dict[str, object] = {"benchmark": "pr8-perf-trend",
-                                  "schema": 2}
-    if os.path.exists(out_path):
-        with open(out_path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    payload["fastpath"] = fastpath
-    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="differential fast-vs-reference gate")
@@ -168,8 +147,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--min-speedup", type=float, default=MIN_SPEEDUP,
                         help="geomean wall-clock floor (default "
                              f"{MIN_SPEEDUP}x)")
-    parser.add_argument("--out", default=DEFAULT_OUT, metavar="FILE",
-                        help=f"merge measurement into (default {DEFAULT_OUT})")
     args = parser.parse_args(argv)
 
     fastpath = measure_fastpath(args.trace_length, args.repeats)
@@ -183,8 +160,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"geomean speedup      {fastpath['geomean_speedup']:.2f}x "
           f"(min {fastpath['min_speedup']:.2f}x, "
           f"floor {args.min_speedup:.1f}x)")
-    merge_into(args.out, fastpath)
-    print(f"wrote {args.out}")
 
     if not fastpath["cycles_identical"]:
         print("FAIL: fast core diverged from the reference core",

@@ -23,11 +23,6 @@ Subcommands:
   from N worker processes over leaf-MSB consistent-hash routing, with
   per-shard bounded admission, aggregate SLO folding, transfer-queue
   migration accounting, and optional quarantined (degraded) shards.
-* ``perf-report`` — summarize a performance-ledger trajectory file and
-  optionally render the static HTML dashboard (``docs/observability.md``).
-* ``perf-gate``  — re-measure the fixed gate suite and compare against
-  the committed trajectory; exits non-zero on any cycle drift or a
-  wall-clock regression beyond tolerance.
 * ``cache``   — ``stats`` inventories the on-disk run cache (entries,
   staleness vs the current code fingerprint, disk bytes); ``prune``
   deletes entries recorded under other fingerprints.
@@ -41,8 +36,7 @@ Chrome trace-event JSON loadable in Perfetto (``docs/observability.md``).
 
 Every measuring verb accepts ``--ledger FILE`` (default:
 ``$REPRO_LEDGER``; ``REPRO_NO_LEDGER=1`` silences both) and appends one
-append-only JSONL record per executed point — the performance-ledger
-trail ``perf-gate`` and ``perf-report`` consume.
+append-only JSONL record per executed point (``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -141,7 +135,7 @@ def cmd_simulate(args) -> int:
     ledger = _ledger(args)
     if ledger is not None and not args.trace_file:
         # trace-file replays have no canonical point identity (the
-        # point is a local file), so they stay off the trajectory
+        # point is a local file), so they stay out of the ledger
         from repro.obs.ledger import (config_digest_hex, make_record,
                                       simulation_core)
 
@@ -595,59 +589,6 @@ def cmd_lint(args) -> int:
     return result.exit_code()
 
 
-#: Default committed trajectory file (relative to the invoking CWD —
-#: CI and the repo Makefile run from the repository root).
-DEFAULT_TRAJECTORY = "benchmarks/results/perf_trajectory.jsonl"
-
-
-def cmd_perf_report(args) -> int:
-    """Handle ``repro perf-report``: summarize a trajectory, render HTML."""
-    from repro.obs.ledger import Ledger
-    from repro.obs.regress import render_dashboard, trajectory_summary
-
-    ledger = Ledger(args.trajectory)
-    records = ledger.read()
-    if not records and ledger.skipped_lines == 0:
-        print(f"perf-report: no records in {args.trajectory}",
-              file=sys.stderr)
-    if ledger.skipped_lines:
-        print(f"perf-report: skipped {ledger.skipped_lines} corrupt "
-              f"line(s)", file=sys.stderr)
-    print(trajectory_summary(records))
-    if args.html:
-        html_text = render_dashboard(records)
-        with open(args.html, "w", encoding="utf-8") as handle:
-            handle.write(html_text)
-        print(f"wrote dashboard to {args.html}", file=sys.stderr)
-    return 0
-
-
-def cmd_perf_gate(args) -> int:
-    """Handle ``repro perf-gate``: exit 0 only when the tree holds its
-    recorded performance trajectory.
-
-    The optional ``--html`` dashboard renders the *committed* trajectory
-    (not the fresh records), so its bytes are identical across
-    ``--jobs`` values and cached replays.
-    """
-    from repro.obs.ledger import Ledger
-    from repro.obs.regress import render_dashboard, run_gate
-
-    report, records, wall_s = run_gate(args.trajectory, jobs=args.jobs,
-                                       cache=_sweep_cache(args),
-                                       ledger=_ledger(args),
-                                       wall_tolerance=args.wall_tolerance)
-    print(report.render())
-    print(f"perf-gate: measured {len(records)} point(s) in {wall_s:.1f}s",
-          file=sys.stderr)
-    if args.html:
-        html_text = render_dashboard(Ledger(args.trajectory).read())
-        with open(args.html, "w", encoding="utf-8") as handle:
-            handle.write(html_text)
-        print(f"wrote dashboard to {args.html}", file=sys.stderr)
-    return 0 if report.ok else 1
-
-
 def cmd_cache(args) -> int:
     """Handle ``repro cache``: inspect or prune the on-disk run cache.
 
@@ -906,38 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
     concurrency(serve)
     ledger_opt(serve)
     serve.set_defaults(handler=cmd_serve_bench, usage_error=serve.error)
-
-    perf_report = subparsers.add_parser(
-        "perf-report",
-        help="summarize a performance-ledger trajectory and render the "
-             "static HTML dashboard")
-    perf_report.add_argument("--trajectory", default=DEFAULT_TRAJECTORY,
-                             metavar="FILE",
-                             help="ledger JSONL to read (default: "
-                                  f"{DEFAULT_TRAJECTORY})")
-    perf_report.add_argument("--html", default=None, metavar="FILE",
-                             help="write the self-contained dashboard "
-                                  "(deterministic bytes)")
-    perf_report.set_defaults(handler=cmd_perf_report)
-
-    perf_gate = subparsers.add_parser(
-        "perf-gate",
-        help="re-measure the gate suite and fail on any drift from the "
-             "committed trajectory (cycles exact, wall-clock banded)")
-    perf_gate.add_argument("--trajectory", default=DEFAULT_TRAJECTORY,
-                           metavar="FILE",
-                           help="baseline ledger JSONL (default: "
-                                f"{DEFAULT_TRAJECTORY})")
-    perf_gate.add_argument("--wall-tolerance", type=float, default=2.5,
-                           metavar="X",
-                           help="fail when fresh wall-clock exceeds X "
-                                "times the recorded baseline on a "
-                                "matching host (default: 2.5)")
-    perf_gate.add_argument("--html", default=None, metavar="FILE",
-                           help="also render the trajectory dashboard")
-    concurrency(perf_gate)
-    ledger_opt(perf_gate)
-    perf_gate.set_defaults(handler=cmd_perf_gate)
 
     lint = subparsers.add_parser(
         "lint", help="run reprolint over source trees")

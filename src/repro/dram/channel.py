@@ -186,8 +186,8 @@ class Channel:
         """Reference :meth:`schedule_run`: one helper per DDR constraint.
 
         Kept as the readable specification of the constraint chain and as
-        the baseline side of the hot-path benchmark
-        (``benchmarks/bench_speedup.py``).
+        the oracle of the cross-core checks (``tests/test_refcore.py``,
+        ``benchmarks/bench_fastpath.py``).
         """
         if count < 1:
             raise ValueError("run must cover at least one line")

@@ -5,10 +5,9 @@ instrumented component accepts a :class:`~repro.obs.tracer.Tracer` and
 defaults to :data:`~repro.obs.tracer.NULL_TRACER`, whose methods are
 no-ops (see ``docs/observability.md``).  The performance-observability
 layer — :mod:`~repro.obs.ledger` (append-only run records),
-:mod:`~repro.obs.timeseries` (tumbling cycle windows),
-:mod:`~repro.obs.profile` (hotspot attribution), and
-:mod:`~repro.obs.regress` (the regression gate and dashboard) — rides on
-the same events.
+:mod:`~repro.obs.timeseries` (tumbling cycle windows), and
+:mod:`~repro.obs.profile` (hotspot attribution) — rides on the same
+events.
 """
 
 from repro.obs.audit import (AuditResult, LeakyLink, adversary_observations,
@@ -24,18 +23,13 @@ from repro.obs.chrome import (chrome_trace_events, render_chrome_trace,
                               write_chrome_trace)
 from repro.obs.ledger import (LEDGER_SCHEMA, Ledger, canonical_core_line,
                               host_clock_s, host_provenance, make_record,
-                              migrate_bench_pr3, point_key, resolve_ledger,
-                              simulation_core, verify_record)
+                              resolve_ledger, simulation_core, verify_record)
 from repro.obs.metrics import (IDLE_PHASE, PHASE_PRIORITY, Counter, Gauge,
                                Histogram, MetricsRegistry, fold_metrics_dict,
                                phase_breakdown, summarize_phase_breakdown)
 from repro.obs.profile import (WallClockSampler, diff_hotspots,
                                exclusive_cycles, hotspots, render_hotspot_diff,
                                render_hotspots)
-# NOTE: repro.obs.regress is deliberately NOT imported here — it pulls in
-# the config/sweep stack, and core modules import repro.obs.tracer during
-# their own initialization (the package root must stay leaf-importable).
-# Use ``from repro.obs.regress import ...`` directly.
 from repro.obs.timeseries import (WINDOW_SCHEMA, WindowedTracer,
                                   WindowSnapshot, fold_windows,
                                   windows_from_events, windows_to_dicts)
@@ -53,8 +47,8 @@ __all__ = [
     "run_full_audit", "scan_secret_args",
     "chrome_trace_events", "render_chrome_trace", "write_chrome_trace",
     "LEDGER_SCHEMA", "Ledger", "canonical_core_line", "host_clock_s",
-    "host_provenance", "make_record", "migrate_bench_pr3", "point_key",
-    "resolve_ledger", "simulation_core", "verify_record",
+    "host_provenance", "make_record", "resolve_ledger", "simulation_core",
+    "verify_record",
     "IDLE_PHASE", "PHASE_PRIORITY", "Counter", "Gauge", "Histogram",
     "MetricsRegistry", "fold_metrics_dict", "phase_breakdown",
     "summarize_phase_breakdown",

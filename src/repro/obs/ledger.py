@@ -24,7 +24,7 @@ Each record is two sections with deliberately different contracts:
 
 :meth:`Ledger.canonical_dump` renders the core stream alone — that is
 the byte-identity artifact CI compares across ``--jobs`` and cached
-replays, and the input the regression gate and dashboard consume.
+replays.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ def _fingerprint(explicit: Optional[str]) -> str:
 
     return code_fingerprint()
 
-#: Ledger record layout version.  Schema 1 is the ad-hoc BENCH_pr3.json
-#: shape; :func:`migrate_bench_pr3` lifts it into schema 2.
+#: Ledger record layout version; :func:`verify_record` rejects any other.
 LEDGER_SCHEMA = 2
 
 #: Environment variable naming the default ledger file for CLI verbs.
@@ -125,20 +124,6 @@ def canonical_core_line(record: Dict[str, object]) -> str:
                            "core_digest": record["core_digest"]})
 
 
-def point_key(record: Dict[str, object]) -> Optional[str]:
-    """Trajectory identity of a record, or ``None`` for keyless kinds.
-
-    Records carrying a ``core.point`` mapping (gate points, simulate and
-    sweep entries) key on ``kind`` plus the canonical point JSON — the
-    regression gate compares the newest record per key against the
-    recorded trajectory's latest entry for the same key.
-    """
-    point = record.get("core", {}).get("point")
-    if not isinstance(point, dict):
-        return None
-    return f"{record.get('kind')}|{canonical_json(point)}"
-
-
 class Ledger:
     """Append-only JSONL file of ledger records."""
 
@@ -194,8 +179,7 @@ class Ledger:
         """The byte-identity artifact: one canonical core line per record.
 
         Identical across ``--jobs`` values, cached replays, and machines
-        (the volatile host section is omitted); what CI compares and the
-        gate/dashboard consume.
+        (the volatile host section is omitted); what CI compares.
         """
         if records is None:
             records = self.read()
@@ -258,8 +242,8 @@ def simulation_core(design: str, workload: str, result,
             "failures": len(result.failures),
             "windows": len(result.windows),
             # inside the digest-protected core on purpose: a silent loss
-            # of fast-path coverage shows up as a gate finding even when
-            # the cycle counts still agree
+            # of fast-path coverage changes the core even when the cycle
+            # counts still agree
             "fastpath_hit_rate": result.extras.get("fastpath_hit_rate",
                                                    0.0),
         },
@@ -329,90 +313,3 @@ def campaign_core(report: Dict[str, object],
             "all_detected": report.get("all_detected"),
         },
     }
-
-
-def sweep_scaling_core(points: int, serial_wall_s: float,
-                       parallel_wall_s: float, jobs: int,
-                       results_identical: bool,
-                       cpu_count: Optional[int] = None,
-                       fingerprint: Optional[str] = None
-                       ) -> Dict[str, object]:
-    """Serial-vs-parallel sweep scaling, honest about the machine.
-
-    ``cpu_count`` lives in the *core* here on purpose: the measured
-    speedup is meaningless without it (BENCH_pr3's 0.95x on a 1-core box
-    is a caveat, not a regression), so scaling records carry it as part
-    of the claim.  The wall-clock seconds stay core too — this record
-    *is* a wall-clock measurement; its point identity is the machine.
-    """
-    count = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    speedup = serial_wall_s / parallel_wall_s if parallel_wall_s else 0.0
-    return {
-        "fingerprint": _fingerprint(fingerprint),
-        "measure": {
-            "points": points,
-            "cpu_count": count,
-            "jobs": jobs,
-            "serial_wall_s": round(serial_wall_s, 6),
-            "parallel_wall_s": round(parallel_wall_s, 6),
-            "speedup": round(speedup, 6),
-            "results_identical": bool(results_identical),
-            "single_core_caveat": count <= 1,
-        },
-    }
-
-
-def migrate_bench_pr3(payload: Dict[str, object]) -> List[Dict[str, object]]:
-    """Lift a schema-1 ``BENCH_pr3.json`` record into ledger records.
-
-    The original file stays untouched; this converter exists so the
-    trajectory starts with two datapoints instead of one.  Produces one
-    gate-comparable point record (kind ``gate`` — the hot-path point is
-    a gate-suite point, so the trajectory shows its history) and one
-    sweep-scaling record, both stamped with the *original* fingerprint
-    and host facts.
-    """
-    if payload.get("schema") != 1:
-        raise ValueError(f"expected BENCH_pr3 schema 1, "
-                         f"got {payload.get('schema')!r}")
-    fingerprint = str(payload["code_fingerprint"])
-    host = {"cpu_count": int(payload.get("cpu_count", 1)),
-            "python": None, "platform": None,
-            "migrated_from": "BENCH_pr3.json"}
-    hotpath = payload["hotpath"]
-    sweep = payload["sweep"]
-    point_core = {
-        "point": {
-            "design": hotpath["design"],
-            "workload": hotpath["workload"],
-            "channels": 1,
-            "trace_length": int(payload["trace_length"]),
-            "seed": 2018,
-            "window_policy": "in-order",
-        },
-        "config_digest": None,   # schema 1 never recorded it
-        "fingerprint": fingerprint,
-        "measure": {
-            "execution_cycles": int(hotpath["cycles"]),
-            "reference_wall_s": hotpath["reference_wall_s"],
-            "optimized_wall_s": hotpath["optimized_wall_s"],
-            "speedup": hotpath["speedup"],
-            "cycles_identical": bool(hotpath["cycles_identical"]),
-        },
-    }
-    scaling_core = sweep_scaling_core(
-        points=int(sweep["points"]),
-        serial_wall_s=float(sweep["serial_wall_s"]),
-        parallel_wall_s=float(sweep["parallel_wall_s"]),
-        jobs=int(sweep["parallel_jobs"]),
-        results_identical=bool(sweep["results_identical"]),
-        cpu_count=int(payload.get("cpu_count", 1)),
-        fingerprint=fingerprint)
-    scaling_core["measure"]["designs"] = list(sweep["designs"])
-    scaling_core["measure"]["workloads"] = list(sweep["workloads"])
-    return [
-        make_record("gate", point_core,
-                    wall_ms=float(hotpath["optimized_wall_s"]) * 1000.0,
-                    host=host),
-        make_record("sweep-scaling", scaling_core, host=host),
-    ]

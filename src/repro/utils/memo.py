@@ -18,8 +18,9 @@ Two independent choices, neither of which moves a simulated cycle:
 
 The differential tests (``tests/test_refcore.py``,
 ``tests/test_fastpath_differential.py``) and the golden masters pin that
-every selection is cycle-identical; ``benchmarks/bench_speedup.py``
-measures the hot-path speedup by running both cores in subprocesses.
+every selection is cycle-identical; ``benchmarks/bench_fastpath.py``
+checks the same across cores and measures the speedup by running both
+cores in subprocesses.
 
 :func:`selection_from_env` is the one place the environment is read.  It
 sets :data:`CORE` at import, which is what a fresh process (a CLI verb,

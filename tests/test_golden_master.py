@@ -23,6 +23,8 @@ Regenerate with:
 import pytest
 
 from repro.config import DesignPoint, table2_config
+from repro.obs.ledger import simulation_core
+from repro.parallel.sweep import SweepPoint, run_sweep
 from repro.sim.system import run_simulation
 
 GOLDENS = {
@@ -71,3 +73,77 @@ def test_goldens_tell_the_papers_story():
     # (high-MLP) workload, short of raw INDEP-4 parallelism
     assert cycles(DesignPoint.INDEP_SPLIT, 2) < \
         cycles(DesignPoint.SPLIT_4, 2)
+
+
+#: The gate suite's full ledger ``measure`` on ``mcf``: every simulated
+#: key of :func:`~repro.obs.ledger.simulation_core`, pinned exactly.
+GATE_MEASURES = {
+    DesignPoint.FREECURSIVE: {
+        "execution_cycles": 1_078_838,
+        "miss_count": 378,
+        "accessoram_count": 595,
+        "main_bus_lines": 0,
+        "probe_commands": 0,
+        "drain_accesses": 0,
+        "phase_cycles": {"PATH_READ": 539_032, "PATH_WRITE": 514_606,
+                         "idle": 25_200},
+        "slo": {"count": 378, "max": 37_916, "mean": 16787.25396825397,
+                "p50": 15_920, "p95": 26_822, "p99": 30_356,
+                "p999": 37_916},
+        "failures": 0,
+        "windows": 40,
+        "fastpath_hit_rate": 1.0,
+    },
+    DesignPoint.INDEP_2: {
+        "execution_cycles": 668_479,
+        "miss_count": 378,
+        "accessoram_count": 595,
+        "main_bus_lines": 2_380,
+        "probe_commands": 292_156,
+        "drain_accesses": 22,
+        "phase_cycles": {"ACCESS": 5_205, "APPEND": 10_371,
+                         "FETCH_RESULT": 5_540, "PATH_READ": 362_040,
+                         "PATH_WRITE": 269_853, "PROBE": 5_331,
+                         "idle": 10_139},
+        "slo": {"count": 378, "max": 24_397, "mean": 6628.896825396825,
+                "p50": 5_255, "p95": 16_837, "p99": 21_602,
+                "p999": 24_397},
+        "failures": 0,
+        "windows": 25,
+        "fastpath_hit_rate": 1.0,
+    },
+    DesignPoint.SPLIT_2: {
+        "execution_cycles": 725_562,
+        "miss_count": 378,
+        "accessoram_count": 595,
+        "main_bus_lines": 16_660,
+        "probe_commands": 0,
+        "drain_accesses": 0,
+        "phase_cycles": {"FETCH_DATA": 234_530, "FETCH_STASH": 23_800,
+                         "METADATA": 95_200, "PATH_WRITE": 342_620,
+                         "RECEIVE_LIST": 14_280, "idle": 15_132},
+        "slo": {"count": 378, "max": 26_421, "mean": 7097.544973544974,
+                "p50": 6_183, "p95": 17_760, "p99": 23_580,
+                "p999": 26_421},
+        "failures": 0,
+        "windows": 27,
+        "fastpath_hit_rate": 1.0,
+    },
+}
+
+
+@pytest.mark.parametrize("design", list(GATE_MEASURES),
+                         ids=lambda design: design.value)
+def test_gate_suite_measure(design):
+    """One mcf point per single-channel design, traced and windowed,
+    through the same sweep path (and result round-trip) the ledger
+    records use; the whole measure must match, not just the cycles."""
+    point = SweepPoint(design=design, workload="mcf", channels=1,
+                       trace_length=1200, seed=2018,
+                       window_policy="in-order", collect_trace=True,
+                       window_cycles=50_000)
+    (entry,) = run_sweep([point]).results
+    # only the measure is compared, so the digests are left empty
+    core = simulation_core(design.value, point.workload, entry.result,
+                           config_digest_hex="", fingerprint="")
+    assert core["measure"] == GATE_MEASURES[design]

@@ -74,13 +74,12 @@ class TestSourceTreeClean:
         # secret-tainted branch in an exporter is caught.
         obs = os.path.join(SRC, "obs")
         result = lint_paths([obs])
-        # tracer/metrics/audit/chrome plus the PR7 performance layer
-        # (ledger/timeseries/profile/regress) must all be in scope
-        assert result.files_checked >= 9
+        # tracer/metrics/audit/chrome plus the performance layer
+        # (ledger/timeseries/profile) must all be in scope
+        assert result.files_checked >= 8
         assert result.findings == []
         names = {name for name in os.listdir(obs) if name.endswith(".py")}
-        for module in ("ledger.py", "timeseries.py", "profile.py",
-                       "regress.py"):
+        for module in ("ledger.py", "timeseries.py", "profile.py"):
             assert module in names
         from repro.lint.rules.sec003 import InterproceduralSecretFlow
         assert any("obs" in marker
