@@ -269,6 +269,17 @@ class TestShardKeys:
                 assert xor(*cells) != xor(*plains)
         assert shared > 0
 
+    def test_shards_draw_different_leaf_streams(self):
+        spec = ServeSpec(design="independent", shards=2, levels=8, sites=2)
+        streams = []
+        for shard in range(2):
+            protocol = build_serving_protocol(spec, shard)
+            streams.append([[sdimm.oram.rng.random_leaf(1 << 20)
+                             for _ in range(16)]
+                            for sdimm in protocol.sdimms])
+        for first, second in zip(*streams):
+            assert first != second
+
 
 def xor(left, right):
     return bytes(a ^ b for a, b in zip(left, right))
