@@ -34,62 +34,49 @@ or run a full-system experiment::
     print(result.execution_cycles)
 """
 
-from repro.config import (
-    DesignPoint,
-    DramOrganization,
-    DramPower,
-    DramTiming,
-    OramConfig,
-    SdimmConfig,
-    SystemConfig,
-    small_config,
-    table2_config,
-)
-from repro.core.commands import CommandEncoder, SdimmCommand
-from repro.core.indep_split import IndepSplitProtocol
-from repro.core.independent import IndependentProtocol
-from repro.core.split import SplitProtocol
-from repro.core.transfer_queue import TransferQueue
-from repro.energy.dram_power import DramEnergyModel, EnergyReport
-from repro.oram.freecursive import FreecursiveOram
-from repro.oram.path_oram import Op, PathOram
-from repro.oram.recursive import RecursiveOram
-from repro.sim.stats import RunResult, geometric_mean
-from repro.sim.system import build_backend, run_simulation
-from repro.utils.rng import DeterministicRng
-from repro.workloads.spec import SPEC_PROFILES, get_profile
-from repro.workloads.synthetic import generate_trace
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CommandEncoder",
-    "DesignPoint",
-    "DeterministicRng",
-    "DramEnergyModel",
-    "DramOrganization",
-    "DramPower",
-    "DramTiming",
-    "EnergyReport",
-    "FreecursiveOram",
-    "IndepSplitProtocol",
-    "IndependentProtocol",
-    "Op",
-    "OramConfig",
-    "PathOram",
-    "RecursiveOram",
-    "RunResult",
-    "SPEC_PROFILES",
-    "SdimmCommand",
-    "SdimmConfig",
-    "SplitProtocol",
-    "SystemConfig",
-    "TransferQueue",
-    "build_backend",
-    "generate_trace",
-    "geometric_mean",
-    "get_profile",
-    "run_simulation",
-    "small_config",
-    "table2_config",
-]
+#: The documented top-level API: each name and the module defining it.
+#: A name is imported on first access (PEP 562), so ``import repro.sim``
+#: loads only what the simulator uses.
+_API = {
+    "CommandEncoder": "repro.core.commands",
+    "DesignPoint": "repro.config",
+    "DeterministicRng": "repro.utils.rng",
+    "DramEnergyModel": "repro.energy.dram_power",
+    "DramOrganization": "repro.config",
+    "DramPower": "repro.config",
+    "DramTiming": "repro.config",
+    "EnergyReport": "repro.energy.dram_power",
+    "FreecursiveOram": "repro.oram.freecursive",
+    "IndepSplitProtocol": "repro.core.indep_split",
+    "IndependentProtocol": "repro.core.independent",
+    "Op": "repro.oram.path_oram",
+    "OramConfig": "repro.config",
+    "PathOram": "repro.oram.path_oram",
+    "RecursiveOram": "repro.oram.recursive",
+    "RunResult": "repro.sim.stats",
+    "SPEC_PROFILES": "repro.workloads.spec",
+    "SdimmCommand": "repro.core.commands",
+    "SdimmConfig": "repro.config",
+    "SplitProtocol": "repro.core.split",
+    "SystemConfig": "repro.config",
+    "TransferQueue": "repro.core.transfer_queue",
+    "build_backend": "repro.sim.system",
+    "generate_trace": "repro.workloads.synthetic",
+    "geometric_mean": "repro.sim.stats",
+    "get_profile": "repro.workloads.spec",
+    "run_simulation": "repro.sim.system",
+    "small_config": "repro.config",
+    "table2_config": "repro.config",
+}
+
+__all__ = sorted(_API)
+
+
+def __getattr__(name):
+    if name not in _API:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_API[name]), name)

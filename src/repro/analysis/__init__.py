@@ -1,36 +1,2 @@
 """Analytical models from Section IV-B/IV-C: transfer-queue overflow
 (random walk and M/M/1/K) and off-DIMM traffic accounting."""
-
-from repro.analysis.queueing import (
-    drain_utilization,
-    mm1k_full_probability,
-    transfer_queue_overflow_probability,
-)
-from repro.analysis.random_walk import (
-    displacement_curve,
-    displacement_exceedance_probability,
-    expected_displacement,
-    first_passage_curve,
-    first_passage_overflow_probability,
-)
-from repro.analysis.traffic import (
-    OffDimmTraffic,
-    baseline_lines_per_access,
-    independent_traffic,
-    split_traffic,
-)
-
-__all__ = [
-    "OffDimmTraffic",
-    "baseline_lines_per_access",
-    "displacement_curve",
-    "displacement_exceedance_probability",
-    "drain_utilization",
-    "expected_displacement",
-    "first_passage_curve",
-    "first_passage_overflow_probability",
-    "independent_traffic",
-    "mm1k_full_probability",
-    "split_traffic",
-    "transfer_queue_overflow_probability",
-]

@@ -1,5 +1,1 @@
 """Set-associative cache models (LLC, PLB, on-chip ORAM-level cache)."""
-
-from repro.cache.cache import AccessResult, SetAssociativeCache
-
-__all__ = ["AccessResult", "SetAssociativeCache"]

@@ -8,33 +8,3 @@ replays byte-identically.  The obliviousness audit
 (``repro.obs.audit.audit_adaptive_control``) holds the control plane to
 exactly that: adapting must not become a side channel.
 """
-
-from repro.control.admission import AdmissionController
-from repro.control.decisions import (ControlDecision, applied_count,
-                                     decisions_payload, window_p99)
-from repro.control.drain import (DrainController, setpoint_probability,
-                                 target_utilization)
-from repro.control.morph import (MODE_MORPHED, MODE_SECURE,
-                                 MorphController, MorphDriveResult,
-                                 drive_morphing_backend)
-from repro.control.plane import (CONTROL_EVAL_TICKS, PLAIN_LINK_EVENTS,
-                                 ServeControlPlane)
-
-__all__ = [
-    "AdmissionController",
-    "ControlDecision",
-    "CONTROL_EVAL_TICKS",
-    "DrainController",
-    "MODE_MORPHED",
-    "MODE_SECURE",
-    "MorphController",
-    "MorphDriveResult",
-    "PLAIN_LINK_EVENTS",
-    "ServeControlPlane",
-    "applied_count",
-    "decisions_payload",
-    "drive_morphing_backend",
-    "setpoint_probability",
-    "target_utilization",
-    "window_p99",
-]

@@ -12,21 +12,3 @@
 * :mod:`repro.core.lowpower` — rank power management for the Section III-E
   one-subtree-per-rank layout.
 """
-
-from repro.core.commands import CommandEncoder, DdrFrame, SdimmCommand
-from repro.core.indep_split import IndepSplitProtocol
-from repro.core.independent import IndependentProtocol
-from repro.core.lowpower import RankPowerManager
-from repro.core.split import SplitProtocol
-from repro.core.transfer_queue import TransferQueue
-
-__all__ = [
-    "CommandEncoder",
-    "DdrFrame",
-    "IndepSplitProtocol",
-    "IndependentProtocol",
-    "RankPowerManager",
-    "SdimmCommand",
-    "SplitProtocol",
-    "TransferQueue",
-]

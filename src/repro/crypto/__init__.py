@@ -6,24 +6,3 @@ constructions over a SHAKE-256 PRF: a counter-mode pad cipher, keyed MACs, and
 the boot-time session handshake that authenticates each SDIMM buffer and
 agrees on upstream/downstream keys and counters.
 """
-
-from repro.crypto.ctr import CounterModeCipher
-from repro.crypto.mac import MacEngine, PmmacAuthenticator
-from repro.crypto.prf import Prf
-from repro.crypto.session import (
-    BufferIdentity,
-    CertificateAuthority,
-    SecureSession,
-    establish_session,
-)
-
-__all__ = [
-    "BufferIdentity",
-    "CertificateAuthority",
-    "CounterModeCipher",
-    "MacEngine",
-    "PmmacAuthenticator",
-    "Prf",
-    "SecureSession",
-    "establish_session",
-]

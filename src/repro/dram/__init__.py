@@ -12,22 +12,3 @@ costs O(1) instead of O(cycles).  The ordering decisions (row hits first,
 then oldest; reads before writes until the write queue hits its high
 watermark) match USIMM's FR-FCFS configuration from the paper.
 """
-
-from repro.dram.address import AddressMapper, DecodedAddress
-from repro.dram.bank import Bank
-from repro.dram.channel import Channel, MemoryRequest
-from repro.dram.commands import DramCommand, PowerState
-from repro.dram.rank import Rank
-from repro.dram.scheduler import FrFcfsScheduler
-
-__all__ = [
-    "AddressMapper",
-    "Bank",
-    "Channel",
-    "DecodedAddress",
-    "DramCommand",
-    "FrFcfsScheduler",
-    "MemoryRequest",
-    "PowerState",
-    "Rank",
-]

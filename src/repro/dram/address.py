@@ -11,12 +11,9 @@ bypass this mapper and place buckets explicitly; they still produce
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.config import DramOrganization
 from repro.utils.bitops import extract_bits, log2_exact
-from repro.utils import memo
-from repro.utils.memo import DEFAULT_MEMO_CAP
 
 
 @dataclass(frozen=True)
@@ -57,6 +54,7 @@ class AddressMapper:
         self.organization = organization
         self.line_bytes = line_bytes
         self.scheme = scheme
+        self.lines_per_channel = organization.channel_bytes // line_bytes
         self._field_bits = {
             "column": log2_exact(organization.row_bytes // line_bytes),
             "bank": log2_exact(organization.banks_per_rank),
@@ -64,19 +62,9 @@ class AddressMapper:
             "row": log2_exact(organization.rows_per_bank),
         }
         self._order = self.SCHEMES[scheme]
-        # decode() dominates the non-secure baseline's per-miss cost; the
-        # mapping is pure, so memoize it (bounded: clears when full).
-        self._decode_cache: Dict[int, DecodedAddress] = {}
-
-    @property
-    def lines_per_channel(self) -> int:
-        return self.organization.channel_bytes // self.line_bytes
 
     def decode(self, line_address: int) -> DecodedAddress:
         """Split a line address into channel coordinates."""
-        cached = self._decode_cache.get(line_address)
-        if cached is not None:
-            return cached
         if not 0 <= line_address < self.lines_per_channel:
             raise ValueError(
                 f"line address {line_address} outside channel "
@@ -87,13 +75,8 @@ class AddressMapper:
             width = self._field_bits[name]
             fields[name] = extract_bits(line_address, low, width)
             low += width
-        decoded = DecodedAddress(rank=fields["rank"], bank=fields["bank"],
-                                 row=fields["row"], column=fields["column"])
-        if memo.CORE.memo:
-            if len(self._decode_cache) >= DEFAULT_MEMO_CAP:
-                self._decode_cache.clear()
-            self._decode_cache[line_address] = decoded
-        return decoded
+        return DecodedAddress(rank=fields["rank"], bank=fields["bank"],
+                              row=fields["row"], column=fields["column"])
 
     def encode(self, decoded: DecodedAddress) -> int:
         """Inverse of :meth:`decode`."""

@@ -1,17 +1,2 @@
 """DRAM energy and buffer-chip area models (the Micron-calculator/CACTI
 substitutes used for Figure 10 and the area paragraph of Section IV-B)."""
-
-from repro.energy.area import (
-    oram_controller_area_mm2,
-    sdimm_buffer_area_mm2,
-    sram_area_mm2,
-)
-from repro.energy.dram_power import DramEnergyModel, EnergyReport
-
-__all__ = [
-    "DramEnergyModel",
-    "EnergyReport",
-    "oram_controller_area_mm2",
-    "sdimm_buffer_area_mm2",
-    "sram_area_mm2",
-]

@@ -17,28 +17,3 @@ deployable system needs on top — what happens *after* detection:
   Independent / Split / INDEP-SPLIT protocols, sweepable through
   :mod:`repro.parallel` with results cached by plan digest.
 """
-
-from repro.faults.campaign import (CampaignOutcome, CampaignSpec,
-                                   campaign_cache_key, run_campaign,
-                                   run_campaign_sweep)
-from repro.faults.injector import FaultInjector, FaultyStore, SplitFaultDriver
-from repro.faults.plan import (FAULT_BIT_FLIP, FAULT_BUFFER_STALL,
-                               FAULT_LINK_DELAY, FAULT_LINK_DROP,
-                               FAULT_LINK_DUPLICATE, FAULT_REPLAY,
-                               FAULT_STUCK_CELL, INTEGRITY_KINDS, LINK_KINDS,
-                               FaultPlan, FaultSpec)
-from repro.faults.recovery import (ResilienceStats, ResilientLink,
-                                   RetryExhaustedError, RetryPolicy,
-                                   RetryingStore, SplitResilienceHandle)
-
-__all__ = [
-    "CampaignOutcome", "CampaignSpec", "campaign_cache_key",
-    "run_campaign", "run_campaign_sweep",
-    "FaultInjector", "FaultyStore", "SplitFaultDriver",
-    "FaultPlan", "FaultSpec",
-    "FAULT_BIT_FLIP", "FAULT_REPLAY", "FAULT_STUCK_CELL",
-    "FAULT_LINK_DROP", "FAULT_LINK_DUPLICATE", "FAULT_LINK_DELAY",
-    "FAULT_BUFFER_STALL", "INTEGRITY_KINDS", "LINK_KINDS",
-    "ResilienceStats", "ResilientLink", "RetryExhaustedError",
-    "RetryPolicy", "RetryingStore", "SplitResilienceHandle",
-]

@@ -14,7 +14,7 @@ and reports a detection/recovery scoreboard instead of crashing:
   diff byte-for-byte (the CI smoke job does exactly that).
 
 Campaigns are sweepable: :func:`run_campaign_sweep` is one
-:func:`repro.parallel.fanout` call, with entries keyed by spec + plan
+:func:`repro.parallel.pool.fanout` call, with entries keyed by spec + plan
 digest + code fingerprint.
 """
 
@@ -36,8 +36,8 @@ from repro.faults.recovery import (ResilienceStats, ResilientLink,
                                    RetryingStore, SplitResilienceHandle)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.oram.path_oram import Op, StashOverflowError
-from repro.parallel import fanout
+from repro.oram.path_oram import StashOverflowError
+from repro.parallel.pool import fanout
 from repro.parallel.cache import RunCache
 from repro.parallel.fingerprint import code_fingerprint
 from repro.parallel.serialize import SCHEMA_VERSION
@@ -363,7 +363,7 @@ def run_campaign_sweep(specs: Sequence[CampaignSpec], jobs: int = 1,
                        ) -> List[Dict[str, object]]:
     """Run several campaigns; results come back in submission order.
 
-    One :func:`repro.parallel.fanout` call: cache-first, pool with
+    One :func:`repro.parallel.pool.fanout` call: cache-first, pool with
     serial fallback, bit-identical regardless of completion order.
     """
     fingerprint = code_fingerprint() if cache is not None else None

@@ -17,7 +17,7 @@ end in retry exhaustion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.tracer import CATEGORY_FAULT, NULL_TRACER, StepClock, Tracer

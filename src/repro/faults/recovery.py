@@ -22,7 +22,7 @@ retry-indistinguishability argument in docs/faults.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.obs.metrics import MetricsRegistry
 from repro.oram.integrity import IntegrityError

@@ -13,31 +13,7 @@ convention, the suppression syntax, and the baseline workflow.
 
 Public API::
 
-    from repro.lint import lint_paths, lint_source
+    from repro.lint.runner import lint_paths, lint_source
     result = lint_paths(["src/repro"], jobs=4)
     result.exit_code()   # 0 clean, 1 findings, 2 file errors
 """
-
-from repro.lint.baseline import (apply_baseline, finding_key,  # noqa: F401
-                                 load_baseline, render_baseline)
-from repro.lint.findings import (Finding, LintError, LintResult,  # noqa: F401
-                                 Severity)
-from repro.lint.registry import (ProjectRule, Rule, all_rule_ids,  # noqa: F401
-                                 all_rules, get_rule, register,
-                                 select_rules)
-from repro.lint.reporting import (SCHEMA_VERSION, render_json,  # noqa: F401
-                                  render_rule_list, render_text, to_payload)
-from repro.lint.runner import (iter_python_files, lint_paths,  # noqa: F401
-                               lint_source)
-from repro.lint.sarif import render_sarif, to_sarif  # noqa: F401
-
-__all__ = [
-    "Finding", "LintError", "LintResult", "Severity",
-    "Rule", "ProjectRule", "register", "all_rules", "all_rule_ids",
-    "get_rule", "select_rules",
-    "lint_paths", "lint_source", "iter_python_files",
-    "render_text", "render_json", "render_rule_list", "to_payload",
-    "render_sarif", "to_sarif",
-    "apply_baseline", "finding_key", "load_baseline", "render_baseline",
-    "SCHEMA_VERSION",
-]

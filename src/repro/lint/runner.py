@@ -4,7 +4,7 @@ A lint run has two phases:
 
 * **per-file** — parse each file once and run every file-scoped rule on
   it.  This phase is embarrassingly parallel (``jobs > 1`` fans it over
-  the process pool of :func:`repro.parallel.fanout`, in submission
+  the process pool of :func:`repro.parallel.pool.fanout`, in submission
   order so output is byte-identical to serial) and cacheable (content
   hash + rule set + lint-code fingerprint, see
   :mod:`repro.lint.cache`);
@@ -202,7 +202,7 @@ def _file_worker(task: Tuple[str, Tuple[str, ...], Optional[str]]
 def _run_file_phase(files: Sequence[Path], rule_ids: Sequence[str],
                     jobs: int,
                     cache_dir: Optional[str]) -> List[FileOutcome]:
-    from repro.parallel import fanout
+    from repro.parallel.pool import fanout
 
     tasks = [(str(path), tuple(rule_ids), cache_dir) for path in files]
     return [_outcome_from_dict(payload)

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.obs.tracer import (CATEGORY_BUS, CATEGORY_DRAM, NULL_TRACER,
+from repro.obs.tracer import (CATEGORY_BUS, CATEGORY_DRAM,
                               CollectingTracer, TraceEvent)
 
 #: Argument keys that would carry secret-tainted values if they ever

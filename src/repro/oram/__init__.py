@@ -10,31 +10,3 @@ Two tiers share the same geometry and layout code:
   payload bytes — Path ORAM's obliviousness makes its timing
   content-independent, which is what makes this split sound.
 """
-
-from repro.oram.bucket import Block, Bucket
-from repro.oram.freecursive import FreecursiveOram
-from repro.oram.integrity import EncryptedBucketStore, IntegrityError
-from repro.oram.layout import LowPowerLayout, TreeLayout
-from repro.oram.path_oram import PathOram, StashOverflowError
-from repro.oram.plb import PlbFrontend
-from repro.oram.posmap import PositionMap
-from repro.oram.recursive import RecursiveOram
-from repro.oram.stash import Stash
-from repro.oram.tree import TreeGeometry
-
-__all__ = [
-    "Block",
-    "Bucket",
-    "EncryptedBucketStore",
-    "FreecursiveOram",
-    "IntegrityError",
-    "LowPowerLayout",
-    "PathOram",
-    "PlbFrontend",
-    "PositionMap",
-    "RecursiveOram",
-    "Stash",
-    "StashOverflowError",
-    "TreeGeometry",
-    "TreeLayout",
-]

@@ -3,7 +3,7 @@
 A sharded point — a :class:`~repro.serve.bench.ServeSpec` with
 ``shards > 1``, swept by ``serve-bench --shards N`` — runs through
 ``shards`` persistent worker processes (the warm pools of
-:func:`repro.parallel.fanout`) and folds the per-shard outcomes into one
+:func:`repro.parallel.pool.fanout`) and folds the per-shard outcomes into one
 canonical aggregate report:
 
 * **routing** is the consistent-hash plan over leaf-MSB subtrees
@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry, fold_metrics_dict
-from repro.parallel import fanout
+from repro.parallel.pool import fanout
 from repro.serve.bench import ServeSpec
 from repro.serve.shard import (build_plan, model_migrations, route_requests,
                                run_shard)

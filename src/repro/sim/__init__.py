@@ -8,8 +8,3 @@ so this tier moves no payload bytes — the functional tier in
 :mod:`repro.oram` and :mod:`repro.core` proves the protocols correct, and
 this tier measures what they cost.
 """
-
-from repro.sim.stats import RunResult
-from repro.sim.system import build_backend, run_simulation
-
-__all__ = ["RunResult", "build_backend", "run_simulation"]

@@ -31,8 +31,9 @@ from repro.core.lowpower import RankPowerManager
 from repro.dram.address import AddressMapper
 from repro.dram.channel import Channel, MemoryRequest
 from repro.dram.scheduler import FrFcfsScheduler
-from repro.fastpath import (AccessFastPath, FastLowPowerRuns, FastTreeRuns,
-                            emit_batch, pass_eligible, stamp_pass)
+from repro.fastpath.access import AccessFastPath
+from repro.fastpath.engine import emit_batch, pass_eligible, stamp_pass
+from repro.fastpath.runs import FastLowPowerRuns, FastTreeRuns
 from repro.obs.tracer import (CATEGORY_PROTOCOL, NULL_TRACER, Tracer)
 from repro.oram.layout import LowPowerLayout, TreeLayout
 from repro.oram.plb import PlbFrontend

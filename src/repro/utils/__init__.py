@@ -1,28 +1,1 @@
 """Small shared helpers: bit manipulation and deterministic randomness."""
-
-from repro.utils.bitops import (
-    bit_slice,
-    ceil_div,
-    ceil_log2,
-    extract_bits,
-    insert_bits,
-    is_power_of_two,
-    log2_exact,
-    merge_bit_slices,
-    split_bits_round_robin,
-)
-from repro.utils.rng import DeterministicRng, derive_seed
-
-__all__ = [
-    "DeterministicRng",
-    "bit_slice",
-    "ceil_div",
-    "ceil_log2",
-    "derive_seed",
-    "extract_bits",
-    "insert_bits",
-    "is_power_of_two",
-    "log2_exact",
-    "merge_bit_slices",
-    "split_bits_round_robin",
-]

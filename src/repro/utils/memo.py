@@ -9,8 +9,8 @@ Two independent choices, neither of which moves a simulated cycle:
   ``schedule_run`` and ``schedule_access`` in :mod:`repro.dram.channel`,
   the bank-scanning ``note_activity`` in :mod:`repro.dram.rank`).  The
   reference core is the unbatched, unmemoized spec: it also turns off
-  the pure memoization caches (:mod:`repro.dram.address`,
-  :mod:`repro.oram.layout`, :mod:`repro.crypto.ctr`) and the macro-event
+  the pure memoization caches (:mod:`repro.oram.layout`,
+  :mod:`repro.crypto.ctr`) and the macro-event
   fast path.
 * ``disable_fastpath`` (``REPRO_DISABLE_FASTPATH=1``) turns off the fast
   path alone — the escape hatch for isolating a suspected fastpath bug

@@ -10,17 +10,3 @@ with MLP/locality settings matching the paper's narrative (gromacs and
 omnetpp are high-MLP and favour INDEP; GemsFDTD is latency-bound and
 favours SPLIT).
 """
-
-from repro.workloads.spec import SPEC_PROFILES, WorkloadProfile, get_profile
-from repro.workloads.trace import TraceRecord, load_trace, save_trace
-from repro.workloads.synthetic import generate_trace
-
-__all__ = [
-    "SPEC_PROFILES",
-    "TraceRecord",
-    "WorkloadProfile",
-    "generate_trace",
-    "get_profile",
-    "load_trace",
-    "save_trace",
-]

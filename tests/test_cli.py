@@ -155,7 +155,8 @@ class TestServeBench:
                                       capsys, monkeypatch):
         import json
 
-        from repro.serve import ServeSpec, canonical_json, run_serve_sweep
+        from repro.serve.bench import ServeSpec, run_serve_sweep
+        from repro.serve.slo import canonical_json
 
         monkeypatch.delenv("REPRO_NO_LEDGER", raising=False)
         report = tmp_path / "report.json"

@@ -13,7 +13,6 @@ from repro.config import (
     OramConfig,
     SchedulerConfig,
     SdimmConfig,
-    SystemConfig,
     small_config,
     table2_config,
 )

@@ -2,8 +2,6 @@
 
 import dataclasses
 
-import pytest
-
 from repro.config import (
     DOUBLE_CHANNEL_DESIGNS,
     SINGLE_CHANNEL_DESIGNS,

@@ -1,7 +1,5 @@
 """Tests for the co-resident VM experiment (the paper's claim III-A.3)."""
 
-import pytest
-
 from repro.config import DesignPoint
 from repro.sim.coresident import CoResidentExperiment, compare_designs
 

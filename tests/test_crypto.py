@@ -4,16 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto import (
-    CertificateAuthority,
-    CounterModeCipher,
-    MacEngine,
-    PmmacAuthenticator,
-    Prf,
-    establish_session,
-)
-from repro.crypto.mac import MacError
-from repro.crypto.session import AuthenticationError, BufferIdentity
+from repro.crypto.ctr import CounterModeCipher
+from repro.crypto.mac import MacEngine, MacError, PmmacAuthenticator
+from repro.crypto.prf import Prf
+from repro.crypto.session import (AuthenticationError, BufferIdentity,
+                                  CertificateAuthority, establish_session)
 
 KEY_A = b"0123456789abcdef"
 KEY_B = b"fedcba9876543210"

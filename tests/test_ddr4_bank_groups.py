@@ -1,7 +1,5 @@
 """Tests for DDR4 bank-group CAS pacing (tCCD_L vs tCCD_S)."""
 
-import pytest
-
 from repro.config import (
     DramOrganization,
     DramTiming,

@@ -10,7 +10,7 @@ from repro.faults.campaign import (CampaignSpec, _build_protocol,
                                    run_campaign_sweep)
 from repro.faults.plan import FaultPlan
 from repro.obs.tracer import NULL_TRACER
-from repro.parallel import RunCache
+from repro.parallel.cache import RunCache
 
 
 def faulty_spec(design, **overrides):

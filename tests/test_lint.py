@@ -13,8 +13,9 @@ import pathlib
 import pytest
 
 from repro.cli import main
-from repro.lint import (SCHEMA_VERSION, all_rule_ids, lint_paths,
-                        lint_source, to_payload)
+from repro.lint.registry import all_rule_ids
+from repro.lint.reporting import SCHEMA_VERSION, to_payload
+from repro.lint.runner import lint_paths, lint_source
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "lint")
 

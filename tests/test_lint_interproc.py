@@ -15,11 +15,12 @@ import sys
 import pytest
 
 from repro.cli import main
-from repro.lint import (apply_baseline, finding_key, lint_paths,
-                        load_baseline, render_baseline, render_sarif,
-                        to_sarif)
+from repro.lint.baseline import (apply_baseline, finding_key,
+                                 load_baseline, render_baseline)
 from repro.lint.callgraph import build_project
-from repro.lint.dataflow import SECRET, analyze
+from repro.lint.dataflow import analyze
+from repro.lint.runner import lint_paths
+from repro.lint.sarif import render_sarif, to_sarif
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "lint")
 

@@ -18,7 +18,7 @@ import re
 
 import pytest
 
-from repro.lint import lint_paths
+from repro.lint.runner import lint_paths
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "repro")

@@ -1,7 +1,5 @@
 """Tests for the rank power manager (Section III-E)."""
 
-import pytest
-
 from repro.config import DramOrganization, DramTiming
 from repro.core.lowpower import RankPowerManager
 from repro.dram.channel import Channel

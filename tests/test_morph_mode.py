@@ -1,7 +1,5 @@
 """Tests for the morphed (non-secure) SDIMM mode of Section III-A.4."""
 
-import pytest
-
 from repro.config import DesignPoint, table2_config
 from repro.sim.events import EventQueue
 from repro.sim.system import build_backend

@@ -8,7 +8,8 @@ import textwrap
 import pytest
 
 import repro.parallel.pool as pool_module
-from repro.parallel import RunCache, fanout
+from repro.parallel.cache import RunCache
+from repro.parallel.pool import fanout
 from repro.utils import memo
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -72,7 +73,7 @@ class TestDeadWorker:
             from concurrent.futures.process import BrokenProcessPool
 
             import repro.parallel.pool as pool_module
-            from repro.parallel import fanout
+            from repro.parallel.pool import fanout
 
             def die_on_one(task):
                 if task == 1:

@@ -14,8 +14,9 @@ import concurrent.futures
 import pytest
 
 from repro.config import DesignPoint, small_config
-from repro.parallel import RunCache, SweepPoint, run_result_to_dict, run_sweep
-from repro.parallel.serialize import canonical_json
+from repro.parallel.cache import RunCache
+from repro.parallel.serialize import canonical_json, run_result_to_dict
+from repro.parallel.sweep import SweepPoint, run_sweep
 import repro.parallel.pool as pool_module
 
 #: 2 designs x 2 workloads, all traced — the matrix the issue asks for.

@@ -7,8 +7,8 @@ import re
 import pytest
 
 from repro.config import DesignPoint, small_config
-from repro.parallel import RunCache, default_cache_dir
-from repro.parallel.cache import CACHE_DIR_ENV, DEFAULT_CACHE_DIRNAME
+from repro.parallel.cache import (CACHE_DIR_ENV, DEFAULT_CACHE_DIRNAME,
+                                  RunCache, default_cache_dir)
 from repro.parallel.serialize import run_result_to_dict
 from repro.sim.system import run_simulation
 

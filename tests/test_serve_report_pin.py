@@ -6,18 +6,17 @@ the serving path must reproduce these bytes exactly; a deliberate change
 to the report layout or the served timeline must update the digests and
 say so.
 
-The sharded points are built through the sharded spec type the package
-exports (``ShardSpec`` where it exists, else the one ``ServeSpec`` with
-``shards > 1``), so the same pins judge both spec layouts.
+The sharded points are ``ServeSpec`` points with ``shards > 1``.
 """
 
 import hashlib
 
 import pytest
 
-from repro import serve
-from repro.serve import (ServeSpec, canonical_json, fold_shard_reports,
-                         run_serve_sweep, run_shard)
+from repro.serve.bench import ServeSpec, run_serve_sweep
+from repro.serve.router import fold_shard_reports
+from repro.serve.shard import run_shard
+from repro.serve.slo import canonical_json
 
 BASE = dict(levels=7, requests=150, rate=0.1, capacity=8,
             zipf_exponent=1.1, seed=2018)
@@ -60,8 +59,7 @@ def _digest(report):
 
 
 def _sharded_spec(**fields):
-    spec_type = getattr(serve, "ShardSpec", ServeSpec)
-    return spec_type(**dict(BASE, design="independent", rate=0.4,
+    return ServeSpec(**dict(BASE, design="independent", rate=0.4,
                             **fields))
 
 

@@ -14,9 +14,11 @@ import pytest
 import repro.parallel.pool as pool_module
 from repro.cli import main
 from repro.parallel.cache import RunCache
-from repro.serve import (ServeSpec, canonical_json, fold_shard_reports,
-                         run_serve, run_serve_sweep, run_shard,
-                         serve_cache_key)
+from repro.serve.bench import (ServeSpec, run_serve, run_serve_sweep,
+                               serve_cache_key)
+from repro.serve.router import fold_shard_reports
+from repro.serve.shard import run_shard
+from repro.serve.slo import canonical_json
 
 SMALL = dict(design="independent", levels=6, requests=96, capacity=16,
              batch=4, rate=0.02, seed=2018, shards=2, subtrees=8)

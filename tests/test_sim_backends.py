@@ -1,15 +1,6 @@
 """Tests for the event-driven memory backends."""
 
-import pytest
-
-from repro.config import DesignPoint, small_config, table2_config
-from repro.sim.backends import (
-    FreecursiveBackend,
-    IndependentBackend,
-    IndepSplitBackend,
-    NonSecureBackend,
-    SplitBackend,
-)
+from repro.config import DesignPoint, table2_config
 from repro.sim.events import EventQueue
 from repro.sim.system import build_backend
 from repro.utils.rng import DeterministicRng

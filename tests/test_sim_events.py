@@ -1,7 +1,5 @@
 """Tests for the discrete-event core and work queues."""
 
-import pytest
-
 from repro.sim.events import EventQueue, WorkQueue
 
 

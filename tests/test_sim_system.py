@@ -45,7 +45,6 @@ class TestRunSimulation:
         with_plb = quick_run(DesignPoint.FREECURSIVE)
         config = table2_config(DesignPoint.FREECURSIVE)
         # full recursion: every miss pays the whole PosMap chain
-        from repro.sim.system import build_backend
         assert with_plb.accessorams_per_miss < \
             config.oram.recursive_posmaps + 1
 
