@@ -549,8 +549,6 @@ def cmd_trace(args) -> int:
 
 def cmd_lint(args) -> int:
     """Handle ``repro lint``; exit codes 0 clean / 1 findings / 2 errors."""
-    from repro.lint.baseline import (apply_baseline, load_baseline,
-                                     render_baseline)
     from repro.lint.reporting import (render_json, render_rule_list,
                                       render_text)
     from repro.lint.runner import lint_paths
@@ -562,7 +560,6 @@ def cmd_lint(args) -> int:
     selected = (args.select.split(",") if args.select else None)
     try:
         result = lint_paths(args.paths, selected_rules=selected,
-                            jobs=args.jobs, cache_dir=args.cache_dir,
                             warn_unused_suppressions=args.warn_unused_suppressions)
     except FileNotFoundError as error:
         print(f"reprolint: no such path: {error.args[0]}", file=sys.stderr)
@@ -571,21 +568,6 @@ def cmd_lint(args) -> int:
         print(f"reprolint: unknown rule {error.args[0]!r} "
               f"(see --list-rules)", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        with open(args.write_baseline, "w", encoding="utf-8") as handle:
-            handle.write(render_baseline(result))
-        print(f"reprolint: wrote {len(result.findings)} finding(s) to "
-              f"baseline {args.write_baseline}")
-        return 0 if not result.errors else 2
-    if args.baseline:
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as handle:
-                baseline = load_baseline(handle.read())
-        except (OSError, ValueError) as error:
-            print(f"reprolint: cannot read baseline {args.baseline}: "
-                  f"{error}", file=sys.stderr)
-            return 2
-        apply_baseline(result, baseline)
     if args.format == "json":
         print(render_json(result))
     elif args.format == "sarif":
@@ -864,17 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated rule ids to run (default: all)")
     lint.add_argument("--list-rules", action="store_true",
                       help="describe every registered rule and exit")
-    lint.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="lint files in N worker processes "
-                           "(output is identical to --jobs 1)")
-    lint.add_argument("--cache-dir", default=None, metavar="DIR",
-                      help="reuse per-file results keyed on file bytes "
-                           "and the analyzer's own fingerprint")
-    lint.add_argument("--baseline", default=None, metavar="FILE",
-                      help="demote findings recorded in FILE to "
-                           "baselined (they no longer fail the run)")
-    lint.add_argument("--write-baseline", default=None, metavar="FILE",
-                      help="record current findings to FILE and exit 0")
     lint.add_argument("--warn-unused-suppressions", action="store_true",
                       help="report directives that no longer suppress "
                            "anything (LINT001)")

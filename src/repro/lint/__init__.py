@@ -9,11 +9,11 @@ ambient nondeterminism (DET001), cycle accounting must stay in exact
 integers (DET002), and pool fan-out must be deterministic across
 processes (DET003).  ``python -m repro lint`` enforces all of them;
 ``docs/lint.md`` documents each family, the taint-source annotation
-convention, the suppression syntax, and the baseline workflow.
+convention and the suppression syntax.
 
 Public API::
 
     from repro.lint.runner import lint_paths, lint_source
-    result = lint_paths(["src/repro"], jobs=4)
+    result = lint_paths(["src/repro"])
     result.exit_code()   # 0 clean, 1 findings, 2 file errors
 """

@@ -10,7 +10,9 @@ Two passes, both fixed-point:
   and which parameters reach a *sink* (branch condition, loop bound,
   ternary with real work in an arm, subscript index, membership probe)
   inside the function.  Summaries are iterated to a global fixpoint so
-  taint crosses any number of call hops.
+  taint crosses any number of call hops.  A worklist drives it: only
+  the callers of a changed summary, and the methods of a class whose
+  secret-attribute set grew, are summarized again.
 * **Pass B (reporting).**  Every function is re-analyzed with concrete
   seeding (vocabulary parameters are SECRET).  A sink whose condition
   carries ``SECRET`` becomes an *in-place* flow at the sink; a call
@@ -42,7 +44,8 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.lint.callgraph import FunctionInfo, Project
 from repro.lint.rules.common import identifier_segments
@@ -166,8 +169,8 @@ class _FunctionAnalysis:
 
     # -- statement-order iteration, stopping at nested defs -----------
 
-    def statements(self) -> Iterator[ast.AST]:
-        yield from _iter_shallow(getattr(self.info.node, "body", []))
+    def statements(self) -> List[ast.AST]:
+        return self.engine.shallow(self.info.node)
 
     # -- environment fixpoint -----------------------------------------
 
@@ -398,7 +401,13 @@ class ProgramTaint:
         # that class then carry SECRET (the "decrypted payload threaded
         # through an object attribute" case).
         self._secret_attrs: Dict[Tuple[str, str], set] = {}
-        self._attrs_changed = False
+        # def node -> its body's nodes in statement order, not descending
+        # into nested defs; both passes walk each body several times.
+        self._shallow: Dict[ast.AST, List[ast.AST]] = {}
+        # Pass A's worklist, and (module path, class name) -> method
+        # qualnames, the functions a new secret attribute makes dirty.
+        self._dirty: Set[str] = set()
+        self._methods: Dict[Tuple[str, str], Set[str]] = {}
         self._compute_summaries()
         self.flows: List[TaintFlow] = sorted(
             self._report(),
@@ -406,6 +415,14 @@ class ProgramTaint:
                               flow.kind, flow.message))
 
     # -- shared per-module caches --------------------------------------
+
+    def shallow(self, node: ast.AST) -> List[ast.AST]:
+        """Every node under a def's body, stopping at nested defs."""
+        nodes = self._shallow.get(node)
+        if nodes is None:
+            nodes = list(_iter_shallow(getattr(node, "body", [])))
+            self._shallow[node] = nodes
+        return nodes
 
     def suppression_index(self, path: str) -> SuppressionIndex:
         if path not in self._suppressions:
@@ -435,7 +452,7 @@ class ProgramTaint:
         bucket = self._secret_attrs.setdefault(key, set())
         if attr not in bucket:
             bucket.add(attr)
-            self._attrs_changed = True
+            self._dirty |= self._methods.get(key, set())
 
     def _sink_suppressed(self, path: str, kind: str, lineno: int) -> bool:
         index = self.suppression_index(path)
@@ -446,17 +463,27 @@ class ProgramTaint:
     # -- Pass A ---------------------------------------------------------
 
     def _compute_summaries(self) -> None:
+        functions = self.project.functions
+        callers: Dict[str, Set[str]] = {}
+        for qualname, info in functions.items():
+            if info.class_name is not None:
+                self._methods.setdefault((info.path, info.class_name),
+                                         set()).add(qualname)
+            for node in self.shallow(info.node):
+                if isinstance(node, ast.Call):
+                    for callee in self.project.resolve_call(node, info):
+                        callers.setdefault(callee.qualname,
+                                           set()).add(qualname)
+        self._dirty = set(functions)
         for _ in range(20):
-            changed = False
-            self._attrs_changed = False
-            for qualname in sorted(self.project.functions):
-                info = self.project.functions[qualname]
-                summary = self._summarize(info)
+            if not self._dirty:
+                return
+            batch, self._dirty = sorted(self._dirty), set()
+            for qualname in batch:
+                summary = self._summarize(functions[qualname])
                 if summary != self.summaries.get(qualname):
                     self.summaries[qualname] = summary
-                    changed = True
-            if not changed and not self._attrs_changed:
-                return
+                    self._dirty |= callers.get(qualname, set())
 
     def _summarize(self, info: FunctionInfo) -> FunctionSummary:
         analysis = _FunctionAnalysis(self, info, concrete=False)
@@ -464,7 +491,7 @@ class ProgramTaint:
         if info.class_name is not None:
             self._collect_secret_attrs(info, analysis)
         return_deps: Deps = _EMPTY
-        for node in _iter_shallow(getattr(info.node, "body", [])):
+        for node in self.shallow(info.node):
             if isinstance(node, ast.Return) and node.value is not None:
                 return_deps = return_deps | analysis.expr_deps(node.value)
         sinks: List[SinkRecord] = []
@@ -486,7 +513,7 @@ class ProgramTaint:
     def _collect_secret_attrs(self, info: FunctionInfo,
                               analysis: _FunctionAnalysis) -> None:
         """Record ``self.<attr> = <concretely secret>`` assignments."""
-        for node in _iter_shallow(getattr(info.node, "body", [])):
+        for node in self.shallow(info.node):
             if not isinstance(node, (ast.Assign, ast.AnnAssign,
                                      ast.AugAssign)):
                 continue
@@ -546,7 +573,7 @@ class ProgramTaint:
 
     def _lifted_flows(self, info: FunctionInfo,
                       analysis: _FunctionAnalysis) -> Iterator[TaintFlow]:
-        for call in _iter_shallow(getattr(info.node, "body", [])):
+        for call in self.shallow(info.node):
             if not isinstance(call, ast.Call):
                 continue
             callees = self.project.resolve_call(call, info)

@@ -65,18 +65,12 @@ class LintError:
 
 @dataclass
 class LintResult:
-    """Everything one lint run produced, before formatting.
-
-    ``baselined`` holds findings matched by a committed baseline file
-    (``--baseline``): still known defects, but not regressions — they
-    are reported separately and do not affect the exit code.
-    """
+    """Everything one lint run produced, before formatting."""
 
     findings: List[Finding] = field(default_factory=list)
     errors: List[LintError] = field(default_factory=list)
     files_checked: int = 0
     suppressed_count: int = 0
-    baselined: List[Finding] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:

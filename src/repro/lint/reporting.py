@@ -26,8 +26,6 @@ def render_text(result: LintResult) -> str:
                f"{'' if len(result.findings) == 1 else 's'}")
     if result.suppressed_count:
         summary += f" ({result.suppressed_count} suppressed)"
-    if result.baselined:
-        summary += f" ({len(result.baselined)} baselined)"
     if result.errors:
         summary += f", {len(result.errors)} file error" \
                    f"{'' if len(result.errors) == 1 else 's'}"
@@ -38,7 +36,7 @@ def render_text(result: LintResult) -> str:
 def to_payload(result: LintResult) -> Dict[str, object]:
     """The JSON document as a plain dict (tests validate this shape)."""
     by_rule = Counter(finding.rule_id for finding in result.findings)
-    payload: Dict[str, object] = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "tool": "reprolint",
         "findings": [finding.to_dict() for finding in result.findings],
@@ -52,15 +50,6 @@ def to_payload(result: LintResult) -> Dict[str, object]:
         },
         "exit_code": result.exit_code(),
     }
-    if result.baselined:
-        # Append-only schema addition: present only when a --baseline
-        # run matched known findings.
-        payload["baselined"] = [finding.to_dict()
-                                for finding in result.baselined]
-        summary = payload["summary"]
-        assert isinstance(summary, dict)
-        summary["baselined_count"] = len(result.baselined)
-    return payload
 
 
 def render_json(result: LintResult) -> str:

@@ -1,40 +1,31 @@
-"""File discovery, rule execution, and the two-phase drive loop.
+"""File discovery, rule execution, and the one-pass drive loop.
 
-A lint run has two phases:
-
-* **per-file** — parse each file once and run every file-scoped rule on
-  it.  This phase is embarrassingly parallel (``jobs > 1`` fans it over
-  the process pool of :func:`repro.parallel.pool.fanout`, in submission
-  order so output is byte-identical to serial) and cacheable (content
-  hash + rule set + lint-code fingerprint, see
-  :mod:`repro.lint.cache`);
-* **project** — build the whole-program view (:mod:`repro.lint
-  .callgraph`), run the taint engine (:mod:`repro.lint.dataflow`) and
-  every :class:`~repro.lint.registry.ProjectRule` over it.  Inherently
-  serial and never cached: it depends on every file at once.
+A lint run is one serial pass.  Each file is read, decoded, parsed and
+scanned for suppression directives once, and the file-scoped rules run
+on it right away.  The same trees and suppression indexes then build the
+whole-program view (:mod:`repro.lint.callgraph`), over which the taint
+engine (:mod:`repro.lint.dataflow`) and every
+:class:`~repro.lint.registry.ProjectRule` run.
 
 Files that cannot be analyzed (unreadable, undecodable, syntax errors)
 become structured LINT000 findings *and* :class:`LintError` entries —
 the run degrades instead of aborting, and the exit code stays 2.
 ``warn_unused_suppressions`` adds LINT001 findings for directives that
-silenced nothing across both phases.
+silenced nothing, in either the file or the project rules.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
-from repro.lint.cache import LintCache, entry_key
 from repro.lint.callgraph import Project, build_project
 from repro.lint.dataflow import ProgramTaint, analyze
 from repro.lint.findings import Finding, LintError, LintResult, Severity
 from repro.lint.registry import FileContext, Rule, select_rules
-from repro.lint.suppressions import (SuppressionIndex, Scope,
-                                     parse_suppressions)
+from repro.lint.suppressions import SuppressionIndex, parse_suppressions
 
 _SKIP_DIRECTORIES = {"__pycache__", ".git", ".venv", "venv",
                      ".mypy_cache", ".ruff_cache", ".pytest_cache",
@@ -66,21 +57,8 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[Path]:
 
 
 # ----------------------------------------------------------------------
-# Per-file phase
+# Per-file rules
 # ----------------------------------------------------------------------
-
-@dataclass
-class FileOutcome:
-    """Everything the per-file phase produced for one file (picklable)."""
-
-    path: str
-    checked: bool = False
-    findings: List[Finding] = field(default_factory=list)
-    error: Optional[LintError] = None
-    suppressed_count: int = 0
-    #: ``(scope, token)`` pairs whose directives silenced a finding
-    used: List[Tuple[Scope, str]] = field(default_factory=list)
-
 
 def _lint000(path: str, line: int, column: int, message: str) -> Finding:
     return Finding(rule_id="LINT000", path=path, line=max(1, line),
@@ -88,45 +66,32 @@ def _lint000(path: str, line: int, column: int, message: str) -> Finding:
                    severity=Severity.ERROR)
 
 
-def check_one_file(path: Path, rules: Sequence[Rule]) -> FileOutcome:
-    """Run the file-scoped rules on one file.
+def _check_source(source: str, posix: str, rules: Sequence[Rule],
+                  result: LintResult
+                  ) -> Optional[Tuple[ast.Module, SuppressionIndex]]:
+    """Parse one file and run the file-scoped rules on it.
 
-    Analysis failures become a LINT000 finding plus a
-    :class:`LintError`; they never raise.
+    Findings, the suppressed count and the checked-file count go into
+    ``result``.  A parse failure becomes a LINT000 finding plus a
+    :class:`LintError` and returns None; it never raises.
     """
-    posix = path.as_posix()
-    outcome = FileOutcome(path=posix)
-    try:
-        source = path.read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as error:
-        outcome.error = LintError(posix, f"unreadable: {error}")
-        outcome.findings.append(_lint000(
-            posix, 1, 1, f"file could not be read: {error}"))
-        return outcome
-    outcome.findings.extend(lint_source_into(source, posix, rules,
-                                             outcome))
-    return outcome
-
-
-def lint_source_into(source: str, posix: str, rules: Sequence[Rule],
-                     outcome: FileOutcome) -> List[Finding]:
-    """Parse + rule-check source text, recording state into ``outcome``."""
     try:
         tree = ast.parse(source, filename=posix)
     except SyntaxError as error:
         line = int(error.lineno or 1)
-        outcome.error = LintError(
-            posix, f"syntax error at line {line}: {error.msg}")
-        return [_lint000(posix, line, int(error.offset or 1),
-                         f"syntax error: {error.msg}")]
+        result.errors.append(LintError(
+            posix, f"syntax error at line {line}: {error.msg}"))
+        result.findings.append(_lint000(posix, line, int(error.offset or 1),
+                                        f"syntax error: {error.msg}"))
+        return None
     except (ValueError, RecursionError) as error:
-        outcome.error = LintError(posix, f"unparseable: {error}")
-        return [_lint000(posix, 1, 1, f"file could not be parsed: "
-                                      f"{error}")]
-    outcome.checked = True
+        result.errors.append(LintError(posix, f"unparseable: {error}"))
+        result.findings.append(_lint000(
+            posix, 1, 1, f"file could not be parsed: {error}"))
+        return None
+    result.files_checked += 1
     suppressions = parse_suppressions(source)
     context = FileContext(posix, source, tree)
-    findings: List[Finding] = []
     for rule in rules:
         if rule.project or rule.synthetic:
             continue
@@ -134,83 +99,14 @@ def lint_source_into(source: str, posix: str, rules: Sequence[Rule],
             continue
         for finding in rule.check(context):
             if suppressions.is_suppressed(finding.rule_id, finding.line):
-                outcome.suppressed_count += 1
+                result.suppressed_count += 1
             else:
-                findings.append(finding)
-    outcome.used = sorted(suppressions.used,
-                          key=lambda pair: (str(pair[0]), pair[1]))
-    return findings
-
-
-def _outcome_to_dict(outcome: FileOutcome) -> Dict[str, object]:
-    return {
-        "path": outcome.path,
-        "checked": outcome.checked,
-        "findings": [finding.to_dict() for finding in outcome.findings],
-        "error": (None if outcome.error is None
-                  else outcome.error.to_dict()),
-        "suppressed_count": outcome.suppressed_count,
-        "used": [[scope, token] for scope, token in outcome.used],
-    }
-
-
-def _outcome_from_dict(payload: Dict[str, object]) -> FileOutcome:
-    error = payload.get("error")
-    return FileOutcome(
-        path=str(payload["path"]),
-        checked=bool(payload["checked"]),
-        findings=[Finding(rule_id=str(entry["rule"]),
-                          path=str(entry["path"]),
-                          line=int(entry["line"]),
-                          column=int(entry["column"]),
-                          message=str(entry["message"]),
-                          severity=Severity(str(entry["severity"])))
-                  for entry in payload.get("findings", ())],
-        error=(None if error is None
-               else LintError(str(error["path"]), str(error["message"]))),
-        suppressed_count=int(payload.get("suppressed_count", 0)),
-        used=[(scope if isinstance(scope, int) else str(scope),
-               str(token))
-              for scope, token in payload.get("used", ())],
-    )
-
-
-def _file_worker(task: Tuple[str, Tuple[str, ...], Optional[str]]
-                 ) -> Dict[str, object]:
-    """Pool worker: one file, cache-first, picklable in and out."""
-    raw_path, rule_ids, cache_dir = task
-    path = Path(raw_path)
-    cache: Optional[LintCache] = None
-    key: Optional[str] = None
-    if cache_dir is not None:
-        cache = LintCache(cache_dir)
-        try:
-            key = entry_key(path.read_bytes(), rule_ids)
-        except OSError:
-            key = None
-        if key is not None:
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-    rules = select_rules(rule_ids)
-    payload = _outcome_to_dict(check_one_file(path, rules))
-    if cache is not None and key is not None:
-        cache.put(key, payload)
-    return payload
-
-
-def _run_file_phase(files: Sequence[Path], rule_ids: Sequence[str],
-                    jobs: int,
-                    cache_dir: Optional[str]) -> List[FileOutcome]:
-    from repro.parallel.pool import fanout
-
-    tasks = [(str(path), tuple(rule_ids), cache_dir) for path in files]
-    return [_outcome_from_dict(payload)
-            for payload, _ in fanout(tasks, _file_worker, jobs=jobs)]
+                result.findings.append(finding)
+    return tree, suppressions
 
 
 # ----------------------------------------------------------------------
-# Project phase
+# Project rules
 # ----------------------------------------------------------------------
 
 class ProjectAnalysis:
@@ -229,24 +125,6 @@ class ProjectAnalysis:
             self._taint = analyze(self.project,
                                   suppressions=self._suppressions)
         return self._taint
-
-
-def _load_project(files: Sequence[Path]
-                  ) -> Tuple[Project, Dict[str, SuppressionIndex]]:
-    """Re-read and parse every analyzable file for the project phase."""
-    triples: List[Tuple[str, str, ast.Module]] = []
-    suppressions: Dict[str, SuppressionIndex] = {}
-    for path in files:
-        posix = path.as_posix()
-        try:
-            source = path.read_bytes().decode("utf-8")
-            tree = ast.parse(source, filename=posix)
-        except (OSError, UnicodeDecodeError, SyntaxError, ValueError,
-                RecursionError):
-            continue   # already reported by the per-file phase
-        triples.append((posix, source, tree))
-        suppressions[posix] = parse_suppressions(source)
-    return build_project(triples), suppressions
 
 
 # ----------------------------------------------------------------------
@@ -288,49 +166,35 @@ def _lint001(path: str, line: int, token: str,
 
 def lint_paths(paths: Iterable[str],
                selected_rules: Optional[Iterable[str]] = None,
-               jobs: int = 1,
-               cache_dir: Optional[str] = None,
                warn_unused_suppressions: bool = False) -> LintResult:
     """Lint every Python file under ``paths`` with the selected rules.
-
-    ``jobs > 1`` fans the per-file phase over a process pool; output is
-    byte-identical to serial.  ``cache_dir`` enables the per-file
-    result cache.
 
     Raises:
         FileNotFoundError: a requested path does not exist.
         KeyError: ``selected_rules`` names an unknown rule.
     """
     active = select_rules(selected_rules)
-    file_rules = [rule for rule in active
-                  if not rule.project and not rule.synthetic]
     project_rules = [rule for rule in active if rule.project]
-    file_rule_ids = sorted(rule.rule_id for rule in file_rules)
-
-    files = list(iter_python_files(paths))
-    outcomes = _run_file_phase(files, file_rule_ids, jobs, cache_dir)
 
     result = LintResult()
-    worker_used: Dict[str, List[Tuple[Scope, str]]] = {}
-    for outcome in outcomes:
-        result.findings.extend(outcome.findings)
-        result.suppressed_count += outcome.suppressed_count
-        if outcome.error is not None:
-            result.errors.append(outcome.error)
-        if outcome.checked:
-            result.files_checked += 1
-        worker_used[outcome.path] = outcome.used
+    parsed: List[Tuple[str, str, ast.Module]] = []
+    suppressions: Dict[str, SuppressionIndex] = {}
+    for path in iter_python_files(paths):
+        posix = path.as_posix()
+        try:
+            source = path.read_bytes().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as error:
+            result.errors.append(LintError(posix, f"unreadable: {error}"))
+            result.findings.append(_lint000(
+                posix, 1, 1, f"file could not be read: {error}"))
+            continue
+        checked = _check_source(source, posix, active, result)
+        if checked is not None:
+            parsed.append((posix, source, checked[0]))
+            suppressions[posix] = checked[1]
 
-    need_project = bool(project_rules) or warn_unused_suppressions
-    if need_project:
-        project, suppressions = _load_project(files)
-        for path, pairs in sorted(worker_used.items()):
-            index = suppressions.get(path)
-            if index is None:
-                continue
-            for scope, token in pairs:
-                index.mark_used(scope, token)
-        analysis = ProjectAnalysis(project, suppressions)
+    if project_rules or warn_unused_suppressions:
+        analysis = ProjectAnalysis(build_project(parsed), suppressions)
         for rule in project_rules:
             for finding in rule.check_project(analysis):
                 index = suppressions.get(finding.path)
@@ -359,18 +223,11 @@ def lint_source(source: str, path: str = "<memory>",
     Single-source runs have no whole-program view: project rules are
     skipped.
     """
-    rules = select_rules(selected_rules)
-    outcome = FileOutcome(path=path)
-    findings = lint_source_into(source, path, rules, outcome)
-    result = LintResult(findings=findings,
-                        suppressed_count=outcome.suppressed_count)
-    if outcome.error is not None:
-        result.errors.append(outcome.error)
-        # lint_source keeps the historical shape: parse failures are
-        # errors only, without a synthetic LINT000 finding.
-        result.findings = [finding for finding in result.findings
-                           if finding.rule_id != "LINT000"]
-    if outcome.checked:
-        result.files_checked = 1
+    result = LintResult()
+    _check_source(source, path, select_rules(selected_rules), result)
+    # lint_source keeps the historical shape: parse failures are errors
+    # only, without a synthetic LINT000 finding.
+    result.findings = [finding for finding in result.findings
+                       if finding.rule_id != "LINT000"]
     result.findings.sort(key=_SORT_KEY)
     return result

@@ -6,14 +6,14 @@ minimal conforming subset: one run, the full rule table in
 ``tool.driver.rules``, one ``result`` per finding (including LINT000
 parse failures), and an ``invocation`` whose ``executionSuccessful``
 mirrors the process-level outcome.  Output is fully deterministic —
-fixed key order, sorted results — so ``--jobs N`` stays byte-identical
-to serial and the artifact diffs cleanly between CI runs.
+fixed key order, sorted results — so the artifact diffs cleanly between
+CI runs.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Dict
 
 from repro.lint.findings import Finding, LintResult
 from repro.lint.registry import all_rules
@@ -37,9 +37,8 @@ def _rule_entry(rule) -> Dict[str, object]:
     }
 
 
-def _result_entry(finding: Finding,
-                  baselined: bool = False) -> Dict[str, object]:
-    entry: Dict[str, object] = {
+def _result_entry(finding: Finding) -> Dict[str, object]:
+    return {
         "ruleId": finding.rule_id,
         "level": _LEVELS.get(finding.severity.value, "error"),
         "message": {"text": finding.message},
@@ -53,19 +52,10 @@ def _result_entry(finding: Finding,
             },
         }],
     }
-    if baselined:
-        # SARIF's own change-tracking vocabulary for "known, accepted".
-        entry["baselineState"] = "unchanged"
-    return entry
 
 
 def to_sarif(result: LintResult) -> Dict[str, object]:
     """The SARIF document as a plain dict."""
-    results: List[Dict[str, object]] = []
-    for finding in result.findings:
-        results.append(_result_entry(finding))
-    for finding in result.baselined:
-        results.append(_result_entry(finding, baselined=True))
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
@@ -82,7 +72,8 @@ def to_sarif(result: LintResult) -> Dict[str, object]:
                 "executionSuccessful": result.exit_code() != 2,
                 "exitCode": result.exit_code(),
             }],
-            "results": results,
+            "results": [_result_entry(finding)
+                        for finding in result.findings],
             "columnKind": "utf16CodeUnits",
         }],
     }

@@ -85,11 +85,6 @@ class SuppressionIndex:
             hit = True
         return hit
 
-    def mark_used(self, scope: Scope, token: str) -> None:
-        """Record an out-of-band use (e.g. a sink silenced at its
-        definition site by the interprocedural engine)."""
-        self.used.add((scope, token.upper()))
-
     def scope_has_use(self, scope: Scope) -> bool:
         return any(used_scope == scope for used_scope, _ in self.used)
 

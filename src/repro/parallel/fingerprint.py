@@ -27,16 +27,16 @@ def package_root() -> str:
     return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def code_fingerprint(root: Optional[str] = None) -> str:
+def code_fingerprint() -> str:
     """Hex digest over all ``.py`` files under the package (sorted walk).
 
-    Computed once per process for the default root; the simulator cannot
-    change underneath a running interpreter.
+    Computed once per process; the simulator cannot change underneath a
+    running interpreter.
     """
     global _cached_fingerprint
-    if root is None and _cached_fingerprint is not None:
+    if _cached_fingerprint is not None:
         return _cached_fingerprint
-    base = root if root is not None else package_root()
+    base = package_root()
     digest = hashlib.sha256()
     for directory, subdirs, files in sorted(os.walk(base)):
         subdirs.sort()
@@ -50,7 +50,5 @@ def code_fingerprint(root: Optional[str] = None) -> str:
             with open(path, "rb") as handle:
                 digest.update(handle.read())
             digest.update(b"\0")
-    fingerprint = digest.hexdigest()
-    if root is None:
-        _cached_fingerprint = fingerprint
-    return fingerprint
+    _cached_fingerprint = digest.hexdigest()
+    return _cached_fingerprint

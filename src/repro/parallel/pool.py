@@ -1,7 +1,7 @@
 """One process fan-out for every independent-task site in the tree.
 
-Every paper figure point, serve and shard point, fault campaign and lint
-file is an independent, deterministic task.  :func:`fanout` runs a list
+Every paper figure point, serve and shard point and fault campaign is an
+independent, deterministic task.  :func:`fanout` runs a list
 of them and returns the results in submission order:
 
 * **cache-first** — given a :class:`~repro.parallel.cache.RunCache` and a
