@@ -1,8 +1,15 @@
 """Tests for the event-driven memory backends."""
 
-from repro.config import DesignPoint, table2_config
+import dataclasses
+
+import pytest
+
+from repro.config import DesignPoint, small_config, table2_config
+from repro.obs.tracer import CollectingTracer
 from repro.sim.events import EventQueue
 from repro.sim.system import build_backend
+from repro.utils import memo
+from repro.utils.memo import CoreSelection
 from repro.utils.rng import DeterministicRng
 
 
@@ -217,3 +224,61 @@ class TestBuildBackend:
         ]:
             backend = build_backend(table2_config(design, channels=channels))
             assert backend is not None
+
+
+class TestParkedRankFallback:
+    """A parked rank sends a path pass from the stamp to the run walk.
+
+    With the standard layout ``prepare_rank`` wakes nothing, so parking
+    every rank before every other access makes those passes fall back
+    mid-run while the passes in between stamp.  The reference core walks
+    every pass; both must give the same cycles, counters, residencies
+    and trace events.
+    """
+
+    ACCESSES = 6
+
+    def run(self, design):
+        config = small_config(design)
+        config = dataclasses.replace(
+            config, sdimm=dataclasses.replace(config.sdimm,
+                                              low_power_ranks=False))
+        tracer = CollectingTracer()
+        backend = build_backend(config, EventQueue(), tracer=tracer)
+        if design is DesignPoint.FREECURSIVE:
+            access = backend._access_oram
+        else:
+            access = backend.group.perform_split_access
+        now = 0
+        ends = []
+        for index in range(self.ACCESSES):
+            if index % 2 == 0:
+                for channel in backend.channels:
+                    for rank in channel.ranks:
+                        rank.enter_power_down(now)
+            now = access(now)
+            ends.append(now)
+        backend.finalize(now)
+        observed = {
+            "ends": ends,
+            "counters": [channel.counters.as_dict()
+                         for channel in backend.channels],
+            "residencies": [dict(rank.state_residency,
+                                 exits=rank.power_down_exits)
+                            for channel in backend.channels
+                            for rank in channel.ranks],
+            "events": [(e.kind, e.name, e.category, e.lane, e.start,
+                        e.duration, sorted(e.args.items()))
+                       for e in tracer.events],
+        }
+        return observed, backend.fastpath_stats()
+
+    @pytest.mark.parametrize("design", [DesignPoint.FREECURSIVE,
+                                        DesignPoint.SPLIT_2])
+    def test_fallback_matches_reference_core(self, design):
+        fast, (attempts, stamped) = self.run(design)
+        with memo.selected(CoreSelection(reference=True)):
+            reference, _ = self.run(design)
+        assert attempts > stamped
+        assert fast == reference
+        assert any(entry["exits"] for entry in fast["residencies"])
