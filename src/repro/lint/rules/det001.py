@@ -180,6 +180,8 @@ class NondeterminismSource(Rule):
         merges by subscript (``slots[index] = ...``) — only unsorted
         appends leak completion order into results.
         """
+        if "imap_unordered" not in context.source:
+            return
         scopes = [context.tree] + [
             node for node in ast.walk(context.tree)
             if isinstance(node, _SCOPES)]

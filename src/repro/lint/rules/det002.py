@@ -16,7 +16,8 @@ call.  Use ``//``, integer multiplies, or convert at the *reporting*
 boundary instead (``stats.py`` reports means as floats — that is the
 right place).
 
-Scoped to the timing-critical layers: ``sim/`` and ``dram/``.
+Scoped to the timing-critical layers: ``sim/``, ``dram/`` and
+``fastpath/``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class FloatCycleAccounting(Rule):
     rationale = ("cycle counters must stay exact integers; floats "
                  "accumulate rounding that breaks golden-master counts — "
                  "use // and convert only at the reporting boundary")
-    path_markers = ("sim/", "dram/")
+    path_markers = ("sim/", "dram/", "fastpath/")
 
     def check(self, context: FileContext) -> Iterator[Finding]:
         for node in ast.walk(context.tree):

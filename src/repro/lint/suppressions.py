@@ -116,6 +116,9 @@ def parse_suppressions(source: str) -> SuppressionIndex:
     interprocedural rules report lifted findings) instead of erroring.
     """
     index = SuppressionIndex()
+    if "reprolint:" not in source:
+        # every directive contains the literal; skip the tokenizer
+        return index
     for lineno, line in _iter_comment_lines(source):
         match = _DIRECTIVE.search(line)
         if not match:

@@ -122,6 +122,7 @@ class TestDet002:
     def test_scoped_to_timing_layers(self):
         source = "busy_cycles = total / 2\n"
         assert lint_source(source, path="sim/bus.py").findings
+        assert lint_source(source, path="fastpath/access.py").findings
         assert not lint_source(source, path="analysis/queueing.py").findings
 
 
