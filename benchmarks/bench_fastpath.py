@@ -84,7 +84,7 @@ print(json.dumps({
 """
 
 REFERENCE_ENV = {"REPRO_REFERENCE_CORE": "1"}
-_CORE_SWITCHES = ("REPRO_REFERENCE_CORE", "REPRO_DISABLE_FASTPATH")
+_CORE_SWITCHES = ("REPRO_REFERENCE_CORE",)
 
 
 def run_point(design: str, workload: str, trace_length: int,

@@ -17,15 +17,14 @@ from typing import Dict, NamedTuple, Optional
 from repro.config import DramOrganization, DramTiming
 from repro.dram.address import DecodedAddress
 from repro.dram.bank import ScaledTiming
-from repro.dram.commands import PowerState, RowBufferOutcome
+from repro.dram.commands import PARKED, RowBufferOutcome
 from repro.dram.rank import Rank
-from repro.fastpath.engine import stamp_pass
+from repro.dram.stamp import stamp_pass
 from repro.obs.tracer import CATEGORY_DRAM, NULL_TRACER, Tracer
 from repro.utils import memo
 
 _request_ids = itertools.count()
 
-_PARKED = (PowerState.POWER_DOWN, PowerState.SELF_REFRESH)
 _HIT = RowBufferOutcome.HIT
 _MISS = RowBufferOutcome.MISS
 _CONFLICT = RowBufferOutcome.CONFLICT
@@ -126,7 +125,7 @@ class Channel:
         refresh, PRE/ACT as the row buffer demands, tRRD/tFAW pacing,
         CAS-to-data latency, data-bus occupancy, rank-to-rank switch and
         write-to-read turnaround — and commits the resulting state.  The
-        chain itself is :func:`repro.fastpath.engine.stamp_pass`;
+        chain itself is :func:`repro.dram.stamp.stamp_pass`;
         ``REPRO_REFERENCE_CORE=1`` selects the helper-per-constraint
         :meth:`_schedule_run_reference` instead, and
         ``tests/test_refcore.py`` checks the two are cycle-identical.
@@ -152,7 +151,7 @@ class Channel:
         rank_index = address.rank
         rank = self.ranks[rank_index]
         start = earliest if earliest > 0 else 0
-        if rank.power_state in _PARKED:
+        if rank.power_state in PARKED:
             start = rank.wake(start)
         if rank.refresh_enabled and rank._next_refresh_due <= start:
             start = rank.maybe_refresh(start)

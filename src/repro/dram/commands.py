@@ -28,6 +28,10 @@ class PowerState(enum.Enum):
     SELF_REFRESH = "self-refresh"
 
 
+#: The states a rank must leave (``Rank.wake``) before it can be accessed.
+PARKED = (PowerState.POWER_DOWN, PowerState.SELF_REFRESH)
+
+
 class RowBufferOutcome(enum.Enum):
     """Classification of one column access against the bank's open row."""
 

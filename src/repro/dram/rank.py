@@ -12,11 +12,10 @@ from collections import deque
 from typing import Dict, List
 
 from repro.dram.bank import Bank, ScaledTiming
-from repro.dram.commands import PowerState
+from repro.dram.commands import PARKED, PowerState
 from repro.utils import memo
 
 #: States note_activity leaves untouched (the low-power manager owns them).
-_PARKED = (PowerState.POWER_DOWN, PowerState.SELF_REFRESH)
 
 
 class Rank:
@@ -142,7 +141,7 @@ class Rank:
         any_open = any(bank.open_row is not None for bank in self.banks)
         target = (PowerState.ACTIVE_STANDBY if any_open
                   else PowerState.PRECHARGE_STANDBY)
-        if self.power_state in _PARKED:
+        if self.power_state in PARKED:
             return
         if self.power_state != target:
             self._transition(target, now)
@@ -159,7 +158,7 @@ class Rank:
             self.note_activity(now)
             return
         state = self.power_state
-        if state is PowerState.ACTIVE_STANDBY or state in _PARKED:
+        if state is PowerState.ACTIVE_STANDBY or state in PARKED:
             return
         self._transition(PowerState.ACTIVE_STANDBY, now)
 

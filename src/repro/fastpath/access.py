@@ -1,28 +1,29 @@
-"""Whole-access macro replay: the per-driver fast-path entry point.
+"""Whole-path access: the one place a path pass picks stamp or walk.
 
 :class:`AccessFastPath` serves one protocol driver (the Freecursive
 backend over its striped channels, or one SDIMM device over its internal
-channel).  Per access it checks that no touched rank is parked, stamps
-the read pass and the write pass flat with
-:func:`~repro.fastpath.engine.stamp_pass` (one call per touched
-channel), and commits the burst and protocol trace events as one batch.
+channel).  :meth:`~AccessFastPath.access` performs one ``accessORAM``'s
+DRAM work: path read, crypto, path write-back.  Off the reference core it
+first tries :meth:`~AccessFastPath.try_access`, which checks that no
+touched rank is parked, stamps the read pass and the write pass flat with
+:func:`~repro.dram.stamp.stamp_pass` (one call per touched channel), and
+commits the burst and protocol trace events as one batch.
 
-If a touched rank is parked, the access returns to the caller's
-event-core path untouched — nothing is committed until eligibility is
-known, so the fallback is exact mid-run.  Refreshes do not force a
-fallback: ``stamp_pass`` delegates them to the rank's own
-``maybe_refresh`` exactly where the reference chain would.
+If a touched rank is parked, or the reference core runs, the access walks
+the layout's runs through ``Channel.schedule_run`` instead — nothing is
+committed until eligibility is known, so the fallback is exact mid-run.
+Refreshes do not force a fallback: ``stamp_pass`` delegates them to the
+rank's own ``maybe_refresh`` exactly where the reference chain would.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.dram.commands import PowerState
-from repro.fastpath.engine import emit_batch, stamp_pass
+from repro.dram.commands import PARKED
+from repro.dram.stamp import emit_batch, stamp_pass
 from repro.obs.tracer import CATEGORY_PROTOCOL, TraceEvent
-
-_PARKED = (PowerState.POWER_DOWN, PowerState.SELF_REFRESH)
+from repro.utils import memo
 
 
 def reset_delta_tables() -> None:
@@ -35,15 +36,21 @@ def reset_delta_tables() -> None:
 
 
 class AccessFastPath:
-    """Flat fast path for one driver's ``accessORAM`` operations."""
+    """One driver's ``accessORAM`` path passes, stamped or walked.
 
-    __slots__ = ("channels", "producer", "skip_levels", "crypto", "lane",
-                 "tracer", "attempts", "fast_accesses")
+    ``runs(leaf, skip_levels)`` gives the layout's ``(channel,
+    coordinates, count)`` runs of a path; ``producer`` gives the same
+    path as row segments (:mod:`repro.fastpath.runs`).
+    """
 
-    def __init__(self, channels, producer, skip_levels: int, crypto: int,
-                 lane: str, tracer):
+    __slots__ = ("channels", "producer", "runs", "skip_levels", "crypto",
+                 "lane", "tracer", "attempts", "fast_accesses")
+
+    def __init__(self, channels, producer, runs, skip_levels: int,
+                 crypto: int, lane: str, tracer):
         self.channels = list(channels)
         self.producer = producer
+        self.runs = runs
         self.skip_levels = skip_levels
         self.crypto = crypto
         self.lane = lane
@@ -51,18 +58,44 @@ class AccessFastPath:
         self.attempts = 0
         self.fast_accesses = 0
 
+    def access(self, leaf: int, start: int) -> int:
+        """One path read, crypto and write-back; returns the end cycle."""
+        if not memo.CORE.reference:
+            end = self.try_access(leaf, start)
+            if end is not None:
+                return end
+        runs = self.runs(leaf, self.skip_levels)
+        channels = self.channels
+        read_end = start
+        for channel_index, address, count in runs:
+            end = channels[channel_index].schedule_run(
+                address, count, False, start).data_end
+            if end > read_end:
+                read_end = end
+        write_start = read_end + self.crypto
+        write_end = write_start
+        for channel_index, address, count in runs:
+            end = channels[channel_index].schedule_run(
+                address, count, True, write_start).data_end
+            if end > write_end:
+                write_end = end
+        if self.tracer.enabled:
+            self.tracer.span("PATH_READ", CATEGORY_PROTOCOL, self.lane,
+                             start, read_end)
+            self.tracer.span("PATH_WRITE", CATEGORY_PROTOCOL, self.lane,
+                             write_start, write_end)
+        return write_end + self.crypto
+
     def try_access(self, leaf: int, start: int) -> Optional[int]:
-        """Serve one access fast, or return ``None`` for the event core."""
+        """Stamp one access flat, or return ``None`` to walk its runs."""
         self.attempts += 1
-        if start < 0:
-            return None
         pattern = self.producer.pattern(leaf, self.skip_levels)
         per_channel = pattern.per_channel
         if not per_channel:
             return None
         channels = self.channels
         for ch, rank_index in pattern.sig_ranks:
-            if channels[ch].ranks[rank_index].power_state in _PARKED:
+            if channels[ch].ranks[rank_index].power_state in PARKED:
                 return None
         traced = self.tracer.enabled
         multi = len(per_channel) > 1

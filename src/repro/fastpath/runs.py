@@ -16,7 +16,7 @@ stretch of consecutive runs of one channel's pass on one (rank, bank,
 row): ``(rank, bank, row, lines, counts)`` with ``counts`` the sub-run
 lengths in emission order and ``lines`` their sum.  The subtree packing
 puts a band's buckets in one row, so a path's runs collapse into about
-half as many segments, and :func:`~repro.fastpath.engine.stamp_pass`
+half as many segments, and :func:`~repro.dram.stamp.stamp_pass`
 walks the DDR constraint chain once per segment.
 ``tests/test_fastpath_runs.py`` pins every segment (and every sub-run)
 against the layouts' ``path_runs`` merged by (rank, bank, row).

@@ -244,9 +244,9 @@ class SimulationDriver:
         ``fastpath_hit_rate`` is the fraction of ORAM path accesses the
         macro-replay core stamped without falling back to the event core.
         Eligibility is a pure function of simulated state, so the rate is
-        identical across hosts, job counts, and cache replays — only a
-        disabled fast path (reference core, ``REPRO_DISABLE_FASTPATH``)
-        reports 0.0.
+        identical across hosts, job counts, and cache replays — only the
+        reference core (``REPRO_REFERENCE_CORE=1``), which stamps no
+        pass, reports 0.0.
         """
         stats_fn = getattr(self.backend, "fastpath_stats", None)
         if stats_fn is None:

@@ -1,26 +1,22 @@
 """The core selection: which implementation of the hot paths a run uses.
 
-Two independent choices, neither of which moves a simulated cycle:
-
-* ``reference`` (``REPRO_REFERENCE_CORE=1``) selects the straightforward
-  *reference* implementations of the hottest simulator functions
-  (closure-based event scheduling in :mod:`repro.sim.events`, the
-  helper-per-constraint ``_schedule_run_reference`` behind both
-  ``schedule_run`` and ``schedule_access`` in :mod:`repro.dram.channel`,
-  the bank-scanning ``note_activity`` in :mod:`repro.dram.rank`).  The
-  reference core is the unbatched, unmemoized spec: it also turns off
-  the pure memoization caches (:mod:`repro.oram.layout`,
-  :mod:`repro.crypto.ctr`) and the macro-event
-  fast path.
-* ``disable_fastpath`` (``REPRO_DISABLE_FASTPATH=1``) turns off the fast
-  path alone — the escape hatch for isolating a suspected fastpath bug
-  from the optimized event core.
+One choice, which never moves a simulated cycle: ``reference``
+(``REPRO_REFERENCE_CORE=1``) selects the straightforward *reference*
+implementations of the hottest simulator functions (closure-based event
+scheduling in :mod:`repro.sim.events`, the helper-per-constraint
+``_schedule_run_reference`` behind both ``schedule_run`` and
+``schedule_access`` in :mod:`repro.dram.channel`, the bank-scanning
+``note_activity`` in :mod:`repro.dram.rank`).  The reference core is the
+unbatched, unmemoized spec: it also turns off the pure memoization
+caches (:mod:`repro.oram.layout`, :mod:`repro.crypto.ctr`), and every
+path pass walks the layout's runs instead of stamping
+(:mod:`repro.fastpath.access`).
 
 The differential tests (``tests/test_refcore.py``,
 ``tests/test_fastpath_differential.py``) and the golden masters pin that
-every selection is cycle-identical; ``benchmarks/bench_fastpath.py``
-checks the same across cores and measures the speedup by running both
-cores in subprocesses.
+both selections are cycle-identical; ``benchmarks/bench_fastpath.py``
+checks the same and measures the speedup by running both cores in
+subprocesses.
 
 :func:`selection_from_env` is the one place the environment is read.  It
 sets :data:`CORE` at import, which is what a fresh process (a CLI verb,
@@ -45,24 +41,17 @@ class CoreSelection:
     """Which hot-path implementations run (picklable, hashable)."""
 
     reference: bool = False
-    disable_fastpath: bool = False
 
     @property
     def memo(self) -> bool:
         """The pure memo caches run on every core but the reference one."""
         return not self.reference
 
-    @property
-    def fastpath(self) -> bool:
-        """The fast path runs unless disabled or under the reference core."""
-        return not (self.reference or self.disable_fastpath)
-
 
 def selection_from_env() -> CoreSelection:
     """The selection the environment asks for."""
     return CoreSelection(
-        reference=os.environ.get("REPRO_REFERENCE_CORE", "") == "1",
-        disable_fastpath=os.environ.get("REPRO_DISABLE_FASTPATH", "") == "1")
+        reference=os.environ.get("REPRO_REFERENCE_CORE", "") == "1")
 
 
 #: The selection this process runs; consumers read it at call time.

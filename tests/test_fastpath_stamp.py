@@ -2,7 +2,7 @@
 
 A row segment ``(rank, bank, row, lines, counts)`` stands for
 ``len(counts)`` consecutive runs of one pass on one (rank, bank, row).
-:func:`repro.fastpath.engine.stamp_pass` walks the DDR constraint chain
+:func:`repro.dram.stamp.stamp_pass` walks the DDR constraint chain
 once per segment; these tests drive random segment streams through it
 and, on a twin channel, through a plain
 :meth:`Channel._schedule_run_reference` loop over the unmerged runs —
@@ -24,7 +24,7 @@ from repro.config import (DramOrganization, ddr4_organization, ddr4_timing,
 from repro.dram.address import DecodedAddress
 from repro.dram.channel import Channel
 from repro.dram.commands import PowerState
-from repro.fastpath.engine import stamp_pass
+from repro.dram.stamp import stamp_pass
 from repro.obs.tracer import CollectingTracer
 
 TIMINGS = {

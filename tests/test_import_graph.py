@@ -4,8 +4,10 @@ Package ``__init__`` files hold no re-exports and the top-level ``repro``
 names load lazily, so a process imports only what it runs: a ``simulate``
 or ``serve-bench`` process never loads numpy (used only by the Fig 13a
 random walk), the audit, the fault layer, the linter or the shard tier.
+The DRAM timing model sits below every layer that drives it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -16,6 +18,10 @@ import repro
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
+
+#: Packages that drive the DRAM model and so may not be imported by it.
+ABOVE_DRAM = ("repro.fastpath", "repro.sim", "repro.core", "repro.serve",
+              "repro.control")
 
 #: Modules the simulator, the single server and the CLI must not load.
 UNUSED = ("numpy", "repro.obs.audit", "repro.faults", "repro.lint",
@@ -51,3 +57,25 @@ def test_every_top_level_name_resolves():
     assert PathOram.__module__ == "repro.oram.path_oram"
     assert SplitProtocol.__module__ == "repro.core.split"
     assert run_simulation.__module__ == "repro.sim.system"
+
+
+def test_dram_imports_nothing_above_it():
+    dram = os.path.join(SRC, "repro", "dram")
+    offending = []
+    for filename in sorted(os.listdir(dram)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(dram, filename), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            else:
+                continue
+            offending.extend(
+                f"{filename}: {name}" for name in names
+                if any(name == package or name.startswith(package + ".")
+                       for package in ABOVE_DRAM))
+    assert offending == []

@@ -21,8 +21,7 @@ def square(task):
 
 
 def running_core(task):
-    return {"reference": memo.CORE.reference,
-            "fastpath": memo.CORE.fastpath}
+    return {"reference": memo.CORE.reference}
 
 
 @pytest.fixture(autouse=True)
@@ -58,7 +57,7 @@ class TestFanout:
         monkeypatch.setenv("REPRO_REFERENCE_CORE", "1")
         outcomes = fanout([0, 1], running_core, jobs=jobs)
         assert [value for value, _ in outcomes] == \
-            [{"reference": True, "fastpath": False}] * 2
+            [{"reference": True}] * 2
 
 
 class TestDeadWorker:

@@ -121,10 +121,10 @@ class TestWarmPools:
         toggle between two sweeps on the same warm pool takes effect.
         """
         pool_module.shutdown_pools()
-        monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+        monkeypatch.delenv("REPRO_REFERENCE_CORE", raising=False)
         points = list(POINTS[:2])
         enabled = run_sweep(points, jobs=2)
-        monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
+        monkeypatch.setenv("REPRO_REFERENCE_CORE", "1")
         disabled = run_sweep(points, jobs=2)
         pool_module.shutdown_pools()
         for entry in enabled.results:
@@ -155,9 +155,9 @@ class TestCoreSelection:
 
     def test_toggle_gives_identical_results_for_any_jobs(self, monkeypatch):
         points = list(POINTS[:2])
-        monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+        monkeypatch.delenv("REPRO_REFERENCE_CORE", raising=False)
         run_sweep(points, jobs=1)
-        monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
+        monkeypatch.setenv("REPRO_REFERENCE_CORE", "1")
         serial = run_sweep(points, jobs=1)
         parallel = run_sweep(points, jobs=2)
         pool_module.shutdown_pools()
@@ -177,9 +177,9 @@ class TestCoreSelection:
                                                       monkeypatch):
         cache = RunCache(str(tmp_path / "runs"))
         points = list(POINTS[:2])
-        monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+        monkeypatch.delenv("REPRO_REFERENCE_CORE", raising=False)
         run_sweep(points, jobs=2, cache=cache)
-        monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
+        monkeypatch.setenv("REPRO_REFERENCE_CORE", "1")
         toggled = run_sweep(points, jobs=2, cache=cache)
         fresh = run_sweep(points, jobs=2)
         pool_module.shutdown_pools()

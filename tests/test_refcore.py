@@ -1,7 +1,7 @@
 """Differential tests: optimized hot-path cores vs their references.
 
 The optimized ``Channel.schedule_run`` and ``Channel.schedule_access``
-(both stamped through ``repro.fastpath.engine.stamp_pass``),
+(both stamped through ``repro.dram.stamp.stamp_pass``),
 ``Rank.note_active`` and the tuple-based event scheduler must be
 *bit-identical* in behaviour to the
 straightforward reference implementations they replaced
