@@ -1,5 +1,6 @@
 """Tests for repro.faults.campaign: end-to-end faulted runs."""
 
+import hashlib
 import json
 
 import pytest
@@ -125,6 +126,34 @@ class TestFaultedCampaigns:
         restored = json.loads(json.dumps(payload))
         assert restored["all_detected"] is True
         assert restored["plan_digest"] == payload["plan_digest"]
+
+
+#: sha256 of ``run_campaign(spec).canonical_json()`` for the two
+#: partitioned designs: one zero-fault spec each, and one stuck-cell spec
+#: each whose seed quarantines a site (degraded accesses, lost APPENDs).
+CAMPAIGN_PINS = {
+    ("independent", 2018, 0):
+        "cc8c7d1302a39db0b43d004e2b90383d76c3bc691fa3dd3bdfc37c548fcaa482",
+    ("independent", 4, 1):
+        "7bbf5324e4f981c71a666d4339ea4721f92799670dc7902760d9e0d99e01428c",
+    ("indep-split", 2018, 0):
+        "2e45bb7106ea54f94acf5cbcba0da1ae13a4de1285770fb46cf632af282f7566",
+    ("indep-split", 6, 1):
+        "b8fcbacb28538a3fab5661aff76aa24b0aabf9a41a2bf40bbc2cf34eb1446d4e",
+}
+
+
+@pytest.mark.parametrize(
+    "design,seed,stuck_cells", list(CAMPAIGN_PINS),
+    ids=lambda key: str(key))
+def test_campaign_report_bytes_are_pinned(design, seed, stuck_cells):
+    spec = faulty_spec(design, seed=seed, bit_flips=0, replays=0,
+                       stuck_cells=stuck_cells, link_drops=0,
+                       link_duplicates=0, link_delays=0, buffer_stalls=0)
+    outcome = run_campaign(spec)
+    assert bool(outcome.quarantined) == bool(stuck_cells)
+    digest = hashlib.sha256(outcome.canonical_json().encode()).hexdigest()
+    assert digest == CAMPAIGN_PINS[(design, seed, stuck_cells)]
 
 
 class TestSweepAndCache:

@@ -129,16 +129,40 @@ GATE_MEASURES = {
         "windows": 27,
         "fastpath_hit_rate": 1.0,
     },
+    DesignPoint.INDEP_SPLIT: {
+        "execution_cycles": 478_678,
+        "miss_count": 378,
+        "accessoram_count": 595,
+        "main_bus_lines": 20_800,
+        "probe_commands": 0,
+        "drain_accesses": 25,
+        "phase_cycles": {"ACCESS": 5_297, "APPEND": 5_920,
+                         "FETCH_DATA": 159_112, "FETCH_RESULT": 5_308,
+                         "FETCH_STASH": 21_579, "METADATA": 94_836,
+                         "PATH_WRITE": 166_729, "RECEIVE_LIST": 12_313,
+                         "idle": 7_584},
+        "slo": {"count": 378, "max": 17_330, "mean": 3950.121693121693,
+                "p50": 2_938, "p95": 11_542, "p99": 14_514,
+                "p999": 17_330},
+        "failures": 0,
+        "windows": 18,
+        "fastpath_hit_rate": 1.0,
+    },
 }
+
+#: Channels per gate point; INDEP-SPLIT needs two (one split group each).
+GATE_CHANNELS = {DesignPoint.INDEP_SPLIT: 2}
 
 
 @pytest.mark.parametrize("design", list(GATE_MEASURES),
                          ids=lambda design: design.value)
 def test_gate_suite_measure(design):
-    """One mcf point per single-channel design, traced and windowed,
-    through the same sweep path (and result round-trip) the ledger
-    records use; the whole measure must match, not just the cycles."""
-    point = SweepPoint(design=design, workload="mcf", channels=1,
+    """One mcf point per design (single-channel, except INDEP-SPLIT on
+    two), traced and windowed, through the same sweep path (and result
+    round-trip) the ledger records use; the whole measure must match, not
+    just the cycles."""
+    point = SweepPoint(design=design, workload="mcf",
+                       channels=GATE_CHANNELS.get(design, 1),
                        trace_length=1200, seed=2018,
                        window_policy="in-order", collect_trace=True,
                        window_cycles=50_000)
