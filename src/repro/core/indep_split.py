@@ -9,10 +9,13 @@ benchmark" — INDEP-SPLIT, the headline 47.4% improvement.
 
 Each group exposes the same access/append surface an Independent SDIMM
 does; internally a group *is* a Split protocol instance over its subtree.
-Blocks migrate between groups through the CPU exactly as in the
+The CPU side is :class:`~repro.core.independent.PartitionedProtocol`, so
+blocks migrate between groups through the CPU exactly as in the
 Independent protocol: the arriving block's slices are appended to both
 member buffers' stashes plus the group's shadow, paced by a transfer queue
-whose probabilistic drain triggers a dummy split access.
+whose probabilistic drain triggers a dummy split access.  Only the result
+phase differs: the group returns the block without a PROBE or a
+FETCH_RESULT request on the top-level link.
 """
 
 from __future__ import annotations
@@ -20,18 +23,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.commands import SdimmCommand
-from repro.core.secure_buffer import LinkRecorder
+from repro.core.independent import AccessOutcome, PartitionedProtocol
 from repro.core.split import SplitProtocol, _ShadowEntry
 from repro.core.transfer_queue import TransferQueue
-from repro.obs.tracer import (
-    CATEGORY_PROTOCOL,
-    NULL_TRACER,
-    StepClock,
-    Tracer,
-)
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.oram.bucket import Block
 from repro.oram.path_oram import Op
-from repro.oram.posmap import PositionMap
 from repro.utils.bitops import bit_slice, log2_exact
 from repro.utils.rng import DeterministicRng
 
@@ -64,7 +61,7 @@ class SplitGroup:
             trace_lane=f"group{group_id}",
         )
         self._local_leaf_bits = local_levels - 1
-        self._global_leaf_count = (self.split.geometry.leaf_count * groups)
+        self.global_leaf_count = self.split.geometry.leaf_count * groups
         self.queue = TransferQueue(transfer_queue_capacity,
                                    drain_probability,
                                    rng.child(f"group-queue{group_id}"))
@@ -82,7 +79,7 @@ class SplitGroup:
     # ------------------------------------------------------------------
 
     def access(self, address: int, old_global_leaf: int, op: Op,
-               data: Optional[bytes]) -> "GroupOutcome":
+               data: Optional[bytes]) -> AccessOutcome:
         """An Independent-style access executed split-wise in the group."""
         if self.owner_of(old_global_leaf) != self.group_id:
             raise ValueError(f"leaf {old_global_leaf} not owned by "
@@ -100,7 +97,7 @@ class SplitGroup:
                                               buffer.ways))
         split.posmap.set(address, self._local(old_global_leaf))
 
-        new_global_leaf = self._rng.random_leaf(self._global_leaf_count)
+        new_global_leaf = self._rng.random_leaf(self.global_leaf_count)
         stays = self.owner_of(new_global_leaf) == self.group_id
         result = split.access(
             address, op, data,
@@ -113,7 +110,7 @@ class SplitGroup:
             moved = Block(address, new_global_leaf, payload)
             # A departure opens a stash vacancy; fill it from the queue.
             self._service_queue(via_drain=False)
-        return GroupOutcome(result, new_global_leaf, moved)
+        return AccessOutcome(result, new_global_leaf, moved)
 
     def _service_queue(self, via_drain: bool) -> None:
         serviced = self.queue.service(via_drain=via_drain)
@@ -148,18 +145,10 @@ class SplitGroup:
         return in_shadow or address in self.queue
 
 
-class GroupOutcome:
-    """Result of a group access (mirrors the Independent outcome)."""
-
-    def __init__(self, data: bytes, new_global_leaf: int,
-                 moved_block: Optional[Block]):
-        self.data = data
-        self.new_global_leaf = new_global_leaf
-        self.moved_block = moved_block
-
-
-class IndepSplitProtocol:
+class IndepSplitProtocol(PartitionedProtocol):
     """CPU-side orchestration of the combined design."""
+
+    label = "indep-split"
 
     def __init__(self, global_levels: int, groups: int = 2, ways: int = 2,
                  blocks_per_bucket: int = 4, block_bytes: int = 64,
@@ -170,10 +159,7 @@ class IndepSplitProtocol:
                  key: bytes = b"indep-split-key!",
                  record_link: bool = False,
                  tracer: Tracer = NULL_TRACER):
-        rng = DeterministicRng(seed, "indep-split")
-        self.block_bytes = block_bytes
-        self.tracer = tracer
-        self.clock = StepClock()
+        rng = DeterministicRng(seed, self.label)
         self.groups: List[SplitGroup] = [
             SplitGroup(
                 group_id=index,
@@ -192,114 +178,20 @@ class IndepSplitProtocol:
             )
             for index in range(groups)
         ]
-        leaf_count = self.groups[0].split.geometry.leaf_count * groups
-        self._global_leaf_count = leaf_count
-        self.posmap = PositionMap(leaf_count, rng.child("posmap"))
-        self.link = LinkRecorder(enabled=record_link, tracer=tracer,
-                                 lane="indep-split-link", clock=self.clock)
-        self.accesses = 0
-        self._seed = seed
-        #: Groups whose retry budget was exhausted (see IndependentProtocol).
-        self.quarantined: set = set()
-        self._degraded_rng: Optional[DeterministicRng] = None
-        self.degraded_accesses = 0
-        self.lost_appends = 0
+        super().__init__(self.groups, rng, seed, block_bytes, record_link,
+                         tracer)
 
-    # ------------------------------------------------------------------
-    # Fault-injection / resilience seams (repro.faults)
-    # ------------------------------------------------------------------
+    # perfbench wraps each class's own ``access``
+    access = PartitionedProtocol.access
 
     def attach_resilience(self, handle) -> None:
         """Install one retry policy handle on every group's Split core."""
         for group in self.groups:
             group.split.attach_resilience(handle)
 
-    def quarantine(self, group_id: int) -> None:
-        """Mark a whole split group failed: its accesses run degraded."""
-        self.quarantined.add(group_id)
-
-    def _degraded(self) -> DeterministicRng:
-        # Lazy for the same reason as IndependentProtocol._degraded: an
-        # eager rng would consume parent entropy and shift every stream.
-        if self._degraded_rng is None:
-            self._degraded_rng = DeterministicRng(self._seed,
-                                                  "indep-split/degraded")
-        return self._degraded_rng
-
-    def _degraded_access(self, address: int, owner: int) -> bytes:
-        """Quarantined-group access: normal link shape, zeroes served."""
-        self.degraded_accesses += 1
-        lane = "indep-split"
-        traced = self.tracer.enabled
-        start = self.clock.now
-        self.link.up(SdimmCommand.ACCESS, owner, self.block_bytes)
-        new_leaf = self._degraded().random_leaf(self._global_leaf_count)
-        self.posmap.set(address, new_leaf)
-        if traced:
-            self.tracer.span("ACCESS", CATEGORY_PROTOCOL, lane, start,
-                             max(start + 1, self.clock.now))
+    def _result_phase(self, owner: int) -> None:
+        # The group returns the block unasked: no PROBE and no
+        # FETCH_RESULT request cross the top-level link.
         start = self.clock.now
         self.link.down(SdimmCommand.FETCH_RESULT, owner, self.block_bytes)
-        if traced:
-            self.tracer.span("FETCH_RESULT", CATEGORY_PROTOCOL, lane, start,
-                             max(start + 1, self.clock.now))
-        start = self.clock.now
-        for index in range(len(self.groups)):
-            self.link.up(SdimmCommand.APPEND, index, self.block_bytes)
-        if traced:
-            self.tracer.span("APPEND", CATEGORY_PROTOCOL, lane, start,
-                             max(start + 1, self.clock.now))
-        return bytes(self.block_bytes)
-
-    # ------------------------------------------------------------------
-
-    def read(self, address: int) -> bytes:
-        """Oblivious read of one block."""
-        return self.access(address, Op.READ)
-
-    def write(self, address: int, data: bytes) -> None:
-        """Oblivious write of one block."""
-        self.access(address, Op.WRITE, data)
-
-    def access(self, address: int, op: Op,
-               data: Optional[bytes] = None) -> bytes:
-        """One end-to-end request through the combined protocol."""
-        if op is Op.WRITE and data is None:
-            raise ValueError("write requires data")
-        self.accesses += 1
-        old_leaf = self.posmap.lookup(address)
-        owner = self.groups[0].owner_of(old_leaf)
-        if owner in self.quarantined:  # reprolint: disable=SEC003 -- owner is leaf-derived but a failed group is physically observable to any adversary; the degraded path emits the identical link shape, so this branch reveals nothing beyond the (public) failure itself
-            return self._degraded_access(address, owner)
-        traced = self.tracer.enabled
-        lane = "indep-split"
-
-        start = self.clock.now
-        self.link.up(SdimmCommand.ACCESS, owner, self.block_bytes)
-        outcome = self.groups[owner].access(address, old_leaf, op, data)
-        self.posmap.set(address, outcome.new_global_leaf)
-        if traced:
-            self.tracer.span("ACCESS", CATEGORY_PROTOCOL, lane, start,
-                             max(start + 1, self.clock.now))
-        start = self.clock.now
-        self.link.down(SdimmCommand.FETCH_RESULT, owner, self.block_bytes)
-        if traced:
-            self.tracer.span("FETCH_RESULT", CATEGORY_PROTOCOL, lane, start,
-                             max(start + 1, self.clock.now))
-
-        start = self.clock.now
-        new_owner = self.groups[0].owner_of(outcome.new_global_leaf)
-        for index, group in enumerate(self.groups):
-            payload = (outcome.moved_block
-                       if index == new_owner and outcome.moved_block
-                       else None)
-            self.link.up(SdimmCommand.APPEND, index, self.block_bytes)
-            if index in self.quarantined:
-                if payload is not None:
-                    self.lost_appends += 1
-                continue
-            group.append(payload)
-        if traced:
-            self.tracer.span("APPEND", CATEGORY_PROTOCOL, lane, start,
-                             max(start + 1, self.clock.now))
-        return outcome.data
+        self._span("FETCH_RESULT", start)

@@ -17,6 +17,9 @@ The six protocol steps map directly onto methods here:
 5.  the CPU polls with PROBE and collects the block with FETCH_RESULT.
 6.  the CPU APPENDs one block to *every* SDIMM; real only at the new owner
     (:meth:`IndependentBuffer.append`), feeding the transfer queue.
+
+Steps 1, 5 and 6 are :class:`PartitionedProtocol`, which INDEP-SPLIT
+(:mod:`repro.core.indep_split`) shares with a split group per site.
 """
 
 from __future__ import annotations
@@ -42,12 +45,11 @@ from repro.utils.rng import DeterministicRng
 
 @dataclass
 class AccessOutcome:
-    """What one SDIMM-local accessORAM produced."""
+    """What one site's accessORAM produced."""
 
     data: bytes
     new_global_leaf: int
-    moved_block: Optional[Block]   # set when the block left this SDIMM
-    drain_accesses: int            # extra dummy accesses spent on the queue
+    moved_block: Optional[Block]   # set when the block left this site
 
 
 class IndependentBuffer:
@@ -86,8 +88,8 @@ class IndependentBuffer:
             record_trace=record_trace,
         )
         self._local_leaf_bits = local_levels - 1
-        self._global_leaf_count = (self.oram.geometry.leaf_count *
-                                   total_sdimms)
+        self.global_leaf_count = (self.oram.geometry.leaf_count *
+                                  total_sdimms)
         self.queue = TransferQueue(transfer_queue_capacity,
                                    drain_probability,
                                    rng.child(f"queue{sdimm_id}"))
@@ -135,7 +137,7 @@ class IndependentBuffer:
                 raise ValueError("write requires a full-size payload")
             block.data = new_data
 
-        new_global_leaf = oram.rng.random_leaf(self._global_leaf_count)
+        new_global_leaf = oram.rng.random_leaf(self.global_leaf_count)
         moved: Optional[Block] = None
         if self.owner_of(new_global_leaf) == self.sdimm_id:
             block.leaf = self._local(new_global_leaf)
@@ -151,7 +153,7 @@ class IndependentBuffer:
 
         oram.write_path_from_stash(old_local)
         oram.relieve_pressure()
-        return AccessOutcome(result, new_global_leaf, moved, 0)
+        return AccessOutcome(result, new_global_leaf, moved)
 
     def append(self, block: Optional[Block]) -> int:
         """Step 6 receiver: absorb an APPEND (dummy blocks are dropped).
@@ -177,8 +179,142 @@ class IndependentBuffer:
         return address in self.oram.stash or address in self.queue
 
 
-class IndependentProtocol:
+class PartitionedProtocol:
+    """CPU-side orchestration of a tree partitioned across sites.
+
+    A *site* owns the subtree its index names in the leaf MSBs: one SDIMM
+    (:class:`IndependentProtocol`) or one split group
+    (:class:`~repro.core.indep_split.IndepSplitProtocol`).  A site exposes
+    ``owner_of``, ``access`` (returning an :class:`AccessOutcome`),
+    ``append`` and ``queue``.  One position map over the global leaf
+    space remaps every block to a fresh leaf.
+
+    A subclass builds its sites and passes them in, after drawing their
+    RNG children and before the position map's.  It supplies the
+    result phase (:meth:`_result_phase`) and its fault seam.  ``label``
+    names its RNG streams, its trace lane and its link lane.
+    """
+
+    label = ""
+
+    def __init__(self, sites: List, rng: DeterministicRng, seed: int,
+                 block_bytes: int, record_link: bool, tracer: Tracer):
+        self.sites = sites
+        self.block_bytes = block_bytes
+        self.tracer = tracer
+        self.clock = StepClock()
+        self._global_leaf_count = sites[0].global_leaf_count
+        self.posmap = PositionMap(self._global_leaf_count,
+                                  rng.child("posmap"))
+        self.link = LinkRecorder(enabled=record_link, tracer=tracer,
+                                 lane=f"{self.label}-link", clock=self.clock)
+        self.accesses = 0
+        self._seed = seed
+        #: Sites whose retry budget was exhausted: their accesses degrade
+        #: to link-shape-preserving zero reads instead of crashing the run.
+        self.quarantined: set = set()
+        self._degraded_rng: Optional[DeterministicRng] = None
+        self.degraded_accesses = 0
+        self.lost_appends = 0
+
+    # ------------------------------------------------------------------
+    # Resilience seam (repro.faults)
+    # ------------------------------------------------------------------
+
+    def quarantine(self, site: int) -> None:
+        """Mark a site failed: later accesses to it run degraded."""
+        self.quarantined.add(site)
+
+    def _degraded_outcome(self) -> AccessOutcome:
+        """A quarantined owner's access: zeroes served, the block remapped
+        without migration, every phase on the link as usual."""
+        self.degraded_accesses += 1
+        # Built lazily from the stored seed: DeterministicRng.child() draws
+        # entropy from the parent stream, so creating this eagerly in the
+        # constructor would perturb every existing stream and break
+        # zero-fault byte-identity with pre-resilience runs.
+        if self._degraded_rng is None:
+            self._degraded_rng = DeterministicRng(self._seed,
+                                                  f"{self.label}/degraded")
+        new_leaf = self._degraded_rng.random_leaf(self._global_leaf_count)
+        return AccessOutcome(bytes(self.block_bytes), new_leaf, None)
+
+    # ------------------------------------------------------------------
+
+    def _span(self, name: str, start: int) -> None:
+        if self.tracer.enabled:
+            self.tracer.span(name, CATEGORY_PROTOCOL, self.label, start,
+                             max(start + 1, self.clock.now))
+
+    def _result_phase(self, owner: int) -> None:
+        """Step 5: the owner's result block crosses the link."""
+        raise NotImplementedError
+
+    def access(self, address: int, op: Op,
+               data: Optional[bytes] = None) -> bytes:
+        """One end-to-end request through the partitioned protocol."""
+        if op is Op.WRITE and data is None:
+            raise ValueError("write requires data")
+        self.accesses += 1
+        old_leaf = self.posmap.lookup(address)
+        owner = self.sites[0].owner_of(old_leaf)
+
+        # Step 1: ACCESS always carries one block (dummy for reads) so the
+        # operation type is hidden.
+        start = self.clock.now
+        self.link.up(SdimmCommand.ACCESS, owner, self.block_bytes)
+        if owner in self.quarantined:  # reprolint: disable=SEC003 -- owner is leaf-derived but a failed site is physically observable to any adversary; the degraded outcome leaves every link event unchanged, so this branch reveals nothing beyond the (public) failure itself
+            outcome = self._degraded_outcome()
+        else:
+            outcome = self.sites[owner].access(address, old_leaf, op, data)
+        self.posmap.set(address, outcome.new_global_leaf)
+        self._span("ACCESS", start)
+
+        self._result_phase(owner)
+
+        # Step 6: one APPEND to every site; real block only at the new
+        # owner (and only if the block actually migrated).
+        start = self.clock.now
+        new_owner = self.sites[0].owner_of(outcome.new_global_leaf)
+        for index, site in enumerate(self.sites):
+            payload = (outcome.moved_block
+                       if index == new_owner and outcome.moved_block
+                       else None)
+            self.link.up(SdimmCommand.APPEND, index, self.block_bytes)
+            if index in self.quarantined:
+                # The wire still carries the APPEND (shape preserved); the
+                # dead site just cannot absorb it.  A real migrated block
+                # landing here is lost — recorded, not raised.
+                if payload is not None:
+                    self.lost_appends += 1
+                continue
+            site.append(payload)
+        self._span("APPEND", start)
+        return outcome.data
+
+    def read(self, address: int) -> bytes:
+        """Oblivious read of one block."""
+        return self.access(address, Op.READ)
+
+    def write(self, address: int, data: bytes) -> None:
+        """Oblivious write of one block."""
+        self.access(address, Op.WRITE, data)
+
+    # ------------------------------------------------------------------
+
+    def locate(self, address: int) -> int:
+        """Which site currently owns the block (tests/debugging)."""
+        return self.sites[0].owner_of(self.posmap.lookup(address))
+
+    @property
+    def total_drain_accesses(self) -> int:
+        return sum(site.queue.drain_services for site in self.sites)
+
+
+class IndependentProtocol(PartitionedProtocol):
     """CPU-side orchestration of the Independent design."""
+
+    label = "independent"
 
     def __init__(self, global_levels: int, sdimm_count: int,
                  blocks_per_bucket: int = 4, block_bytes: int = 64,
@@ -190,10 +326,7 @@ class IndependentProtocol:
                  record_trace: bool = False,
                  encryption_key: Optional[bytes] = None,
                  tracer: Tracer = NULL_TRACER):
-        rng = DeterministicRng(seed, "independent")
-        self.block_bytes = block_bytes
-        self.tracer = tracer
-        self.clock = StepClock()
+        rng = DeterministicRng(seed, self.label)
         self.sdimms: List[IndependentBuffer] = [
             IndependentBuffer(
                 sdimm_id=index,
@@ -210,24 +343,11 @@ class IndependentProtocol:
             )
             for index in range(sdimm_count)
         ]
-        global_leaf_count = (self.sdimms[0].oram.geometry.leaf_count *
-                             sdimm_count)
-        self._global_leaf_count = global_leaf_count
-        self.posmap = PositionMap(global_leaf_count, rng.child("posmap"))
-        self.link = LinkRecorder(enabled=record_link, tracer=tracer,
-                                 lane="independent-link", clock=self.clock)
-        self.accesses = 0
-        self._seed = seed
-        #: SDIMMs whose retry budget was exhausted: their accesses degrade
-        #: to link-shape-preserving zero reads instead of crashing the run.
-        self.quarantined: set = set()
-        self._degraded_rng: Optional[DeterministicRng] = None
-        self.degraded_accesses = 0
-        self.lost_appends = 0
+        super().__init__(self.sdimms, rng, seed, block_bytes, record_link,
+                         tracer)
 
-    # ------------------------------------------------------------------
-    # Fault-injection / resilience seams (repro.faults)
-    # ------------------------------------------------------------------
+    # perfbench wraps each class's own ``access``
+    access = PartitionedProtocol.access
 
     def wrap_stores(self, wrapper) -> None:
         """Replace each SDIMM's bucket store with ``wrapper(sdimm_id, store)``.
@@ -239,139 +359,13 @@ class IndependentProtocol:
         for index, sdimm in enumerate(self.sdimms):
             sdimm.oram.store = wrapper(index, sdimm.oram.store)
 
-    def wrap_link(self, wrapper) -> None:
-        """Replace the link recorder with ``wrapper(link)`` (fault proxy)."""
-        self.link = wrapper(self.link)
-
-    def quarantine(self, sdimm_id: int) -> None:
-        """Mark an SDIMM failed: later accesses to it run degraded."""
-        self.quarantined.add(sdimm_id)
-
-    def _degraded(self) -> DeterministicRng:
-        # Built lazily from the stored seed: DeterministicRng.child() draws
-        # entropy from the parent stream, so creating this eagerly in the
-        # constructor would perturb every existing stream and break
-        # zero-fault byte-identity with pre-resilience runs.
-        if self._degraded_rng is None:
-            self._degraded_rng = DeterministicRng(self._seed,
-                                                  "independent/degraded")
-        return self._degraded_rng
-
-    def _degraded_access(self, address: int, owner: int) -> bytes:
-        """Serve an access whose owner is quarantined.
-
-        Emits the exact link shape of a healthy access — ACCESS, PROBE,
-        FETCH_RESULT up/down, one APPEND per SDIMM — so a bus adversary
-        cannot tell a degraded access from a normal one; the data served
-        is zeroes and the block is remapped without migration.
-        """
-        self.degraded_accesses += 1
-        lane = "independent"
-        traced = self.tracer.enabled
-        start = self.clock.now
-        self.link.up(SdimmCommand.ACCESS, owner, self.block_bytes)
-        new_leaf = self._degraded().random_leaf(self._global_leaf_count)
-        self.posmap.set(address, new_leaf)
-        if traced:
-            self.tracer.span("ACCESS", CATEGORY_PROTOCOL, lane, start,
-                             max(start + 1, self.clock.now))
+    def _result_phase(self, owner: int) -> None:
+        # PROBE until ready, then FETCH_RESULT.  The SDIMM always returns
+        # one block (dummy only for a local-stay write).
         start = self.clock.now
         self.link.up(SdimmCommand.PROBE, owner, 0)
-        if traced:
-            self.tracer.span("PROBE", CATEGORY_PROTOCOL, lane, start,
-                             max(start + 1, self.clock.now))
+        self._span("PROBE", start)
         start = self.clock.now
         self.link.up(SdimmCommand.FETCH_RESULT, owner, 0)
         self.link.down(SdimmCommand.FETCH_RESULT, owner, self.block_bytes)
-        if traced:
-            self.tracer.span("FETCH_RESULT", CATEGORY_PROTOCOL, lane, start,
-                             max(start + 1, self.clock.now))
-        start = self.clock.now
-        for index in range(len(self.sdimms)):
-            # Broadcast shape only: there is no migrated block to deliver,
-            # and a dummy APPEND is a no-op inside every buffer.
-            self.link.up(SdimmCommand.APPEND, index, self.block_bytes)
-        if traced:
-            self.tracer.span("APPEND", CATEGORY_PROTOCOL, lane, start,
-                             max(start + 1, self.clock.now))
-        return bytes(self.block_bytes)
-
-    # ------------------------------------------------------------------
-
-    def access(self, address: int, op: Op,
-               data: Optional[bytes] = None) -> bytes:
-        """One end-to-end request through the Independent protocol."""
-        if op is Op.WRITE and data is None:
-            raise ValueError("write requires data")
-        self.accesses += 1
-        old_leaf = self.posmap.lookup(address)
-        owner = self.sdimms[0].owner_of(old_leaf)
-        if owner in self.quarantined:  # reprolint: disable=SEC003 -- owner is leaf-derived but a failed DIMM is physically observable to any adversary; the degraded path emits the identical link shape, so this branch reveals nothing beyond the (public) failure itself
-            return self._degraded_access(address, owner)
-        traced = self.tracer.enabled
-        lane = "independent"
-
-        # Step 1: ACCESS always carries one block (dummy for reads) so the
-        # operation type is hidden.
-        start = self.clock.now
-        self.link.up(SdimmCommand.ACCESS, owner, self.block_bytes)
-        outcome = self.sdimms[owner].access(address, old_leaf, op, data)
-        self.posmap.set(address, outcome.new_global_leaf)
-        if traced:
-            self.tracer.span("ACCESS", CATEGORY_PROTOCOL, lane, start,
-                             max(start + 1, self.clock.now))
-
-        # Step 5: PROBE until ready, then FETCH_RESULT.  The SDIMM always
-        # returns one block (dummy only for a local-stay write).
-        start = self.clock.now
-        self.link.up(SdimmCommand.PROBE, owner, 0)
-        if traced:
-            self.tracer.span("PROBE", CATEGORY_PROTOCOL, lane, start,
-                             max(start + 1, self.clock.now))
-        start = self.clock.now
-        self.link.up(SdimmCommand.FETCH_RESULT, owner, 0)
-        self.link.down(SdimmCommand.FETCH_RESULT, owner, self.block_bytes)
-        if traced:
-            self.tracer.span("FETCH_RESULT", CATEGORY_PROTOCOL, lane, start,
-                             max(start + 1, self.clock.now))
-
-        # Step 6: one APPEND to every SDIMM; real block only at the new
-        # owner (and only if the block actually migrated).
-        start = self.clock.now
-        new_owner = self.sdimms[0].owner_of(outcome.new_global_leaf)
-        for index, sdimm in enumerate(self.sdimms):
-            payload = (outcome.moved_block
-                       if index == new_owner and outcome.moved_block
-                       else None)
-            self.link.up(SdimmCommand.APPEND, index, self.block_bytes)
-            if index in self.quarantined:
-                # The wire still carries the APPEND (shape preserved); the
-                # dead buffer just cannot absorb it.  A real migrated block
-                # landing here is lost — recorded, not raised.
-                if payload is not None:
-                    self.lost_appends += 1
-                continue
-            sdimm.append(payload)
-        if traced:
-            self.tracer.span("APPEND", CATEGORY_PROTOCOL, lane, start,
-                             max(start + 1, self.clock.now))
-
-        return outcome.data
-
-    def read(self, address: int) -> bytes:
-        """Oblivious read of one block."""
-        return self.access(address, Op.READ)
-
-    def write(self, address: int, data: bytes) -> None:
-        """Oblivious write of one block."""
-        self.access(address, Op.WRITE, data)
-
-    # ------------------------------------------------------------------
-
-    def locate(self, address: int) -> int:
-        """Which SDIMM currently owns the block (tests/debugging)."""
-        return self.sdimms[0].owner_of(self.posmap.lookup(address))
-
-    @property
-    def total_drain_accesses(self) -> int:
-        return sum(sdimm.queue.drain_services for sdimm in self.sdimms)
+        self._span("FETCH_RESULT", start)

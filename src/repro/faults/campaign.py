@@ -229,7 +229,7 @@ def _active_sites(spec: CampaignSpec, protocol, address: int):
     """
     if spec.design == "split":
         return {0}
-    owner = protocol.groups[0].owner_of(protocol.posmap.lookup(address))
+    owner = protocol.locate(address)
     if owner in protocol.quarantined:
         return set()
     return {owner}
