@@ -14,7 +14,8 @@ protocol's parallelism.
   SDIMM-internal channels; ACCESS/PROBE/FETCH_RESULT/APPEND on main buses.
 * :class:`SplitBackend` — every access fans out over all SDIMMs; data moves
   locally, metadata and the one requested block cross the main buses.
-* :class:`IndepSplitBackend` — independent groups of split pairs.
+* :class:`IndepSplitBackend` — independent groups of split pairs, behind
+  the same :class:`PartitionedBackend` front end as Independent.
 
 Obliviousness makes ORAM timing content-independent (leaves are fresh
 uniform draws, APPEND broadcasts unconditional), so backends draw leaf
@@ -24,6 +25,7 @@ randomness locally instead of tracking block positions.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import DesignPoint, SystemConfig
@@ -253,17 +255,22 @@ class SdimmDevice:
         self.rng = rng
         self.work = WorkQueue(events, name)
         self.path_accesses = 0
-        # morphed-mode mapper, built once so its decode memo survives
         self._plain_mapper = AddressMapper(self.channel.organization, 64)
+
+    def path_producer(self):
+        """This device's layout as fastpath row segments."""
         if self.low_power:
-            producer = FastLowPowerRuns(self.layout)
-            runs = self._rank_runs
-        else:
-            producer = FastTreeRuns(self.layout)
-            runs = self.layout.path_runs
-        self.fastpath = AccessFastPath([self.channel], producer, runs,
-                                       self.skip_levels, self.crypto, name,
-                                       tracer)
+            return FastLowPowerRuns(self.layout)
+        return FastTreeRuns(self.layout)
+
+    @functools.cached_property
+    def fastpath(self) -> AccessFastPath:
+        """The whole-path pass, built on first use: a split member never
+        runs one (its group stamps from the leader's producer)."""
+        runs = self._rank_runs if self.low_power else self.layout.path_runs
+        return AccessFastPath([self.channel], self.path_producer(), runs,
+                              self.skip_levels, self.crypto, self.name,
+                              self.tracer)
 
     # ------------------------------------------------------------------
 
@@ -350,42 +357,35 @@ class SdimmDevice:
 
 
 # ----------------------------------------------------------------------
-# Independent protocol backend
+# The SDIMM backends' shared shell and partitioned front end
 # ----------------------------------------------------------------------
 
-class IndependentBackend(StampedBackend):
-    """One subtree per SDIMM; requests fan out, shuffles stay local."""
+class SdimmBackend(StampedBackend):
+    """What the three SDIMM backends share: the main-channel link buses,
+    the PLB front end, ``submit`` and ``finalize``.
+
+    A subclass builds ``devices`` and chains one miss's accessORAMs in
+    ``_next_op``.
+    """
+
+    devices: List[SdimmDevice]
 
     def __init__(self, config: SystemConfig, events: EventQueue,
-                 tracer: Tracer = NULL_TRACER):
+                 tracer: Tracer):
         scale = config.cpu.cpu_cycles_per_mem_cycle
         self.config = config
         self.events = events
         self.tracer = tracer
-        count = config.sdimm_count
-        partition_bits = log2_exact(count)
-        local_levels = config.oram.levels - partition_bits
-        skip = max(0, config.effective_cached_levels - partition_bits)
-        rng = DeterministicRng(config.seed, "independent-backend")
-        self.devices = [
-            SdimmDevice(config, events, f"sdimm{index}", local_levels, skip,
-                        rng.child(f"dev{index}"), tracer=tracer)
-            for index in range(count)
-        ]
         burst = config.timing.tburst * scale
         self.buses = [LinkBus(burst, name=f"bus{index}", tracer=tracer)
                       for index in range(config.channels)]
-        self._bus_of = [index // config.organization.dimms_per_channel
-                        for index in range(count)]
         self.frontend = PlbFrontend(config.oram)
-        self.rng = rng.child("route")
-        self.probe_interval = (config.sdimm.probe_interval_mem_cycles *
-                               scale)
-        self.drain_probability = config.sdimm.drain_probability
         self.crypto = config.oram.crypto_latency_cycles
-        self.channels = [device.channel for device in self.devices]
         self.counters = BackendCounters()
-        self.stamp_sites = [device.fastpath for device in self.devices]
+
+    @property
+    def channels(self) -> List[Channel]:
+        return [device.channel for device in self.devices]
 
     def submit(self, line_address: int, now: int, is_write: bool,
                on_complete: CompletionCallback = None) -> None:
@@ -397,13 +397,43 @@ class IndependentBackend(StampedBackend):
 
     def _next_op(self, remaining: int, now: int,
                  on_complete: CompletionCallback) -> None:
+        raise NotImplementedError
+
+    def finalize(self, end_cycle: int) -> None:
+        for device in self.devices:
+            device.finalize(end_cycle)
+
+
+class PartitionedBackend(SdimmBackend):
+    """The Independent front end over partition sites (Section III-C).
+
+    Each site owns one subtree: an SDIMM (:class:`IndependentBackend`) or
+    a split group (:class:`IndepSplitBackend`).  A subclass sets
+    ``sites``, each site's link bus (``site_buses``), each site's
+    accessORAM (``site_passes``) and the route RNG ``rng``.  Independent
+    polls for the result with PROBE (``probes``); INDEP-SPLIT fetches it
+    at the group's ``last_data_ready``.
+    """
+
+    probes = False
+
+    @staticmethod
+    def partition(config: SystemConfig, sites: int) -> Tuple[int, int]:
+        """(local levels, cached levels skipped) of one site's subtree."""
+        bits = log2_exact(sites)
+        return (config.oram.levels - bits,
+                max(0, config.effective_cached_levels - bits))
+
+    def _next_op(self, remaining: int, now: int,
+                 on_complete: CompletionCallback) -> None:
         if remaining == 0:
             if on_complete is not None:
                 on_complete(now)
             return
-        owner = self.rng.randrange(len(self.devices))
-        device = self.devices[owner]
-        bus = self.buses[self._bus_of[owner]]
+        sites = self.sites
+        owner = self.rng.randrange(len(sites))
+        site = sites[owner]
+        bus = self.site_buses[owner]
 
         # Step 1: ACCESS + one block of data on the owner's channel.
         access_start, request_end = bus.reserve_block(now)
@@ -413,20 +443,26 @@ class IndependentBackend(StampedBackend):
                              access_start, request_end)
 
         def done(ready: int) -> None:
-            # Step 5: PROBE polling finds the response, FETCH_RESULT
-            # returns the block.
-            detected = self._probe(request_end, ready, bus)
-            _, response_end = bus.reserve_block(detected)
+            # Step 5: FETCH_RESULT returns the block, once PROBE polling
+            # finds the response (Independent) or as soon as the group's
+            # data is ready (INDEP-SPLIT).
+            if self.probes:
+                fetch_at = self._probe(request_end, ready, bus)
+            else:
+                fetch_at = site.last_data_ready
+            result_start, response_end = bus.reserve_block(fetch_at)
             self.counters.result_blocks += 1
             if self.tracer.enabled:
-                self.tracer.span("PROBE", CATEGORY_PROTOCOL, bus.name,
-                                 ready, detected)
+                if self.probes:
+                    self.tracer.span("PROBE", CATEGORY_PROTOCOL, bus.name,
+                                     ready, fetch_at)
+                    result_start = fetch_at
                 self.tracer.span("FETCH_RESULT", CATEGORY_PROTOCOL,
-                                 bus.name, detected, response_end)
-            # Step 6: APPEND one block to every SDIMM (dummies included).
-            new_owner = self.rng.randrange(len(self.devices))
-            for index, target in enumerate(self.devices):
-                target_bus = self.buses[self._bus_of[index]]
+                                 bus.name, result_start, response_end)
+            # Step 6: APPEND one block to every site (dummies included).
+            new_owner = self.rng.randrange(len(sites))
+            for index, target in enumerate(sites):
+                target_bus = self.site_buses[index]
                 append_start, append_end = \
                     target_bus.reserve_block(response_end)
                 self.counters.append_messages += 1
@@ -435,18 +471,18 @@ class IndependentBackend(StampedBackend):
                                      target_bus.name, append_start,
                                      append_end)
                 migrated = index == new_owner and new_owner != owner
-                if migrated and self.rng.bernoulli(self.drain_probability):
+                if migrated and self.rng.bernoulli(
+                        self.config.sdimm.drain_probability):
                     # queue drain: the receiver spends a dummy access
                     self.counters.drain_accesses += 1
                     if self.tracer.enabled:
                         self.tracer.instant("drain", CATEGORY_PROTOCOL,
                                             target.name, append_end)
-                    target.work.enqueue(append_end,
-                                        target.perform_path_access)
+                    target.work.enqueue(append_end, self.site_passes[index])
             self._next_op(remaining - 1, response_end + self.crypto,
                           on_complete)
 
-        device.work.enqueue(arrival, device.perform_path_access, done)
+        site.work.enqueue(arrival, self.site_passes[owner], done)
 
     def _probe(self, first_possible: int, ready: int, bus: LinkBus) -> int:
         """Poll from ``first_possible`` until after ``ready``."""
@@ -456,6 +492,38 @@ class IndependentBackend(StampedBackend):
         self.counters.probe_commands += polls
         bus.command_slots += int(polls)
         return max(first_possible + polls * interval, ready)
+
+
+# ----------------------------------------------------------------------
+# Independent protocol backend
+# ----------------------------------------------------------------------
+
+class IndependentBackend(PartitionedBackend):
+    """One subtree per SDIMM; requests fan out, shuffles stay local."""
+
+    probes = True
+
+    def __init__(self, config: SystemConfig, events: EventQueue,
+                 tracer: Tracer = NULL_TRACER):
+        super().__init__(config, events, tracer)
+        count = config.sdimm_count
+        local_levels, skip = self.partition(config, count)
+        rng = DeterministicRng(config.seed, "independent-backend")
+        self.devices = [
+            SdimmDevice(config, events, f"sdimm{index}", local_levels, skip,
+                        rng.child(f"dev{index}"), tracer=tracer)
+            for index in range(count)
+        ]
+        self.rng = rng.child("route")
+        self.sites = self.devices
+        self.site_buses = [
+            self.buses[index // config.organization.dimms_per_channel]
+            for index in range(count)]
+        self.site_passes = [device.perform_path_access
+                            for device in self.devices]
+        self.probe_interval = (config.sdimm.probe_interval_mem_cycles *
+                               config.cpu.cpu_cycles_per_mem_cycle)
+        self.stamp_sites = [device.fastpath for device in self.devices]
 
     def submit_plain(self, line_address: int, now: int, is_write: bool,
                      on_complete: CompletionCallback = None) -> None:
@@ -467,7 +535,7 @@ class IndependentBackend(StampedBackend):
         """
         device_index = line_address % len(self.devices)
         device = self.devices[device_index]
-        bus = self.buses[self._bus_of[device_index]]
+        bus = self.site_buses[device_index]
         _, request_end = bus.reserve_block(now)
 
         def work(start: int) -> int:
@@ -481,10 +549,6 @@ class IndependentBackend(StampedBackend):
 
         device.work.enqueue(request_end, work,
                             done if not is_write else None)
-
-    def finalize(self, end_cycle: int) -> None:
-        for device in self.devices:
-            device.finalize(end_cycle)
 
 
 # ----------------------------------------------------------------------
@@ -517,6 +581,7 @@ class SplitGroupDevice:
         # plus the (always present) updated block.
         self._list_lines = ceil_div(self._path_buckets * 10, 64) + 1
         self._last_data_ready = 0
+        self.producer = members[0].path_producer()
         self.attempts = 0
         self.fast_accesses = 0
 
@@ -558,8 +623,7 @@ class SplitGroupDevice:
         shares = rank_indices = None
         if not memo.CORE.reference:
             self.attempts += 1
-            pattern = leader.fastpath.producer.pattern(leaf,
-                                                       leader.skip_levels)
+            pattern = self.producer.pattern(leaf, leader.skip_levels)
             if pattern.per_channel:
                 shares = pattern.slices(self.ways)
                 rank_indices = tuple(rank for _, rank in pattern.sig_ranks)
@@ -622,45 +686,27 @@ class SplitGroupDevice:
         return self._last_data_ready
 
 
-class SplitBackend(StampedBackend):
+class SplitBackend(SdimmBackend):
     """All SDIMMs serve each access together (SPLIT-2 / SPLIT-4)."""
 
     def __init__(self, config: SystemConfig, events: EventQueue,
                  tracer: Tracer = NULL_TRACER):
-        scale = config.cpu.cpu_cycles_per_mem_cycle
-        self.config = config
-        self.events = events
-        self.tracer = tracer
+        super().__init__(config, events, tracer)
         count = config.sdimm_count
         skip = config.effective_cached_levels
         rng = DeterministicRng(config.seed, "split-backend")
-        devices = [
+        self.devices = [
             SdimmDevice(config, events, f"sdimm{index}", config.oram.levels,
                         skip, rng.child(f"dev{index}"), tracer=tracer)
             for index in range(count)
         ]
-        burst = config.timing.tburst * scale
-        self.buses = [LinkBus(burst, name=f"bus{index}", tracer=tracer)
-                      for index in range(config.channels)]
         member_buses = [self.buses[index //
                                    config.organization.dimms_per_channel]
                         for index in range(count)]
-        self.group = SplitGroupDevice(config, events, devices, member_buses,
-                                      config.oram.crypto_latency_cycles,
+        self.group = SplitGroupDevice(config, events, self.devices,
+                                      member_buses, self.crypto,
                                       "split-group", tracer=tracer)
-        self.devices = devices
-        self.frontend = PlbFrontend(config.oram)
-        self.channels = [device.channel for device in devices]
-        self.counters = BackendCounters()
         self.stamp_sites = [self.group]
-
-    def submit(self, line_address: int, now: int, is_write: bool,
-               on_complete: CompletionCallback = None) -> None:
-        for bus in self.buses:
-            bus.advance(now)
-        operations = self.frontend.translate(line_address)
-        self.counters.accessorams += len(operations)
-        self._next_op(len(operations), now, on_complete)
 
     def _next_op(self, remaining: int, now: int,
                  on_complete: CompletionCallback) -> None:
@@ -677,35 +723,23 @@ class SplitBackend(StampedBackend):
 
         group.work.enqueue(now, group.perform_split_access, done)
 
-    def finalize(self, end_cycle: int) -> None:
-        for device in self.devices:
-            device.finalize(end_cycle)
-
 
 # ----------------------------------------------------------------------
 # Combined INDEP-SPLIT backend
 # ----------------------------------------------------------------------
 
-class IndepSplitBackend(StampedBackend):
+class IndepSplitBackend(PartitionedBackend):
     """Independent groups of split pairs (Figure 7e)."""
 
     def __init__(self, config: SystemConfig, events: EventQueue,
                  tracer: Tracer = NULL_TRACER):
-        scale = config.cpu.cpu_cycles_per_mem_cycle
-        self.config = config
-        self.events = events
-        self.tracer = tracer
+        super().__init__(config, events, tracer)
         per_channel = config.organization.dimms_per_channel
         group_count = config.channels
-        partition_bits = log2_exact(group_count)
-        local_levels = config.oram.levels - partition_bits
-        skip = max(0, config.effective_cached_levels - partition_bits)
+        local_levels, skip = self.partition(config, group_count)
         rng = DeterministicRng(config.seed, "indep-split-backend")
-        burst = config.timing.tburst * scale
-        self.buses = [LinkBus(burst, name=f"bus{index}", tracer=tracer)
-                      for index in range(config.channels)]
         self.groups: List[SplitGroupDevice] = []
-        self.devices: List[SdimmDevice] = []
+        self.devices = []
         for group_index in range(group_count):
             members = [
                 SdimmDevice(config, events,
@@ -718,72 +752,14 @@ class IndepSplitBackend(StampedBackend):
             self.devices.extend(members)
             member_buses = [self.buses[group_index]] * per_channel
             self.groups.append(SplitGroupDevice(
-                config, events, members, member_buses,
-                config.oram.crypto_latency_cycles,
+                config, events, members, member_buses, self.crypto,
                 f"split-group{group_index}", tracer=tracer))
-        self.frontend = PlbFrontend(config.oram)
         self.rng = rng.child("route")
-        self.drain_probability = config.sdimm.drain_probability
-        self.crypto = config.oram.crypto_latency_cycles
-        self.channels = [device.channel for device in self.devices]
-        self.counters = BackendCounters()
+        self.sites = self.groups
+        self.site_buses = self.buses
+        self.site_passes = [group.perform_split_access
+                            for group in self.groups]
         self.stamp_sites = self.groups
-
-    def submit(self, line_address: int, now: int, is_write: bool,
-               on_complete: CompletionCallback = None) -> None:
-        for bus in self.buses:
-            bus.advance(now)
-        operations = self.frontend.translate(line_address)
-        self.counters.accessorams += len(operations)
-        self._next_op(len(operations), now, on_complete)
-
-    def _next_op(self, remaining: int, now: int,
-                 on_complete: CompletionCallback) -> None:
-        if remaining == 0:
-            if on_complete is not None:
-                on_complete(now)
-            return
-        owner = self.rng.randrange(len(self.groups))
-        group = self.groups[owner]
-        bus = self.buses[owner]
-        access_start, request_end = bus.reserve_block(now)
-        arrival = request_end + self.crypto
-        if self.tracer.enabled:
-            self.tracer.span("ACCESS", CATEGORY_PROTOCOL, bus.name,
-                             access_start, request_end)
-
-        def done(_finish: int) -> None:
-            result_start, response_end = \
-                bus.reserve_block(group.last_data_ready)
-            self.counters.result_blocks += 1
-            if self.tracer.enabled:
-                self.tracer.span("FETCH_RESULT", CATEGORY_PROTOCOL,
-                                 bus.name, result_start, response_end)
-            new_owner = self.rng.randrange(len(self.groups))
-            for index, target in enumerate(self.groups):
-                append_start, append_end = \
-                    self.buses[index].reserve_block(response_end)
-                self.counters.append_messages += 1
-                if self.tracer.enabled:
-                    self.tracer.span("APPEND", CATEGORY_PROTOCOL,
-                                     self.buses[index].name, append_start,
-                                     append_end)
-                migrated = index == new_owner and new_owner != owner
-                if migrated and self.rng.bernoulli(self.drain_probability):
-                    self.counters.drain_accesses += 1
-                    if self.tracer.enabled:
-                        self.tracer.instant("drain", CATEGORY_PROTOCOL,
-                                            target.name, append_end)
-                    target.work.enqueue(append_end,
-                                        target.perform_split_access)
-            self._next_op(remaining - 1, response_end + self.crypto,
-                          on_complete)
-
-        group.work.enqueue(arrival, group.perform_split_access, done)
-
-    def finalize(self, end_cycle: int) -> None:
-        for device in self.devices:
-            device.finalize(end_cycle)
 
 
 BACKEND_CLASSES = {

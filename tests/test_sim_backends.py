@@ -183,6 +183,19 @@ class TestSplitBackend:
         completed(backend, events, [0])
         assert all(bus.line_transfers > 0 for bus in backend.buses)
 
+    @pytest.mark.parametrize("design,channels", [
+        (DesignPoint.SPLIT_2, 1), (DesignPoint.INDEP_SPLIT, 2)])
+    def test_members_build_no_whole_path_pass(self, design, channels):
+        """A split member never runs a whole-path access, so only the
+        group's one producer (from the leader's layout) is built."""
+        events = EventQueue()
+        backend = build_backend(table2_config(design, channels=channels),
+                                events)
+        completed(backend, events, [0])
+        assert not any("fastpath" in vars(device)
+                       for device in backend.devices)
+        assert backend.fastpath_stats()[0] > 0
+
 
 class TestIndepSplitBackend:
     def make(self):
