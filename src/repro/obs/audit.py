@@ -175,15 +175,24 @@ def audit_address_streams(count: int, seed: int = 2018,
 # Timing-tier audit (exact equality)
 # ----------------------------------------------------------------------
 
+#: The bus-stall schedule of the faulted timing audit: ``(start cycle,
+#: cycles)`` per stall, injected on every link bus.
+BUS_STALLS: Tuple[Tuple[int, int], ...] = ((2_000, 600), (9_000, 900))
+
+
 def collect_timing_observations(design, addresses: Sequence[int],
                                 channels: int = 1, seed: int = 2018,
-                                gap_cycles: int = 4000) -> List[TraceEvent]:
+                                gap_cycles: int = 4000,
+                                stalls: Sequence[Tuple[int, int]] = ()
+                                ) -> List[TraceEvent]:
     """One traced backend run over a fixed-arrival miss stream.
 
     Misses arrive on a fixed schedule (every ``gap_cycles``) so arrival
     timing carries no address information; the PLB is disabled so the
     per-miss accessORAM count is the full recursion depth for every miss.
-    What remains observable is purely the backend's behaviour.
+    What remains observable is purely the backend's behaviour.  Each
+    ``(start, cycles)`` in ``stalls`` occupies every link bus for that
+    interval: a transient SDIMM buffer stall.
     """
     from repro.config import DesignPoint, table2_config
     from repro.oram.plb import PlbFrontend
@@ -197,6 +206,9 @@ def collect_timing_observations(design, addresses: Sequence[int],
     events = EventQueue()
     backend = build_backend(config, events, tracer=tracer)
     backend.frontend = PlbFrontend(config.oram, enabled=False)
+    for bus in backend.buses:
+        for start, cycles in stalls:
+            bus.inject_stall(start, cycles)
     for index, address in enumerate(addresses):
         arrival = index * gap_cycles
         events.at(arrival,
@@ -208,20 +220,28 @@ def collect_timing_observations(design, addresses: Sequence[int],
 
 
 def audit_timing_design(design, misses: int = 12, channels: int = 1,
-                        seed: int = 2018,
-                        gap_cycles: int = 4000) -> AuditResult:
-    """Byte-exact adversary-trace equality across two address streams."""
-    stream_a, stream_b = audit_address_streams(misses, seed=seed)
+                        seed: int = 2018, gap_cycles: int = 4000,
+                        stalls: Sequence[Tuple[int, int]] = ()
+                        ) -> AuditResult:
+    """Byte-exact adversary-trace equality across two address streams.
+
+    With ``stalls`` (see :data:`BUS_STALLS`) the identical bus-stall
+    schedule goes into both runs.  It is positional (absolute cycles), so
+    it shifts every later reservation identically: the adversary traces
+    must stay byte-exact for secure designs.
+    """
     violations: List[str] = []
     keyed = []
-    for stream in (stream_a, stream_b):
+    for stream in audit_address_streams(misses, seed=seed):
         observed = collect_timing_observations(design, stream,
                                                channels=channels, seed=seed,
-                                               gap_cycles=gap_cycles)
+                                               gap_cycles=gap_cycles,
+                                               stalls=stalls)
         violations.extend(scan_secret_args(observed))
         keyed.append([event.key() for event in observed])
     name = design.value if hasattr(design, "value") else str(design)
-    return compare_observables(f"timing:{name}", "adversary",
+    tier = "timing+stalls" if stalls else "timing"
+    return compare_observables(f"{tier}:{name}", "adversary",
                                keyed[0], keyed[1],
                                secret_violations=violations)
 
@@ -635,66 +655,6 @@ def audit_faulted_protocol(design: str,
                                shapes[0], shapes[1])
 
 
-def audit_timing_design_with_stalls(design, misses: int = 12,
-                                    channels: int = 1, seed: int = 2018,
-                                    gap_cycles: int = 4000,
-                                    stalls: Sequence[Tuple[int, int]] = (
-                                        (2_000, 600), (9_000, 900)),
-                                    ) -> AuditResult:
-    """Timing-tier audit with an identical bus-stall schedule injected.
-
-    A transient SDIMM buffer stall occupies the link bus for a fixed
-    interval.  The schedule is positional (absolute cycles), so injecting
-    it into both runs shifts every subsequent reservation identically —
-    the adversary traces must stay byte-exact for secure designs.
-    """
-    from repro.config import DesignPoint
-
-    if isinstance(design, str):
-        design = DesignPoint(design)
-    violations: List[str] = []
-    keyed = []
-    for stream in audit_address_streams(misses, seed=seed):
-        observed = _collect_stalled_observations(design, stream,
-                                                 channels=channels,
-                                                 seed=seed,
-                                                 gap_cycles=gap_cycles,
-                                                 stalls=stalls)
-        violations.extend(scan_secret_args(observed))
-        keyed.append([event.key() for event in observed])
-    return compare_observables(f"timing+stalls:{design.value}", "adversary",
-                               keyed[0], keyed[1],
-                               secret_violations=violations)
-
-
-def _collect_stalled_observations(design, addresses: Sequence[int],
-                                  channels: int, seed: int,
-                                  gap_cycles: int,
-                                  stalls: Sequence[Tuple[int, int]]
-                                  ) -> List[TraceEvent]:
-    from repro.config import table2_config
-    from repro.oram.plb import PlbFrontend
-    from repro.sim.events import EventQueue
-    from repro.sim.system import build_backend
-
-    config = table2_config(design, channels=channels, seed=seed)
-    tracer = CollectingTracer()
-    events = EventQueue()
-    backend = build_backend(config, events, tracer=tracer)
-    backend.frontend = PlbFrontend(config.oram, enabled=False)
-    for bus in getattr(backend, "buses", []):
-        for start, cycles in stalls:
-            bus.inject_stall(start, cycles)
-    for index, address in enumerate(addresses):
-        arrival = index * gap_cycles
-        events.at(arrival,
-                  lambda a=address, t=arrival: backend.submit(
-                      a, t, is_write=False))
-    events.run()
-    backend.finalize(events.now)
-    return adversary_observations(tracer.events)
-
-
 # ----------------------------------------------------------------------
 # The full audit the CLI runs
 # ----------------------------------------------------------------------
@@ -745,10 +705,10 @@ def run_full_audit(misses: int = 12, accesses: int = 48,
             audit_faulted_protocol("split", stream_a, stream_b, seed=seed),
             audit_faulted_protocol("indep-split", stream_a, stream_b,
                                    levels=7, seed=seed),
-            audit_timing_design_with_stalls(DesignPoint.INDEP_2,
-                                            misses=misses, seed=seed),
-            audit_timing_design_with_stalls(DesignPoint.SPLIT_2,
-                                            misses=misses, seed=seed),
+            audit_timing_design(DesignPoint.INDEP_2, misses=misses,
+                                seed=seed, stalls=BUS_STALLS),
+            audit_timing_design(DesignPoint.SPLIT_2, misses=misses,
+                                seed=seed, stalls=BUS_STALLS),
         ])
     if include_negative_control:
         control = audit_timing_design(DesignPoint.NONSECURE, misses=misses,

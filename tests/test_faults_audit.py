@@ -10,8 +10,8 @@ exactly the same observable points.
 import pytest
 
 from repro.config import DesignPoint
-from repro.obs.audit import (audit_address_streams, audit_faulted_protocol,
-                             audit_timing_design_with_stalls,
+from repro.obs.audit import (BUS_STALLS, audit_address_streams,
+                             audit_faulted_protocol, audit_timing_design,
                              run_full_audit)
 
 
@@ -50,7 +50,7 @@ class TestStalledTimingAudit:
     @pytest.mark.parametrize("design", [DesignPoint.INDEP_2,
                                         DesignPoint.SPLIT_2])
     def test_identical_stall_schedules_cancel_out(self, design):
-        result = audit_timing_design_with_stalls(design, misses=6)
+        result = audit_timing_design(design, misses=6, stalls=BUS_STALLS)
         assert result.passed, result.describe()
         assert result.name.startswith("timing+stalls:")
 
