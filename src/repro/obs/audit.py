@@ -19,7 +19,7 @@ that, at both simulation tiers:
   (its row/bank activity *is* the address), serving as the negative
   control that proves the audit has teeth.
 
-* **Functional tier** (``audit_*_protocol``): the content-carrying
+* **Functional tier** (:func:`audit_protocol`): the content-carrying
   protocols in :mod:`repro.core` record :class:`LinkRecorder` events.
   Here exact equality is the wrong test: position maps draw initial
   leaves lazily, so two different address streams legitimately
@@ -290,78 +290,33 @@ class LeakyLink:
         return len(self._inner)
 
 
-def _drive_link_protocol(protocol, addresses: Sequence[int],
-                         inject_leak: bool) -> List[Tuple]:
-    """Run an address stream through a core protocol; canonical shapes."""
-    if inject_leak:
-        protocol.link = LeakyLink()
-    for address in addresses:
-        if inject_leak:
-            protocol.link.leak_bit = protocol.posmap.lookup(address) & 1
-        protocol.read(address)
-    return protocol.link.shapes()
+def audit_protocol(design: str, addresses_a: Sequence[int],
+                   addresses_b: Sequence[int], levels: int = 6,
+                   sites: int = 2, seed: int = 2018,
+                   inject_leak: bool = False) -> AuditResult:
+    """Link-shape audit of one functional protocol design.
 
-
-def audit_independent_protocol(addresses_a: Sequence[int],
-                               addresses_b: Sequence[int],
-                               levels: int = 6, sdimms: int = 2,
-                               seed: int = 2018,
-                               inject_leak: bool = False) -> AuditResult:
-    """Link-shape audit of the functional Independent protocol."""
-    from repro.core.independent import IndependentProtocol
-
-    shapes = []
-    for stream in (addresses_a, addresses_b):
-        protocol = IndependentProtocol(global_levels=levels,
-                                       sdimm_count=sdimms, seed=seed,
-                                       record_link=True)
-        shapes.append(_drive_link_protocol(protocol, stream, inject_leak))
-    suffix = "+leak" if inject_leak else ""
-    return compare_observables(f"protocol:independent{suffix}",
-                               "link-shape", shapes[0], shapes[1])
-
-
-def audit_split_protocol(addresses_a: Sequence[int],
-                         addresses_b: Sequence[int],
-                         levels: int = 6, ways: int = 2,
-                         seed: int = 2018,
-                         inject_leak: bool = False) -> AuditResult:
-    """Link-shape audit of the functional Split protocol."""
-    from repro.core.split import SplitProtocol
-
-    shapes = []
-    for stream in (addresses_a, addresses_b):
-        protocol = SplitProtocol(levels=levels, ways=ways, seed=seed,
-                                 record_link=True)
-        shapes.append(_drive_link_protocol(protocol, stream, inject_leak))
-    suffix = "+leak" if inject_leak else ""
-    return compare_observables(f"protocol:split{suffix}",
-                               "link-shape", shapes[0], shapes[1])
-
-
-def audit_indep_split_protocol(addresses_a: Sequence[int],
-                               addresses_b: Sequence[int],
-                               levels: int = 7, groups: int = 2,
-                               seed: int = 2018) -> AuditResult:
-    """Link-shape audit of the combined protocol's top-level link.
-
-    The top-level link (ACCESS / FETCH_RESULT / APPEND broadcast) has a
-    fixed per-access shape.  Group-internal Split traffic is paced by the
-    transfer-queue drain lottery, whose *positions* are randomness-driven
-    (distributionally identical, not pointwise equal), so it is audited
-    through :func:`audit_split_protocol` separately rather than compared
-    pointwise here.
+    For INDEP-SPLIT this is the top-level link (ACCESS / FETCH_RESULT /
+    APPEND broadcast), whose per-access shape is fixed.  Group-internal
+    Split traffic is paced by the transfer-queue drain lottery, whose
+    *positions* are randomness-driven (distributionally identical, not
+    pointwise equal), so it is audited through the ``split`` design
+    rather than compared pointwise here.
     """
-    from repro.core.indep_split import IndepSplitProtocol
+    from repro.core.designs import build_protocol
 
     shapes = []
     for stream in (addresses_a, addresses_b):
-        protocol = IndepSplitProtocol(global_levels=levels, groups=groups,
-                                      seed=seed, record_link=True)
+        protocol = build_protocol(design, levels, sites, seed=seed)
+        if inject_leak:
+            protocol.link = LeakyLink()
         for address in stream:
+            if inject_leak:
+                protocol.link.leak_bit = protocol.posmap.lookup(address) & 1
             protocol.read(address)
         shapes.append(protocol.link.shapes())
-    return compare_observables("protocol:indep-split", "link-shape",
+    suffix = "+leak" if inject_leak else ""
+    return compare_observables(f"protocol:{design}{suffix}", "link-shape",
                                shapes[0], shapes[1])
 
 
@@ -427,7 +382,7 @@ def audit_sharded_routing(addresses_a: Sequence[int],
     is exactly why the tier keeps shard fan-out behind the position-
     independent link observable.
     """
-    from repro.core.independent import IndependentProtocol
+    from repro.core.designs import build_protocol
     from repro.serve.shard import ShardPlan
 
     plan = ShardPlan(shards=shards, subtrees=subtrees, levels=levels,
@@ -435,9 +390,7 @@ def audit_sharded_routing(addresses_a: Sequence[int],
     limit = 1 << (levels - 1)
     canonical = []
     for stream in (addresses_a, addresses_b):
-        protocols = [IndependentProtocol(global_levels=levels,
-                                         sdimm_count=sites, seed=seed,
-                                         record_link=True)
+        protocols = [build_protocol("independent", levels, sites, seed=seed)
                      for _ in range(shards)]
         observed: List[Tuple] = []
         for raw in stream:
@@ -519,7 +472,7 @@ def _drive_adaptive_run(addresses: Sequence[int], levels: int,
     from repro.control.admission import AdmissionController
     from repro.control.morph import MorphController
     from repro.control.plane import ServeControlPlane
-    from repro.core.split import SplitProtocol
+    from repro.core.designs import build_protocol
     from repro.oram.path_oram import Op
     from repro.serve.loadgen import Request
     from repro.serve.scheduler import BatchingScheduler
@@ -530,8 +483,7 @@ def _drive_adaptive_run(addresses: Sequence[int], levels: int,
         window_ticks,
         admission=AdmissionController(slo_p99, capacity, batch_size=batch),
         morph=MorphController(frozenset({"t1"})))
-    protocol = SplitProtocol(levels=levels, ways=2, seed=seed,
-                             record_link=True)
+    protocol = build_protocol("split", levels, seed=seed)
     limit = 1 << (levels - 1)
     sequences = {"t0": 0, "t1": 0}
     requests = []
@@ -692,9 +644,10 @@ def run_full_audit(misses: int = 12, accesses: int = 48,
         audit_timing_design(DesignPoint.INDEP_2, misses=misses, seed=seed),
         audit_timing_design(DesignPoint.SPLIT_2, misses=misses, seed=seed),
         audit_freecursive_protocol(stream_a, stream_b, seed=seed),
-        audit_independent_protocol(stream_a, stream_b, seed=seed),
-        audit_split_protocol(stream_a, stream_b, seed=seed),
-        audit_indep_split_protocol(stream_a, stream_b, seed=seed),
+        audit_protocol("independent", stream_a, stream_b, seed=seed),
+        audit_protocol("split", stream_a, stream_b, seed=seed),
+        audit_protocol("indep-split", stream_a, stream_b, levels=7,
+                       seed=seed),
         audit_sharded_routing(stream_a, stream_b, seed=seed),
         audit_adaptive_control(seed=seed),
     ]

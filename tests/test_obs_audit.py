@@ -11,10 +11,8 @@ import pytest
 
 from repro.obs.audit import (FORBIDDEN_ADVERSARY_ARGS, AuditResult,
                              adversary_observations, audit_address_streams,
-                             audit_freecursive_protocol,
-                             audit_indep_split_protocol,
-                             audit_independent_protocol,
-                             audit_split_protocol, audit_timing_design,
+                             audit_freecursive_protocol, audit_protocol,
+                             audit_timing_design,
                              compare_observables, run_full_audit,
                              scan_secret_args)
 from repro.obs.tracer import TraceEvent
@@ -55,15 +53,15 @@ class TestProtocolTierAudit:
         return audit_address_streams(32, span=1 << 10)
 
     def test_independent(self, streams):
-        result = audit_independent_protocol(*streams)
+        result = audit_protocol("independent", *streams)
         assert result.passed, result.describe()
 
     def test_split(self, streams):
-        result = audit_split_protocol(*streams)
+        result = audit_protocol("split", *streams)
         assert result.passed, result.describe()
 
     def test_indep_split(self, streams):
-        result = audit_indep_split_protocol(*streams)
+        result = audit_protocol("indep-split", *streams, levels=7)
         assert result.passed, result.describe()
 
     def test_freecursive(self, streams):
@@ -73,7 +71,8 @@ class TestProtocolTierAudit:
     def test_injected_leak_is_detected(self, streams):
         # The audit must have teeth: wiring posmap leaf parity into the
         # FETCH_RESULT payload size must render the traces distinguishable.
-        result = audit_independent_protocol(*streams, inject_leak=True)
+        result = audit_protocol("independent", *streams,
+                                inject_leak=True)
         assert not result.passed
         assert result.first_divergence is not None
         index, seen_a, seen_b = result.first_divergence
