@@ -15,11 +15,10 @@ points (see docs/faults.md).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.utils.canonical import canonical_digest, canonical_json
 from repro.utils.rng import DeterministicRng
 
 #: Transient ciphertext corruption in one stored bucket (heals on re-read).
@@ -123,12 +122,11 @@ class FaultPlan:
                                for entry in payload["specs"]))
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     def digest(self) -> str:
         """Content hash of the plan — part of every campaign cache key."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return canonical_digest(self.to_dict())
 
     @classmethod
     def generate(cls, seed: int, accesses: int, sites: int,

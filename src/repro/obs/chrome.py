@@ -22,6 +22,7 @@ import json
 from typing import Dict, Iterable, List
 
 from repro.obs.tracer import TraceEvent
+from repro.utils.canonical import canonical_json
 
 _PID = 1
 
@@ -76,7 +77,7 @@ def render_chrome_trace(events: Iterable[TraceEvent]) -> str:
                       "timestamp_unit": "simulation cycles"},
         "traceEvents": chrome_trace_events(events),
     }
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return canonical_json(document)
 
 
 def write_chrome_trace(path: str, events: Iterable[TraceEvent]) -> int:

@@ -29,7 +29,6 @@ replays.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import json
 import os
@@ -37,6 +36,8 @@ import platform
 import sys
 import time
 from typing import Dict, List, Optional
+
+from repro.utils.canonical import canonical_digest, canonical_json
 
 
 def _fingerprint(explicit: Optional[str]) -> str:
@@ -60,11 +61,6 @@ LEDGER_ENV = "REPRO_LEDGER"
 LEDGER_DISABLE_ENV = "REPRO_NO_LEDGER"
 
 
-def canonical_json(payload: object) -> str:
-    """Deterministic JSON rendering (sorted keys, fixed separators)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def host_clock_s() -> float:
     """Host wall-clock seconds for throughput measurement (monotonic)."""
     return time.perf_counter()  # reprolint: disable=DET001 -- the ledger's host section is the one sanctioned home for wall-clock: it never enters simulated state and is excluded from the record digest
@@ -80,7 +76,7 @@ def host_provenance() -> Dict[str, object]:
 
 
 def core_digest(core: Dict[str, object]) -> str:
-    return hashlib.sha256(canonical_json(core).encode()).hexdigest()
+    return canonical_digest(core)
 
 
 def make_record(kind: str, core: Dict[str, object],
@@ -254,12 +250,7 @@ def config_digest_hex(config) -> str:
     """SHA-256 of the canonical configuration payload."""
     from repro.parallel.cache import config_digest_payload
 
-    def encode(value: object) -> object:
-        return getattr(value, "value", str(value))
-
-    rendered = json.dumps(config_digest_payload(config), sort_keys=True,
-                          separators=(",", ":"), default=encode)
-    return hashlib.sha256(rendered.encode()).hexdigest()
+    return canonical_digest(config_digest_payload(config), enums=True)
 
 
 def serve_core(report: Dict[str, object],
@@ -277,8 +268,7 @@ def serve_core(report: Dict[str, object],
             "seed": spec.get("seed"),
             "profile": spec.get("profile"),
         },
-        "spec_digest": hashlib.sha256(
-            canonical_json(spec).encode()).hexdigest(),
+        "spec_digest": canonical_digest(spec),
         "fingerprint": _fingerprint(fingerprint),
         "measure": {
             "totals": report.get("totals", {}),
@@ -303,8 +293,7 @@ def campaign_core(report: Dict[str, object],
             "accesses": spec.get("accesses"),
             "seed": spec.get("seed"),
         },
-        "spec_digest": hashlib.sha256(
-            canonical_json(spec).encode()).hexdigest(),
+        "spec_digest": canonical_digest(spec),
         "fingerprint": _fingerprint(fingerprint),
         "measure": {
             "detection": report.get("detection", {}),

@@ -25,7 +25,6 @@ leaves a half-written entry for the next process to trip over.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import hmac
 import json
 import os
@@ -34,10 +33,10 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.config import SystemConfig
 from repro.parallel.fingerprint import code_fingerprint
-from repro.parallel.serialize import (SCHEMA_VERSION, canonical_json,
-                                      run_result_from_dict,
+from repro.parallel.serialize import (SCHEMA_VERSION, run_result_from_dict,
                                       run_result_to_dict)
 from repro.sim.stats import RunResult
+from repro.utils.canonical import canonical_digest, canonical_json
 
 #: Environment override consulted by CLI/benchmark entry points.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -52,11 +51,6 @@ def default_cache_dir(anchor: Optional[str] = None) -> str:
     if override:
         return override
     return os.path.join(anchor or os.getcwd(), DEFAULT_CACHE_DIRNAME)
-
-
-def _encode_value(value: object) -> object:
-    # enums carry .value; anything else must already be JSON-friendly
-    return getattr(value, "value", str(value))
 
 
 def config_digest_payload(config: SystemConfig) -> Dict[str, object]:
@@ -112,9 +106,7 @@ class RunCache:
             "fingerprint": fingerprint if fingerprint is not None
             else code_fingerprint(),
         }
-        rendered = json.dumps(request, sort_keys=True,
-                              separators=(",", ":"), default=_encode_value)
-        return hashlib.sha256(rendered.encode()).hexdigest()
+        return canonical_digest(request, enums=True)
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, key[:2], key + ".json")
@@ -171,8 +163,7 @@ class RunCache:
             # integrity check against torn/bit-rotted files, not an
             # authentication boundary — but compare_digest costs nothing
             if not hmac.compare_digest(
-                    hashlib.sha256(canonical_json(payload).encode())
-                    .hexdigest(),
+                    canonical_digest(payload),
                     str(entry.get("digest"))):
                 raise ValueError("payload digest mismatch")
             entry[field] = decode(payload)
@@ -199,8 +190,7 @@ class RunCache:
             "key": key,
             "fingerprint": fingerprint if fingerprint is not None
             else code_fingerprint(),
-            "digest": hashlib.sha256(
-                canonical_json(payload).encode()).hexdigest(),
+            "digest": canonical_digest(payload),
             field: payload,
             **extra,
         }
@@ -208,8 +198,7 @@ class RunCache:
             dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(handle, "w") as stream:
-                json.dump(entry, stream, sort_keys=True,
-                          separators=(",", ":"))
+                stream.write(canonical_json(entry))
             os.replace(temp_path, path)
         except BaseException:
             try:

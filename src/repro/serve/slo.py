@@ -16,18 +16,18 @@ A serving run collapses to one canonical JSON report:
   system sits at or below the M/M/1/K prediction — the model is the
   paper's reference curve and an upper envelope, not an equality.
 
-Reports are rendered with ``sort_keys`` and fixed separators, so two
-runs of the same spec — serial, parallel, or cache-served — compare
+Reports are rendered by :func:`repro.utils.canonical.canonical_json`, so
+two runs of the same spec — serial, parallel, or cache-served — compare
 byte-for-byte.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Optional
 
 from repro.analysis.queueing import mm1k_full_probability
 from repro.serve.scheduler import SchedulerOutcome
+from repro.utils.canonical import canonical_json  # noqa: F401
 
 #: Bump when the report layout changes (cache entries key on this).
 #: 2: adaptive-control section (``control``), plain-access totals.
@@ -101,11 +101,6 @@ def build_report(spec_payload: Dict[str, object],
         },
         "shed_records": [record.to_dict() for record in outcome.shed],
     }
-
-
-def canonical_json(report: Dict[str, object]) -> str:
-    """The byte-identity rendering (what ``--report`` writes)."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
 def compare_with_model(report: Dict[str, object]) -> Dict[str, float]:
