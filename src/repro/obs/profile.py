@@ -1,28 +1,17 @@
-"""Hotspot attribution: where do the cycles (and the host seconds) go?
+"""Hotspot attribution: where do the simulated cycles go?
 
 Palermo's lesson (PAPERS.md) is that oblivious-memory performance work is
 won by fine-grained attribution across protocol and hardware layers.
-This module provides two attributions with very different contracts:
-
-* **Simulated cycles, deterministic** — :func:`exclusive_cycles` sweeps
-  the tracer's span stream and charges every cycle of every lane to the
-  *innermost* active span (latest start wins; emission order breaks
-  ties), so nested instrumentation — a PROBE poll inside a path access
-  inside a miss — attributes each cycle exactly once.  The resulting
-  top-N table is byte-stable across runs and machines, which makes
-  :func:`diff_hotspots` a meaningful review artifact between two code
-  versions: cycles moved, not noise moved.
-* **Host wall-clock, sampled, opt-in** — :class:`WallClockSampler`
-  periodically samples the main thread's Python stack from a daemon
-  thread.  It exists for the optimization work (finding slow *host*
-  code, not slow *simulated* hardware); it is nondeterministic by
-  nature and therefore never feeds ledger cores or gate decisions.
+:func:`exclusive_cycles` sweeps the tracer's span stream and charges
+every cycle of every lane to the *innermost* active span (latest start
+wins; emission order breaks ties), so nested instrumentation — a PROBE
+poll inside a path access inside a miss — attributes each cycle exactly
+once.  The resulting top-N table is byte-stable across runs and
+machines.  Host time is ``perfbench``'s to measure, not this module's.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.tracer import TraceEvent
@@ -101,132 +90,4 @@ def render_hotspots(rows: List[Dict[str, object]],
     return "\n".join(lines)
 
 
-def diff_hotspots(before: List[Dict[str, object]],
-                  after: List[Dict[str, object]]
-                  ) -> List[Dict[str, object]]:
-    """Per-(lane, span) exclusive-cycle deltas between two runs.
-
-    Rows sort by absolute delta (largest movement first); spans present
-    in only one run appear with the other side at zero, so a phase that
-    vanished or appeared is front and center rather than silently
-    dropped.
-    """
-    index_before = {(row["lane"], row["name"]): row for row in before}
-    index_after = {(row["lane"], row["name"]): row for row in after}
-    rows = []
-    for key in sorted(set(index_before) | set(index_after)):
-        cycles_before = index_before.get(key, {}).get("exclusive_cycles", 0)
-        cycles_after = index_after.get(key, {}).get("exclusive_cycles", 0)
-        rows.append({"lane": key[0], "name": key[1],
-                     "before": cycles_before, "after": cycles_after,
-                     "delta": cycles_after - cycles_before})
-    rows.sort(key=lambda row: (-abs(row["delta"]), row["lane"],
-                               row["name"]))
-    return [row for row in rows if row["before"] or row["after"]]
-
-
-def render_hotspot_diff(rows: List[Dict[str, object]],
-                        top_n: int = 20) -> str:
-    lines = [f"{'lane':12s} {'span':16s} {'before':>12s} {'after':>12s} "
-             f"{'delta':>12s}"]
-    for row in rows[:top_n]:
-        lines.append(f"{row['lane']:12s} {row['name']:16s} "
-                     f"{row['before']:12,d} {row['after']:12,d} "
-                     f"{row['delta']:+12,d}")
-    return "\n".join(lines)
-
-
-class WallClockSampler:
-    """Opt-in sampling profiler over host wall-clock time.
-
-    Samples the *calling* thread's Python stack every ``interval_s``
-    seconds from a daemon thread and counts innermost frames.  This is
-    host-side tooling for the optimization loop: start it, run the slow
-    thing, stop it, read :meth:`report`.  Results depend on machine load
-    and are never written into ledger cores.
-    """
-
-    def __init__(self, interval_s: float = 0.005, depth: int = 3):
-        if interval_s <= 0:
-            raise ValueError("interval must be positive")
-        self.interval_s = interval_s
-        self.depth = max(1, depth)
-        self.samples = 0
-        self.counts: Dict[Tuple[str, ...], int] = {}
-        self._target_thread: Optional[int] = None
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-
-    def _frame_key(self, frame) -> Tuple[str, ...]:
-        parts: List[str] = []
-        while frame is not None and len(parts) < self.depth:
-            code = frame.f_code
-            parts.append(f"{code.co_filename}:{code.co_name}:"
-                         f"{frame.f_lineno}")
-            frame = frame.f_back
-        return tuple(parts)
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            frame = sys._current_frames().get(self._target_thread)
-            if frame is None:
-                continue
-            self.samples += 1
-            key = self._frame_key(frame)
-            self.counts[key] = self.counts.get(key, 0) + 1
-
-    def start(self) -> "WallClockSampler":
-        if self._thread is not None:
-            raise RuntimeError("sampler already started")
-        self._target_thread = threading.get_ident()
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._loop, daemon=True,
-                                        name="repro-wall-sampler")
-        self._thread.start()
-        return self
-
-    def stop(self) -> "WallClockSampler":
-        if self._thread is None:
-            return self
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-        self._thread = None
-        return self
-
-    def __enter__(self) -> "WallClockSampler":
-        return self.start()
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
-
-    def report(self, top_n: int = 15) -> List[Dict[str, object]]:
-        """Innermost-frame sample counts, largest first."""
-        rows = [{"frames": list(frames), "samples": count,
-                 "share": count / self.samples if self.samples else 0.0}
-                for frames, count in self.counts.items()]
-        rows.sort(key=lambda row: (-row["samples"], row["frames"]))
-        return rows[:top_n]
-
-
-def sample_wall_clock(function, interval_s: float = 0.005,
-                      top_n: int = 15):
-    """Run ``function()`` under the sampler; returns (result, rows)."""
-    sampler = WallClockSampler(interval_s=interval_s)
-    with sampler:
-        result = function()
-    return result, sampler.report(top_n)
-
-
-#: Kept for symmetry with the cycle tables: how long a sampled run took.
-def wall_elapsed_s(start_s: float) -> float:
-    """Elapsed host seconds since ``start_s`` (a ``host_clock_s`` read)."""
-    from repro.obs.ledger import host_clock_s
-
-    return host_clock_s() - start_s
-
-
-__all__ = [
-    "exclusive_cycles", "hotspots", "render_hotspots", "diff_hotspots",
-    "render_hotspot_diff", "WallClockSampler", "sample_wall_clock",
-    "wall_elapsed_s",
-]
+__all__ = ["exclusive_cycles", "hotspots", "render_hotspots"]

@@ -1,14 +1,7 @@
-"""Hotspot attribution: exclusive cycles, diffs, the wall-clock sampler."""
-
-import time
-
-import pytest
+"""Hotspot attribution: exclusive cycles and the hotspot table."""
 
 from repro.config import DesignPoint, small_config
-from repro.obs.profile import (WallClockSampler, diff_hotspots,
-                               exclusive_cycles, hotspots,
-                               render_hotspot_diff, render_hotspots,
-                               sample_wall_clock)
+from repro.obs.profile import exclusive_cycles, hotspots, render_hotspots
 from repro.obs.tracer import CollectingTracer, TraceEvent
 from repro.sim.system import run_simulation
 
@@ -81,47 +74,3 @@ class TestHotspots:
         rows = hotspots([_span("path_access", "chan0", 0, 100)])
         text = render_hotspots(rows, title="t")
         assert "path_access" in text and "100.0%" in text
-
-
-class TestDiff:
-    def test_delta_ordering_and_one_sided_rows(self):
-        before = hotspots([_span("gone", "lane", 0, 50),
-                           _span("same", "lane", 100, 120)])
-        after = hotspots([_span("new", "lane", 0, 80),
-                          _span("same", "lane", 100, 120)])
-        rows = diff_hotspots(before, after)
-        assert [row["name"] for row in rows] == ["new", "gone", "same"]
-        assert rows[0]["before"] == 0 and rows[0]["delta"] == 80
-        assert rows[1]["after"] == 0 and rows[1]["delta"] == -50
-        assert rows[2]["delta"] == 0
-        text = render_hotspot_diff(rows)
-        assert "+80" in text and "-50" in text
-
-
-class TestWallClockSampler:
-    def test_samples_a_busy_loop(self):
-        sampler = WallClockSampler(interval_s=0.001)
-        with sampler:
-            deadline = time.monotonic() + 0.15
-            while time.monotonic() < deadline:
-                sum(range(2000))
-        assert sampler.samples > 0
-        rows = sampler.report(top_n=5)
-        assert rows and rows[0]["samples"] >= rows[-1]["samples"]
-        assert 0 < rows[0]["share"] <= 1.0
-
-    def test_double_start_rejected_and_stop_idempotent(self):
-        sampler = WallClockSampler(interval_s=0.01).start()
-        with pytest.raises(RuntimeError):
-            sampler.start()
-        sampler.stop()
-        sampler.stop()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WallClockSampler(interval_s=0)
-
-    def test_sample_wall_clock_returns_function_result(self):
-        result, rows = sample_wall_clock(lambda: 42, interval_s=0.005)
-        assert result == 42
-        assert isinstance(rows, list)
