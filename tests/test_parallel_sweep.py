@@ -15,8 +15,9 @@ import pytest
 
 from repro.config import DesignPoint, small_config
 from repro.parallel.cache import RunCache
-from repro.parallel.serialize import canonical_json, run_result_to_dict
+from repro.parallel.serialize import run_result_to_dict
 from repro.parallel.sweep import SweepPoint, run_sweep
+from repro.utils.canonical import canonical_json
 import repro.parallel.pool as pool_module
 
 #: 2 designs x 2 workloads, all traced — the matrix the issue asks for.
