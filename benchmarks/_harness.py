@@ -2,13 +2,14 @@
 
 Every figure/table of the paper has one bench module.  They share:
 
-* a two-level cache of simulation runs: an in-process dict (so Figure 6's
-  Freecursive runs are reused by Figures 8-10 within one pytest run) backed
-  by the persistent content-addressed disk cache from
-  :mod:`repro.parallel.cache`, so *repeated* ``pytest benchmarks``
-  invocations reuse runs across processes.  The disk key includes the
-  ``repro`` source fingerprint, so any code change invalidates every
-  entry (stale ones are pruned on first use);
+* ``run_cached`` — one simulation point run through
+  :func:`repro.parallel.sweep.run_sweep`, so it shares the run cache,
+  its key and its entry format with ``repro sweep``/``compare``: a point
+  either of them computed is a hit for the other.  An in-process dict on
+  top keeps Figure 6's Freecursive runs for Figures 8-10 within one
+  pytest run.  The cache key includes the ``repro`` source fingerprint,
+  so any code change invalidates every entry (stale ones are pruned on
+  first use);
 * environment knobs —
 
   - ``REPRO_TRACE_LENGTH`` (default 4000): records per trace.  The paper
@@ -26,14 +27,12 @@ Every figure/table of the paper has one bench module.  They share:
 from __future__ import annotations
 
 import os
-import sys
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.config import DesignPoint, SystemConfig, table2_config
+from repro.config import DesignPoint
 from repro.parallel.cache import RunCache
-from repro.parallel.fingerprint import code_fingerprint
+from repro.parallel.sweep import SweepPoint, run_sweep
 from repro.sim.stats import RunResult, geometric_mean
-from repro.sim.system import run_simulation
 from repro.workloads.spec import profile_names
 
 TRACE_LENGTH = int(os.environ.get("REPRO_TRACE_LENGTH", "4000"))
@@ -62,7 +61,7 @@ def disk_cache() -> Optional[RunCache]:
     _DISK_CACHE = RunCache(directory)
     # explicit invalidation: entries from older code are unreachable
     # anyway (the fingerprint is in the key) — reclaim them now
-    _DISK_CACHE.prune_stale(code_fingerprint())
+    _DISK_CACHE.prune_stale()
     return _DISK_CACHE
 
 #: Reproduction tables accumulate here; the benchmarks/conftest.py
@@ -78,28 +77,6 @@ def emit(text: str = "") -> None:
     print(text)
 
 
-def _ledger_append(config: SystemConfig, design: DesignPoint,
-                   workload: str, channels: int, result: RunResult,
-                   wall_ms: float, from_cache: bool) -> None:
-    """Append one bench record when ``REPRO_LEDGER`` names a file.
-
-    Resolution (and the ``REPRO_NO_LEDGER`` kill switch) live in
-    :func:`repro.obs.ledger.resolve_ledger`; without the env var this is
-    a no-op, so ordinary benchmark runs stay write-free.
-    """
-    from repro.obs.ledger import (config_digest_hex, make_record,
-                                  resolve_ledger, simulation_core)
-
-    ledger = resolve_ledger()
-    if ledger is None:
-        return
-    core = simulation_core(design.value, workload, result,
-                           config_digest_hex(config), channels=channels,
-                           trace_length=TRACE_LENGTH)
-    ledger.append(make_record("bench", core, wall_ms=wall_ms,
-                              from_cache=from_cache))
-
-
 def run_cached(design: DesignPoint, workload: str, channels: int = 1,
                oram_cache_enabled: bool = True) -> RunResult:
     """Run (or fetch) one simulation from the shared benchmark cache.
@@ -107,36 +84,21 @@ def run_cached(design: DesignPoint, workload: str, channels: int = 1,
     Lookup order: in-process dict, then the persistent disk cache, then a
     real simulation (whose result is written back to both layers).  When
     ``REPRO_LEDGER`` is set, every disk-cache miss *and* hit appends one
-    performance-ledger record (hits with ``from_cache: true``) — the
+    ``bench`` ledger record (hits with ``from_cache: true``) — the
     in-process layer stays silent, it is a per-pytest-session memo.
     """
-    from repro.obs.ledger import host_clock_s
+    from repro.obs.ledger import resolve_ledger
 
     key = (design, workload, channels, oram_cache_enabled, TRACE_LENGTH)
     cached = _RUN_CACHE.get(key)
     if cached is not None:
         return cached
-    config = table2_config(design, channels=channels,
-                           oram_cache_enabled=oram_cache_enabled)
-    store = disk_cache()
-    disk_key = None
-    started = host_clock_s()
-    if store is not None:
-        disk_key = store.key_for(config, workload, TRACE_LENGTH)
-        entry = store.get(disk_key)
-        if entry is not None:
-            _RUN_CACHE[key] = entry.result
-            _ledger_append(config, design, workload, channels,
-                           entry.result,
-                           (host_clock_s() - started) * 1000.0, True)
-            return entry.result
-    result = run_simulation(config, workload, trace_length=TRACE_LENGTH)
-    wall_ms = (host_clock_s() - started) * 1000.0
-    if store is not None and disk_key is not None:
-        store.put(disk_key, result)
-    _RUN_CACHE[key] = result
-    _ledger_append(config, design, workload, channels, result, wall_ms,
-                   False)
+    point = SweepPoint(design, workload, channels=channels,
+                       trace_length=TRACE_LENGTH,
+                       oram_cache_enabled=oram_cache_enabled)
+    outcome = run_sweep([point], cache=disk_cache())
+    outcome.append_ledger(resolve_ledger(), "bench")
+    result = _RUN_CACHE[key] = outcome.results[0].result
     return result
 
 

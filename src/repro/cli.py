@@ -234,13 +234,10 @@ def cmd_faults(args) -> int:
     ledger = _ledger(args)
     if ledger is not None:
         from repro.obs.ledger import campaign_core, make_record
-        from repro.parallel.fingerprint import code_fingerprint
 
-        fingerprint = code_fingerprint()
         for report in reports:
-            ledger.append(make_record(
-                "faults", campaign_core(report, fingerprint=fingerprint),
-                jobs=args.jobs))
+            ledger.append(make_record("faults", campaign_core(report),
+                                      jobs=args.jobs))
     import json
 
     if args.report:
@@ -315,16 +312,13 @@ def cmd_serve_bench(args) -> int:
     ledger = _ledger(args)
     if ledger is not None:
         from repro.obs.ledger import make_record, serve_core
-        from repro.parallel.fingerprint import code_fingerprint
 
-        fingerprint = code_fingerprint()
         for report, info in zip(reports, meta):
             from_cache = bool(info["from_cache"])
-            core = serve_core(report, fingerprint=fingerprint)
+            core = serve_core(report)
             if sharded:
                 for shard_report in report["shards"]:
-                    shard_core = serve_core(shard_report,
-                                            fingerprint=fingerprint)
+                    shard_core = serve_core(shard_report)
                     shard_core["point"]["shard"] = \
                         shard_report["spec"]["shard"]
                     ledger.append(make_record(
@@ -409,30 +403,6 @@ def _sweep_cache(args):
     return RunCache(args.cache_dir or default_cache_dir())
 
 
-def _append_sweep_records(ledger, kind: str, outcome) -> None:
-    """One ledger record per executed sweep point (submission order)."""
-    if ledger is None:
-        return
-    from repro.obs.ledger import (config_digest_hex, make_record,
-                                  simulation_core)
-    from repro.parallel.fingerprint import code_fingerprint
-
-    fingerprint = code_fingerprint()
-    for entry in outcome.results:
-        point = entry.point
-        core = simulation_core(point.design.value, point.workload,
-                               entry.result,
-                               config_digest_hex(point.system_config()),
-                               channels=point.channels,
-                               trace_length=point.trace_length,
-                               seed=point.seed,
-                               window_policy=point.window_policy,
-                               fingerprint=fingerprint)
-        ledger.append(make_record(kind, core, wall_ms=entry.wall_ms,
-                                  jobs=outcome.jobs,
-                                  from_cache=entry.from_cache))
-
-
 def cmd_compare(args) -> int:
     """Handle ``repro compare``."""
     from repro.parallel.sweep import SweepPoint, run_sweep
@@ -448,7 +418,7 @@ def cmd_compare(args) -> int:
                          trace_length=args.trace_length, seed=args.seed)
               for design in designs]
     outcome = run_sweep(points, jobs=args.jobs, cache=_sweep_cache(args))
-    _append_sweep_records(_ledger(args), "compare", outcome)
+    outcome.append_ledger(_ledger(args), "compare")
     print(f"{'design':12s} {'cycles':>12s} {'vs freec':>9s} "
           f"{'latency':>9s} {'energy uJ':>10s} {'wall ms':>8s}")
     baseline = None
@@ -484,7 +454,7 @@ def cmd_sweep(args) -> int:
                          trace_length=args.trace_length, seed=args.seed)
               for workload in profile_names()]
     outcome = run_sweep(points, jobs=args.jobs, cache=_sweep_cache(args))
-    _append_sweep_records(_ledger(args), "sweep", outcome)
+    outcome.append_ledger(_ledger(args), "sweep")
     print(f"{'workload':12s} {'cycles':>12s} {'hit':>5s} {'ap/ms':>6s} "
           f"{'latency':>9s}")
     for entry in outcome.results:

@@ -23,6 +23,12 @@ PROTOCOL_DESIGNS = ("independent", "split", "indep-split")
 QUARANTINABLE = ("independent", "indep-split")
 
 
+def design_sites(design: str, sites: int) -> int:
+    """The site count ``design`` builds: plain Split always splits two
+    ways, so a spec that names it records 2 whatever it was given."""
+    return 2 if design == "split" else sites
+
+
 def build_protocol(design: str, levels: int, sites: int = 2, *,
                    blocks_per_bucket: int = 4, block_bytes: int = 64,
                    stash_capacity: int = 200, seed: int = 2018,

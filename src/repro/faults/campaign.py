@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.designs import PROTOCOL_DESIGNS, build_protocol
+from repro.core.designs import (PROTOCOL_DESIGNS, build_protocol,
+                                design_sites)
 from repro.core.transfer_queue import TransferQueueOverflow
 from repro.faults.injector import FaultInjector, SplitFaultDriver, FaultyStore
 from repro.faults.plan import FaultPlan
@@ -35,10 +36,9 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.oram.path_oram import StashOverflowError
 from repro.parallel.pool import fanout
 from repro.parallel.cache import RunCache
-from repro.parallel.fingerprint import code_fingerprint
 from repro.parallel.serialize import SCHEMA_VERSION
 from repro.sim.stats import failure_record_from_exception
-from repro.utils.canonical import canonical_digest, canonical_json
+from repro.utils.canonical import canonical_json
 from repro.utils.rng import DeterministicRng
 
 #: Key material for campaign stores; campaigns always encrypt (a fault
@@ -75,6 +75,8 @@ class CampaignSpec:
             raise ValueError("a campaign needs at least one access")
         if self.sites < 1:
             raise ValueError("a campaign needs at least one site")
+        object.__setattr__(self, "sites",
+                           design_sites(self.design, self.sites))
 
     @property
     def plan_sites(self) -> int:
@@ -308,21 +310,15 @@ def run_campaign(spec: CampaignSpec, plan: Optional[FaultPlan] = None,
 
 
 # ----------------------------------------------------------------------
-# Cache keys and the sweep engine
+# Cache requests and the sweep engine
 # ----------------------------------------------------------------------
 
-def campaign_cache_key(spec: CampaignSpec, plan: FaultPlan,
-                       fingerprint: Optional[str] = None) -> str:
-    """Content hash identifying one campaign request."""
-    request = {
-        "artifact": "fault-campaign",
-        "schema": SCHEMA_VERSION,
-        "spec": spec.to_dict(),
-        "plan_digest": plan.digest(),
-        "fingerprint": fingerprint if fingerprint is not None
-        else code_fingerprint(),
-    }
-    return canonical_digest(request)
+def campaign_request(spec: CampaignSpec) -> Dict[str, object]:
+    """The canonical request one campaign's cache key is built from."""
+    return {"artifact": "fault-campaign",
+            "schema": SCHEMA_VERSION,
+            "spec": spec.to_dict(),
+            "plan_digest": spec.build_plan().digest()}
 
 
 def _campaign_worker(spec: CampaignSpec) -> Dict[str, object]:
@@ -338,8 +334,6 @@ def run_campaign_sweep(specs: Sequence[CampaignSpec], jobs: int = 1,
     One :func:`repro.parallel.pool.fanout` call: cache-first, pool with
     serial fallback, bit-identical regardless of completion order.
     """
-    fingerprint = code_fingerprint() if cache is not None else None
     outcomes = fanout(specs, _campaign_worker, jobs=jobs, cache=cache,
-                      key=lambda spec: campaign_cache_key(
-                          spec, spec.build_plan(), fingerprint=fingerprint))
+                      key=campaign_request)
     return [payload for payload, _ in outcomes]

@@ -35,6 +35,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import asdict
 from typing import Dict, List, Optional
 
 from repro.utils.canonical import canonical_digest, canonical_json
@@ -248,9 +249,7 @@ def simulation_core(design: str, workload: str, result,
 
 def config_digest_hex(config) -> str:
     """SHA-256 of the canonical configuration payload."""
-    from repro.parallel.cache import config_digest_payload
-
-    return canonical_digest(config_digest_payload(config), enums=True)
+    return canonical_digest(asdict(config), enums=True)
 
 
 def serve_core(report: Dict[str, object],

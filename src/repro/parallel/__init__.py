@@ -9,8 +9,9 @@ Public surface:
   :func:`~repro.parallel.sweep.run_sweep` — simulation points on top of
   :func:`~repro.parallel.pool.fanout`;
 * :class:`~repro.parallel.cache.RunCache` — content-addressed on-disk
-  cache keyed on config + workload + seed + trace length + code
-  fingerprint;
+  store of verified JSON payloads; the keys come from
+  :func:`~repro.parallel.pool.fanout`, which digests each task's
+  canonical request with the code fingerprint and the core selection;
 * :func:`~repro.parallel.fingerprint.code_fingerprint` — the source
   digest that invalidates the cache whenever the simulator changes.
 """

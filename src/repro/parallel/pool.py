@@ -6,7 +6,11 @@ of them and returns the results in submission order:
 
 * **cache-first** — given a :class:`~repro.parallel.cache.RunCache` and a
   ``key`` function, each task's entry is looked up before any work is
-  spawned, and every fresh result is written back;
+  spawned, and every fresh result is written back.  ``key(task)``
+  returns only the task's canonical request (a JSON-friendly dict);
+  :func:`fanout` is the one place that turns it into a cache key, by
+  digesting it together with the code fingerprint and the core
+  selection;
 * **one warm pool per ``jobs``** — a ``ProcessPoolExecutor`` kept alive
   across calls (torn down at interpreter exit).  Its ``map`` keeps
   submission order, so completion order never reaches a result; a worker
@@ -30,13 +34,15 @@ cache, they must return a JSON-friendly dict, which is stored as-is.
 from __future__ import annotations
 
 import atexit
-import hashlib
+import dataclasses
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple, cast)
 
 from repro.obs.ledger import host_clock_s
 from repro.parallel.cache import RunCache
+from repro.parallel.fingerprint import code_fingerprint
 from repro.utils import memo
+from repro.utils.canonical import canonical_digest
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -92,17 +98,14 @@ def _run(job: Tuple[Callable[[Any], Any], memo.CoreSelection, Any]
         return value, (host_clock_s() - started) * 1000.0
 
 
-def _core_key(key: str, core: memo.CoreSelection) -> str:
-    """A cache key that also names the core the entry was computed on."""
-    return hashlib.sha256(f"{key}|{core!r}".encode()).hexdigest()
-
-
 def fanout(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
            jobs: int, cache: Optional[RunCache] = None,
-           key: Optional[Callable[[Any], str]] = None) -> List[Outcome]:
+           key: Optional[Callable[[Any], object]] = None) -> List[Outcome]:
     """Run ``worker`` over ``tasks``; outcomes come back in submission order.
 
-    Results are cached only when both ``cache`` and ``key`` are given.
+    Results are cached only when both ``cache`` and ``key`` are given;
+    an entry's key is the digest of ``key(task)``, the code fingerprint
+    and the core selection, so a change to any of them is a miss.
     A worker exception (or a dead worker's ``BrokenProcessPool``)
     propagates after the pool is discarded.
     """
@@ -113,7 +116,9 @@ def fanout(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
     pending: List[int] = []
     for index, task in enumerate(tasks):
         if cache is not None and key is not None:
-            keys[index] = entry_key = _core_key(key(task), core)
+            keys[index] = entry_key = canonical_digest(
+                {"request": key(task), "fingerprint": code_fingerprint(),
+                 "core": dataclasses.asdict(core)}, enums=True)
             cached = cache.get_json(entry_key)
             if cached is not None:
                 outcomes[index] = (cached, {"wall_ms": 0.0,

@@ -8,24 +8,25 @@ cache-first lookup, the warm pool with its identical in-process
 fallback, submission-order results and the per-point host wall-clock;
 this module adds what is specific to simulation points:
 
-* the :class:`SweepPoint` request and its :class:`RunCache` key;
+* the :class:`SweepPoint` request and the canonical request the cache
+  key is built from (:meth:`SweepPoint.cache_request`);
 * :func:`execute_point`, the worker that re-derives everything from the
   point (a small picklable description), never from parent state, which
   is what makes the serial and parallel paths indistinguishable;
 * folding each worker's metrics into a single
-  :class:`~repro.obs.metrics.MetricsRegistry` for the caller.
+  :class:`~repro.obs.metrics.MetricsRegistry` for the caller, and one
+  ledger record per point (:meth:`SweepOutcome.append_ledger`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import DesignPoint, SystemConfig, table2_config
 from repro.obs.metrics import MetricsRegistry, fold_metrics_dict
 from repro.parallel.cache import RunCache
 from repro.parallel.pool import fanout
-from repro.parallel.fingerprint import code_fingerprint
 from repro.parallel.serialize import (run_result_from_dict,
                                       run_result_to_dict)
 from repro.sim.stats import RunResult
@@ -58,6 +59,17 @@ class SweepPoint:
         return table2_config(self.design, channels=self.channels,
                              oram_cache_enabled=self.oram_cache_enabled,
                              seed=self.seed)
+
+    def cache_request(self) -> Dict[str, object]:
+        """Everything the run's result depends on but the code: the
+        resolved configuration and the trace and window parameters."""
+        return {"config": asdict(self.system_config()),
+                "workload": self.workload,
+                "trace_length": self.trace_length,
+                "seed": self.seed,
+                "window_policy": self.window_policy,
+                "collect_trace": self.collect_trace,
+                "window_cycles": self.window_cycles}
 
 
 @dataclass
@@ -96,6 +108,27 @@ class SweepOutcome:
         for entry in self.results:
             snapshots.extend(entry.result.windows)
         return fold_windows(snapshots)
+
+    def append_ledger(self, ledger, kind: str) -> None:
+        """One ``kind`` ledger record per point, in submission order
+        (nothing when ``ledger`` is ``None``)."""
+        if ledger is None:
+            return
+        from repro.obs.ledger import (config_digest_hex, make_record,
+                                      simulation_core)
+
+        for entry in self.results:
+            point = entry.point
+            core = simulation_core(point.design.value, point.workload,
+                                   entry.result,
+                                   config_digest_hex(point.system_config()),
+                                   channels=point.channels,
+                                   trace_length=point.trace_length,
+                                   seed=point.seed,
+                                   window_policy=point.window_policy)
+            ledger.append(make_record(kind, core, wall_ms=entry.wall_ms,
+                                      jobs=self.jobs,
+                                      from_cache=entry.from_cache))
 
 
 # ----------------------------------------------------------------------
@@ -147,20 +180,10 @@ def run_sweep(points: Sequence[SweepPoint], jobs: int = 1,
     metrics = MetricsRegistry()
     metrics.gauge("sweep/jobs").set(max(1, jobs))
     metrics.counter("sweep/points").inc(len(points))
-    fingerprint = code_fingerprint() if cache is not None else None
-
-    def key(point: SweepPoint) -> str:
-        assert cache is not None
-        return cache.key_for(point.system_config(), point.workload,
-                             point.trace_length, trace_seed=point.seed,
-                             window_policy=point.window_policy,
-                             collect_trace=point.collect_trace,
-                             window_cycles=point.window_cycles,
-                             fingerprint=fingerprint)
-
     results: List[PointResult] = []
     for point, (payload, meta) in zip(points, fanout(
-            points, execute_point, jobs=jobs, cache=cache, key=key)):
+            points, execute_point, jobs=jobs, cache=cache,
+            key=SweepPoint.cache_request)):
         from_cache = bool(meta["from_cache"])
         if cache is not None:
             metrics.counter("sweep/cache_hits" if from_cache

@@ -21,18 +21,16 @@ from repro.control.admission import AdmissionController
 from repro.control.morph import MorphController
 from repro.control.plane import ServeControlPlane
 from repro.core.designs import (PROTOCOL_DESIGNS, QUARANTINABLE,
-                                 build_protocol)
+                                build_protocol, design_sites)
 from repro.crypto.prf import Prf
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.pool import fanout
 from repro.parallel.cache import RunCache
-from repro.parallel.fingerprint import code_fingerprint
 from repro.serve.loadgen import (Request, TenantSpec, generate_stream,
                                  merge_streams, tenant_from_profile)
 from repro.serve.scheduler import BatchingScheduler, SchedulerOutcome
 from repro.serve.slo import REPORT_SCHEMA, SHARD_SCHEMA, build_report
 from repro.utils.bitops import is_power_of_two
-from repro.utils.canonical import canonical_digest
 from repro.utils.rng import derive_seed
 
 #: Shard-tier fields: validated and serialized only when ``shards > 1``,
@@ -115,6 +113,8 @@ class ServeSpec:
         if self.design not in PROTOCOL_DESIGNS:
             raise ValueError(f"unknown design {self.design!r}; "
                              f"expected one of {PROTOCOL_DESIGNS}")
+        object.__setattr__(self, "sites",
+                           design_sites(self.design, self.sites))
         if self.rate < 0:
             raise ValueError("rate must be non-negative")
         if self.requests < 0:
@@ -335,17 +335,11 @@ def run_serve(spec: ServeSpec,
 # The cached, parallel rate sweep
 # ----------------------------------------------------------------------
 
-def serve_cache_key(spec: ServeSpec,
-                    fingerprint: Optional[str] = None) -> str:
-    """Content hash identifying one serving request."""
-    request = {
-        "artifact": "serve-bench",
-        "schema": REPORT_SCHEMA if spec.shards == 1 else SHARD_SCHEMA,
-        "spec": spec.to_dict(),
-        "fingerprint": fingerprint if fingerprint is not None
-        else code_fingerprint(),
-    }
-    return canonical_digest(request)
+def serve_request(spec: ServeSpec) -> Dict[str, object]:
+    """The canonical request one serving point's cache key is built from."""
+    return {"artifact": "serve-bench",
+            "schema": REPORT_SCHEMA if spec.shards == 1 else SHARD_SCHEMA,
+            "spec": spec.to_dict()}
 
 
 def _serve_point(task: Tuple[ServeSpec, int]) -> Dict[str, object]:
@@ -377,11 +371,9 @@ def run_serve_sweep(specs: Sequence[ServeSpec], jobs: int = 1,
     """
     specs = list(specs)
     point_jobs = jobs if all(spec.shards == 1 for spec in specs) else 1
-    fingerprint = code_fingerprint() if cache is not None else None
     outcomes = fanout([(spec, jobs) for spec in specs], _serve_point,
                       jobs=point_jobs, cache=cache,
-                      key=lambda task: serve_cache_key(
-                          task[0], fingerprint=fingerprint))
+                      key=lambda task: serve_request(task[0]))
     if meta is not None:
         meta.extend(entry for _, entry in outcomes)
     return [report for report, _ in outcomes]

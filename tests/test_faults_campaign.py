@@ -8,11 +8,13 @@ import pytest
 from repro.core.designs import build_protocol
 from repro.faults.campaign import (_CAMPAIGN_KEY, CampaignSpec,
                                    build_faulted_protocol,
-                                   campaign_cache_key, run_campaign,
+                                   campaign_request, run_campaign,
                                    run_campaign_sweep)
 from repro.faults.plan import FaultPlan
 from repro.obs.tracer import CATEGORY_LINK, NULL_TRACER, CollectingTracer
+from repro.parallel import fingerprint as fingerprint_module
 from repro.parallel.cache import RunCache
+from repro.parallel.pool import fanout
 
 
 def faulty_spec(design, **overrides):
@@ -38,6 +40,12 @@ class TestSpec:
     def test_plan_sites_collapse_for_plain_split(self):
         assert faulty_spec("split").plan_sites == 1
         assert faulty_spec("independent").plan_sites == 2
+
+    def test_plain_split_records_the_two_ways_it_runs(self):
+        four = faulty_spec("split", sites=4, accesses=24)
+        assert four == faulty_spec("split", sites=2, accesses=24)
+        assert run_campaign(four).to_dict()["spec"]["sites"] == 2
+        assert faulty_spec("independent", sites=4).sites == 4
 
     def test_build_plan_is_deterministic(self):
         spec = faulty_spec("independent")
@@ -212,14 +220,28 @@ class TestSweepAndCache:
         return [faulty_spec(design, accesses=24)
                 for design in ("independent", "split", "indep-split")]
 
-    def test_cache_key_is_stable_and_plan_sensitive(self):
+    def test_cache_key_is_stable_and_plan_sensitive(self, tmp_path):
         spec = faulty_spec("independent")
-        plan = spec.build_plan()
-        assert campaign_cache_key(spec, plan) == \
-            campaign_cache_key(spec, plan)
         other = faulty_spec("independent", seed=7)
-        assert campaign_cache_key(other, other.build_plan()) != \
-            campaign_cache_key(spec, plan)
+        assert campaign_request(spec)["plan_digest"] == \
+            spec.build_plan().digest()
+        cache = RunCache(str(tmp_path))
+        fanout([spec, faulty_spec("independent"), other], lambda _: {},
+               jobs=1, cache=cache, key=campaign_request)
+        assert cache.entry_count() == 2
+
+    def test_code_change_turns_a_warm_campaign_into_a_miss(
+            self, tmp_path, monkeypatch):
+        cache = RunCache(str(tmp_path))
+        specs = [faulty_spec("independent", accesses=24)]
+        run_campaign_sweep(specs, cache=cache)
+        run_campaign_sweep(specs, cache=cache)
+        assert cache.stats.hits == 1
+        monkeypatch.setattr(fingerprint_module, "_cached_fingerprint",
+                            "0" * 64)
+        run_campaign_sweep(specs, cache=cache)
+        assert cache.stats.hits == 1
+        assert cache.entry_count() == 2
 
     def test_serial_and_parallel_sweeps_agree(self):
         serial = run_campaign_sweep(self.specs(), jobs=1)

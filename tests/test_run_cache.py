@@ -1,4 +1,5 @@
-"""The persistent run cache: hits, misses, corruption, invalidation."""
+"""The persistent run cache: hits, misses, corruption, invalidation, and
+the one cache key :func:`repro.parallel.pool.fanout` builds."""
 
 import json
 import os
@@ -7,17 +8,23 @@ import re
 import pytest
 
 from repro.config import DesignPoint, small_config
+from repro.parallel import fingerprint as fingerprint_module
 from repro.parallel.cache import (CACHE_DIR_ENV, DEFAULT_CACHE_DIRNAME,
                                   RunCache, default_cache_dir)
-from repro.parallel.serialize import run_result_to_dict
+from repro.parallel.pool import fanout
+from repro.parallel.serialize import run_result_from_dict, run_result_to_dict
+from repro.parallel.sweep import SweepPoint, run_sweep
 from repro.sim.system import run_simulation
 
 CONFIG = small_config(DesignPoint.FREECURSIVE)
+POINT = SweepPoint(DesignPoint.FREECURSIVE, "mcf", trace_length=200,
+                   config=CONFIG)
 
 
 @pytest.fixture(scope="module")
-def result():
-    return run_simulation(CONFIG, "mcf", trace_length=200)
+def payload():
+    result = run_simulation(CONFIG, "mcf", trace_length=200)
+    return {"result": run_result_to_dict(result), "chrome_json": None}
 
 
 @pytest.fixture
@@ -25,109 +32,156 @@ def cache(tmp_path):
     return RunCache(str(tmp_path / "runs"))
 
 
+def _empty_payload(_task):
+    return {}
+
+
+def distinct_keys(cache, tasks, key=SweepPoint.cache_request):
+    """How many cache entries ``fanout`` writes for ``tasks``: one per
+    distinct key (every task is looked up before any runs)."""
+    fanout(tasks, _empty_payload, jobs=1, cache=cache, key=key)
+    return cache.entry_count()
+
+
 class TestRoundTrip:
-    def test_hit_returns_equal_result(self, cache, result):
-        key = cache.key_for(CONFIG, "mcf", 200, fingerprint="f1")
-        cache.put(key, result, fingerprint="f1")
-        entry = cache.get(key)
-        assert entry is not None
-        assert run_result_to_dict(entry.result) == run_result_to_dict(result)
+    def test_hit_returns_equal_result(self, cache, payload):
+        cache.put_json("ab" * 32, payload, fingerprint="f1")
+        entry = cache.get_json("ab" * 32)
+        assert entry == payload
+        assert (run_result_to_dict(run_result_from_dict(entry["result"]))
+                == payload["result"])
         assert cache.stats.hits == 1
         assert cache.stats.writes == 1
 
-    def test_chrome_json_round_trips(self, cache, result):
-        key = cache.key_for(CONFIG, "mcf", 200, fingerprint="f1")
-        cache.put(key, result, chrome_json='{"traceEvents":[]}',
-                  fingerprint="f1")
-        entry = cache.get(key)
-        assert entry.chrome_json == '{"traceEvents":[]}'
+    def test_chrome_json_round_trips(self, cache, payload):
+        traced = dict(payload, chrome_json='{"traceEvents":[]}')
+        cache.put_json("ab" * 32, traced, fingerprint="f1")
+        assert cache.get_json("ab" * 32)["chrome_json"] == \
+            '{"traceEvents":[]}'
 
     def test_unknown_key_is_a_miss(self, cache):
-        assert cache.get("00" * 32) is None
+        assert cache.get_json("00" * 32) is None
         assert cache.stats.misses == 1
         assert cache.stats.hits == 0
 
 
 class TestKeying:
-    def test_fingerprint_is_part_of_the_key(self, cache):
-        old = cache.key_for(CONFIG, "mcf", 200, fingerprint="old")
-        new = cache.key_for(CONFIG, "mcf", 200, fingerprint="new")
-        assert old != new
+    """The key is fanout's digest of the request, the code and the core."""
+
+    def test_fingerprint_is_part_of_the_key(self, cache, monkeypatch):
+        monkeypatch.setattr(fingerprint_module, "_cached_fingerprint",
+                            "old")
+        assert distinct_keys(cache, [POINT]) == 1
+        monkeypatch.setattr(fingerprint_module, "_cached_fingerprint",
+                            "new")
+        assert distinct_keys(cache, [POINT]) == 2
 
     def test_request_parameters_change_the_key(self, cache):
-        base = cache.key_for(CONFIG, "mcf", 200, fingerprint="f")
-        assert base != cache.key_for(CONFIG, "lbm", 200, fingerprint="f")
-        assert base != cache.key_for(CONFIG, "mcf", 201, fingerprint="f")
-        assert base != cache.key_for(CONFIG, "mcf", 200, trace_seed=3,
-                                     fingerprint="f")
-        assert base != cache.key_for(CONFIG, "mcf", 200, collect_trace=True,
-                                     fingerprint="f")
+        variants = [POINT,
+                    SweepPoint(DesignPoint.FREECURSIVE, "lbm",
+                               trace_length=200, config=CONFIG),
+                    SweepPoint(DesignPoint.FREECURSIVE, "mcf",
+                               trace_length=201, config=CONFIG),
+                    SweepPoint(DesignPoint.FREECURSIVE, "mcf",
+                               trace_length=200, seed=3, config=CONFIG),
+                    SweepPoint(DesignPoint.FREECURSIVE, "mcf",
+                               trace_length=200, collect_trace=True,
+                               config=CONFIG)]
+        assert distinct_keys(cache, variants) == len(variants)
 
     def test_config_contents_change_the_key(self, cache):
-        other = small_config(DesignPoint.FREECURSIVE, seed=99)
-        assert (cache.key_for(CONFIG, "mcf", 200, fingerprint="f") !=
-                cache.key_for(other, "mcf", 200, fingerprint="f"))
+        other = SweepPoint(DesignPoint.FREECURSIVE, "mcf", trace_length=200,
+                           config=small_config(DesignPoint.FREECURSIVE,
+                                               seed=99))
+        assert distinct_keys(cache, [POINT, other]) == 2
 
     def test_same_request_same_key(self, cache):
-        assert (cache.key_for(CONFIG, "mcf", 200, fingerprint="f") ==
-                cache.key_for(CONFIG, "mcf", 200, fingerprint="f"))
+        twin = SweepPoint(DesignPoint.FREECURSIVE, "mcf", trace_length=200,
+                          config=small_config(DesignPoint.FREECURSIVE))
+        assert distinct_keys(cache, [POINT, twin]) == 1
+
+    def test_code_change_turns_a_warm_sweep_point_into_a_miss(
+            self, cache, monkeypatch):
+        assert not run_sweep([POINT], cache=cache).results[0].from_cache
+        assert run_sweep([POINT], cache=cache).results[0].from_cache
+        monkeypatch.setattr(fingerprint_module, "_cached_fingerprint",
+                            "0" * 64)
+        assert not run_sweep([POINT], cache=cache).results[0].from_cache
+        assert cache.entry_count() == 2
 
 
 class TestCorruption:
-    def put_one(self, cache, result):
-        key = cache.key_for(CONFIG, "mcf", 200, fingerprint="f1")
-        path = cache.put(key, result, fingerprint="f1")
-        return key, path
+    def put_one(self, cache, payload):
+        key = "cd" * 32
+        return key, cache.put_json(key, payload, fingerprint="f1")
 
-    def test_garbage_file_becomes_miss_and_is_deleted(self, cache, result):
-        key, path = self.put_one(cache, result)
+    def test_garbage_file_becomes_miss_and_is_deleted(self, cache, payload):
+        key, path = self.put_one(cache, payload)
         with open(path, "w") as handle:
             handle.write("not json {{{")
-        assert cache.get(key) is None
+        assert cache.get_json(key) is None
         assert cache.stats.corruptions == 1
         assert cache.stats.misses == 1
         assert not os.path.exists(path)
 
-    def test_tampered_payload_fails_digest_check(self, cache, result):
-        key, path = self.put_one(cache, result)
+    def test_tampered_payload_fails_digest_check(self, cache, payload):
+        key, path = self.put_one(cache, payload)
         with open(path) as handle:
             entry = json.load(handle)
-        entry["result"]["execution_cycles"] += 1
+        entry["payload"]["result"]["execution_cycles"] += 1
         with open(path, "w") as handle:
             json.dump(entry, handle)
-        assert cache.get(key) is None
+        assert cache.get_json(key) is None
         assert cache.stats.corruptions == 1
         assert not os.path.exists(path)
 
-    def test_wrong_schema_rejected(self, cache, result):
-        key, path = self.put_one(cache, result)
+    def test_wrong_schema_rejected(self, cache, payload):
+        key, path = self.put_one(cache, payload)
         with open(path) as handle:
             entry = json.load(handle)
         entry["schema"] = 999
         with open(path, "w") as handle:
             json.dump(entry, handle)
-        assert cache.get(key) is None
+        assert cache.get_json(key) is None
         assert cache.stats.corruptions == 1
 
-    def test_heals_after_rewrite(self, cache, result):
-        key, path = self.put_one(cache, result)
+    def test_entry_under_another_key_rejected(self, cache, payload):
+        key, path = self.put_one(cache, payload)
+        with open(path) as handle:
+            entry = json.load(handle)
+        entry["key"] = "ef" * 32
+        with open(path, "w") as handle:
+            json.dump(entry, handle)
+        assert cache.get_json(key) is None
+        assert cache.stats.corruptions == 1
+        assert not os.path.exists(path)
+
+    def test_non_object_entry_becomes_miss(self, cache, payload):
+        key, path = self.put_one(cache, payload)
+        with open(path, "w") as handle:
+            handle.write("[]")
+        assert cache.disk_stats("f1")["unreadable"] == 1
+        assert cache.get_json(key) is None
+        assert cache.stats.corruptions == 1
+        assert not os.path.exists(path)
+
+    def test_heals_after_rewrite(self, cache, payload):
+        key, path = self.put_one(cache, payload)
         with open(path, "w") as handle:
             handle.write("garbage")
-        assert cache.get(key) is None
-        cache.put(key, result, fingerprint="f1")
-        assert cache.get(key) is not None
+        assert cache.get_json(key) is None
+        cache.put_json(key, payload, fingerprint="f1")
+        assert cache.get_json(key) == payload
 
 
 class TestInvalidation:
-    def test_prune_stale_removes_old_fingerprints(self, cache, result):
-        old_key = cache.key_for(CONFIG, "mcf", 200, fingerprint="old")
-        new_key = cache.key_for(CONFIG, "mcf", 200, fingerprint="new")
-        cache.put(old_key, result, fingerprint="old")
-        cache.put(new_key, result, fingerprint="new")
+    def test_prune_stale_removes_old_fingerprints(self, cache, payload):
+        cache.put_json("01" * 32, payload, fingerprint="old")
+        cache.put_json("02" * 32, payload, fingerprint="new")
         assert cache.entry_count() == 2
         assert cache.prune_stale("new") == 1
         assert cache.entry_count() == 1
-        assert cache.get(new_key) is not None
+        assert cache.get_json("02" * 32) is not None
 
     def test_prune_on_missing_directory_is_noop(self, tmp_path):
         cache = RunCache(str(tmp_path / "never-created"))
@@ -147,11 +201,9 @@ class TestDefaultDirectory:
 
 
 class TestDiskStats:
-    def test_counts_entries_stale_and_bytes(self, cache, result):
-        keep = cache.key_for(CONFIG, "mcf", 200, fingerprint="cur")
-        drop = cache.key_for(CONFIG, "lbm", 200, fingerprint="old")
-        keep_path = cache.put(keep, result, fingerprint="cur")
-        drop_path = cache.put(drop, result, fingerprint="old")
+    def test_counts_entries_stale_and_bytes(self, cache, payload):
+        keep_path = cache.put_json("01" * 32, payload, fingerprint="cur")
+        drop_path = cache.put_json("02" * 32, payload, fingerprint="old")
         stats = cache.disk_stats(fingerprint="cur")
         assert stats["entries"] == 2
         assert stats["stale"] == 1
@@ -159,9 +211,8 @@ class TestDiskStats:
         assert stats["bytes"] == (os.path.getsize(keep_path)
                                   + os.path.getsize(drop_path))
 
-    def test_unreadable_entry_counts_as_stale(self, cache, result):
-        key = cache.key_for(CONFIG, "mcf", 200, fingerprint="cur")
-        path = cache.put(key, result, fingerprint="cur")
+    def test_unreadable_entry_counts_as_stale(self, cache, payload):
+        path = cache.put_json("01" * 32, payload, fingerprint="cur")
         with open(path, "w") as handle:
             handle.write("not json")
         stats = cache.disk_stats(fingerprint="cur")
@@ -178,18 +229,14 @@ class TestCacheCli:
     """The ``cache stats`` / ``cache prune`` CLI verbs."""
 
     @pytest.fixture
-    def populated(self, tmp_path, result, monkeypatch):
+    def populated(self, tmp_path, payload, monkeypatch):
         # The CLI uses the real code fingerprint, so plant one entry
-        # under it and one under a fabricated stale fingerprint.
-        from repro.parallel.fingerprint import code_fingerprint
+        # under it (put_json's default) and one under a stale one.
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
         directory = str(tmp_path / "cli-cache")
         cache = RunCache(directory)
-        current = code_fingerprint()
-        cache.put(cache.key_for(CONFIG, "mcf", 200, fingerprint=current),
-                  result, fingerprint=current)
-        cache.put(cache.key_for(CONFIG, "lbm", 200, fingerprint="0" * 64),
-                  result, fingerprint="0" * 64)
+        cache.put_json("01" * 32, payload)
+        cache.put_json("02" * 32, payload, fingerprint="0" * 64)
         return directory
 
     def test_stats_reports_counts(self, populated, capsys):

@@ -3,13 +3,15 @@
 import pytest
 
 from repro.analysis.queueing import mm1k_full_probability
+from repro.parallel import fingerprint as fingerprint_module
 from repro.parallel.cache import RunCache
+from repro.parallel.pool import fanout
 from repro.serve.bench import (
     ServeSpec,
     generate_requests,
     run_serve,
     run_serve_sweep,
-    serve_cache_key,
+    serve_request,
 )
 from repro.serve.slo import canonical_json, compare_with_model
 
@@ -39,6 +41,14 @@ class TestServeSpec:
 
     def test_address_limit_matches_tree(self):
         assert ServeSpec(levels=9).address_limit == 256
+
+    def test_plain_split_records_the_two_ways_it_serves(self):
+        four = ServeSpec(design="split", sites=4, rate=0.01, **SMALL)
+        two = ServeSpec(design="split", sites=2, rate=0.01, **SMALL)
+        assert four == two
+        assert canonical_json(run_serve(four)) == \
+            canonical_json(run_serve(two))
+        assert ServeSpec(design="independent", sites=4, **SMALL).sites == 4
 
     def test_tenants_partition_load(self):
         spec = ServeSpec(rate=0.03, tenants=3, **SMALL)
@@ -158,10 +168,22 @@ class TestSweepDeterminism:
         assert cache.stats.misses == misses      # replay was all hits
         assert cache.stats.hits >= len(self.specs())
 
-    def test_cache_key_separates_specs(self):
+    def test_cache_key_separates_specs(self, tmp_path):
         a, b = self.specs()[:2]
-        fingerprint = "f" * 64
-        assert serve_cache_key(a, fingerprint=fingerprint) != \
-            serve_cache_key(b, fingerprint=fingerprint)
-        assert serve_cache_key(a, fingerprint=fingerprint) == \
-            serve_cache_key(a, fingerprint=fingerprint)
+        cache = RunCache(str(tmp_path / "serve-cache"))
+        fanout([a, b, ServeSpec(**a.to_dict())], lambda _: {}, jobs=1,
+               cache=cache, key=serve_request)
+        assert cache.entry_count() == 2
+
+    def test_code_change_turns_a_warm_point_into_a_miss(self, tmp_path,
+                                                         monkeypatch):
+        cache = RunCache(str(tmp_path / "serve-cache"))
+        meta = []
+        specs = self.specs()[:1]
+        run_serve_sweep(specs, cache=cache, meta=meta)
+        run_serve_sweep(specs, cache=cache, meta=meta)
+        monkeypatch.setattr(fingerprint_module, "_cached_fingerprint",
+                            "0" * 64)
+        run_serve_sweep(specs, cache=cache, meta=meta)
+        assert [entry["from_cache"] for entry in meta] == \
+            [False, True, False]

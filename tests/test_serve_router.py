@@ -15,7 +15,7 @@ import repro.parallel.pool as pool_module
 from repro.cli import main
 from repro.parallel.cache import RunCache
 from repro.serve.bench import (ServeSpec, run_serve, run_serve_sweep,
-                               serve_cache_key)
+                               serve_request)
 from repro.serve.router import fold_shard_reports
 from repro.serve.shard import run_shard
 from repro.serve.slo import canonical_json
@@ -57,16 +57,13 @@ class TestDeterminism:
         assert [entry["from_cache"] for entry in meta] == [False, True]
         pool_module.shutdown_pools()
 
-    def test_cache_key_depends_on_shard_geometry(self):
-        fingerprint = "f" * 64
-        assert serve_cache_key(spec(), fingerprint=fingerprint) != \
-            serve_cache_key(spec(shards=4, subtrees=16),
-                            fingerprint=fingerprint)
-        assert serve_cache_key(spec(), fingerprint=fingerprint) != \
-            serve_cache_key(spec(quarantined=(0,)),
-                            fingerprint=fingerprint)
-        assert serve_cache_key(spec(), fingerprint=fingerprint) != \
-            serve_cache_key(spec(shards=1), fingerprint=fingerprint)
+    def test_cache_key_depends_on_shard_geometry(self, tmp_path):
+        cache = RunCache(str(tmp_path / "runs"))
+        variants = [spec(), spec(shards=4, subtrees=16),
+                    spec(quarantined=(0,)), spec(shards=1)]
+        pool_module.fanout(variants, lambda _: {}, jobs=1, cache=cache,
+                           key=serve_request)
+        assert cache.entry_count() == len(variants)
 
     def test_sweep_point_is_the_folded_shards(self):
         point = spec()
