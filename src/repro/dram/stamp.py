@@ -271,32 +271,18 @@ def emit_batch(tracer, events: List[TraceEvent]) -> None:
 
 
 def _fold_batch(windowed: WindowedTracer, events: List[TraceEvent]) -> None:
-    """Fold a span batch into a :class:`WindowedTracer`'s windows.
-
-    With ``on_flush`` unset (the common case — ``run_simulation`` only
-    wires a sink when a controller subscribes), ``_flushed_through``
-    stays at -1 forever, so the late-event check and flush scan in
-    ``WindowedTracer._fold`` are provably inert; this fold inlines the
-    remaining work (histogram record + high-water update).  With a sink
-    attached, events route through ``_fold`` one by one to preserve the
-    flush/lag semantics exactly.
-    """
+    """Fold a span batch into a :class:`WindowedTracer`'s windows: the
+    histogram record of ``WindowedTracer._fold``, inlined per batch."""
     if windowed._closed:
         raise RuntimeError("windowed tracer already closed")
-    if windowed.on_flush is not None:
-        for event in events:
-            windowed._fold(event)
-        return
     window_cycles = windowed.window_cycles
     windows = windowed._windows
-    high_water = windowed._high_water
     histogram = None
     last_index = -1
     last_name = None
     last_category = None
     for event in events:
-        start = event.start
-        index = start // window_cycles
+        index = event.start // window_cycles
         name = event.name
         category = event.category
         # A batch is nearly always a run of same-named bursts in one
@@ -317,6 +303,3 @@ def _fold_batch(windowed: WindowedTracer, events: List[TraceEvent]) -> None:
         buckets[bucket] = buckets.get(bucket, 0) + 1
         histogram.count += 1
         histogram.total += duration
-        if start > high_water:
-            high_water = start
-    windowed._high_water = high_water

@@ -17,19 +17,14 @@ consequences fall out by construction:
   alone, so the snapshot list is byte-identical across ``--jobs`` values
   and cached replays (``tests/test_obs_timeseries.py`` pins this).
 
-:class:`WindowedTracer` is the live seam: it wraps any inner tracer,
-folds windows incrementally, and invokes an ``on_flush`` callback once a
-window falls a configurable lag behind the stream's high-water mark.
-Spans are recorded when they *close*, so an event can still arrive for an
-already-flushed window (a long path access straddling a boundary);
-flushed snapshots are therefore *provisional* live views — late events
-are still folded and counted in :attr:`WindowedTracer.late_events`, and
-the :meth:`WindowedTracer.close` snapshot list is authoritative.
+:class:`WindowedTracer` is the seam: it wraps any inner tracer, folds
+windows as events arrive, and hands the snapshot list back on
+:meth:`WindowedTracer.close`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.obs.metrics import MetricsRegistry, fold_metrics_dict
 from repro.obs.tracer import TraceEvent, Tracer
@@ -80,29 +75,17 @@ class WindowedTracer(Tracer):
     Forwards every event to ``inner`` unchanged (pass the run's
     :class:`~repro.obs.tracer.CollectingTracer`, or the null tracer to
     keep only windows), and maintains one :class:`WindowSnapshot` per
-    window touched.  ``on_flush(snapshot)`` fires — at most once per
-    window, in index order — when the high-water mark of observed start
-    cycles passes the window's end by ``lag_windows`` full windows; this
-    is the hook a runtime controller subscribes to.
+    window touched.
     """
 
     enabled = True
 
-    def __init__(self, inner: Tracer, window_cycles: int,
-                 on_flush: Optional[Callable[[WindowSnapshot], None]] = None,
-                 lag_windows: int = 1):
+    def __init__(self, inner: Tracer, window_cycles: int):
         if window_cycles <= 0:
             raise ValueError("window_cycles must be positive")
-        if lag_windows < 0:
-            raise ValueError("lag_windows must be non-negative")
         self.inner = inner
         self.window_cycles = window_cycles
-        self.on_flush = on_flush
-        self.lag_windows = lag_windows
-        self.late_events = 0
         self._windows: Dict[int, WindowSnapshot] = {}
-        self._high_water = 0
-        self._flushed_through = -1   # highest window index already flushed
         self._closed = False
 
     @property
@@ -136,32 +119,14 @@ class WindowedTracer(Tracer):
         if self._closed:
             raise RuntimeError("windowed tracer already closed")
         index = event.start // self.window_cycles
-        if index <= self._flushed_through:
-            self.late_events += 1
         window = self._windows.get(index)
         if window is None:
             window = self._windows[index] = WindowSnapshot(
                 index, self.window_cycles)
         _fold_event(window.registry, event)
-        if event.start > self._high_water:
-            self._high_water = event.start
-            self._maybe_flush()
-
-    def _maybe_flush(self) -> None:
-        if self.on_flush is None:
-            return
-        # window k is flushable once the stream has moved lag_windows
-        # whole windows past its end
-        ripe = (self._high_water // self.window_cycles
-                - self.lag_windows - 1)
-        while self._flushed_through < ripe:
-            self._flushed_through += 1
-            window = self._windows.get(self._flushed_through)
-            if window is not None:
-                self.on_flush(window)
 
     def close(self) -> List[WindowSnapshot]:
-        """Finalize: every window touched, in index order (authoritative)."""
+        """Finalize: every window touched, in index order."""
         self._closed = True
         return [self._windows[index] for index in sorted(self._windows)]
 

@@ -39,8 +39,7 @@ def run_simulation(config: SystemConfig,
                    window_policy: str = "in-order",
                    tracer: Tracer = NULL_TRACER,
                    on_fault: str = "raise",
-                   window_cycles: int = 0,
-                   window_sink=None) -> RunResult:
+                   window_cycles: int = 0) -> RunResult:
     """Run one (design, workload) pair and return its measurements.
 
     ``workload`` is a profile name from
@@ -53,10 +52,8 @@ def run_simulation(config: SystemConfig,
 
     ``window_cycles > 0`` is the time-series seam: every tracer event is
     additionally folded into tumbling cycle windows
-    (:mod:`repro.obs.timeseries`), the snapshots land on
-    ``RunResult.windows``, and ``window_sink(snapshot)`` — if given —
-    fires as each window falls behind the stream's high-water mark (the
-    hook a runtime controller subscribes to).
+    (:mod:`repro.obs.timeseries`), whose snapshots land on
+    ``RunResult.windows``.
     """
     if isinstance(workload, WorkloadProfile):
         profile = workload
@@ -71,8 +68,7 @@ def run_simulation(config: SystemConfig,
     if window_cycles > 0:
         from repro.obs.timeseries import WindowedTracer
 
-        windowed = WindowedTracer(tracer, window_cycles,
-                                  on_flush=window_sink)
+        windowed = WindowedTracer(tracer, window_cycles)
         tracer = windowed
     events = EventQueue()
     backend = build_backend(config, events, tracer=tracer)
