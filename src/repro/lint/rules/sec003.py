@@ -30,23 +30,20 @@ from repro.lint.findings import Finding
 from repro.lint.registry import ProjectRule, register
 
 
-@register
-class InterproceduralSecretFlow(ProjectRule):
-    rule_id = "SEC003"
-    title = "interprocedural secret-dependent control flow"
-    rationale = ("whole-program taint: secret values flowing through "
-                 "calls, returns and attributes must not reach branch "
-                 "conditions or loop bounds")
+class TaintFlowRule(ProjectRule):
+    """A rule reporting the taint engine's flows of one sink ``family``
+    inside its ``path_markers`` (shared by SEC003 and SEC004)."""
+
+    family = ""
     # ``crypto/`` and the RNG are constant-time by their own discipline
     # (and are the taint *sources*); ``faults/`` is the injection
     # harness — its site-selection branches steer test campaigns, not
     # adversary-observable protocol timing.
-    path_markers = ("core/", "stash", "obs/")
     exempt_markers = ("crypto/", "utils/rng", "faults/")
 
     def check_project(self, analysis) -> Iterator[Finding]:
         for flow in analysis.taint.flows:
-            if flow.family != "branch":
+            if flow.family != self.family:
                 continue
             if not self.applies_to(flow.path):
                 continue
@@ -56,3 +53,14 @@ class InterproceduralSecretFlow(ProjectRule):
             yield Finding(rule_id=self.rule_id, path=flow.path,
                           line=flow.line, column=flow.column,
                           message=flow.message, severity=self.severity)
+
+
+@register
+class InterproceduralSecretFlow(TaintFlowRule):
+    rule_id = "SEC003"
+    title = "interprocedural secret-dependent control flow"
+    rationale = ("whole-program taint: secret values flowing through "
+                 "calls, returns and attributes must not reach branch "
+                 "conditions or loop bounds")
+    family = "branch"
+    path_markers = ("core/", "stash", "obs/")

@@ -22,32 +22,17 @@ chain is caught at the call site.
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from repro.lint.findings import Finding
-from repro.lint.registry import ProjectRule, register
+from repro.lint.registry import register
+from repro.lint.rules.sec003 import TaintFlowRule
 
 
 @register
-class NonObliviousAddressing(ProjectRule):
+class NonObliviousAddressing(TaintFlowRule):
     rule_id = "SEC004"
     title = "secret-dependent memory addressing"
     rationale = ("subscript indices and membership probes on the "
                  "stash/bucket hot path must not depend on secret "
                  "state; hash-bucket and index access patterns are "
                  "observable")
+    family = "address"
     path_markers = ("stash", "bucket")
-    exempt_markers = ("crypto/", "utils/rng", "faults/")
-
-    def check_project(self, analysis) -> Iterator[Finding]:
-        for flow in analysis.taint.flows:
-            if flow.family != "address":
-                continue
-            if not self.applies_to(flow.path):
-                continue
-            if any(marker in flow.origin_path
-                   for marker in self.exempt_markers):
-                continue
-            yield Finding(rule_id=self.rule_id, path=flow.path,
-                          line=flow.line, column=flow.column,
-                          message=flow.message, severity=self.severity)
