@@ -4,7 +4,8 @@ Package ``__init__`` files hold no re-exports and the top-level ``repro``
 names load lazily, so a process imports only what it runs: a ``simulate``
 or ``serve-bench`` process never loads numpy (used only by the Fig 13a
 random walk), the audit, the fault layer, the linter or the shard tier.
-The DRAM timing model sits below every layer that drives it.
+The DRAM timing model sits below every layer that drives it, and only
+the one fan-out touches a process pool.
 """
 
 import ast
@@ -22,6 +23,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 #: Packages that drive the DRAM model and so may not be imported by it.
 ABOVE_DRAM = ("repro.fastpath", "repro.sim", "repro.core", "repro.serve",
               "repro.control")
+
+#: Packages only ``parallel/pool.py`` may import: the one fan-out consumes
+#: pool results in submission order, so completion order reaches no result.
+POOL_PACKAGES = ("concurrent", "multiprocessing")
 
 #: Modules the simulator, the single server and the CLI must not load.
 UNUSED = ("numpy", "repro.obs.audit", "repro.faults", "repro.lint",
@@ -59,6 +64,15 @@ def test_every_top_level_name_resolves():
     assert run_simulation.__module__ == "repro.sim.system"
 
 
+def _imported_names(tree):
+    """Every module an AST imports, function-local imports included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
 def test_dram_imports_nothing_above_it():
     dram = os.path.join(SRC, "repro", "dram")
     offending = []
@@ -67,15 +81,28 @@ def test_dram_imports_nothing_above_it():
             continue
         with open(os.path.join(dram, filename), encoding="utf-8") as handle:
             tree = ast.parse(handle.read())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [node.module]
-            else:
+        offending.extend(
+            f"{filename}: {name}" for name in _imported_names(tree)
+            if any(name == package or name.startswith(package + ".")
+                   for package in ABOVE_DRAM))
+    assert offending == []
+
+
+def test_only_the_fanout_imports_a_process_pool():
+    package = os.path.join(SRC, "repro")
+    offending = []
+    for directory, _, filenames in sorted(os.walk(package)):
+        for filename in sorted(filenames):
+            if not filename.endswith(".py"):
                 continue
+            path = os.path.join(directory, filename)
+            relative = os.path.relpath(path, package).replace(os.sep, "/")
+            if relative == "parallel/pool.py":
+                continue
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
             offending.extend(
-                f"{filename}: {name}" for name in names
-                if any(name == package or name.startswith(package + ".")
-                       for package in ABOVE_DRAM))
+                f"{relative}: {name}" for name in _imported_names(tree)
+                if any(name == top or name.startswith(top + ".")
+                       for top in POOL_PACKAGES))
     assert offending == []
