@@ -61,7 +61,20 @@ def _is_pool_dispatch(call: ast.Call) -> bool:
     return True
 
 
+def _is_fanout(call: ast.Call) -> bool:
+    """A call to the one fan-out, ``fanout(tasks, worker, ...)``."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", None)
+    return name == "fanout"
+
+
 def _worker_argument(call: ast.Call) -> Optional[ast.AST]:
+    if _is_fanout(call):
+        if len(call.args) > 1:
+            return call.args[1]
+        return next((keyword.value for keyword in call.keywords
+                     if keyword.arg == "worker"), None)
     return call.args[0] if call.args else None
 
 
@@ -146,13 +159,10 @@ class CrossProcessDeterminism(ProjectRule):
                  "start-method-dependent in children, and folding "
                  "results in completion order breaks --jobs "
                  "byte-identity")
-    path_markers = ("parallel/", "serve/")
 
     def check_project(self, analysis) -> Iterator[Finding]:
         project: Project = analysis.project
         for module in project.modules:
-            if not self.applies_to(module.path):
-                continue
             yield from self._check_module(project, module)
 
     def _check_module(self, project: Project, module) -> Iterator[Finding]:
@@ -162,7 +172,7 @@ class CrossProcessDeterminism(ProjectRule):
             for call in ast.walk(info.node):
                 if not isinstance(call, ast.Call):
                     continue
-                if _is_pool_dispatch(call):
+                if _is_fanout(call) or _is_pool_dispatch(call):
                     yield from self._check_worker(project, module,
                                                  info, call)
                 yield from self._check_fold(info, call)

@@ -34,6 +34,32 @@ def fixture(*parts):
     return os.path.join(FIXTURES, *parts)
 
 
+def _fanout_sites():
+    """(module, worker) for every ``fanout(...)`` call under src/repro."""
+    package = os.path.join(ROOT, "src", "repro")
+    sites = []
+    for directory, _, filenames in sorted(os.walk(package)):
+        for filename in sorted(filenames):
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(directory, filename)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "fanout"):
+                    continue
+                worker = node.args[1] if len(node.args) > 1 else next(
+                    keyword.value for keyword in node.keywords
+                    if keyword.arg == "worker")
+                sites.append((os.path.relpath(path, package), worker.id))
+    return sites
+
+
+#: Every fan-out dispatch in the real tree, found by AST.
+FANOUT_SITES = _fanout_sites()
+
+
 def rules_hit(result):
     return sorted({finding.rule_id for finding in result.findings})
 
@@ -256,6 +282,38 @@ class TestDet003Fixtures:
     def test_clean_pool_usage(self):
         result = lint_paths([fixture("parallel", "det003_ok.py")])
         assert result.findings == []
+
+
+class TestDet003RealWorkers:
+    """DET003 must see every real ``fanout`` worker, not only mirrors."""
+
+    def test_every_known_site_is_found(self):
+        assert {"execute_point", "_serve_point", "_shard_worker",
+                "_campaign_worker"} <= {worker for _, worker in
+                                        FANOUT_SITES}
+
+    @pytest.mark.parametrize(
+        "module, worker", FANOUT_SITES,
+        ids=[f"{module}::{worker}" for module, worker in FANOUT_SITES])
+    def test_worker_global_mutation_is_reported(self, tmp_path, module,
+                                                worker):
+        with open(os.path.join(ROOT, "src", "repro", module),
+                  encoding="utf-8") as handle:
+            source = handle.read()
+        definition = next(
+            node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name == worker)
+        first = definition.body[0]
+        lines = source.splitlines()
+        lines.insert(first.lineno - 1,
+                     " " * first.col_offset + "_PROBE.append(0)")
+        lines.append("_PROBE = []")
+        target = tmp_path / os.path.basename(module)
+        target.write_text("\n".join(lines) + "\n")
+        result = lint_paths([str(target)], selected_rules=["DET003"])
+        assert [finding.message.split(" (at ")[0]
+                for finding in result.findings] == [
+            f"pool worker {worker}() mutates module-global '_PROBE'"]
 
 
 class TestLint000:

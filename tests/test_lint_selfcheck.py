@@ -97,8 +97,8 @@ class TestSourceTreeClean:
         for module in ("shard.py", "router.py"):
             assert module in names
         from repro.lint.rules.det003 import CrossProcessDeterminism
-        assert any("serve" in marker
-                   for marker in CrossProcessDeterminism.path_markers)
+        assert CrossProcessDeterminism().applies_to(
+            "src/repro/serve/router.py")
 
     def test_suppressions_stay_bounded(self, src_result):
         # Every suppression is a recorded debt with a justification; a
