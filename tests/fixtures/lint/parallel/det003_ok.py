@@ -1,10 +1,13 @@
-"""DET003 clean fixture: a pure worker and an order-insensitive merge."""
+"""DET003 clean fixture: a pure worker through the one fan-out."""
+
+from repro.parallel.pool import fanout
+
+_SCALE = 2
 
 
 def run_point(spec):
-    return (spec.index, spec.value)
+    return {"index": spec.index, "value": spec.value * _SCALE}
 
 
-def sweep(pool, specs):
-    results = sorted(pool.imap_unordered(run_point, specs))
-    return [value for _, value in results]
+def sweep(specs, jobs):
+    return [payload for payload, _ in fanout(specs, run_point, jobs=jobs)]

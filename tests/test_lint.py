@@ -1,7 +1,7 @@
 """Tests for reprolint: rules, suppressions, output formats, exit codes.
 
 Fixture files under ``tests/fixtures/lint/`` mirror the path layout the
-rules scope on (``sim/``, ``crypto/``, ``parallel/``); each rule family has
+rules scope on (``sim/``, ``crypto/``); each rule family has
 a violating and a clean fixture, and the suppression fixtures exercise
 both directive forms.
 """
@@ -74,30 +74,6 @@ class TestDet001:
     def test_clean_fixture(self):
         result = lint_paths([fixture("det001_ok.py")])
         assert result.findings == []
-
-    def test_imap_unordered_order_dependence_detected(self):
-        result = lint_paths([fixture("det001_pool_bad.py")])
-        assert rules_hit(result) == ["DET001"]
-        assert len(result.findings) == 3
-        messages = " ".join(finding.message for finding in result.findings)
-        assert "imap_unordered" in messages
-        assert "completion order" in messages
-
-    def test_imap_unordered_sorted_merges_pass(self):
-        result = lint_paths([fixture("det001_pool_ok.py")])
-        assert result.findings == []
-
-    def test_imap_unordered_sorted_in_other_scope_still_flagged(self):
-        source = ("def consume(pool, run, work):\n"
-                  "    out = []\n"
-                  "    for item in pool.imap_unordered(run, work):\n"
-                  "        out.append(item)\n"
-                  "    return out\n"
-                  "\n"
-                  "def elsewhere(out):\n"
-                  "    return sorted(out)\n")
-        result = lint_source(source, path="src/repro/sim/fanout.py")
-        assert rules_hit(result) == ["DET001"]
 
     def test_crypto_and_rng_paths_exempt(self):
         result = lint_paths([fixture("crypto", "det001_exempt.py")])

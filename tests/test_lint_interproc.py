@@ -271,16 +271,29 @@ class TestSec004Fixtures:
 
 
 class TestDet003Fixtures:
-    def test_worker_global_mutation_and_order_dependent_fold(self):
+    def test_worker_global_mutation_and_registry_read(self):
         result = lint_paths([fixture("parallel", "det003_bad.py")])
-        det003 = [finding for finding in result.findings
-                  if finding.rule_id == "DET003"]
-        messages = " ".join(finding.message for finding in det003)
-        assert "_SCRATCH" in messages
-        assert "completion order" in messages
+        assert rules_hit(result) == ["DET003"]
+        messages = [finding.message for finding in result.findings]
+        assert len(messages) == 2
+        assert "mutates module-global '_SCRATCH'" in messages[0]
+        assert "reads module-global '_REGISTRY'" in messages[1]
+        assert "register() mutates" in messages[1]
 
     def test_clean_pool_usage(self):
         result = lint_paths([fixture("parallel", "det003_ok.py")])
+        assert result.findings == []
+
+    def test_keyword_worker_outside_parallel_and_serve(self):
+        # The worker is named by ``worker=`` and mutates one call deep.
+        result = lint_paths([fixture("faults", "det003_bad.py")])
+        assert rules_hit(result) == ["DET003"]
+        assert len(result.findings) == 1
+        assert "_campaign_worker() mutates module-global '_SEEN'" in \
+            result.findings[0].message
+
+    def test_clean_keyword_worker(self):
+        result = lint_paths([fixture("faults", "det003_ok.py")])
         assert result.findings == []
 
 
