@@ -27,7 +27,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "lint")
 #: change to a finding, its order, the suppressed count, LINT000 or
 #: LINT001 moves it.
 FIXTURE_REPORT_SHA256 = \
-    "54191ff66c05ef59af133d1b0b32cc9d1e9778540f703600ebe9ada88dde8502"
+    "48d18a3a50374fafd34863d4473a6425a8267bc7a3f42402706d8f02a195ed79"
 
 
 def fixture(*parts):
@@ -406,9 +406,9 @@ class TestFixtureTreeReport:
                             warn_unused_suppressions=True)
         summary = to_payload(result)["summary"]
         assert summary == {
-            "files_checked": 22, "finding_count": 35,
+            "files_checked": 22, "finding_count": 33,
             "suppressed_count": 2, "error_count": 1,
-            "by_rule": {"DET001": 12, "DET002": 5, "DET003": 2,
+            "by_rule": {"DET001": 9, "DET002": 5, "DET003": 3,
                         "LINT000": 1, "SEC001": 4, "SEC003": 9,
                         "SEC004": 2}}
         digest = hashlib.sha256(render_json(result).encode()).hexdigest()
