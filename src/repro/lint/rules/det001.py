@@ -19,15 +19,11 @@ Flagged sources:
 * unordered iteration — ``for … in`` over a set literal, set
   comprehension or ``set(...)`` call, including comprehension
   generators, and ``list(set(...))`` / ``tuple(set(...))``
-  materialization.  Sort first: ``sorted(set(...))``;
-* order-dependent pool consumption — ``pool.imap_unordered`` results
-  arrive in *completion* order, which depends on host scheduling.
-  Flagged: ``list(...)`` / ``tuple(...)`` materialization of an
-  ``imap_unordered`` call, and ``for`` loops over one whose body
-  appends to a list the enclosing scope never passes through
-  ``sorted(...)``.  Index-keyed merges (``slots[index] = payload``) and
-  append-then-``sorted`` pipelines — the pattern
-  :mod:`repro.parallel.sweep` uses — are order-independent and pass.
+  materialization.  Sort first: ``sorted(set(...))``.
+
+Pool completion order is not a source here: only ``parallel/pool.py``
+may import a process pool (``tests/test_import_graph.py``), and it
+consumes results in submission order.
 
 ``utils/rng.py`` (the sanctioned wrapper) and ``crypto/`` (keyed PRFs,
 deterministic by construction; a future hardware backend may genuinely
@@ -63,49 +59,6 @@ def _is_set_expression(node: ast.AST) -> bool:
             and node.func.id in {"set", "frozenset"})
 
 
-def _is_imap_unordered(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "imap_unordered")
-
-
-_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-    """All nodes of ``scope`` without descending into nested functions."""
-    stack = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, _SCOPES):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-def _appended_names(loop: ast.For) -> set:
-    """Names of lists the loop body grows via ``name.append(...)``."""
-    names = set()
-    for body_node in loop.body:
-        for node in ast.walk(body_node):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in {"append", "extend"}
-                    and isinstance(node.func.value, ast.Name)):
-                names.add(node.func.value.id)
-    return names
-
-
-def _sorted_names(scope_nodes) -> set:
-    """Names that appear as the first argument of a ``sorted(...)`` call."""
-    names = set()
-    for node in scope_nodes:
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "sorted" and node.args
-                and isinstance(node.args[0], ast.Name)):
-            names.add(node.args[0].id)
-    return names
-
-
 @register
 class NondeterminismSource(Rule):
     rule_id = "DET001"
@@ -116,7 +69,6 @@ class NondeterminismSource(Rule):
     exempt_markers = ("utils/rng", "crypto/")
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        yield from self._check_pool_consumption(context)
         for node in ast.walk(context.tree):
             if isinstance(node, ast.Call):
                 message = self._call_message(node)
@@ -163,42 +115,4 @@ class NondeterminismSource(Rule):
                 and _is_set_expression(node.args[0])):
             return (f"{node.func.id}(set(...)) materializes unordered "
                     f"elements; use sorted(...) for a stable order")
-        if (isinstance(node.func, ast.Name)
-                and node.func.id in {"list", "tuple"} and node.args
-                and _is_imap_unordered(node.args[0])):
-            return (f"{node.func.id}(imap_unordered(...)) captures pool "
-                    f"completion order, which depends on host scheduling; "
-                    f"carry a submission index and sorted(...) the results")
         return None
-
-    def _check_pool_consumption(self,
-                                context: FileContext) -> Iterator[Finding]:
-        """Flag ``for`` loops that consume imap_unordered order-dependently.
-
-        A loop is order-independent when its appends feed an accumulator
-        the same scope later re-orders with ``sorted(...)``, or when it
-        merges by subscript (``slots[index] = ...``) — only unsorted
-        appends leak completion order into results.
-        """
-        if "imap_unordered" not in context.source:
-            return
-        scopes = [context.tree] + [
-            node for node in ast.walk(context.tree)
-            if isinstance(node, _SCOPES)]
-        for scope in scopes:
-            nodes = list(_scope_nodes(scope))
-            sorted_names = _sorted_names(nodes)
-            for node in nodes:
-                if not isinstance(node, ast.For):
-                    continue
-                if not _is_imap_unordered(node.iter):
-                    continue
-                unsorted = _appended_names(node) - sorted_names
-                if unsorted:
-                    accumulators = ", ".join(sorted(unsorted))
-                    yield self.finding(
-                        context, node,
-                        f"loop over imap_unordered() appends to "
-                        f"'{accumulators}' in completion order and the "
-                        f"result is never re-ordered; carry a submission "
-                        f"index and sorted(...) before use")

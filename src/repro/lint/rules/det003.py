@@ -1,8 +1,12 @@
-"""DET003 — cross-process determinism for the pool fan-out layers.
+"""DET003 — cross-process determinism for the one fan-out.
 
-The sweep and serving engines promise byte-identical output for any
-``--jobs`` value.  That promise survives exactly as long as three
-process-boundary rules hold, and each has a syntactic shadow this rule
+Every paper figure point, serve and shard point and fault campaign runs
+through :func:`repro.parallel.pool.fanout`, which promises
+byte-identical output for any ``--jobs`` value.  That promise survives
+exactly as long as its workers re-derive everything from their
+picklable task.  A dispatch is a call whose callee is named ``fanout``;
+its worker is the second positional argument or the ``worker=``
+keyword.  Two process-boundary rules have a syntactic shadow this rule
 checks through the call graph:
 
 * **workers must not mutate module-global state** — a pool worker runs
@@ -12,17 +16,15 @@ checks through the call graph:
   "works with --jobs 1" bug;
 * **workers must not read registries other code mutates** — state
   populated in the parent after pool creation may or may not be visible
-  in a child depending on start method and timing;
-* **results must not be folded in completion order** — an augmented
-  accumulation (``total += item``) inside an ``imap_unordered`` loop
-  reorders float additions (and list concatenations) by completion,
-  which is the nondeterminism the submission-index merge exists to
-  remove.  (DET001 flags the ``append``-without-sort shape; this rule
-  flags the fold shape.)
+  in a child depending on start method and timing.
 
 The worker function is resolved via :mod:`repro.lint.callgraph` and its
 same-module callees are inspected too, so hiding the mutation one call
-deep does not evade the rule.
+deep does not evade the rule.  The ``fanout`` call marks a dispatch
+wherever it sits, so the rule has no path scope.  Completion order is
+not checked here: only ``parallel/pool.py`` may import a process pool
+(``tests/test_import_graph.py``), and it consumes results in submission
+order.
 """
 
 from __future__ import annotations
@@ -34,48 +36,22 @@ from repro.lint.callgraph import FunctionInfo, Project
 from repro.lint.findings import Finding
 from repro.lint.registry import ProjectRule, register
 
-_POOL_METHODS = frozenset({"imap_unordered", "imap", "map", "map_async",
-                           "starmap", "starmap_async", "apply_async"})
-
 _MUTATING_METHODS = frozenset({"append", "add", "update", "setdefault",
                                "pop", "popitem", "extend", "insert",
                                "remove", "discard", "clear"})
 
 
-def _is_pool_dispatch(call: ast.Call) -> bool:
-    func = call.func
-    if not isinstance(func, ast.Attribute) or \
-            func.attr not in _POOL_METHODS:
-        return False
-    if func.attr in ("map",):
-        # Require a pool-ish receiver so ``map(f, xs)``/``executor.map``
-        # heuristics don't fire on the builtin.
-        base = func.value
-        head = ""
-        while isinstance(base, ast.Attribute):
-            head = base.attr
-            base = base.value
-        if isinstance(base, ast.Name):
-            head = head or base.id
-        return "pool" in head.lower()
-    return True
-
-
-def _is_fanout(call: ast.Call) -> bool:
-    """A call to the one fan-out, ``fanout(tasks, worker, ...)``."""
+def _fanout_worker(call: ast.Call) -> Optional[ast.AST]:
+    """The worker of a ``fanout(tasks, worker, ...)`` call, else ``None``."""
     func = call.func
     name = func.attr if isinstance(func, ast.Attribute) else \
         getattr(func, "id", None)
-    return name == "fanout"
-
-
-def _worker_argument(call: ast.Call) -> Optional[ast.AST]:
-    if _is_fanout(call):
-        if len(call.args) > 1:
-            return call.args[1]
-        return next((keyword.value for keyword in call.keywords
-                     if keyword.arg == "worker"), None)
-    return call.args[0] if call.args else None
+    if name != "fanout":
+        return None
+    if len(call.args) > 1:
+        return call.args[1]
+    return next((keyword.value for keyword in call.keywords
+                 if keyword.arg == "worker"), None)
 
 
 def _local_bindings(function: ast.AST) -> Set[str]:
@@ -154,44 +130,35 @@ def _globals_declared(function: ast.AST) -> Set[str]:
 class CrossProcessDeterminism(ProjectRule):
     rule_id = "DET003"
     title = "cross-process nondeterminism in pool fan-out"
-    rationale = ("pool workers must re-derive everything from their "
+    rationale = ("fan-out workers must re-derive everything from their "
                  "picklable task: module-global mutation is lost or "
-                 "start-method-dependent in children, and folding "
-                 "results in completion order breaks --jobs "
-                 "byte-identity")
+                 "start-method-dependent in children, which breaks "
+                 "--jobs byte-identity")
 
     def check_project(self, analysis) -> Iterator[Finding]:
         project: Project = analysis.project
         for module in project.modules:
-            yield from self._check_module(project, module)
+            if "fanout" not in module.source:
+                continue
+            for info in sorted((f for f in project.functions.values()
+                                if f.module is module),
+                               key=lambda f: f.qualname):
+                for call in ast.walk(info.node):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    worker = _fanout_worker(call)
+                    if worker is not None:
+                        yield from self._check_worker(project, info, call,
+                                                      worker)
 
-    def _check_module(self, project: Project, module) -> Iterator[Finding]:
-        for info in sorted((f for f in project.functions.values()
-                            if f.module is module),
-                           key=lambda f: f.qualname):
-            for call in ast.walk(info.node):
-                if not isinstance(call, ast.Call):
-                    continue
-                if _is_fanout(call) or _is_pool_dispatch(call):
-                    yield from self._check_worker(project, module,
-                                                 info, call)
-                yield from self._check_fold(info, call)
-
-    # -- worker-side checks --------------------------------------------
-
-    def _check_worker(self, project: Project, module, caller: FunctionInfo,
-                      call: ast.Call) -> Iterator[Finding]:
-        worker_expr = _worker_argument(call)
-        if worker_expr is None:
-            return
+    def _check_worker(self, project: Project, caller: FunctionInfo,
+                      call: ast.Call,
+                      worker_expr: ast.AST) -> Iterator[Finding]:
         probe = ast.Call(func=worker_expr, args=[], keywords=[])
         ast.copy_location(probe, call)
-        workers = project.resolve_call(probe, caller)
-        if not workers:
-            return
         dispatch_line = int(getattr(call, "lineno", 1))
         dispatch_col = int(getattr(call, "col_offset", 0)) + 1
-        for worker in workers:
+        for worker in project.resolve_call(probe, caller):
             yield from self._check_worker_body(project, worker,
                                                dispatch_line, dispatch_col,
                                                caller)
@@ -258,35 +225,3 @@ class CrossProcessDeterminism(ProjectRule):
             for name, _line, _col in _global_mutations(info.node, mutable):
                 mutators.setdefault(name, f"{info.name}()")
         return mutators
-
-    # -- caller-side fold check ----------------------------------------
-
-    def _check_fold(self, info: FunctionInfo,
-                    call: ast.Call) -> Iterator[Finding]:
-        """Flag augmented folds inside an ``imap_unordered`` loop."""
-        if not (isinstance(call.func, ast.Attribute)
-                and call.func.attr == "imap_unordered"):
-            return
-        for loop in ast.walk(info.node):
-            if not isinstance(loop, ast.For):
-                continue
-            if loop.iter is not call:
-                continue
-            loop_names = {node.id for node in ast.walk(loop.target)
-                          if isinstance(node, ast.Name)}
-            for node in ast.walk(loop):
-                if not isinstance(node, ast.AugAssign):
-                    continue
-                value_names = {sub.id for sub in ast.walk(node.value)
-                               if isinstance(sub, ast.Name)}
-                if not (value_names & loop_names):
-                    continue
-                yield Finding(
-                    rule_id=self.rule_id, path=info.path,
-                    line=int(getattr(node, "lineno", 1)),
-                    column=int(getattr(node, "col_offset", 0)) + 1,
-                    message=("result folded with an augmented "
-                             "assignment in imap_unordered completion "
-                             "order; accumulate by submission index "
-                             "and fold after a sorted merge"),
-                    severity=self.severity)
