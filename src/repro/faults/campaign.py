@@ -36,7 +36,6 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.oram.path_oram import StashOverflowError
 from repro.parallel.pool import fanout
 from repro.parallel.cache import RunCache
-from repro.parallel.serialize import SCHEMA_VERSION
 from repro.sim.stats import failure_record_from_exception
 from repro.utils.canonical import canonical_json
 from repro.utils.rng import DeterministicRng
@@ -44,6 +43,9 @@ from repro.utils.rng import DeterministicRng
 #: Key material for campaign stores; campaigns always encrypt (a fault
 #: layer over unauthenticated storage would have nothing to detect).
 _CAMPAIGN_KEY = b"fault-campaign-key"
+
+#: Layout version of a campaign report and of its cache request.
+CAMPAIGN_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ class CampaignOutcome:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "schema": SCHEMA_VERSION,
+            "schema": CAMPAIGN_SCHEMA,
             "spec": self.spec.to_dict(),
             "plan": self.plan.to_dict(),
             "plan_digest": self.plan.digest(),
@@ -316,7 +318,7 @@ def run_campaign(spec: CampaignSpec, plan: Optional[FaultPlan] = None,
 def campaign_request(spec: CampaignSpec) -> Dict[str, object]:
     """The canonical request one campaign's cache key is built from."""
     return {"artifact": "fault-campaign",
-            "schema": SCHEMA_VERSION,
+            "schema": CAMPAIGN_SCHEMA,
             "spec": spec.to_dict(),
             "plan_digest": spec.build_plan().digest()}
 

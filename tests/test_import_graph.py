@@ -13,7 +13,6 @@ import json
 import os
 import subprocess
 import sys
-import textwrap
 
 import repro
 
@@ -33,25 +32,32 @@ UNUSED = ("numpy", "repro.obs.audit", "repro.faults", "repro.lint",
           "repro.serve.shard")
 
 
-def test_runtime_entry_points_skip_unused_modules():
-    script = textwrap.dedent("""
-        import json
-        import sys
-
-        import repro.cli
-        import repro.serve.bench
-        import repro.sim.system
-
-        print(json.dumps(sorted(sys.modules)))
-    """)
+def _modules_loaded_by(*entry_points):
+    """Every module a fresh interpreter holds after importing these."""
+    script = "".join(f"import {name}\n" for name in
+                     ("json", "sys") + entry_points)
+    script += "print(json.dumps(sorted(sys.modules)))\n"
     env = dict(os.environ, PYTHONPATH=SRC)
     completed = subprocess.run([sys.executable, "-c", script],
                                capture_output=True, text=True, env=env,
                                timeout=60)
     assert completed.returncode == 0, completed.stderr
-    loaded = set(json.loads(completed.stdout))
+    return set(json.loads(completed.stdout))
+
+
+def test_runtime_entry_points_skip_unused_modules():
+    loaded = _modules_loaded_by("repro.cli", "repro.serve.bench",
+                                "repro.sim.system")
     assert "repro.sim.system" in loaded
     assert [name for name in UNUSED if name in loaded] == []
+
+
+def test_campaigns_skip_the_run_result_serializer():
+    # A campaign stamps its own schema, so a RunResult layout change
+    # cannot move a campaign report byte.
+    loaded = _modules_loaded_by("repro.faults.campaign")
+    assert "repro.faults.campaign" in loaded
+    assert "repro.parallel.serialize" not in loaded
 
 
 def test_every_top_level_name_resolves():
