@@ -15,7 +15,9 @@ of them and returns the results in submission order:
   across calls (torn down at interpreter exit).  Its ``map`` keeps
   submission order, so completion order never reaches a result; a worker
   that dies raises ``BrokenProcessPool`` instead of hanging, and any
-  failure discards the pool so the next call starts from fresh workers;
+  failure discards the pool so the next call starts from fresh workers.
+  Results are consumed as they arrive, so every task that returned
+  before a failure keeps its cache entry;
 * **the same worker in-process** when ``jobs <= 1``, when at most one
   task needs running, or when no pool can be made;
 * **one core selection** — the :class:`~repro.utils.memo.CoreSelection`
@@ -29,6 +31,8 @@ of them and returns the results in submission order:
 
 Workers are module-level functions of one picklable argument.  With a
 cache, they must return a JSON-friendly dict, which is stored as-is.
+Every ``fanout`` worker is checked by reprolint's DET003: it may not
+mutate module globals, or read ones other code mutates.
 """
 
 from __future__ import annotations
@@ -107,7 +111,8 @@ def fanout(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
     an entry's key is the digest of ``key(task)``, the code fingerprint
     and the core selection, so a change to any of them is a miss.
     A worker exception (or a dead worker's ``BrokenProcessPool``)
-    propagates after the pool is discarded.
+    propagates after the pool is discarded; every result that arrived
+    before it is already cached.
     """
     tasks = list(tasks)
     core = memo.selection_from_env()
@@ -128,18 +133,19 @@ def fanout(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
 
     jobs_list = [(worker, core, tasks[index]) for index in pending]
     pool = _pool(jobs) if jobs > 1 and len(pending) > 1 else None
-    if pool is None:
-        results = [_run(job) for job in jobs_list]
-    else:
-        try:
-            results = list(pool.map(_run, jobs_list))
-        except BaseException:
+    try:
+        # Both maps are lazy and keep submission order, so each result is
+        # cached as it arrives and a later failure loses none of them.
+        results = map(_run, jobs_list) if pool is None else \
+            pool.map(_run, jobs_list)
+        for index, (value, wall_ms) in zip(pending, results):
+            outcomes[index] = (value, {"wall_ms": wall_ms,
+                                       "from_cache": False})
+            entry_key = keys[index]
+            if cache is not None and entry_key is not None:
+                cache.put_json(entry_key, value)
+    except BaseException:
+        if pool is not None:
             discard_pool(jobs)
-            raise
-
-    for index, (value, wall_ms) in zip(pending, results):
-        outcomes[index] = (value, {"wall_ms": wall_ms, "from_cache": False})
-        entry_key = keys[index]
-        if cache is not None and entry_key is not None:
-            cache.put_json(entry_key, value)
+        raise
     return cast(List[Outcome], outcomes)

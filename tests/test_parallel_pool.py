@@ -95,3 +95,44 @@ class TestDeadWorker:
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.split("\n")[:3] == [
             "broken", "discarded True", "recovered [0, 2, 3]"]
+
+    def test_results_finished_before_a_death_stay_cached(self, tmp_path):
+        """Each result is cached as it arrives, so a worker that dies
+        after five tasks returned leaves their five entries on disk."""
+        script = textwrap.dedent("""
+            import os
+            import sys
+            import time
+            from concurrent.futures.process import BrokenProcessPool
+
+            import repro.parallel.pool as pool_module
+            from repro.parallel.cache import RunCache
+            from repro.parallel.pool import fanout
+
+            def die_last(task):
+                index, directory = task
+                if index == 5:
+                    deadline = time.monotonic() + 10.0
+                    while RunCache(directory).entry_count() < 5 and \\
+                            time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    os._exit(1)
+                return {"value": index}
+
+            directory = sys.argv[1]
+            try:
+                fanout([(index, directory) for index in range(6)],
+                       die_last, jobs=2, cache=RunCache(directory),
+                       key=lambda task: task[0])
+            except BrokenProcessPool:
+                print("broken")
+            print("entries", RunCache(directory).entry_count())
+            pool_module.shutdown_pools()
+        """)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        completed = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "runs")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split("\n")[:2] == ["broken", "entries 5"]
+
