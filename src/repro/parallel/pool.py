@@ -16,8 +16,8 @@ of them and returns the results in submission order:
   submission order, so completion order never reaches a result; a worker
   that dies raises ``BrokenProcessPool`` instead of hanging, and any
   failure discards the pool so the next call starts from fresh workers.
-  Results are consumed as they arrive, so every task that returned
-  before a failure keeps its cache entry;
+  Results are cached as they arrive in submission order, so every task
+  ahead of a failed one keeps its cache entry;
 * **the same worker in-process** when ``jobs <= 1``, when at most one
   task needs running, or when no pool can be made;
 * **one core selection** — the :class:`~repro.utils.memo.CoreSelection`
@@ -111,8 +111,8 @@ def fanout(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
     an entry's key is the digest of ``key(task)``, the code fingerprint
     and the core selection, so a change to any of them is a miss.
     A worker exception (or a dead worker's ``BrokenProcessPool``)
-    propagates after the pool is discarded; every result that arrived
-    before it is already cached.
+    propagates after the pool is discarded; every task ahead of the
+    failed one in submission order is already cached.
     """
     tasks = list(tasks)
     core = memo.selection_from_env()
