@@ -8,12 +8,10 @@ time by around 35.7%."
 
 import pytest
 
-from repro.config import DesignPoint
+from repro.config import DesignPoint, SINGLE_CHANNEL_DESIGNS as DESIGNS
 from repro.sim.stats import geometric_mean
 
 from _harness import WORKLOADS, emit, print_header, run_cached
-
-DESIGNS = (DesignPoint.INDEP_2, DesignPoint.SPLIT_2)
 
 
 @pytest.mark.parametrize("cache_enabled,paper_note", [

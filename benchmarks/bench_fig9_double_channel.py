@@ -6,13 +6,10 @@ GemsFDTD (low MLP) favours SPLIT-4; INDEP-SPLIT "finds the best balance
 ... in every benchmark".
 """
 
-from repro.config import DesignPoint
+from repro.config import DesignPoint, DOUBLE_CHANNEL_DESIGNS as DESIGNS
 from repro.sim.stats import geometric_mean
 
 from _harness import WORKLOADS, emit, print_header, run_cached
-
-DESIGNS = (DesignPoint.INDEP_4, DesignPoint.SPLIT_4,
-           DesignPoint.INDEP_SPLIT)
 
 
 def test_fig9_double_channel(benchmark):

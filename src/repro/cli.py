@@ -45,7 +45,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.config import DesignPoint, table2_config
+from repro.config import (DOUBLE_CHANNEL_DESIGNS, SINGLE_CHANNEL_DESIGNS,
+                          DesignPoint, table2_config)
 from repro.core.designs import PROTOCOL_DESIGNS
 from repro.energy.dram_power import DramEnergyModel
 from repro.sim.stats import RunResult
@@ -407,13 +408,9 @@ def cmd_compare(args) -> int:
     """Handle ``repro compare``."""
     from repro.parallel.sweep import SweepPoint, run_sweep
 
-    designs: List[DesignPoint] = [DesignPoint.NONSECURE,
-                                  DesignPoint.FREECURSIVE]
-    if args.channels == 1:
-        designs += [DesignPoint.INDEP_2, DesignPoint.SPLIT_2]
-    else:
-        designs += [DesignPoint.INDEP_4, DesignPoint.SPLIT_4,
-                    DesignPoint.INDEP_SPLIT]
+    designs = [DesignPoint.NONSECURE, DesignPoint.FREECURSIVE,
+               *(SINGLE_CHANNEL_DESIGNS if args.channels == 1
+                 else DOUBLE_CHANNEL_DESIGNS)]
     points = [SweepPoint(design, args.workload, channels=args.channels,
                          trace_length=args.trace_length, seed=args.seed)
               for design in designs]

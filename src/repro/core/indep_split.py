@@ -184,10 +184,11 @@ class IndepSplitProtocol(PartitionedProtocol):
     # perfbench wraps each class's own ``access``
     access = PartitionedProtocol.access
 
-    def attach_resilience(self, handle) -> None:
-        """Install one retry policy handle on every group's Split core."""
-        for group in self.groups:
-            group.split.attach_resilience(handle)
+    def wrap_stores(self, wrapper) -> None:
+        """Replace each group's metadata reader with ``wrapper(gid, reader)``."""
+        for gid, group in enumerate(self.groups):
+            group.split.metadata_reader = wrapper(
+                gid, group.split.metadata_reader)
 
     def _result_phase(self, owner: int) -> None:
         # The group returns the block unasked: no PROBE and no

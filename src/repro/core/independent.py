@@ -191,7 +191,8 @@ class PartitionedProtocol:
 
     A subclass builds its sites and passes them in, after drawing their
     RNG children and before the position map's.  It supplies the
-    result phase (:meth:`_result_phase`) and its fault seam.  ``label``
+    result phase (:meth:`_result_phase`) and its fault seam
+    (``wrap_stores``).  ``label``
     names its RNG streams, its trace lane and its link lane.
     """
 

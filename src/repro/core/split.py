@@ -7,8 +7,9 @@ overhead the paper accepts).  One access proceeds as:
 
 1. FETCH_DATA — each SDIMM pulls its data slices of the whole path into its
    local stash.  Data never crosses the main channel.
-2. Metadata reads — each SDIMM returns its metadata slices (tag/leaf slices
-   plus its plaintext counter slice) to the CPU.
+2. Metadata reads — each SDIMM verifies the cell it fetched against its
+   own MAC and returns its metadata slices (tag/leaf slices plus its
+   plaintext counter slice) to the CPU.
 3. The CPU merges slices, reconstructs tags/leaves/counters, and locates
    the requested block; its *shadow stash* mirrors the SDIMM stashes
    index-for-index but holds only tags.
@@ -26,6 +27,11 @@ plaintext once the counters arrive; DRAM only ever sees ciphertext.  The
 bucket is the unit of storage and crypto: each way keeps one ciphertext
 and one MAC per bucket, and decrypts a fetched bucket's data slots in one
 call.
+
+A bucket's metadata read is the one store a retry layer wraps
+(:meth:`SplitProtocol.wrap_stores`): a read that fails verification
+re-fetches that bucket's cells on-DIMM in every way, so the retry
+verifies — and then serves — the cells it re-read.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from repro.core.commands import SdimmCommand
 from repro.core.secure_buffer import LinkRecorder
 from repro.crypto.ctr import CounterModeCipher
 from repro.crypto.mac import MacError, PmmacAuthenticator
+from repro.oram.integrity import IntegrityError
 from repro.obs.tracer import (
     CATEGORY_PROTOCOL,
     NULL_TRACER,
@@ -63,21 +70,20 @@ _DUMMY_TAG = (1 << 64) - 1
 _EMPTY_ENTRY = (_DUMMY_TAG, 0)
 
 
-class SplitIntegrityError(Exception):
+class SplitIntegrityError(IntegrityError):
     """A slice failed its per-SDIMM MAC or desynchronized the counter chain.
 
-    Structured fields mirror :class:`repro.oram.integrity.IntegrityError`
-    so failure records treat both uniformly: ``bucket`` is the logical
-    bucket index, ``way`` the SDIMM slice that failed (None for merged
-    checks), ``kind`` is ``"mac"`` or ``"counter"``.
+    An :class:`~repro.oram.integrity.IntegrityError`, so one retry layer
+    and one failure-record format serve every design: ``bucket`` is the
+    logical bucket index, ``way`` the SDIMM slice that failed (None for
+    merged checks), ``kind`` is ``"mac"`` or ``"counter"``.
     """
 
     def __init__(self, message: str, bucket: Optional[int] = None,
                  way: Optional[int] = None, kind: str = "mac"):
-        super().__init__(message)
+        super().__init__(message, kind=kind)
         self.bucket = bucket
         self.way = way
-        self.kind = kind
 
 
 #: Bit width of the shared bucket counter whose slices the SDIMMs store.
@@ -139,9 +145,9 @@ class SplitBuffer:
         #: plaintext data slices (trusted SRAM); None marks a slot of a
         #: fetched bucket whose counter has not arrived yet
         self.stash: List[Optional[bytes]] = []
-        #: first stash index -> (bucket, data ciphertext) of every fetched
-        #: bucket still encrypted
-        self._pending: Dict[int, Tuple[int, bytes]] = {}
+        #: bucket -> (first stash index, cell or None) of every bucket the
+        #: last FETCH_DATA read: the cells the metadata read verifies
+        self._fetched: Dict[int, Tuple[int, Optional[_StoreCell]]] = {}
         self.local_line_transfers = 0
         self.writes = 0
         self.record_trace = record_trace
@@ -153,24 +159,30 @@ class SplitBuffer:
     # ------------------------------------------------------------------
 
     def fetch_data(self, leaf: int) -> None:
-        """Pull this way's data slices of the whole path into the stash.
-
-        A never-written bucket contributes zero slices.  A written one
-        contributes placeholders, and its data ciphertext waits as
-        pending until the CPU's counters arrive.
-        """
-        slots = self.blocks_per_bucket
+        """Pull this way's data slices of the whole path into the stash."""
+        self._fetched = {}
         for bucket in self.geometry.path(leaf):
-            if self.record_trace:
-                self.bucket_trace.append(("read", bucket))
-            cell = self._store.get(bucket)
-            if cell is None:
-                self.stash.extend([bytes(self.slice_bytes)] * slots)
-            else:
-                self._pending[len(self.stash)] = (
-                    bucket, cell.ciphertext[self.meta_slice_bytes:])
-                self.stash.extend([None] * slots)
-            self.local_line_transfers += slots
+            self._load(bucket, len(self.stash))
+
+    def refetch(self, bucket: int) -> None:
+        """Re-read one fetched bucket's cell on-DIMM (a retried read)."""
+        self._load(bucket, self._fetched[bucket][0])
+
+    def _load(self, bucket: int, first: int) -> None:
+        """Copy one bucket's cell from DRAM into stash slots ``first`` on.
+
+        The cell is recorded, a missing one as None.  A never-written
+        bucket contributes zero slices; a written one placeholders until
+        the CPU's counters arrive to decrypt its data ciphertext.
+        """
+        if self.record_trace:
+            self.bucket_trace.append(("read", bucket))
+        cell = self._store.get(bucket)
+        self._fetched[bucket] = (first, cell)
+        slots = self.blocks_per_bucket
+        fill = bytes(self.slice_bytes) if cell is None else None
+        self.stash[first:first + slots] = [fill] * slots
+        self.local_line_transfers += slots
 
     # ------------------------------------------------------------------
     # Step 2: metadata reads (regular RAS/CAS, data returns to the CPU)
@@ -180,13 +192,14 @@ class SplitBuffer:
                                                         Optional[bytes]]:
         """(plaintext counter slice, metadata-slice *ciphertext*).
 
-        The slice MAC is verified here with this way's own counter slice —
-        the per-SDIMM PMMAC of the Split design.  The metadata travels to
-        the CPU still encrypted: only after merging every way's counter
+        The MAC of the cell FETCH_DATA read, whose data slices this way
+        serves, is verified here with this way's own counter slice — the
+        per-SDIMM PMMAC of the Split design.  The metadata travels to the
+        CPU still encrypted: only after merging every way's counter
         slice can anyone (the CPU, which holds the keys) derive the pad.
         ``None`` ciphertext marks a never-written bucket.
         """
-        cell = self._store.get(bucket)
+        _, cell = self._fetched[bucket]
         if cell is None:
             return 0, None
         try:
@@ -215,17 +228,18 @@ class SplitBuffer:
         """
         if self.stash[index] is None:
             slots = self.blocks_per_bucket
-            self._decrypt_pending(
-                next(first for first in self._pending
-                     if first <= index < first + slots), counter_hints)
+            self._decrypt(next(bucket for bucket, (first, _)
+                               in self._fetched.items()
+                               if first <= index < first + slots),
+                          counter_hints)
         return self.stash[index]
 
-    def _decrypt_pending(self, first: int, counters: Dict[int, int]) -> None:
+    def _decrypt(self, bucket: int, counters: Dict[int, int]) -> None:
         """Decrypt one fetched bucket's data slots in one call."""
-        bucket, ciphertext = self._pending.pop(first)
-        plaintext = self._cipher.decrypt(ciphertext, bucket,
-                                         counters[bucket],
-                                         self.meta_slice_bytes)
+        first, cell = self._fetched[bucket]
+        meta = self.meta_slice_bytes
+        plaintext = self._cipher.decrypt(cell.ciphertext[meta:], bucket,
+                                         counters[bucket], meta)
         size = self.slice_bytes
         self.stash[first:first + self.blocks_per_bucket] = [
             plaintext[offset:offset + size]
@@ -259,9 +273,10 @@ class SplitBuffer:
         shadow.
         """
         # After every RECEIVE_LIST the whole (trusted-SRAM) stash is clear.
-        for first in list(self._pending):
-            self._decrypt_pending(first, old_counters)
         stash = self.stash
+        for bucket, (first, _) in self._fetched.items():
+            if stash[first] is None:
+                self._decrypt(bucket, old_counters)
         if 0 <= updated_index < len(stash):
             stash[updated_index] = updated_slice
         empty = bytes(self.slice_bytes)
@@ -318,6 +333,21 @@ class SplitBuffer:
         return len(self.stash)
 
 
+class MetadataReader:
+    """The CPU's per-bucket metadata read, as a store a retry layer wraps.
+
+    ``read(bucket)`` merges and verifies one bucket's slices from every
+    way.  ``noun`` names what it reads in retry failure text, and
+    ``buffers`` are the way buffers a fault driver arms.
+    """
+
+    noun = "split bucket"
+
+    def __init__(self, protocol: "SplitProtocol"):
+        self.buffers = protocol.buffers
+        self.read = protocol._merge_metadata
+
+
 class SplitProtocol:
     """CPU-side orchestration of the Split design over N SDIMMs."""
 
@@ -364,14 +394,16 @@ class SplitProtocol:
                                  lane=f"{trace_lane}-link", clock=self.clock)
         self.accesses = 0
         self.stash_peak = 0
-        #: Optional resilience handle (repro.faults.recovery) consulted when
-        #: a metadata merge fails verification; None = fail fast (today's
-        #: behavior, byte-identical when no handle is attached).
-        self.resilience = None
+        #: The bucket whose last metadata read failed verification
+        self._unverified: Optional[int] = None
+        self.metadata_reader = MetadataReader(self)
 
-    def attach_resilience(self, handle) -> None:
-        """Install a retry/backoff policy for failed metadata merges."""
-        self.resilience = handle
+    def wrap_stores(self, wrapper) -> None:
+        """Replace the metadata reader with ``wrapper(0, reader)``.
+
+        Plain Split is one site: every bucket's slices span every way.
+        """
+        self.metadata_reader = wrapper(0, self.metadata_reader)
 
     # ------------------------------------------------------------------
 
@@ -463,6 +495,7 @@ class SplitProtocol:
     def _fetch_data(self, leaf: int) -> None:
         """Step 1: FETCH_DATA to every buffer (command only on the channel)."""
         start = self.clock.now
+        self._unverified = None
         for way, buffer in enumerate(self.buffers):
             self.link.up(SdimmCommand.FETCH_DATA, way, 0)
             buffer.fetch_data(leaf)
@@ -476,7 +509,7 @@ class SplitProtocol:
         start = self.clock.now
         old_counters: Dict[int, int] = {}
         for bucket in path:
-            metadata = self._read_bucket_metadata(bucket)
+            metadata = self.metadata_reader.read(bucket)
             old_counters[bucket] = metadata.counter
             for slot, tag in enumerate(metadata.tags):
                 if tag == _DUMMY_TAG:
@@ -500,29 +533,6 @@ class SplitProtocol:
         self._phase_span("FETCH_STASH", start)
         return slices
 
-    def _read_bucket_metadata(self, bucket: int) -> BucketMetadata:
-        """Merge one bucket's metadata, retrying on verification failure.
-
-        Without a resilience handle this is exactly ``_merge_metadata`` —
-        the first failure propagates.  With one, each failed merge is
-        reported to the handle, which decides (by retry budget and backoff)
-        whether to re-issue the metadata read.  A retry replays the same
-        per-way link events as the original read, so on the bus it is
-        indistinguishable from any other metadata fetch.
-        """
-        handle = self.resilience
-        if handle is None:
-            return self._merge_metadata(bucket)
-        attempt = 0
-        while True:
-            try:
-                return self._merge_metadata(bucket)
-            except SplitIntegrityError as error:
-                attempt += 1
-                if not handle.on_integrity_failure("split", bucket, error,
-                                                   attempt):
-                    raise
-
     def _merge_metadata(self, bucket: int) -> BucketMetadata:
         """Reassemble one bucket's metadata from every way's slice.
 
@@ -530,7 +540,16 @@ class SplitProtocol:
         metadata slice; the CPU merges the counter slices round-robin into
         the full counter, derives each way's pad, decrypts, and interleaves
         the plaintext slices (Section III-D steps 2-3).
+
+        A bucket whose last read failed verification is first re-fetched
+        on-DIMM in every way, with no link event, so a retry verifies the
+        cells it re-read.
         """
+        if bucket == self._unverified:
+            for buffer in self.buffers:
+                buffer.refetch(bucket)
+        # stays set unless every check below passes
+        self._unverified = bucket
         counter_slices = []
         ciphertexts = []
         for buffer in self.buffers:
@@ -545,6 +564,7 @@ class SplitProtocol:
                 f"bucket {bucket} counter {counter} does not match the "
                 f"trusted chain ({expected}): stale or desynchronized "
                 f"slices", bucket=bucket, kind="counter")
+        self._unverified = None
         values = self._metadata.unpack(merge_bit_slices([
             self._empty_metadata_slices[way] if ciphertext is None
             else self._way_ciphers[way].decrypt(ciphertext, bucket, counter)

@@ -6,7 +6,9 @@ and reports a detection/recovery scoreboard instead of crashing:
 
 * every injected integrity fault must be *detected* by a verifier
   (PMMAC, Merkle, or the Split counter chain) — the acceptance gate;
-* transient faults recover through the retry layer; persistent ones
+* transient faults recover through the one retry layer
+  (:class:`~repro.faults.recovery.RetryingStore`, installed on every
+  design through ``wrap_stores``); persistent ones
   exhaust their budget and quarantine the site (Independent designs
   degrade; plain Split has no redundancy and records a terminal event);
 * the whole outcome — spec, plan, scoreboard, counters, failures —
@@ -21,6 +23,7 @@ digest + code fingerprint.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.designs import (PROTOCOL_DESIGNS, build_protocol,
@@ -30,7 +33,7 @@ from repro.faults.injector import FaultInjector, SplitFaultDriver, FaultyStore
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import (ResilienceStats, ResilientLink,
                                    RetryExhaustedError, RetryPolicy,
-                                   RetryingStore, SplitResilienceHandle)
+                                   RetryingStore)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.oram.path_oram import StashOverflowError
@@ -165,26 +168,18 @@ class CampaignOutcome:
 def _wire_faults(spec: CampaignSpec, protocol, injector: FaultInjector,
                  policy: RetryPolicy, stats: ResilienceStats
                  ) -> Optional[SplitFaultDriver]:
-    """Install the fault/retry proxies; returns the Split driver if any."""
-    if spec.design == "independent":
-        protocol.wrap_stores(lambda site, store: RetryingStore(
-            FaultyStore(injector, site, store), site, policy, stats,
-            DeterministicRng(spec.seed, f"faults/retry/{site}")))
-        return None
-    if spec.design == "split":
-        driver = SplitFaultDriver(injector, {0: protocol.buffers})
-        protocol.attach_resilience(SplitResilienceHandle(
-            policy, stats, DeterministicRng(spec.seed, "faults/retry/0"),
-            site=0, heal=driver.heal_for(0)))
-        return driver
-    driver = SplitFaultDriver(
-        injector, {gid: group.split.buffers
-                   for gid, group in enumerate(protocol.groups)})
-    for gid, group in enumerate(protocol.groups):
-        group.split.attach_resilience(SplitResilienceHandle(
-            policy, stats, DeterministicRng(spec.seed,
-                                            f"faults/retry/{gid}"),
-            site=gid, heal=driver.heal_for(gid)))
+    """Put every site's store behind its fault proxy and one retry layer.
+
+    The fault proxy is :class:`FaultyStore` for Independent SDIMMs and the
+    Split driver's healing proxy for the split designs; returns that
+    driver, if any, for per-access arming.
+    """
+    driver = None if spec.design == "independent" else \
+        SplitFaultDriver(injector)
+    proxy = partial(FaultyStore, injector) if driver is None else driver.wrap
+    protocol.wrap_stores(lambda site, store: RetryingStore(
+        proxy(site, store), site, policy, stats,
+        DeterministicRng(spec.seed, f"faults/retry/{site}")))
     return driver
 
 

@@ -12,7 +12,9 @@ fires when its ordinal comes up.  Transient faults (bit-flips, replays)
 are *healed* — the saved pre-fault cell is put back — the moment a
 verifier catches them, which is what lets the recovery layer's re-read
 succeed; persistent stuck cells re-corrupt on every write and can only
-end in retry exhaustion.
+end in retry exhaustion.  Both fault proxies (:class:`FaultyStore` and
+the Split driver's :meth:`SplitFaultDriver.wrap`) sit inside the one
+:class:`~repro.faults.recovery.RetryingStore`, which owns every retry.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.split import SplitIntegrityError
 from repro.obs.tracer import CATEGORY_FAULT, NULL_TRACER, StepClock, Tracer
 from repro.oram.integrity import IntegrityError
 from repro.faults.plan import (FAULT_BIT_FLIP, FAULT_REPLAY,
@@ -344,18 +347,18 @@ class SplitFaultDriver:
 
     A Split access always reads the root bucket's metadata, so faults
     target bucket 0 — detection is guaranteed whenever the site is
-    accessed at all.  ``buffers_by_site`` maps a site ID (the group for
-    INDEP-SPLIT, 0 for plain Split) to that site's way buffers;
-    :meth:`heal_for` builds the callback a
-    :class:`~repro.faults.recovery.SplitResilienceHandle` invokes on
-    every verification failure.
+    accessed at all.  Faults arm once per access (:meth:`arm`), on the
+    sites that access reads.  :meth:`wrap` is the store proxy a site's
+    metadata reader sits behind: it registers the site's way buffers
+    (the group for INDEP-SPLIT, 0 for plain Split) and heals on every
+    verification failure.
     """
 
     TARGET_BUCKET = 0
 
-    def __init__(self, injector: FaultInjector, buffers_by_site: Dict):
+    def __init__(self, injector: FaultInjector):
         self._injector = injector
-        self._buffers = dict(buffers_by_site)
+        self._buffers: Dict[int, List] = {}
         self._history: Dict[int, List[object]] = {}
         # site -> [(scheduled, pre-fault snapshot), ...] for this access;
         # entry 0's snapshot is the fully clean state
@@ -422,28 +425,30 @@ class SplitFaultDriver:
             # stale-replay material (write-back will bump its counter)
             self._history[site] = clean
 
-    def heal_for(self, site: int):
-        """Failure callback for one site's resilience handle.
+    def wrap(self, site: int, reader) -> "_HealingReader":
+        """The fault proxy for one site's metadata reader."""
+        self._buffers[site] = reader.buffers
+        return _HealingReader(self, site, reader)
 
-        Invoked on every verification failure: attributes the detection
-        to each fault armed on the site, then restores the clean state so
-        the retry succeeds — unless a persistent stuck cell is involved,
-        which never heals and rides to retry exhaustion.
+    def heal(self, site: int) -> None:
+        """Run on every verification failure of one site's reads.
+
+        Attributes the detection to each fault armed on the site, then
+        restores the clean state so the retry succeeds — unless a
+        persistent stuck cell is involved, which never heals and rides
+        to retry exhaustion.
         """
-        def _heal(bucket: int) -> None:
-            entries = self._saved.get(site, [])
-            for scheduled, _ in entries:
-                self._injector.note_detected(scheduled)
-            stuck = self._stuck.get(site)
-            if stuck is not None:
-                self._injector.note_detected(stuck)
-                return
-            if entries:
-                for buffer, cell in zip(self._buffers[site],
-                                        entries[0][1]):
-                    buffer.restore_bucket(self.TARGET_BUCKET, cell)
-                self._saved[site] = []
-        return _heal
+        entries = self._saved.get(site, [])
+        for scheduled, _ in entries:
+            self._injector.note_detected(scheduled)
+        stuck = self._stuck.get(site)
+        if stuck is not None:
+            self._injector.note_detected(stuck)
+            return
+        if entries:
+            for buffer, cell in zip(self._buffers[site], entries[0][1]):
+                buffer.restore_bucket(self.TARGET_BUCKET, cell)
+            self._saved[site] = []
 
     def finalize(self) -> None:
         """Mark armed-but-never-caught faults missed (end of campaign)."""
@@ -451,3 +456,22 @@ class SplitFaultDriver:
             for scheduled, _ in entries:
                 if not scheduled.detected:
                     self._injector.note_missed(scheduled)
+
+
+class _HealingReader:
+    """A Split metadata reader whose failed reads heal their site."""
+
+    def __init__(self, driver: SplitFaultDriver, site: int, inner):
+        self._driver = driver
+        self._site = site
+        self._inner = inner
+
+    def read(self, bucket: int):
+        try:
+            return self._inner.read(bucket)
+        except SplitIntegrityError:
+            self._driver.heal(self._site)
+            raise
+
+    def __getattr__(self, name: str):
+        return getattr(self._inner, name)

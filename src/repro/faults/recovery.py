@@ -6,7 +6,9 @@ real memory controller would do:
 
 * a verified-failed bucket read is re-fetched up to a retry budget —
   transient corruption (a disturbed line, a torn transfer) heals on the
-  re-read;
+  re-read.  One proxy, :class:`RetryingStore`, does this for every
+  design: it wraps each Independent SDIMM's bucket store, and each Split
+  site's metadata reader, whose failed read re-fetches on-DIMM;
 * each retry backs off exponentially with deterministic jitter drawn
   from a named :class:`~repro.utils.rng.DeterministicRng` stream, so a
   faulted run still replays byte-identically;
@@ -21,7 +23,7 @@ retry-indistinguishability argument in docs/faults.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.obs.metrics import MetricsRegistry
@@ -46,43 +48,42 @@ class RetryExhaustedError(Exception):
         self.kind = kind
 
 
+#: Backoff before retry ``attempt`` (1-based), in logical steps:
+#: ``BACKOFF_BASE * BACKOFF_FACTOR**(attempt-1)`` capped at ``BACKOFF_CAP``,
+#: plus a jitter draw in ``[0, JITTER)``.
+BACKOFF_BASE = 2
+BACKOFF_FACTOR = 2
+BACKOFF_CAP = 16
+JITTER = 2
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded exponential backoff with deterministic jitter.
+    """A retry budget with bounded exponential backoff.
 
     ``backoff_steps(attempt, rng)`` returns the logical steps to wait
-    before retry ``attempt`` (1-based): ``base * factor**(attempt-1)``
-    capped at ``cap``, plus a jitter draw in ``[0, jitter)`` from the
-    caller's seeded stream.
+    before retry ``attempt``, drawing its jitter from the caller's seeded
+    stream.
     """
 
     max_retries: int = 3
-    backoff_base: int = 2
-    backoff_factor: int = 2
-    backoff_cap: int = 16
-    jitter: int = 2
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.backoff_base < 1 or self.backoff_factor < 1:
-            raise ValueError("backoff base/factor must be >= 1")
 
     def backoff_steps(self, attempt: int, rng: DeterministicRng) -> int:
         if attempt < 1:
             raise ValueError("attempts are 1-based")
-        steps = min(self.backoff_cap,
-                    self.backoff_base * self.backoff_factor ** (attempt - 1))
-        if self.jitter > 0:
-            steps += rng.randrange(self.jitter)
-        return steps
+        return (min(BACKOFF_CAP, BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1))
+                + rng.randrange(JITTER))
 
-    def to_dict(self) -> Dict[str, int]:
-        return {"max_retries": self.max_retries,
-                "backoff_base": self.backoff_base,
-                "backoff_factor": self.backoff_factor,
-                "backoff_cap": self.backoff_cap,
-                "jitter": self.jitter}
+
+#: The :class:`ResilienceStats` counters exported as ``faults/`` metrics.
+_EXPORTED_COUNTERS = ("detections", "retries", "recovered_reads",
+                      "exhausted", "backoff_steps", "link_drops",
+                      "link_duplicates", "link_delays",
+                      "link_retransmissions", "buffer_stalls", "quarantines")
 
 
 @dataclass
@@ -146,48 +147,27 @@ class ResilienceStats:
     # -- export --------------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "detections": self.detections,
-            "retries": self.retries,
-            "recovered_reads": self.recovered_reads,
-            "exhausted": self.exhausted,
-            "backoff_steps": self.backoff_steps,
-            "link_drops": self.link_drops,
-            "link_duplicates": self.link_duplicates,
-            "link_delays": self.link_delays,
-            "link_delay_steps": self.link_delay_steps,
-            "link_retransmissions": self.link_retransmissions,
-            "buffer_stalls": self.buffer_stalls,
-            "quarantines": self.quarantines,
-            "quarantined_sites": sorted(self.quarantined_sites),
-            "failures": [dict(record) for record in self.failures],
-        }
+        return {**asdict(self),
+                "quarantined_sites": sorted(self.quarantined_sites)}
 
     def fold_into(self, metrics: MetricsRegistry) -> None:
         """Export the counters under the ``faults/`` namespace."""
-        metrics.counter("faults/detections").inc(self.detections)
-        metrics.counter("faults/retries").inc(self.retries)
-        metrics.counter("faults/recovered_reads").inc(self.recovered_reads)
-        metrics.counter("faults/exhausted").inc(self.exhausted)
-        metrics.counter("faults/backoff_steps").inc(self.backoff_steps)
-        metrics.counter("faults/link_drops").inc(self.link_drops)
-        metrics.counter("faults/link_duplicates").inc(self.link_duplicates)
-        metrics.counter("faults/link_delays").inc(self.link_delays)
-        metrics.counter("faults/link_retransmissions").inc(
-            self.link_retransmissions)
-        metrics.counter("faults/buffer_stalls").inc(self.buffer_stalls)
-        metrics.counter("faults/quarantines").inc(self.quarantines)
+        for name in _EXPORTED_COUNTERS:
+            metrics.counter(f"faults/{name}").inc(getattr(self, name))
 
 
 class RetryingStore:
-    """Bucket-store proxy that re-reads on verification failure.
+    """Store proxy that re-reads on verification failure.
 
-    Wraps the (possibly fault-injecting) store of one Independent SDIMM.
-    A read that raises :class:`IntegrityError` is retried up to the
-    policy's budget with backoff; success after retries counts as a
-    recovery, exhaustion raises :class:`RetryExhaustedError` for the
-    campaign layer to quarantine on.  Writes and every other attribute
-    pass straight through.
+    Wraps one site's (possibly fault-injecting) store: an Independent
+    SDIMM's bucket store, or a Split site's
+    :class:`~repro.core.split.MetadataReader`, whose ``noun`` names what
+    it reads in the failure text.  A read that raises
+    :class:`IntegrityError` is retried up to the policy's budget with
+    backoff; success after retries counts as a recovery, exhaustion
+    raises :class:`RetryExhaustedError` for the campaign layer to
+    quarantine on.  Writes and every other attribute pass straight
+    through.
     """
 
     def __init__(self, inner, site: int, policy: RetryPolicy,
@@ -209,8 +189,9 @@ class RetryingStore:
                 if attempt > self._policy.max_retries:
                     self._stats.note_exhausted(self._site, index,
                                                attempt - 1, error)
+                    noun = getattr(self._inner, "noun", "bucket")
                     raise RetryExhaustedError(
-                        f"bucket {index} on site {self._site} still fails "
+                        f"{noun} {index} on site {self._site} still fails "
                         f"verification after {attempt - 1} retries",
                         site=self._site, index=index, attempts=attempt - 1,
                         kind=getattr(error, "kind", "mac")) from error
@@ -226,44 +207,6 @@ class RetryingStore:
 
     def __getattr__(self, name: str):
         return getattr(self._inner, name)
-
-
-class SplitResilienceHandle:
-    """Retry policy for a Split protocol's metadata merges.
-
-    Installed via ``SplitProtocol.attach_resilience``; consulted from
-    ``_read_bucket_metadata`` with the 1-based attempt count.  Returns
-    ``True`` to retry (after recording backoff and healing any armed
-    transient fault) and raises :class:`RetryExhaustedError` once the
-    budget is spent.
-    """
-
-    def __init__(self, policy: RetryPolicy, stats: ResilienceStats,
-                 rng: DeterministicRng, site: int = 0, heal=None):
-        self._policy = policy
-        self._stats = stats
-        self._rng = rng
-        self._site = site
-        self._heal = heal
-
-    def on_integrity_failure(self, label: str, bucket: int,
-                             error: BaseException, attempt: int) -> bool:
-        self._stats.note_detection(self._site, bucket, error)
-        if self._heal is not None:
-            # runs on *every* failure so the fault driver can attribute
-            # the detection; transients are restored, stuck cells are not
-            self._heal(bucket)
-        if attempt > self._policy.max_retries:
-            self._stats.note_exhausted(self._site, bucket, attempt - 1,
-                                       error)
-            raise RetryExhaustedError(
-                f"{label} bucket {bucket} on site {self._site} still fails "
-                f"verification after {attempt - 1} retries",
-                site=self._site, index=bucket, attempts=attempt - 1,
-                kind=getattr(error, "kind", "mac")) from error
-        self._stats.note_retry(self._policy.backoff_steps(attempt,
-                                                          self._rng))
-        return True
 
 
 class ResilientLink:

@@ -5,8 +5,9 @@ happened over the whole run*; the adaptive-control work the ROADMAP names
 needs *what is happening now*.  This module slices the same event stream
 into **tumbling windows keyed on simulated cycles**: window ``k`` covers
 ``[k * window_cycles, (k + 1) * window_cycles)``, and every event is
-folded into exactly one window by its start cycle, with the same
-event-to-metric mapping :meth:`MetricsRegistry.from_events` uses.  Two
+folded into exactly one window by its start cycle, through
+:meth:`MetricsRegistry.from_events` itself, the one event-to-metric
+mapping.  Two
 consequences fall out by construction:
 
 * **exactness** — folding every window back together (in window order,
@@ -55,18 +56,6 @@ class WindowSnapshot:
         return {"schema": WINDOW_SCHEMA, "index": self.index,
                 "start": self.start, "end": self.end,
                 "metrics": self.registry.as_dict()}
-
-
-def _fold_event(registry: MetricsRegistry, event: TraceEvent) -> None:
-    """One event into one registry — the from_events mapping, single-shot."""
-    qualified = f"{event.category}/{event.name}"
-    if event.kind == "span":
-        registry.histogram(qualified).record(event.duration)
-    elif event.kind == "counter":
-        registry.gauge(qualified).set(int(event.args.get("value", 0)))
-        registry.counter(qualified + "/samples").inc()
-    else:
-        registry.counter(qualified).inc()
 
 
 class WindowedTracer(Tracer):
@@ -123,7 +112,7 @@ class WindowedTracer(Tracer):
         if window is None:
             window = self._windows[index] = WindowSnapshot(
                 index, self.window_cycles)
-        _fold_event(window.registry, event)
+        window.registry.from_events((event,))
 
     def close(self) -> List[WindowSnapshot]:
         """Finalize: every window touched, in index order."""

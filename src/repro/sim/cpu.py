@@ -19,7 +19,6 @@ from typing import Dict, Iterable, Iterator, Optional
 
 from repro.cache.cache import SetAssociativeCache
 from repro.config import SystemConfig
-from repro.core.split import SplitIntegrityError
 from repro.core.transfer_queue import TransferQueueOverflow
 from repro.obs.metrics import phase_breakdown
 from repro.obs.tracer import CATEGORY_CPU, NULL_TRACER, Tracer
@@ -31,9 +30,10 @@ from repro.sim.stats import (LatencyStats, RunResult,
 from repro.utils.rng import DeterministicRng
 from repro.workloads.trace import TraceRecord
 
-#: Detections that may terminate a run gracefully under on_fault="record".
-RECOVERABLE_FAULTS = (IntegrityError, SplitIntegrityError,
-                      StashOverflowError, TransferQueueOverflow)
+#: Detections that may terminate a run gracefully under on_fault="record"
+#: (a Split slice failure is an IntegrityError).
+RECOVERABLE_FAULTS = (IntegrityError, StashOverflowError,
+                      TransferQueueOverflow)
 
 
 class _MissSlot:

@@ -137,10 +137,3 @@ def run_design_comparison(designs, workload, channels: int,
                                          trace_length=trace_length, **kwargs)
     return results
 
-
-#: The designs of Figure 8 (single channel) and Figure 9 (double channel),
-#: with the baselines they are normalized against.
-FIGURE8_DESIGNS = (DesignPoint.FREECURSIVE, DesignPoint.INDEP_2,
-                   DesignPoint.SPLIT_2)
-FIGURE9_DESIGNS = (DesignPoint.FREECURSIVE, DesignPoint.INDEP_4,
-                   DesignPoint.SPLIT_4, DesignPoint.INDEP_SPLIT)

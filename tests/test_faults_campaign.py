@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.core.designs import build_protocol
+from repro.core.designs import PROTOCOL_DESIGNS, build_protocol
 from repro.faults.campaign import (_CAMPAIGN_KEY, CampaignSpec,
                                    build_faulted_protocol,
                                    campaign_request, run_campaign,
@@ -15,6 +15,7 @@ from repro.obs.tracer import CATEGORY_LINK, NULL_TRACER, CollectingTracer
 from repro.parallel import fingerprint as fingerprint_module
 from repro.parallel.cache import RunCache
 from repro.parallel.pool import fanout
+from repro.utils.rng import DeterministicRng
 
 
 def faulty_spec(design, **overrides):
@@ -136,6 +137,57 @@ class TestFaultedCampaigns:
         restored = json.loads(json.dumps(payload))
         assert restored["all_detected"] is True
         assert restored["plan_digest"] == payload["plan_digest"]
+
+
+def dict_replay(design, seed, **faults):
+    """Drive a faulted protocol through 64 accesses over 8 addresses,
+    half writes, arming every site each access; returns the reads whose
+    bytes differ from a dict's, and the resilience stats."""
+    spec = CampaignSpec(design=design, accesses=64, seed=seed, **faults)
+    protocol, injector, driver, stats = build_faulted_protocol(
+        spec, spec.build_plan())
+    workload = DeterministicRng(seed, "faults/workload")
+    truth = {}
+    wrong = 0
+    for index in range(spec.accesses):
+        injector.begin_access(index)
+        address = workload.randrange(8)
+        do_write = workload.randrange(2) == 1
+        data = bytes([workload.randrange(256)]) * spec.block_bytes
+        if driver is not None:
+            driver.arm(index)
+        if do_write:
+            protocol.write(address, data)
+            truth[address] = data
+        elif protocol.read(address) != truth.get(address,
+                                                 bytes(spec.block_bytes)):
+            wrong += 1
+    return wrong, stats
+
+
+#: Seeds whose Split and INDEP-SPLIT replays served wrong bytes when a
+#: retry re-verified the healed store but served the data fetched first;
+#: Independent, which re-reads through its store, is the control.
+DICT_REPLAY_SEEDS = {"independent": (9, 10), "split": (2, 9),
+                     "indep-split": (6, 10)}
+
+
+@pytest.mark.parametrize("fault", ["bit_flips", "replays"])
+@pytest.mark.parametrize("design", PROTOCOL_DESIGNS)
+def test_faulted_reads_return_what_was_written(design, fault):
+    for seed in DICT_REPLAY_SEEDS[design]:
+        wrong, stats = dict_replay(design, seed, **{fault: 3})
+        assert stats.detections >= 1
+        assert stats.exhausted == 0
+        assert wrong == 0
+
+
+@pytest.mark.parametrize("design", ["split", "indep-split"])
+def test_split_designs_count_recovered_reads(design):
+    outcome = run_campaign(faulty_spec(design, seed=1, stuck_cells=0))
+    assert outcome.resilience["detections"] >= 1
+    assert outcome.resilience["exhausted"] == 0
+    assert outcome.resilience["recovered_reads"] >= 1
 
 
 #: sha256 of ``run_campaign(spec).canonical_json()``: one zero-fault spec

@@ -3,13 +3,15 @@
 import pytest
 
 from repro.core.commands import SdimmCommand
+from repro.core.designs import build_protocol
 from repro.core.secure_buffer import LinkRecorder
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import (FAULT_LINK_DELAY, FAULT_LINK_DROP,
-                               FAULT_LINK_DUPLICATE, FaultPlan, FaultSpec)
-from repro.faults.recovery import (ResilienceStats, ResilientLink,
+from repro.faults.injector import FaultInjector, SplitFaultDriver
+from repro.faults.plan import (FAULT_BIT_FLIP, FAULT_LINK_DELAY,
+                               FAULT_LINK_DROP, FAULT_LINK_DUPLICATE,
+                               FAULT_STUCK_CELL, FaultPlan, FaultSpec)
+from repro.faults.recovery import (JITTER, ResilienceStats, ResilientLink,
                                    RetryExhaustedError, RetryPolicy,
-                                   RetryingStore, SplitResilienceHandle)
+                                   RetryingStore)
 from repro.obs.metrics import MetricsRegistry
 from repro.oram.integrity import IntegrityError
 from repro.utils.rng import DeterministicRng
@@ -19,32 +21,30 @@ def rng():
     return DeterministicRng(9, "faults/test")
 
 
+def jittered(*bases):
+    """``bases`` plus the jitter :func:`rng`'s stream draws, in order."""
+    stream = rng()
+    return [base + stream.randrange(JITTER) for base in bases]
+
+
 class TestRetryPolicy:
     def test_backoff_grows_exponentially_to_the_cap(self):
-        policy = RetryPolicy(backoff_base=2, backoff_factor=2,
-                             backoff_cap=16, jitter=0)
-        steps = [policy.backoff_steps(a, rng()) for a in (1, 2, 3, 4, 5)]
-        assert steps == [2, 4, 8, 16, 16]
+        stream = rng()
+        steps = [RetryPolicy().backoff_steps(a, stream)
+                 for a in (1, 2, 3, 4, 5)]
+        assert steps == jittered(2, 4, 8, 16, 16)
 
     def test_jitter_is_bounded_and_deterministic(self):
-        policy = RetryPolicy(backoff_base=2, backoff_factor=2,
-                             backoff_cap=16, jitter=3)
-        first = [policy.backoff_steps(1, rng()) for _ in range(8)]
-        second = [policy.backoff_steps(1, rng()) for _ in range(8)]
+        first = [RetryPolicy().backoff_steps(1, rng()) for _ in range(8)]
+        second = [RetryPolicy().backoff_steps(1, rng()) for _ in range(8)]
         assert first == second
-        assert all(2 <= steps <= 4 for steps in first)
+        assert all(2 <= steps < 2 + JITTER for steps in first)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff_base=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=0).backoff_steps(0, rng())
-
-    def test_to_dict_round_trips_through_kwargs(self):
-        policy = RetryPolicy(max_retries=5, jitter=0)
-        assert RetryPolicy(**policy.to_dict()) == policy
+            RetryPolicy().backoff_steps(0, rng())
 
 
 class _FlakyStore:
@@ -71,8 +71,7 @@ class TestRetryingStore:
     def wrap(self, failures, max_retries=3):
         stats = ResilienceStats()
         store = RetryingStore(_FlakyStore(failures), site=1,
-                              policy=RetryPolicy(max_retries=max_retries,
-                                                 jitter=0),
+                              policy=RetryPolicy(max_retries=max_retries),
                               stats=stats, rng=rng())
         return store, stats
 
@@ -89,7 +88,7 @@ class TestRetryingStore:
         assert stats.detections == 2
         assert stats.retries == 2
         assert stats.recovered_reads == 1
-        assert stats.backoff_steps == 2 + 4
+        assert stats.backoff_steps == sum(jittered(2, 4))
         assert stats.exhausted == 0
 
     def test_exhaustion_raises_structured_error(self):
@@ -112,39 +111,68 @@ class TestRetryingStore:
         assert store.extra == "delegated"
 
 
-class TestSplitResilienceHandle:
-    def make(self, max_retries=2, heal=None):
-        stats = ResilienceStats()
-        handle = SplitResilienceHandle(
-            RetryPolicy(max_retries=max_retries, jitter=0), stats, rng(),
-            site=3, heal=heal)
-        return handle, stats
+def split_reads_behind_retries(design, max_retries, *specs):
+    """A split design whose metadata reads run through the campaign's
+    proxies: the fault driver's healing proxy inside :class:`RetryingStore`.
 
+    The root bucket is written, and ``specs`` are armed for access 0.
+    """
+    protocol = build_protocol(design, levels=5, key=b"retry-test-key!!")
+    for address in range(8):
+        protocol.write(address, bytes([address + 1]) * 64)
+    injector = FaultInjector(FaultPlan(seed=1, specs=tuple(sorted(specs))))
+    driver = SplitFaultDriver(injector)
+    stats = ResilienceStats()
+    protocol.wrap_stores(lambda site, reader: RetryingStore(
+        driver.wrap(site, reader), site, RetryPolicy(max_retries), stats,
+        rng()))
+    injector.begin_access(0)
+    driver.arm(0)
+    return protocol, driver, injector, stats
+
+
+def integrity_spec(kind, site=0):
+    return FaultSpec(access_index=0, kind=kind, site=site,
+                     persistent=kind == FAULT_STUCK_CELL)
+
+
+class TestRetryingSplitReader:
     def test_retries_below_budget(self):
-        handle, stats = self.make()
-        error = IntegrityError("bad", index=5, kind="mac")
-        assert handle.on_integrity_failure("split", 5, error, attempt=1)
-        assert handle.on_integrity_failure("split", 5, error, attempt=2)
-        assert stats.detections == 2
-        assert stats.retries == 2
+        protocol, _, injector, stats = split_reads_behind_retries(
+            "split", 2, integrity_spec(FAULT_BIT_FLIP))
+        assert protocol.read(3) == bytes([4]) * 64
+        assert stats.detections == 1
+        assert stats.retries == 1
+        assert stats.recovered_reads == 1
+        assert stats.backoff_steps == sum(jittered(2))
+        assert injector.summary()["integrity"]["detected"] == 1
 
-    def test_heal_runs_on_every_failure(self):
+    def test_heal_runs_on_every_failure(self, monkeypatch):
+        protocol, driver, injector, stats = split_reads_behind_retries(
+            "split", 2, integrity_spec(FAULT_STUCK_CELL))
         healed = []
-        handle, _ = self.make(heal=healed.append)
-        error = IntegrityError("bad", index=5, kind="mac")
-        handle.on_integrity_failure("split", 5, error, attempt=1)
+        heal = driver.heal
+        monkeypatch.setattr(driver, "heal",
+                            lambda site: (healed.append(site), heal(site)))
         with pytest.raises(RetryExhaustedError):
-            handle.on_integrity_failure("split", 5, error, attempt=3)
-        # the heal callback saw the exhausting failure too — that is how
-        # the fault driver attributes detections for persistent faults
-        assert healed == [5, 5]
+            protocol.read(3)
+        # the heal saw the exhausting failure too — that is how the fault
+        # driver attributes detections for persistent faults
+        assert healed == [0, 0, 0]
+        assert stats.detections == 3
+        assert injector.summary()["integrity"]["detected"] == 1
 
-    def test_exhaustion(self):
-        handle, stats = self.make(max_retries=1)
-        error = IntegrityError("bad", index=5, kind="mac")
+    def test_exhaustion_names_the_site(self):
+        probe, *_ = split_reads_behind_retries("indep-split", 1)
+        site = probe.locate(3)
+        protocol, _, _, stats = split_reads_behind_retries(
+            "indep-split", 1, integrity_spec(FAULT_STUCK_CELL, site=site))
         with pytest.raises(RetryExhaustedError) as excinfo:
-            handle.on_integrity_failure("split", 5, error, attempt=2)
-        assert excinfo.value.site == 3
+            protocol.read(3)
+        assert excinfo.value.site == site
+        assert excinfo.value.attempts == 1
+        assert str(excinfo.value).startswith(
+            f"split bucket 0 on site {site} still fails verification")
         assert stats.exhausted == 1
 
 
@@ -153,8 +181,7 @@ def link_with_plan(*specs, seed=4):
     injector = FaultInjector(plan)
     recorder = LinkRecorder(enabled=True)
     stats = ResilienceStats()
-    link = ResilientLink(recorder, injector, stats,
-                         RetryPolicy(jitter=0), rng())
+    link = ResilientLink(recorder, injector, stats, RetryPolicy(), rng())
     injector.begin_access(0)
     return link, recorder, stats, injector
 

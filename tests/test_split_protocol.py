@@ -60,7 +60,6 @@ def assert_stash_state(protocol):
     """Between accesses every stash slot is plaintext and nothing waits."""
     assert protocol.stashes_aligned()
     for buffer in protocol.buffers:
-        assert buffer._pending == {}
         for entry in buffer.stash:
             assert isinstance(entry, bytes)
             assert len(entry) == buffer.slice_bytes
@@ -275,6 +274,30 @@ class TestIntegrity:
         with pytest.raises(SplitIntegrityError):
             for _ in range(300):
                 protocol.read(1)
+
+    def test_buffer_verifies_the_cell_it_fetched(self):
+        """A bit of the root flipped in every way during FETCH_DATA and
+        restored before the metadata read: the MAC covers the fetched
+        cell, so the access fails instead of serving the flipped data."""
+        protocol = make_protocol(seed=5)
+        for address in range(8):
+            protocol.write(address, payload(address))
+        fetch = protocol._fetch_data
+
+        def windowed_fetch(leaf):
+            saved = [buffer.snapshot_bucket(0) for buffer in protocol.buffers]
+            for buffer in protocol.buffers:
+                buffer.tamper_bucket(0)
+            fetch(leaf)
+            for buffer, cell in zip(protocol.buffers, saved):
+                buffer.restore_bucket(0, cell)
+
+        protocol._fetch_data = windowed_fetch
+        with pytest.raises(SplitIntegrityError) as caught:
+            for address in range(8):
+                protocol.read(address)
+        assert (caught.value.bucket, caught.value.way,
+                caught.value.kind) == (0, 0, "mac")
 
     def test_counter_slices_reassemble(self):
         """The ways' counter slices merge back to the true write counter."""
