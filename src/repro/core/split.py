@@ -51,7 +51,6 @@ from repro.obs.tracer import (
     StepClock,
     Tracer,
 )
-from repro.oram.bucket import Block
 from repro.oram.posmap import PositionMap
 from repro.oram.path_oram import Op
 from repro.oram.stash import Stash
@@ -306,11 +305,11 @@ class SplitBuffer:
 
     # ------------------------------------------------------------------
 
-    def tamper_bucket(self, bucket: int) -> None:
-        """Adversarial hook: flip a bit of a stored data slice."""
+    def tamper_bucket(self, bucket: int, bit: int = 0) -> None:
+        """Adversarial hook: flip bit ``bit`` of a stored data slice."""
         cell = self._store[bucket]
         flipped = bytearray(cell.ciphertext)
-        flipped[self._slot_offset(0)] ^= 1
+        flipped[self._slot_offset(0) + bit // 8] ^= 1 << (bit % 8)
         self._store[bucket] = cell._replace(ciphertext=bytes(flipped))
 
     def snapshot_bucket(self, bucket: int) -> Optional[_StoreCell]:
@@ -577,12 +576,12 @@ class SplitProtocol:
         """Step 5: plan eviction on the shadow, ship RECEIVE_LIST."""
         start = self.clock.now
         # Greedy eviction over the shadow (tags only), reusing the standard
-        # Path ORAM planner via throwaway Block records.
+        # Path ORAM planner: it reads only each entry's address and leaf.
         planner = Stash(self.stash_capacity)
         index_of = {}
         for index, entry in enumerate(self.shadow):
             if entry.address is not None:
-                planner.add(Block(entry.address, entry.leaf, b""))
+                planner.add(entry)
                 index_of[entry.address] = index
         leaf = self._leaf_of_path(path)
         placement = planner.plan_eviction(self.geometry, leaf,

@@ -17,11 +17,15 @@ arithmetic instead of a per-byte generator.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, Tuple
 
 from repro.crypto.prf import Prf
 from repro.utils import memo
 from repro.utils.memo import DEFAULT_MEMO_CAP
+
+#: A pad's seed: nonce and counter, 8 little-endian bytes each.
+_NONCE_COUNTER = struct.Struct("<QQ")
 
 
 class CounterModeCipher:
@@ -35,9 +39,9 @@ class CounterModeCipher:
         """The keystream for a given (nonce, counter) pair."""
         cached = self._pad_cache.get((nonce, counter))
         if cached is not None and len(cached) >= length:
-            return cached[:length]
-        seed = nonce.to_bytes(8, "little") + counter.to_bytes(8, "little")
-        keystream = self._prf.evaluate(b"pad:" + seed, length)
+            return cached if len(cached) == length else cached[:length]
+        keystream = self._prf.evaluate(
+            b"pad:" + _NONCE_COUNTER.pack(nonce, counter), length)
         if memo.CORE.memo:
             if len(self._pad_cache) >= DEFAULT_MEMO_CAP:
                 self._pad_cache.clear()
@@ -52,10 +56,13 @@ class CounterModeCipher:
         offsets of the keystream; two pieces under the same bytes of pad
         XOR to the XOR of their plaintexts.
         """
-        pad = self.pad(nonce, counter, offset + len(plaintext))[offset:]
+        length = len(plaintext)
+        pad = self.pad(nonce, counter, offset + length)
+        if offset:
+            pad = pad[offset:]
         mask = int.from_bytes(plaintext, "little") ^ \
             int.from_bytes(pad, "little")
-        return mask.to_bytes(len(plaintext), "little")
+        return mask.to_bytes(length, "little")
 
     def decrypt(self, ciphertext: bytes, nonce: int, counter: int,
                 offset: int = 0) -> bytes:

@@ -11,8 +11,12 @@ calls out.
 from __future__ import annotations
 
 import hmac
+import struct
 
 from repro.crypto.prf import Prf
+
+#: A bucket index and a write counter, 8 little-endian bytes each.
+_INDEX_COUNTER = struct.Struct("<QQ")
 
 
 class MacError(Exception):
@@ -52,7 +56,7 @@ class PmmacAuthenticator:
         self._prf = Prf(key)
 
     def tag(self, bucket_index: int, counter: int, payload: bytes) -> bytes:
-        header = bucket_index.to_bytes(8, "little") + counter.to_bytes(8, "little")
+        header = _INDEX_COUNTER.pack(bucket_index, counter)
         return self._prf.evaluate(b"pmmac:" + header + payload, self.TAG_BYTES)
 
     def verify(self, bucket_index: int, counter: int, payload: bytes,

@@ -369,10 +369,10 @@ class SplitFaultDriver:
         return [buffer.snapshot_bucket(self.TARGET_BUCKET)
                 for buffer in buffers]
 
-    def _tamper(self, buffers) -> bool:
+    def _tamper(self, buffers, bit: int) -> bool:
         for buffer in buffers:
             if buffer.snapshot_bucket(self.TARGET_BUCKET) is not None:
-                buffer.tamper_bucket(self.TARGET_BUCKET)
+                buffer.tamper_bucket(self.TARGET_BUCKET, bit)
                 return True
         return False
 
@@ -389,10 +389,14 @@ class SplitFaultDriver:
             if active_sites is not None and site not in active_sites:
                 continue
             clean = self._snapshot(buffers)
+            # Each corruption of this access flips its own bit: two flips
+            # of one bit would cancel, leaving nothing to detect.
+            flips = 0
             stuck = self._stuck.get(site)
             if stuck is not None:
                 # persistent: re-corrupt whatever the last write-back stored
-                self._tamper(buffers)
+                self._tamper(buffers, flips)
+                flips += 1
             pending = self._saved.setdefault(site, [])
             for scheduled in self._injector.take_integrity_specs(site):
                 snap = self._snapshot(buffers)
@@ -410,10 +414,12 @@ class SplitFaultDriver:
                                                 "cell never written")
                     continue
                 elif kind == FAULT_BIT_FLIP:
-                    self._tamper(buffers)
+                    self._tamper(buffers, flips)
+                    flips += 1
                 elif kind == FAULT_STUCK_CELL:
                     self._stuck[site] = scheduled
-                    self._tamper(buffers)
+                    self._tamper(buffers, flips)
+                    flips += 1
                 else:  # pragma: no cover - plan validation precludes this
                     self._injector.note_vacuous(scheduled,
                                                 "not an integrity kind")

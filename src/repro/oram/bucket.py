@@ -9,11 +9,18 @@ format here is therefore explicit and byte-exact.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import List, Optional
 
 #: Tag value marking an empty (dummy) slot in serialized form.
 DUMMY_TAG = (1 << 64) - 1
+
+#: One slot's header in serialized form: 8-byte tag, 8-byte leaf.
+_SLOT_HEADER = struct.Struct("<QQ")
+
+#: A dummy slot's header: DUMMY_TAG and leaf 0.
+_EMPTY_HEADER = _SLOT_HEADER.pack(DUMMY_TAG, 0)
 
 
 @dataclass
@@ -73,7 +80,7 @@ class Bucket:
         raise OverflowError("bucket is full")
 
     def clear(self) -> List[Block]:
-        """Remove and return all real blocks (path read into the stash)."""
+        """Remove and return all real blocks."""
         removed = self.blocks()
         self.slots = [None] * self.capacity
         return removed
@@ -95,15 +102,16 @@ class Bucket:
         serialized size is constant — a requirement for indistinguishable
         ciphertexts.
         """
+        pack = _SLOT_HEADER.pack
+        empty = None
         parts = []
         for slot in self.slots:
             if slot is None:
-                parts.append(DUMMY_TAG.to_bytes(8, "little"))
-                parts.append((0).to_bytes(8, "little"))
-                parts.append(bytes(self.block_bytes))
+                if empty is None:
+                    empty = _EMPTY_HEADER + bytes(self.block_bytes)
+                parts.append(empty)
             else:
-                parts.append(slot.address.to_bytes(8, "little"))
-                parts.append(slot.leaf.to_bytes(8, "little"))
+                parts.append(pack(slot.address, slot.leaf))
                 parts.append(slot.data)
         return b"".join(parts)
 
@@ -115,11 +123,12 @@ class Bucket:
             raise ValueError(f"serialized bucket has {len(raw)} bytes, "
                              f"expected {capacity * stride}")
         bucket = cls(capacity, block_bytes)
+        slots = bucket.slots
+        unpack_from = _SLOT_HEADER.unpack_from
         for index in range(capacity):
             offset = index * stride
-            tag = int.from_bytes(raw[offset:offset + 8], "little")
-            leaf = int.from_bytes(raw[offset + 8:offset + 16], "little")
-            payload = raw[offset + 16:offset + stride]
+            tag, leaf = unpack_from(raw, offset)
             if tag != DUMMY_TAG:
-                bucket.slots[index] = Block(tag, leaf, payload)
+                slots[index] = Block(tag, leaf,
+                                     raw[offset + 16:offset + stride])
         return bucket

@@ -172,22 +172,27 @@ class PathOram:
         return result
 
     def _read_path(self, leaf: int) -> None:
+        # The store hands over each bucket outright: its blocks move to
+        # the stash without emptying the bucket first.
+        read = self.store.read
+        add = self.stash.add
         for bucket_index in self.geometry.path(leaf):
-            bucket = self.store.read(bucket_index)
-            for block in bucket.clear():
-                self.stash.add(block)
+            for block in read(bucket_index).slots:
+                if block is not None:
+                    add(block)
             if self.record_trace:
                 self.trace.append(TraceEvent("read", bucket_index))
 
     def _write_path(self, leaf: int) -> None:
-        placement = self.stash.plan_eviction(
-            self.geometry, leaf, self.blocks_per_bucket)
-        for level in range(self.geometry.levels):
-            bucket_index = self.geometry.path_bucket(leaf, level)
-            bucket = Bucket(self.blocks_per_bucket, self.block_bytes)
-            for block in placement.get(level, []):
-                bucket.insert(block)
-            self.store.write(bucket_index, bucket)
+        capacity = self.blocks_per_bucket
+        placement = self.stash.plan_eviction(self.geometry, leaf, capacity)
+        write = self.store.write
+        for level, bucket_index in enumerate(self.geometry.path(leaf)):
+            bucket = Bucket(capacity, self.block_bytes)
+            chosen = placement.get(level)
+            if chosen:
+                bucket.slots[:len(chosen)] = chosen
+            write(bucket_index, bucket)
             if self.record_trace:
                 self.trace.append(TraceEvent("write", bucket_index))
 

@@ -48,8 +48,10 @@ class Stash:
 
     def add(self, block: Block) -> None:
         """Insert or replace a block (same address replaces in place)."""
-        self._blocks[block.address] = block
-        self.peak_occupancy = max(self.peak_occupancy, len(self._blocks))
+        blocks = self._blocks
+        blocks[block.address] = block
+        if len(blocks) > self.peak_occupancy:
+            self.peak_occupancy = len(blocks)
         if self.tracer.enabled:
             self._sample()
 
@@ -78,17 +80,20 @@ class Stash:
         Returns a map from level to the block list for that level's bucket.
         """
         placement: Dict[int, List[Block]] = {}
-        # Each block's deepest level on the path, computed once per call.
-        remaining = [(geometry.deepest_common_level(block.leaf, leaf), block)  # reprolint: disable=SEC003 -- leaf comparison inside trusted SRAM; result never leaves the stash
+        # Each block's deepest level on the path, computed once per call:
+        # geometry.deepest_common_level, with only the path's leaf checked.
+        geometry.check_leaf(leaf)
+        top = geometry.levels - 1
+        remaining = [(top - (block.leaf ^ leaf).bit_length(), block)
                      for block in self._blocks.values()]
-        for level in range(geometry.levels - 1, -1, -1):
+        for level in range(top, -1, -1):
             chosen: List[Block] = []
             survivors = []
-            for depth, block in remaining:
-                if len(chosen) < bucket_capacity and depth >= level:  # reprolint: disable=SEC003 -- greedy eviction runs in trusted SRAM; write-back shape is the fixed full path regardless of which blocks fit
-                    chosen.append(block)
+            for entry in remaining:
+                if entry[0] >= level and len(chosen) < bucket_capacity:  # reprolint: disable=SEC003 -- greedy eviction runs in trusted SRAM; write-back shape is the fixed full path regardless of which blocks fit
+                    chosen.append(entry[1])
                 else:
-                    survivors.append((depth, block))
+                    survivors.append(entry)
             remaining = survivors
             if chosen:
                 placement[level] = chosen

@@ -44,13 +44,14 @@ class TreeGeometry:
 
     def path(self, leaf: int) -> List[int]:
         """Bucket indices from the root down to ``leaf``'s leaf bucket."""
-        self._check_leaf(leaf)
-        return [self.bucket_at(level, leaf >> (self.levels - 1 - level))
+        self.check_leaf(leaf)
+        top = self.levels - 1
+        return [(1 << level) - 1 + (leaf >> (top - level))
                 for level in range(self.levels)]
 
     def path_bucket(self, leaf: int, level: int) -> int:
         """The single bucket of ``leaf``'s path at ``level``."""
-        self._check_leaf(leaf)
+        self.check_leaf(leaf)
         return self.bucket_at(level, leaf >> (self.levels - 1 - level))
 
     def on_path(self, bucket: int, leaf: int) -> bool:
@@ -65,8 +66,8 @@ class TreeGeometry:
         be stored when evicting along the path to ``leaf_b`` — the heart of
         the greedy Path ORAM write-back.
         """
-        self._check_leaf(leaf_a)
-        self._check_leaf(leaf_b)
+        self.check_leaf(leaf_a)
+        self.check_leaf(leaf_b)
         differing = leaf_a ^ leaf_b
         if differing == 0:
             return self.levels - 1
@@ -79,7 +80,7 @@ class TreeGeometry:
         bits of the leaf ID"; with ``partitions`` SDIMMs, SDIMM *i* owns
         leaves ``[i * leaf_count/partitions, (i+1) * leaf_count/partitions)``.
         """
-        self._check_leaf(leaf)
+        self.check_leaf(leaf)
         bits = log2_exact(partitions)
         return leaf >> (self.levels - 1 - bits)
 
@@ -112,7 +113,8 @@ class TreeGeometry:
             raise ValueError(f"bucket {bucket} out of range "
                              f"(tree has {self.bucket_count})")
 
-    def _check_leaf(self, leaf: int) -> None:
+    def check_leaf(self, leaf: int) -> None:
+        """Raise ValueError unless ``leaf`` names a leaf of this tree."""
         if not 0 <= leaf < self.leaf_count:
             raise ValueError(f"leaf {leaf} out of range "
                              f"(tree has {self.leaf_count})")

@@ -288,12 +288,13 @@ class BatchingScheduler:
                                         coalesced=key in coalesced_keys)
                     completions.append(record)
                     sojourn.record(record.sojourn)
-                    per_tenant.setdefault(
-                        request.tenant,
-                        LatencyStats(sample_rng=DeterministicRng(
-                            self._sample_seed,
-                            f"serve/sojourn/{request.tenant}"))
-                    ).record(record.sojourn)
+                    stats = per_tenant.get(request.tenant)
+                    if stats is None:
+                        stats = per_tenant[request.tenant] = LatencyStats(
+                            sample_rng=DeterministicRng(
+                                self._sample_seed,
+                                f"serve/sojourn/{request.tenant}"))
+                    stats.record(record.sojourn)
                     if self.keep_read_bytes and key in served:
                         read_bytes[key] = served[key]
                     if plane is not None:

@@ -10,7 +10,7 @@ from repro.faults.campaign import (_CAMPAIGN_KEY, CampaignSpec,
                                    build_faulted_protocol,
                                    campaign_request, run_campaign,
                                    run_campaign_sweep)
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FAULT_BIT_FLIP, FaultPlan, FaultSpec
 from repro.obs.tracer import CATEGORY_LINK, NULL_TRACER, CollectingTracer
 from repro.parallel import fingerprint as fingerprint_module
 from repro.parallel.cache import RunCache
@@ -109,6 +109,26 @@ class TestFaultedCampaigns:
         first = run_campaign(spec).canonical_json()
         second = run_campaign(spec).canonical_json()
         assert first == second
+
+    @pytest.mark.parametrize("plan", [
+        # two flips armed on one Split access
+        FaultPlan(seed=0, specs=(FaultSpec(12, FAULT_BIT_FLIP),
+                                 FaultSpec(12, FAULT_BIT_FLIP))),
+        # the plan `repro faults --design split --seeds 4 --bit-flips 3
+        # --replays 2` draws: two of its flips land on one access
+        CampaignSpec(design="split", seed=4, accesses=64, bit_flips=3,
+                     replays=2).build_plan(),
+    ], ids=["same-access", "cli-seed-4"])
+    def test_split_flips_on_one_access_do_not_cancel(self, plan):
+        flips = [spec.access_index for spec in plan.specs
+                 if spec.kind == FAULT_BIT_FLIP]
+        assert len(flips) > len(set(flips))
+        outcome = run_campaign(CampaignSpec(design="split", seed=4,
+                                            accesses=64), plan=plan)
+        assert outcome.completed, outcome.terminal
+        assert outcome.all_detected
+        integrity = outcome.detection["integrity"]
+        assert integrity["detected"] == integrity["applied"] >= 2
 
     def test_independent_stuck_cell_quarantines(self):
         outcome = run_campaign(faulty_spec("independent"))

@@ -65,6 +65,25 @@ class TestBucket:
                      for item in restored.blocks()}
         assert original == recovered
 
+    def test_serialize_matches_the_byte_format(self):
+        """Per slot: 8-byte tag, 8-byte leaf, payload, all little-endian;
+        a dummy slot is DUMMY_TAG, leaf 0 and a zero payload."""
+        bucket = Bucket(4, 16)
+        bucket.slots = [None, block(2**40 + 3, 5, fill=0x11), None,
+                        block(7, 2**20, fill=0x22)]
+        dummy = DUMMY_TAG.to_bytes(8, "little") + \
+            (0).to_bytes(8, "little") + bytes(16)
+        expected = (dummy +
+                    (2**40 + 3).to_bytes(8, "little") +
+                    (5).to_bytes(8, "little") + b"\x11" * 16 +
+                    dummy +
+                    (7).to_bytes(8, "little") +
+                    (2**20).to_bytes(8, "little") + b"\x22" * 16)
+        assert bucket.serialize() == expected
+        restored = Bucket.deserialize(expected, 4, 16)
+        assert restored.slots == bucket.slots
+        assert restored.serialize() == expected
+
     def test_deserialize_rejects_bad_length(self):
         with pytest.raises(ValueError):
             Bucket.deserialize(b"\x00" * 10, 4, 16)
@@ -162,7 +181,7 @@ class TestEvictionPlanner:
             for placed in blocks:
                 assert tree.on_path(bucket, placed.leaf)
 
-    @settings(max_examples=25)
+    @settings(max_examples=200)
     @given(st.integers(min_value=1, max_value=8), st.data())
     def test_placement_equals_per_level_loop(self, levels, data):
         """Placement and leftovers match the loop that recomputed each

@@ -59,6 +59,8 @@ class TestPaths:
         tree = TreeGeometry(6)
         for leaf in range(tree.leaf_count):
             path = tree.path(leaf)
+            assert path == [tree.bucket_at(level, leaf >> (5 - level))
+                            for level in range(6)]
             assert path[0] == 0
             for upper, lower in zip(path, path[1:]):
                 assert tree.parent(lower) == upper

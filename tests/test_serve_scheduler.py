@@ -5,6 +5,7 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.oram.path_oram import Op
 from repro.serve.loadgen import Request
+from repro.serve import scheduler as scheduler_module
 from repro.serve.scheduler import AdmissionRejected, BatchingScheduler
 
 
@@ -201,6 +202,26 @@ class TestAccounting:
         assert outcome.per_tenant["a"].count == 2
         assert outcome.per_tenant["b"].count == 1
         assert outcome.sojourn.count == 3
+
+    def test_sample_rngs_built_once_per_tenant(self, monkeypatch):
+        # One for the pooled sojourn, one per tenant: never one per
+        # completion.
+        built = []
+
+        class CountingRng(scheduler_module.DeterministicRng):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(scheduler_module, "DeterministicRng",
+                            CountingRng)
+        requests = [read(i, i, i % 5, tenant=f"t{i % 3}")
+                    for i in range(30)]
+        for _ in range(2):
+            built.clear()
+            outcome = run(requests, capacity=32, batch=4)
+            assert outcome.sojourn.count == 30
+            assert len(built) == 1 + len(outcome.per_tenant) == 4
 
     def test_program_order_preserved_per_tenant(self):
         requests = [read(0, i, i) for i in range(12)]
