@@ -230,15 +230,18 @@ def cmd_faults(args) -> int:
                           buffer_stalls=args.buffer_stalls,
                           max_retries=args.retries)
              for design in designs for seed in seeds]
+    meta: List[dict] = []
     reports = run_campaign_sweep(specs, jobs=args.jobs,
-                                 cache=_sweep_cache(args))
+                                 cache=_sweep_cache(args), meta=meta)
     ledger = _ledger(args)
     if ledger is not None:
         from repro.obs.ledger import campaign_core, make_record
 
-        for report in reports:
-            ledger.append(make_record("faults", campaign_core(report),
-                                      jobs=args.jobs))
+        for report, info in zip(reports, meta):
+            ledger.append(make_record(
+                "faults", campaign_core(report),
+                wall_ms=float(info["wall_ms"]), jobs=args.jobs,
+                from_cache=bool(info["from_cache"])))
     import json
 
     if args.report:

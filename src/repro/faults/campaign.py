@@ -324,13 +324,18 @@ def _campaign_worker(spec: CampaignSpec) -> Dict[str, object]:
 
 
 def run_campaign_sweep(specs: Sequence[CampaignSpec], jobs: int = 1,
-                       cache: Optional[RunCache] = None
+                       cache: Optional[RunCache] = None,
+                       meta: Optional[List[Dict[str, object]]] = None
                        ) -> List[Dict[str, object]]:
     """Run several campaigns; results come back in submission order.
 
     One :func:`repro.parallel.pool.fanout` call: cache-first, pool with
     serial fallback, bit-identical regardless of completion order.
+    ``meta``, when given, receives one ``{"wall_ms", "from_cache"}`` dict
+    per spec, as :func:`repro.serve.bench.run_serve_sweep` fills it.
     """
     outcomes = fanout(specs, _campaign_worker, jobs=jobs, cache=cache,
                       key=campaign_request)
+    if meta is not None:
+        meta.extend(entry for _, entry in outcomes)
     return [payload for payload, _ in outcomes]

@@ -114,6 +114,26 @@ class TestFaultsCommand:
         output = capsys.readouterr().out
         assert output.count("split") == 2
 
+    def test_ledger_records_cold_and_warm_runs(self, tmp_path, capsys,
+                                               monkeypatch):
+        import json
+
+        monkeypatch.delenv("REPRO_NO_LEDGER", raising=False)
+        args = ["faults", "--design", "independent", "--design", "split",
+                "--accesses", "16", "--cache-dir", str(tmp_path / "cache")]
+        ledgers = [tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"]
+        for ledger in ledgers:
+            assert main(args + ["--ledger", str(ledger)]) == 0
+        capsys.readouterr()
+        cold, warm = ([json.loads(line)["host"]
+                       for line in ledger.read_text().splitlines()]
+                      for ledger in ledgers)
+        assert len(cold) == len(warm) == 2
+        assert all(host["from_cache"] is False and host["wall_ms"] > 0
+                   for host in cold)
+        assert all(host["from_cache"] is True and "wall_ms" in host
+                   for host in warm)
+
     def test_audit_trace_with_faults_flag_parses(self):
         args = build_parser().parse_args(["audit-trace", "--with-faults"])
         assert args.with_faults
