@@ -2,7 +2,7 @@
 
 The Independent protocol already partitions its ORAM tree across SDIMMs
 by the most significant bits of the leaf ID
-(:meth:`repro.core.independent.IndependentBuffer.owner_of`), and Path
+(:meth:`repro.core.independent.PartitionSite.owner_of`), and Path
 ORAM's per-subtree independence makes that split correct without
 cross-shard coordination on the access path.  The serving tier reuses
 exactly that key one layer up:
