@@ -88,6 +88,30 @@ class TestWiredProtocol:
         for address, expected in reference.items():
             assert protocol.read(address) == expected
 
+    def test_wrap_stores_reaches_every_buffer(self):
+        """The fault seam wraps the store behind each port."""
+        protocol = self.make()
+        reads = {}
+
+        class CountingStore:
+            def __init__(self, site, store):
+                self.site, self.store = site, store
+                reads[site] = 0
+
+            def read(self, index):
+                reads[self.site] += 1
+                return self.store.read(index)
+
+            def write(self, index, bucket):
+                self.store.write(index, bucket)
+
+        protocol.wrap_stores(CountingStore)
+        for address in range(8):
+            protocol.write(address, payload(address))
+        assert all(protocol.read(address) == payload(address)
+                   for address in range(8))
+        assert sorted(reads) == [0, 1] and all(reads.values())
+
     def test_frames_flow_through_both_ports(self):
         protocol = self.make()
         protocol.write(1, payload(1))
