@@ -115,6 +115,23 @@ class TestCorrectness:
         with pytest.raises(ValueError):
             SplitProtocol(levels=5, ways=3, block_bytes=16)
 
+    def test_metadata_must_divide(self):
+        """4 slots of 16 metadata bytes do not divide across 3 ways, even
+        when the 48-byte block does: rejected before any access."""
+        with pytest.raises(ValueError, match="metadata"):
+            SplitProtocol(levels=5, ways=3, block_bytes=48)
+        with pytest.raises(ValueError, match="metadata"):
+            IndepSplitProtocol(global_levels=6, ways=3, block_bytes=48)
+
+    def test_even_three_way_metadata_serves(self):
+        """3 slots of 16 bytes split evenly across 3 ways."""
+        protocol = SplitProtocol(levels=5, ways=3, blocks_per_bucket=3,
+                                 block_bytes=48)
+        for address in range(6):
+            protocol.write(address, bytes([address]) * 48)
+        for address in range(6):
+            assert protocol.read(address) == bytes([address]) * 48
+
 
 class TestSlicing:
     def test_no_buffer_holds_whole_block(self):
@@ -271,9 +288,12 @@ class TestIntegrity:
         for address in range(200):
             protocol.write(address % 20, payload(address % 256))
         victim._store[bucket] = stale_cell  # adversarial replay, one way
-        with pytest.raises(SplitIntegrityError):
+        with pytest.raises(SplitIntegrityError) as caught:
             for _ in range(300):
                 protocol.read(1)
+        assert (caught.value.kind, caught.value.bucket) == ("counter",
+                                                           bucket)
+        assert "does not match the trusted chain" in str(caught.value)
 
     def test_buffer_verifies_the_cell_it_fetched(self):
         """A bit of the root flipped in every way during FETCH_DATA and
