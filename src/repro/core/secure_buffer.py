@@ -10,15 +10,13 @@ SDIMM, payload size — so tests can assert that property directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.core.commands import SdimmCommand
 from repro.obs.tracer import CATEGORY_LINK, NULL_TRACER, StepClock, Tracer
 
 
-@dataclass(frozen=True)
-class LinkEvent:
+class LinkEvent(NamedTuple):
     """One command observed on the (encrypted) CPU<->SDIMM link."""
 
     direction: str           # "up" = CPU->SDIMM, "down" = SDIMM->CPU

@@ -24,8 +24,9 @@ from repro.crypto.prf import Prf
 from repro.utils import memo
 from repro.utils.memo import DEFAULT_MEMO_CAP
 
-#: A pad's seed: nonce and counter, 8 little-endian bytes each.
-_NONCE_COUNTER = struct.Struct("<QQ")
+#: A pad's seed: the ``pad:`` label, then nonce and counter, 8
+#: little-endian bytes each.
+_PAD_SEED = struct.Struct("<4sQQ")
 
 
 class CounterModeCipher:
@@ -41,8 +42,8 @@ class CounterModeCipher:
         if cached is not None and len(cached) >= length:
             return cached if len(cached) == length else cached[:length]
         keystream = self._prf.evaluate(
-            b"pad:" + _NONCE_COUNTER.pack(nonce, counter), length)
-        if memo.CORE.memo:
+            _PAD_SEED.pack(b"pad:", nonce, counter), length)
+        if not memo.CORE.reference:
             if len(self._pad_cache) >= DEFAULT_MEMO_CAP:
                 self._pad_cache.clear()
             self._pad_cache[(nonce, counter)] = keystream
