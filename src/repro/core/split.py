@@ -333,8 +333,10 @@ class MetadataReader:
     """The CPU's per-bucket metadata read, as a store a retry layer wraps.
 
     ``read(bucket)`` verifies and merges one bucket's slices from every
-    way.  ``noun`` names what it reads in retry failure text, and
-    ``buffers`` are the way buffers a fault driver arms.
+    way.  ``begin_access()`` runs when a real access begins (a dummy
+    access does not call it): a no-op here, it is the hook a fault proxy
+    arms on.  ``noun`` names what it reads in retry failure text, and
+    ``buffers`` are the way buffers a fault proxy arms.
     """
 
     noun = "split bucket"
@@ -342,6 +344,9 @@ class MetadataReader:
     def __init__(self, protocol: "SplitProtocol"):
         self.buffers = protocol.buffers
         self.read = protocol._read_metadata
+
+    def begin_access(self) -> None:
+        """A real access begins (no-op)."""
 
 
 class SplitProtocol:
@@ -437,6 +442,9 @@ class SplitProtocol:
         self.posmap.set(address, new_leaf)
         path = self.geometry.path(old_leaf)
 
+        # here, not in _fetch_data: a dummy access (a queue drain) does
+        # not begin an access of the reader
+        self.metadata_reader.begin_access()
         self._fetch_data(path)
         old_counters = self._read_path_metadata(path)
 

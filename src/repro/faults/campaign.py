@@ -23,13 +23,13 @@ digest + code fingerprint.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.designs import (PROTOCOL_DESIGNS, build_protocol,
                                 design_sites)
 from repro.core.transfer_queue import TransferQueueOverflow
-from repro.faults.injector import FaultInjector, SplitFaultDriver, FaultyStore
+from repro.faults.injector import (FaultInjector, FaultyStore,
+                                   SplitFaultyReader)
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import (ResilienceStats, ResilientLink,
                                    RetryExhaustedError, RetryPolicy,
@@ -165,50 +165,16 @@ class CampaignOutcome:
 # Protocol wiring
 # ----------------------------------------------------------------------
 
-def _wire_faults(spec: CampaignSpec, protocol, injector: FaultInjector,
-                 policy: RetryPolicy, stats: ResilienceStats
-                 ) -> Optional[SplitFaultDriver]:
-    """Put every site's store behind its fault proxy and one retry layer.
-
-    The fault proxy is :class:`FaultyStore` for Independent SDIMMs and the
-    Split driver's healing proxy for the split designs; returns that
-    driver, if any, for per-access arming.
-    """
-    driver = None if spec.design == "independent" else \
-        SplitFaultDriver(injector)
-    proxy = partial(FaultyStore, injector) if driver is None else driver.wrap
-    protocol.wrap_stores(lambda site, store: RetryingStore(
-        proxy(site, store), site, policy, stats,
-        DeterministicRng(spec.seed, f"faults/retry/{site}")))
-    return driver
-
-
-# ----------------------------------------------------------------------
-# The campaign driver
-# ----------------------------------------------------------------------
-
-def _active_sites(spec: CampaignSpec, protocol, address: int):
-    """Which sites the next access will read — arming targets only these.
-
-    Plain Split always reads its one site.  For INDEP-SPLIT the owning
-    group is read (harness-side peek at the posmap: the fault driver is
-    the experimenter, not the adversary); a quarantined owner is served
-    by the degraded path, which reads nothing.
-    """
-    if spec.design == "split":
-        return {0}
-    owner = protocol.locate(address)
-    if owner in protocol.quarantined:
-        return set()
-    return {owner}
-
-
 def build_faulted_protocol(spec: CampaignSpec, plan: FaultPlan,
                            tracer: Tracer = NULL_TRACER):
-    """One fully wired faulted protocol: (protocol, injector, driver, stats).
+    """One fully wired faulted protocol: (protocol, injector, stats).
 
-    Shared by :func:`run_campaign` and the faulted bus-trace audit in
-    :mod:`repro.obs.audit`, so both exercise the identical machinery.
+    Every site's store sits behind its fault proxy —
+    :class:`FaultyStore` for Independent SDIMMs,
+    :class:`SplitFaultyReader` for the split designs — and one retry
+    layer.  Shared by :func:`run_campaign` and the faulted bus-trace
+    audit in :mod:`repro.obs.audit`, so both exercise the identical
+    machinery.
     """
     policy = RetryPolicy(max_retries=spec.max_retries)
     stats = ResilienceStats()
@@ -220,12 +186,20 @@ def build_faulted_protocol(spec: CampaignSpec, plan: FaultPlan,
     # Shares the protocol's logical clock so fault-trace instants line up
     # with the link timeline.
     injector = FaultInjector(plan, tracer=tracer, clock=protocol.clock)
-    driver = _wire_faults(spec, protocol, injector, policy, stats)
+    proxy = FaultyStore if spec.design == "independent" else \
+        SplitFaultyReader
+    protocol.wrap_stores(lambda site, store: RetryingStore(
+        proxy(injector, site, store), site, policy, stats,
+        DeterministicRng(spec.seed, f"faults/retry/{site}")))
     link_rng = DeterministicRng(spec.seed, "faults/link")
     protocol.link = ResilientLink(protocol.link, injector, stats, policy,
                                   link_rng)
-    return protocol, injector, driver, stats
+    return protocol, injector, stats
 
+
+# ----------------------------------------------------------------------
+# The campaign driver
+# ----------------------------------------------------------------------
 
 def run_campaign(spec: CampaignSpec, plan: Optional[FaultPlan] = None,
                  tracer: Tracer = NULL_TRACER) -> CampaignOutcome:
@@ -237,8 +211,8 @@ def run_campaign(spec: CampaignSpec, plan: Optional[FaultPlan] = None,
     """
     if plan is None:
         plan = spec.build_plan()
-    protocol, injector, driver, stats = build_faulted_protocol(
-        spec, plan, tracer=tracer)
+    protocol, injector, stats = build_faulted_protocol(spec, plan,
+                                                       tracer=tracer)
 
     workload_rng = DeterministicRng(spec.seed, "faults/workload")
     address_space = max(4, min(64, 1 << (spec.levels - 1)))
@@ -257,9 +231,6 @@ def run_campaign(spec: CampaignSpec, plan: Optional[FaultPlan] = None,
                 protocol.clock.tick()
             stats.buffer_stalls += 1
             injector.note_applied(scheduled)
-        if driver is not None:
-            driver.arm(access_index,
-                       active_sites=_active_sites(spec, protocol, address))
         try:
             if do_write:
                 protocol.write(address, payload)
@@ -283,8 +254,6 @@ def run_campaign(spec: CampaignSpec, plan: Optional[FaultPlan] = None,
             break
         completed += 1
 
-    if driver is not None:
-        driver.finalize()
     injector.finalize()
     metrics = MetricsRegistry()
     stats.fold_into(metrics)

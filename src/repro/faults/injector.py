@@ -12,9 +12,11 @@ fires when its ordinal comes up.  Transient faults (bit-flips, replays)
 are *healed* — the saved pre-fault cell is put back — the moment a
 verifier catches them, which is what lets the recovery layer's re-read
 succeed; persistent stuck cells re-corrupt on every write and can only
-end in retry exhaustion.  Both fault proxies (:class:`FaultyStore` and
-the Split driver's :meth:`SplitFaultDriver.wrap`) sit inside the one
-:class:`~repro.faults.recovery.RetryingStore`, which owns every retry.
+end in retry exhaustion.  Both fault proxies, one per site —
+:class:`FaultyStore` over an Independent SDIMM's bucket store and
+:class:`SplitFaultyReader` over a Split site's metadata reader — sit
+inside the one :class:`~repro.faults.recovery.RetryingStore`, which owns
+every retry.
 """
 
 from __future__ import annotations
@@ -58,10 +60,12 @@ class FaultInjector:
 
     One injector serves one run.  The campaign calls
     :meth:`begin_access` before each protocol access; the fault proxies
-    (:class:`FaultyStore`, :class:`SplitFaultDriver`,
-    :class:`~repro.faults.recovery.ResilientLink`) consult the matchers
-    and report outcomes back.  :meth:`summary` is the detection report
-    the acceptance gate checks (every applied integrity fault must be
+    (:class:`FaultyStore` on each read, :class:`SplitFaultyReader` when a
+    real access of its site begins,
+    :class:`~repro.faults.recovery.ResilientLink` on each message)
+    consult the matchers and report outcomes back.  :meth:`finalize`
+    closes the run and :meth:`summary` is the detection report the
+    acceptance gate checks (every applied integrity fault must be
     detected).
     """
 
@@ -117,9 +121,10 @@ class FaultInjector:
     def take_integrity_specs(self, site: int) -> List[ScheduledFault]:
         """Every pending integrity fault for this (access, site).
 
-        The Split driver arms faults per access rather than per read (a
-        Split metadata fetch is one merged operation), so it consumes
-        specs without ordinal matching.
+        :class:`SplitFaultyReader` arms faults per access rather than per
+        read (a Split metadata fetch is one merged operation), so it
+        consumes specs without ordinal matching, when a real access of
+        the site begins: a drain dummy access does not consume them.
         """
         return [scheduled
                 for scheduled in self._integrity.get(self._access, ())
@@ -189,7 +194,15 @@ class FaultInjector:
     # -- scoreboard ----------------------------------------------------
 
     def finalize(self) -> None:
-        """Mark every never-triggered spec vacuous (ordinal never came)."""
+        """Close the run's scoreboard.
+
+        An applied integrity fault no verifier caught is missed; every
+        never-triggered spec is vacuous (its schedule point never came).
+        """
+        for scheduled in self._flat(self._integrity):
+            if scheduled.applied and not (scheduled.detected or
+                                          scheduled.missed):
+                self.note_missed(scheduled)
         for table in (self._integrity, self._link, self._stalls):
             for entries in table.values():
                 for scheduled in entries:
@@ -342,141 +355,112 @@ class FaultyStore:
         return getattr(self._inner, name)
 
 
-class SplitFaultDriver:
-    """Arms scheduled integrity faults against Split-protocol buffers.
+class SplitFaultyReader:
+    """Split metadata-reader proxy injecting scheduled integrity faults.
 
-    A Split access always reads the root bucket's metadata, so faults
-    target bucket 0 — detection is guaranteed whenever the site is
-    accessed at all.  Faults arm once per access (:meth:`arm`), on the
-    sites that access reads.  :meth:`wrap` is the store proxy a site's
-    metadata reader sits behind: it registers the site's way buffers
-    (the group for INDEP-SPLIT, 0 for plain Split) and heals on every
-    verification failure.
+    The Split analogue of :class:`FaultyStore`, with the same
+    constructor: one proxy per site (the group for INDEP-SPLIT, 0 for
+    plain Split), inside the site's
+    :class:`~repro.faults.recovery.RetryingStore`.  A Split access
+    always reads the root bucket's metadata, so faults target bucket 0 —
+    detection is guaranteed whenever the site is accessed at all.  A
+    site's faults arm when a real access of that site begins
+    (:meth:`begin_access`, the hook
+    :meth:`~repro.core.split.SplitProtocol.access` calls); drain dummy
+    accesses do not arm, so a spec whose site sees no real access at its
+    index ends vacuous.  Every verification failure heals the site.
     """
 
     TARGET_BUCKET = 0
 
-    def __init__(self, injector: FaultInjector):
+    def __init__(self, injector: FaultInjector, site: int, inner):
         self._injector = injector
-        self._buffers: Dict[int, List] = {}
-        self._history: Dict[int, List[object]] = {}
-        # site -> [(scheduled, pre-fault snapshot), ...] for this access;
-        # entry 0's snapshot is the fully clean state
-        self._saved: Dict[int, List[Tuple[ScheduledFault, List[object]]]] = {}
-        self._stuck: Dict[int, ScheduledFault] = {}
+        self._site = site
+        self._inner = inner
+        self._buffers = inner.buffers
+        #: the clean cells of the last armed access: stale-replay material
+        self._history: Optional[List[object]] = None
+        #: [(scheduled, pre-fault snapshot), ...] not yet healed; entry 0's
+        #: snapshot is the fully clean state
+        self._saved: List[Tuple[ScheduledFault, List[object]]] = []
+        self._stuck: Optional[ScheduledFault] = None
 
-    def _snapshot(self, buffers) -> List[object]:
+    def _snapshot(self) -> List[object]:
         return [buffer.snapshot_bucket(self.TARGET_BUCKET)
-                for buffer in buffers]
+                for buffer in self._buffers]
 
-    def _tamper(self, buffers, bit: int) -> bool:
-        for buffer in buffers:
+    def _tamper(self, bit: int) -> None:
+        for buffer in self._buffers:
             if buffer.snapshot_bucket(self.TARGET_BUCKET) is not None:
                 buffer.tamper_bucket(self.TARGET_BUCKET, bit)
-                return True
-        return False
+                return
 
-    def arm(self, access_index: int, active_sites=None) -> None:
-        """Apply this access's scheduled faults (call after begin_access).
+    def _restore(self, cells: List[object]) -> None:
+        for buffer, cell in zip(self._buffers, cells):
+            buffer.restore_bucket(self.TARGET_BUCKET, cell)
 
-        ``active_sites`` names the sites whose buffers this access will
-        actually read (the owning group, for INDEP-SPLIT); arming a site
-        the access never touches would leave latent corruption no
-        verifier gets the chance to catch, so those specs stay pending
-        and end up vacuous at :meth:`FaultInjector.finalize`.
-        """
-        for site, buffers in sorted(self._buffers.items()):
-            if active_sites is not None and site not in active_sites:
+    def begin_access(self) -> None:
+        """Apply this site's faults scheduled for the current access."""
+        clean = self._snapshot()
+        # Each corruption of this access flips its own bit: two flips of
+        # one bit would cancel, leaving nothing to detect.
+        flips = 0
+        if self._stuck is not None:
+            # persistent: re-corrupt whatever the last write-back stored
+            self._tamper(flips)
+            flips += 1
+        for scheduled in self._injector.take_integrity_specs(self._site):
+            snap = self._snapshot()
+            kind = scheduled.spec.kind
+            if kind == FAULT_REPLAY:
+                if self._history is None or self._history == snap:
+                    self._injector.note_vacuous(
+                        scheduled, "no stale version to replay")
+                    continue
+                self._restore(self._history)
+            elif all(cell is None for cell in snap):
+                self._injector.note_vacuous(scheduled, "cell never written")
                 continue
-            clean = self._snapshot(buffers)
-            # Each corruption of this access flips its own bit: two flips
-            # of one bit would cancel, leaving nothing to detect.
-            flips = 0
-            stuck = self._stuck.get(site)
-            if stuck is not None:
-                # persistent: re-corrupt whatever the last write-back stored
-                self._tamper(buffers, flips)
+            elif kind == FAULT_BIT_FLIP:
+                self._tamper(flips)
                 flips += 1
-            pending = self._saved.setdefault(site, [])
-            for scheduled in self._injector.take_integrity_specs(site):
-                snap = self._snapshot(buffers)
-                kind = scheduled.spec.kind
-                if kind == FAULT_REPLAY:
-                    stale = self._history.get(site)
-                    if stale is None or stale == snap:
-                        self._injector.note_vacuous(
-                            scheduled, "no stale version to replay")
-                        continue
-                    for buffer, cell in zip(buffers, stale):
-                        buffer.restore_bucket(self.TARGET_BUCKET, cell)
-                elif all(cell is None for cell in snap):
-                    self._injector.note_vacuous(scheduled,
-                                                "cell never written")
-                    continue
-                elif kind == FAULT_BIT_FLIP:
-                    self._tamper(buffers, flips)
-                    flips += 1
-                elif kind == FAULT_STUCK_CELL:
-                    self._stuck[site] = scheduled
-                    self._tamper(buffers, flips)
-                    flips += 1
-                else:  # pragma: no cover - plan validation precludes this
-                    self._injector.note_vacuous(scheduled,
-                                                "not an integrity kind")
-                    continue
-                pending.append((scheduled, snap))
-                self._injector.note_applied(scheduled, site=site,
-                                            index=self.TARGET_BUCKET)
-            # the pre-tamper state of this access is the next access's
-            # stale-replay material (write-back will bump its counter)
-            self._history[site] = clean
+            elif kind == FAULT_STUCK_CELL:
+                self._stuck = scheduled
+                self._tamper(flips)
+                flips += 1
+            else:  # pragma: no cover - plan validation precludes this
+                self._injector.note_vacuous(scheduled,
+                                            "not an integrity kind")
+                continue
+            self._saved.append((scheduled, snap))
+            self._injector.note_applied(scheduled, site=self._site,
+                                        index=self.TARGET_BUCKET)
+        # the pre-tamper state of this access is the next access's
+        # stale-replay material (write-back will bump its counter)
+        self._history = clean
 
-    def wrap(self, site: int, reader) -> "_HealingReader":
-        """The fault proxy for one site's metadata reader."""
-        self._buffers[site] = reader.buffers
-        return _HealingReader(self, site, reader)
-
-    def heal(self, site: int) -> None:
-        """Run on every verification failure of one site's reads.
+    def heal(self) -> None:
+        """Run on every verification failure of this site's reads.
 
         Attributes the detection to each fault armed on the site, then
         restores the clean state so the retry succeeds — unless a
         persistent stuck cell is involved, which never heals and rides
         to retry exhaustion.
         """
-        entries = self._saved.get(site, [])
-        for scheduled, _ in entries:
+        for scheduled, _ in self._saved:
             self._injector.note_detected(scheduled)
-        stuck = self._stuck.get(site)
-        if stuck is not None:
-            self._injector.note_detected(stuck)
+        if self._stuck is not None:
+            self._injector.note_detected(self._stuck)
             return
-        if entries:
-            for buffer, cell in zip(self._buffers[site], entries[0][1]):
-                buffer.restore_bucket(self.TARGET_BUCKET, cell)
-            self._saved[site] = []
-
-    def finalize(self) -> None:
-        """Mark armed-but-never-caught faults missed (end of campaign)."""
-        for entries in self._saved.values():
-            for scheduled, _ in entries:
-                if not scheduled.detected:
-                    self._injector.note_missed(scheduled)
-
-
-class _HealingReader:
-    """A Split metadata reader whose failed reads heal their site."""
-
-    def __init__(self, driver: SplitFaultDriver, site: int, inner):
-        self._driver = driver
-        self._site = site
-        self._inner = inner
+        if self._saved:
+            self._restore(self._saved[0][1])
+            self._saved = []
 
     def read(self, bucket: int):
         try:
             return self._inner.read(bucket)
         except SplitIntegrityError:
-            self._driver.heal(self._site)
+            self.heal()
             raise
 
     def __getattr__(self, name: str):

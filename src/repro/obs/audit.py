@@ -555,15 +555,12 @@ def _drive_faulted_protocol(spec, plan, addresses: Sequence[int]) -> List:
     the run — the plan, not the addresses, decides where, so both audit
     streams truncate at the same access.
     """
-    from repro.faults.campaign import _active_sites, build_faulted_protocol
+    from repro.faults.campaign import build_faulted_protocol
     from repro.faults.recovery import RetryExhaustedError
 
-    protocol, injector, driver, _ = build_faulted_protocol(spec, plan)
+    protocol, injector, _ = build_faulted_protocol(spec, plan)
     for index, address in enumerate(addresses):
         injector.begin_access(index)
-        if driver is not None:
-            driver.arm(index,
-                       active_sites=_active_sites(spec, protocol, address))
         try:
             protocol.read(address)
         except RetryExhaustedError as error:

@@ -5,7 +5,7 @@ import pytest
 from repro.core.commands import SdimmCommand
 from repro.core.designs import build_protocol
 from repro.core.secure_buffer import LinkRecorder
-from repro.faults.injector import FaultInjector, SplitFaultDriver
+from repro.faults.injector import FaultInjector, SplitFaultyReader
 from repro.faults.plan import (FAULT_BIT_FLIP, FAULT_LINK_DELAY,
                                FAULT_LINK_DROP, FAULT_LINK_DUPLICATE,
                                FAULT_STUCK_CELL, FaultPlan, FaultSpec)
@@ -113,22 +113,27 @@ class TestRetryingStore:
 
 def split_reads_behind_retries(design, max_retries, *specs):
     """A split design whose metadata reads run through the campaign's
-    proxies: the fault driver's healing proxy inside :class:`RetryingStore`.
+    proxies: each site's :class:`SplitFaultyReader` inside
+    :class:`RetryingStore`; returns the proxies by site.
 
-    The root bucket is written, and ``specs`` are armed for access 0.
+    The root bucket is written, and ``specs`` are scheduled for access
+    0: they arm when the next access of their site begins.
     """
     protocol = build_protocol(design, levels=5, key=b"retry-test-key!!")
     for address in range(8):
         protocol.write(address, bytes([address + 1]) * 64)
     injector = FaultInjector(FaultPlan(seed=1, specs=tuple(sorted(specs))))
-    driver = SplitFaultDriver(injector)
     stats = ResilienceStats()
-    protocol.wrap_stores(lambda site, reader: RetryingStore(
-        driver.wrap(site, reader), site, RetryPolicy(max_retries), stats,
-        rng()))
+    proxies = {}
+
+    def wrap(site, reader):
+        proxies[site] = SplitFaultyReader(injector, site, reader)
+        return RetryingStore(proxies[site], site, RetryPolicy(max_retries),
+                             stats, rng())
+
+    protocol.wrap_stores(wrap)
     injector.begin_access(0)
-    driver.arm(0)
-    return protocol, driver, injector, stats
+    return protocol, proxies, injector, stats
 
 
 def integrity_spec(kind, site=0):
@@ -148,16 +153,16 @@ class TestRetryingSplitReader:
         assert injector.summary()["integrity"]["detected"] == 1
 
     def test_heal_runs_on_every_failure(self, monkeypatch):
-        protocol, driver, injector, stats = split_reads_behind_retries(
+        protocol, proxies, injector, stats = split_reads_behind_retries(
             "split", 2, integrity_spec(FAULT_STUCK_CELL))
         healed = []
-        heal = driver.heal
-        monkeypatch.setattr(driver, "heal",
-                            lambda site: (healed.append(site), heal(site)))
+        heal = proxies[0].heal
+        monkeypatch.setattr(proxies[0], "heal",
+                            lambda: (healed.append(0), heal()))
         with pytest.raises(RetryExhaustedError):
             protocol.read(3)
         # the heal saw the exhausting failure too — that is how the fault
-        # driver attributes detections for persistent faults
+        # proxy attributes detections for persistent faults
         assert healed == [0, 0, 0]
         assert stats.detections == 3
         assert injector.summary()["integrity"]["detected"] == 1
