@@ -168,11 +168,6 @@ class OramConfig:
         return (1 << self.levels) - 1
 
     @property
-    def data_block_count(self) -> int:
-        """Usable data blocks: half the tree slots, the standard load factor."""
-        return self.bucket_count * self.blocks_per_bucket // 2
-
-    @property
     def lines_per_bucket(self) -> int:
         """Cache lines per bucket: Z data blocks plus one metadata line."""
         return self.blocks_per_bucket + 1

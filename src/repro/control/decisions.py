@@ -60,10 +60,6 @@ def decisions_payload(decisions: List[ControlDecision]) -> List[Dict]:
     return [decision.to_dict() for decision in decisions]
 
 
-def applied_count(decisions: List[ControlDecision]) -> int:
-    return sum(1 for decision in decisions if decision.applied)
-
-
 def window_p99(sojourns: List[int]) -> int:
     """Nearest-rank p99 of one window's sojourns (deterministic, exact).
 

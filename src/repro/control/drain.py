@@ -23,8 +23,6 @@ window, never an address or payload.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.queueing import mm1k_full_probability
 from repro.control.decisions import ControlDecision
 
@@ -126,7 +124,3 @@ class DrainController:
             controller=self.name, window=window, tick=tick, signal=signal,
             before=before, after={"p": planned}, applied=True,
             reason="setpoint")
-
-    def measured_setpoint(self) -> Optional[float]:
-        """The last planned probability (None before any plan)."""
-        return self.probability

@@ -107,13 +107,6 @@ class Rank:
             bank.open_row = None
         self._transition(PowerState.POWER_DOWN, now)
 
-    def enter_self_refresh(self, now: int) -> None:
-        if self.power_state == PowerState.SELF_REFRESH:
-            return
-        for bank in self.banks:
-            bank.open_row = None
-        self._transition(PowerState.SELF_REFRESH, now)
-
     def wake(self, now: int) -> int:
         """Exit any low-power state; return the time the rank is usable.
 

@@ -119,11 +119,6 @@ def all_rules() -> List[Rule]:
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
 
 
-def get_rule(rule_id: str) -> Rule:
-    _ensure_loaded()
-    return _REGISTRY[rule_id]()
-
-
 def select_rules(selected: Optional[Iterable[str]] = None) -> List[Rule]:
     """Instantiate the requested rules (all of them when None).
 

@@ -9,7 +9,7 @@ segmented — ``__hash__`` must not look like cryptographic material.
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, Optional, Set
+from typing import FrozenSet, Optional
 
 
 def identifier_segments(name: str) -> FrozenSet[str]:
@@ -48,26 +48,6 @@ def call_name(node: ast.Call) -> Optional[str]:
     return node_name(node.func)
 
 
-def names_in(node: ast.AST) -> Iterator[str]:
-    """Every identifier mentioned anywhere inside an expression."""
-    for child in ast.walk(node):
-        name = node_name(child)
-        if name is not None:
-            yield name
-
-
-def expression_matches_vocabulary(node: ast.AST,
-                                  vocabulary: FrozenSet[str]) -> Optional[str]:
-    """First identifier in the expression whose segments hit ``vocabulary``.
-
-    Used where *any* mention taints the expression (branch conditions).
-    """
-    for name in names_in(node):
-        if identifier_segments(name) & vocabulary:
-            return name
-    return None
-
-
 def head_identifier(node: ast.AST) -> Optional[str]:
     """The identifier that labels the *value* an expression produces.
 
@@ -85,36 +65,3 @@ def head_identifier(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Await):
         return head_identifier(node.value)
     return None
-
-
-def assignment_target_names(node: ast.AST) -> Set[str]:
-    """The names an assignment statement binds (or rebinds through).
-
-    ``self.x = v`` binds ``x`` — not ``self``; ``a[i] = v`` taints ``a``
-    but never the index expression.
-    """
-    targets = []
-    if isinstance(node, ast.Assign):
-        targets = node.targets
-    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        targets = [node.target]
-    names: Set[str] = set()
-    for target in targets:
-        _collect_binding_names(target, names)
-    return names
-
-
-def _collect_binding_names(target: ast.AST, names: Set[str]) -> None:
-    if isinstance(target, ast.Name):
-        names.add(target.id)
-    elif isinstance(target, ast.Attribute):
-        names.add(target.attr)
-    elif isinstance(target, ast.Subscript):
-        head = head_identifier(target.value)
-        if head:
-            names.add(head)
-    elif isinstance(target, ast.Starred):
-        _collect_binding_names(target.value, names)
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            _collect_binding_names(element, names)

@@ -222,15 +222,6 @@ class PathOram:
     # Introspection for tests and examples
     # ------------------------------------------------------------------
 
-    def blocks_in_tree(self) -> int:
-        """Count real blocks currently stored in tree buckets."""
-        total = 0
-        for index in range(self.geometry.bucket_count):
-            cell = getattr(self.store, "_buckets", {}).get(index)
-            if cell is not None:
-                total += cell.occupancy
-        return total
-
     def invariant_block_on_path_or_stash(self, address: int) -> bool:
         """The core ORAM invariant: a block is in the stash or on its path."""
         if address in self.stash:

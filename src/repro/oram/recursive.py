@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.oram.path_oram import Op, PathOram
-from repro.oram.tree import TreeGeometry
 from repro.utils.bitops import ceil_log2, log2_exact
 from repro.utils.rng import DeterministicRng
 
@@ -98,10 +97,6 @@ class RecursiveOram:
     def posmap_levels(self) -> int:
         """Number of PosMap ORAMs stored in memory (the paper's n)."""
         return len(self.orams) - 1
-
-    @property
-    def top_geometry(self) -> TreeGeometry:
-        return self.orams[-1].geometry
 
     # ------------------------------------------------------------------
     # Public interface

@@ -92,9 +92,6 @@ class SweepOutcome:
     jobs: int
     cache_stats: Dict[str, int] = field(default_factory=dict)
 
-    def run_results(self) -> List[RunResult]:
-        return [entry.result for entry in self.results]
-
     def fold_windows(self) -> MetricsRegistry:
         """Fold every point's time-series windows into one registry.
 

@@ -119,11 +119,6 @@ class RunResult:
         return not self.failures
 
     @property
-    def cycles_per_miss(self) -> float:
-        return (self.execution_cycles / self.miss_count
-                if self.miss_count else 0.0)
-
-    @property
     def accessorams_per_miss(self) -> float:
         return (self.accessoram_count / self.miss_count
                 if self.miss_count else 0.0)
