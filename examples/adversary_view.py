@@ -16,6 +16,8 @@ Run:  python examples/adversary_view.py
 
 from repro import DeterministicRng, Op, PathOram, SplitProtocol
 from repro.core.split import SplitIntegrityError
+from repro.obs.audit import link_shapes
+from repro.obs.tracer import CollectingTracer
 from repro.oram.integrity import EncryptedBucketStore, IntegrityError
 
 
@@ -79,11 +81,11 @@ def obliviousness() -> None:
     print("3. Obliviousness " + "-" * 52)
 
     def run(program):
+        tracer = CollectingTracer()
         protocol = SplitProtocol(levels=8, ways=2, block_bytes=64,
-                                 stash_capacity=200, seed=4,
-                                 record_link=True)
+                                 stash_capacity=200, seed=4, tracer=tracer)
         program(protocol)
-        return protocol.link.shapes()
+        return link_shapes(tracer.events, protocol.link.lane)
 
     def hot_loop(protocol):
         for _ in range(20):

@@ -5,6 +5,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro import DeterministicRng, IndependentProtocol, Op, PathOram
+from repro.obs.audit import link_instants
+from repro.obs.tracer import CollectingTracer
 from repro.oram.integrity import EncryptedBucketStore
 
 
@@ -49,18 +51,19 @@ def main() -> None:
 
     print()
     print("=== 3. The Independent SDIMM protocol " + "=" * 27)
+    tracer = CollectingTracer()
     protocol = IndependentProtocol(global_levels=10, sdimm_count=4,
                                    block_bytes=64, stash_capacity=200,
-                                   record_link=True)
+                                   tracer=tracer)
     protocol.write(42, pad("distributed across subtrees"))
     for _ in range(5):
         protocol.read(42)
     print(f"  block 42 now lives on SDIMM {protocol.locate(42)} "
           f"(it migrates on every access)")
-    appends = sum(1 for event in protocol.link.events
-                  if event.command is not None and
-                  event.command.value == "APPEND")
-    print(f"  {len(protocol.link.events)} link messages so far; "
+    appends = sum(1 for event in link_instants(tracer.events,
+                                               protocol.link.lane)
+                  if event.name == "APPEND")
+    print(f"  {len(protocol.link)} link messages so far; "
           f"{appends} APPENDs (one per SDIMM per access, mostly dummies)")
     print(f"  final read: "
           f"{protocol.read(42).rstrip(bytes(1)).decode()!r}")

@@ -60,7 +60,7 @@ class ObliviousKvStore:
         levels = max(2, capacity_blocks.bit_length())
         self._oram = SplitProtocol(levels=levels, ways=ways,
                                    block_bytes=BLOCK_BYTES,
-                                   stash_capacity=256, record_link=True)
+                                   stash_capacity=256)
         self._capacity = capacity_blocks
 
     def _slot(self, key: str) -> int:
@@ -114,7 +114,7 @@ class ObliviousKvStore:
 
     @property
     def link_messages(self) -> int:
-        return len(self._oram.link.events)
+        return len(self._oram.link)
 
 
 def main() -> None:

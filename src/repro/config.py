@@ -112,9 +112,7 @@ class DramOrganization:
     bank_groups: int = 1
     rows_per_bank: int = 32768
     row_bytes: int = 8192
-    device_width_bits: int = 8
     devices_per_rank: int = 8      # data devices (the 9th is ECC)
-    bus_width_bits: int = 64
 
     @property
     def ranks_per_channel(self) -> int:
@@ -157,7 +155,6 @@ class OramConfig:
     plb_assoc: int = 8
     posmap_entries_per_block: int = 16   # leaf-ID entries packed per block
     crypto_latency_cycles: int = 21      # CPU cycles, Table II
-    background_eviction_threshold: float = 0.9
 
     @property
     def leaf_count(self) -> int:
@@ -200,7 +197,6 @@ class SdimmConfig:
     probe_interval_mem_cycles: int = 8
     transfer_queue_capacity: int = 128    # 8 KB buffer / 64 B blocks
     drain_probability: float = 0.05       # p in the M/M/1/K analysis
-    split_ways: int = 2
     buffer_sram_bytes: int = 8 * 1024
     low_power_ranks: bool = True
 
@@ -209,16 +205,12 @@ class SdimmConfig:
             raise ValueError("probe interval must be positive")
         if not 0.0 <= self.drain_probability <= 1.0:
             raise ValueError("drain probability must be in [0, 1]")
-        if self.split_ways < 1:
-            raise ValueError("split_ways must be at least 1")
 
 
 @dataclass(frozen=True)
 class CpuConfig:
     """Core and cache-hierarchy parameters (Table II)."""
 
-    freq_ghz: float = 1.6
-    rob_entries: int = 128
     llc_bytes: int = 2 * 1024 * 1024
     llc_assoc: int = 8
     llc_line_bytes: int = 64

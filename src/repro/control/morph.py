@@ -2,8 +2,9 @@
 
 Section III-A.4: "an SDIMM-based system can easily morph between a
 secure and non-secure memory".  The seam already exists — the backends
-expose ``submit_plain`` next to ``submit`` — and this module closes the
-loop over it: a :class:`MorphController` watches a tenant's sustained
+expose ``submit_plain`` next to ``submit``, the serving control plane a
+plain overlay — and this module decides when to use it: a
+:class:`MorphController` watches a tenant's sustained
 load (a public per-window admitted count) and flips the tenant between
 ``secure`` and ``morphed`` mode, but only for tenants the operator has
 *declassified*.  A tenant that never appears in the declassified set can
@@ -15,28 +16,16 @@ Hysteresis (separate high/low watermarks plus a sustain count) makes the
 controller immune to single-window spikes and guarantees convergence on
 step loads: a constant load is on one side of the watermark band, so
 after ``sustain`` windows the mode settles and never flips again.
-
-:func:`drive_morphing_backend` is the sim-tier plant: it replays an
-arrival list through a cycle-accurate backend, evaluating the controller
-at fixed cycle-window boundaries and routing each access through
-``submit`` or ``submit_plain`` per the tenant's current mode.  Each
-evaluation emits a ``CONTROL`` tracer span so controller overhead shows
-up in hotspot attribution like any protocol phase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional
 
 from repro.control.decisions import ControlDecision
-from repro.obs.tracer import CATEGORY_PROTOCOL, NULL_TRACER, Tracer
 
 MODE_SECURE = "secure"
 MODE_MORPHED = "morphed"
-
-#: cycles charged per controller evaluation in the sim-tier driver
-CONTROL_EVAL_CYCLES = 1
 
 
 class MorphController:
@@ -100,77 +89,3 @@ class MorphController:
             before=before, after={"mode": wants}, applied=True,
             reason=f"sustained-{'high' if wants == MODE_MORPHED else 'low'}"
                    "-load")
-
-
-@dataclass
-class MorphDriveResult:
-    """What one morphing sim-tier drive produced."""
-
-    decisions: List[ControlDecision]
-    secure_accesses: int
-    plain_accesses: int
-    completions: List[int]
-    control_cycles: int
-    end_cycle: int
-
-
-def drive_morphing_backend(backend, events, controller: MorphController,
-                           arrivals: List[Tuple[int, str, int, bool]],
-                           window_cycles: int,
-                           tracer: Tracer = NULL_TRACER) -> MorphDriveResult:
-    """Replay ``arrivals`` through a morphing backend under control.
-
-    ``arrivals`` is a list of ``(cycle, tenant, line_address, is_write)``
-    in non-decreasing cycle order.  At every ``window_cycles`` boundary
-    the controller is evaluated on each tenant's admitted count for the
-    window just closed — a pure function of public arrival counts — and
-    subsequent accesses for a morphed tenant go through the backend's
-    ``submit_plain`` seam instead of the full ``accessORAM`` chain.
-
-    The drive is batched per window: a window's accesses are submitted,
-    the event queue drains, then the boundary evaluation runs at the
-    later of the window end and the quiesce time.  Every evaluation
-    charges :data:`CONTROL_EVAL_CYCLES` and emits a ``CONTROL`` span.
-    """
-    if window_cycles < 1:
-        raise ValueError("window must be at least one cycle")
-    decisions: List[ControlDecision] = []
-    completions: List[int] = []
-    secure = plain = control_cycles = 0
-    window_loads: Dict[str, int] = {}
-    window_index = 0
-    position = 0
-    count = len(arrivals)
-    while position < count:
-        window_end = (window_index + 1) * window_cycles
-        while position < count and arrivals[position][0] < window_end:
-            cycle, tenant, address, is_write = arrivals[position]
-            window_loads[tenant] = window_loads.get(tenant, 0) + 1
-            if controller.mode(tenant) == MODE_MORPHED:
-                plain += 1
-                backend.submit_plain(address, cycle, is_write,
-                                     completions.append)
-            else:
-                secure += 1
-                backend.submit(address, cycle, is_write,
-                               completions.append)
-            position += 1
-        quiesce = events.run()
-        boundary = max(window_end, quiesce)
-        for tenant in sorted(window_loads):
-            decision = controller.plan(window_index, boundary, tenant,
-                                       window_loads[tenant])
-            control_cycles += CONTROL_EVAL_CYCLES
-            if tracer.enabled:
-                tracer.span("CONTROL", CATEGORY_PROTOCOL, "control-plane",
-                            boundary, boundary + CONTROL_EVAL_CYCLES)
-            if decision is not None:
-                decisions.append(decision)
-        window_loads.clear()
-        window_index += 1
-    end_cycle = events.run()
-    backend.finalize(end_cycle)
-    return MorphDriveResult(decisions=decisions, secure_accesses=secure,
-                            plain_accesses=plain, completions=completions,
-                            control_cycles=control_cycles,
-                            end_cycle=end_cycle)

@@ -39,12 +39,11 @@ def build_protocol(design: str, levels: int, sites: int = 2, *,
     ``sites`` is the SDIMM count (independent) or the group count
     (indep-split); plain Split always splits two ways.  ``key=None``
     keeps each class's default: plaintext stores for Independent, the
-    class key for the two split designs.  Every protocol built here
-    records its link.
+    class key for the two split designs.
     """
     common = dict(blocks_per_bucket=blocks_per_bucket,
                   block_bytes=block_bytes, stash_capacity=stash_capacity,
-                  seed=seed, record_link=True, tracer=tracer)
+                  seed=seed, tracer=tracer)
     if design == "independent":
         from repro.core.independent import IndependentProtocol
 

@@ -40,8 +40,7 @@ class SplitGroup(PartitionSite):
                  ways: int, blocks_per_bucket: int, block_bytes: int,
                  stash_capacity: int, transfer_queue_capacity: int,
                  drain_probability: float, rng: DeterministicRng,
-                 key: bytes, record_link: bool = False,
-                 tracer: Tracer = NULL_TRACER):
+                 key: bytes, tracer: Tracer = NULL_TRACER):
         self.split = SplitProtocol(
             levels=self.local_levels(global_levels, sites),
             ways=ways,
@@ -50,7 +49,6 @@ class SplitGroup(PartitionSite):
             stash_capacity=stash_capacity,
             seed=rng.randint(0, 2**31),
             key=key + bytes([site_id]),
-            record_link=record_link,
             tracer=tracer,
             trace_lane=f"group{site_id}",
         )
@@ -107,7 +105,6 @@ class IndepSplitProtocol(PartitionedProtocol):
                  drain_probability: float = 0.05,
                  seed: int = 2018,
                  key: bytes = b"indep-split-key!",
-                 record_link: bool = False,
                  tracer: Tracer = NULL_TRACER):
         rng = DeterministicRng(seed, self.label)
         self.groups: List[SplitGroup] = [
@@ -117,10 +114,9 @@ class IndepSplitProtocol(PartitionedProtocol):
                 block_bytes=block_bytes, stash_capacity=stash_capacity,
                 transfer_queue_capacity=transfer_queue_capacity,
                 drain_probability=drain_probability, rng=rng, key=key,
-                record_link=record_link, tracer=tracer)
+                tracer=tracer)
             for index in range(groups)]
-        super().__init__(self.groups, rng, seed, block_bytes, record_link,
-                         tracer)
+        super().__init__(self.groups, rng, seed, block_bytes, tracer)
 
     # perfbench wraps each class's own ``access``
     access = PartitionedProtocol.access

@@ -238,7 +238,7 @@ class PartitionedProtocol:
     label = ""
 
     def __init__(self, sites: List, rng: DeterministicRng, seed: int,
-                 block_bytes: int, record_link: bool, tracer: Tracer):
+                 block_bytes: int, tracer: Tracer):
         self.sites = sites
         self.block_bytes = block_bytes
         self.tracer = tracer
@@ -246,8 +246,8 @@ class PartitionedProtocol:
         self._global_leaf_count = sites[0].global_leaf_count
         self.posmap = PositionMap(self._global_leaf_count,
                                   rng.child("posmap"))
-        self.link = LinkRecorder(enabled=record_link, tracer=tracer,
-                                 lane=f"{self.label}-link", clock=self.clock)
+        self.link = LinkRecorder(tracer=tracer, lane=f"{self.label}-link",
+                                 clock=self.clock)
         self.accesses = 0
         self._seed = seed
         #: Sites whose retry budget was exhausted: their accesses degrade
@@ -370,7 +370,6 @@ class IndependentProtocol(PartitionedProtocol):
                  transfer_queue_capacity: int = 128,
                  drain_probability: float = 0.05,
                  seed: int = 2018,
-                 record_link: bool = False,
                  record_trace: bool = False,
                  encryption_key: Optional[bytes] = None,
                  tracer: Tracer = NULL_TRACER):
@@ -384,8 +383,7 @@ class IndependentProtocol(PartitionedProtocol):
                 drain_probability=drain_probability, rng=rng,
                 record_trace=record_trace, encryption_key=encryption_key)
             for index in range(sdimm_count)]
-        super().__init__(self.sdimms, rng, seed, block_bytes, record_link,
-                         tracer)
+        super().__init__(self.sdimms, rng, seed, block_bytes, tracer)
 
     # perfbench wraps each class's own ``access``
     access = PartitionedProtocol.access

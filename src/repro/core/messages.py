@@ -293,8 +293,7 @@ class WiredIndependentProtocol(PartitionedProtocol):
             self.sdimm_ports.append(SdimmPort(buffer, buffer_session))
         super().__init__([WiredSite(cpu, port) for cpu, port
                           in zip(self.cpu_ports, self.sdimm_ports)],
-                         rng, seed, block_bytes, record_link=False,
-                         tracer=NULL_TRACER)
+                         rng, seed, block_bytes, tracer=NULL_TRACER)
 
     def _result_phase(self, owner: int) -> None:
         """Step 5 already ran as frames inside the owner's site."""

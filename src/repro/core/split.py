@@ -356,7 +356,6 @@ class SplitProtocol:
                  blocks_per_bucket: int = 4, block_bytes: int = 64,
                  stash_capacity: int = 200, seed: int = 2018,
                  key: bytes = b"split-protocol-key",
-                 record_link: bool = False,
                  record_trace: bool = False,
                  tracer: Tracer = NULL_TRACER,
                  trace_lane: str = "split"):
@@ -394,8 +393,8 @@ class SplitProtocol:
         self._unwritten_slices = [0] * ways
         #: one entry per stash slot, None for a dummy
         self.shadow: List[Optional[_ShadowEntry]] = []
-        self.link = LinkRecorder(enabled=record_link, tracer=tracer,
-                                 lane=f"{trace_lane}-link", clock=self.clock)
+        self.link = LinkRecorder(tracer=tracer, lane=f"{trace_lane}-link",
+                                 clock=self.clock)
         self.accesses = 0
         self.stash_peak = 0
         #: The bucket whose last metadata read failed verification

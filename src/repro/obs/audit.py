@@ -20,15 +20,18 @@ that, at both simulation tiers:
   control that proves the audit has teeth.
 
 * **Functional tier** (:func:`audit_protocol`): the content-carrying
-  protocols in :mod:`repro.core` record :class:`LinkRecorder` events.
-  Here exact equality is the wrong test: position maps draw initial
-  leaves lazily, so two different address streams legitimately
+  protocols in :mod:`repro.core` emit one ``link`` tracer instant per
+  message through their :class:`~repro.core.secure_buffer.LinkRecorder`,
+  and :func:`adversary_observations` admits those instants alongside the
+  timing tier's bus and main-channel events: one definition of what a
+  probe sees.  Here exact equality is the wrong test: position maps draw
+  initial leaves lazily, so two different address streams legitimately
   desynchronize the (secret, internal) randomness, and the observable
   trace is only *distributionally* identical.  The audit therefore
-  compares the **canonical observable**: per-event link shapes
-  (direction, command, payload size) with the uniformly-random target
-  SDIMM excluded — precisely the tuple ``LinkEvent.shape()`` fixes — and,
-  for the Freecursive baseline, the (kind, tree-level) sequence of bucket
+  compares the **canonical observable** (:func:`link_shapes`): per-message
+  (direction, command, payload size) on the protocol's own link lane,
+  with the uniformly-random target SDIMM excluded — and, for the
+  Freecursive baseline, the (kind, tree-level) sequence of bucket
   touches, since the bucket index within a level is a uniform function of
   the fresh leaf.  These canonical streams are deterministic per access
   and must match exactly.
@@ -43,7 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.obs.tracer import (CATEGORY_BUS, CATEGORY_DRAM,
+from repro.core.commands import SdimmCommand
+from repro.core.secure_buffer import LinkRecorder
+from repro.obs.tracer import (CATEGORY_BUS, CATEGORY_DRAM, CATEGORY_LINK,
                               CollectingTracer, TraceEvent)
 
 #: Argument keys that would carry secret-tainted values if they ever
@@ -57,14 +62,36 @@ MAIN_LANE_PREFIX = "main"
 def adversary_observations(events: Sequence[TraceEvent]) -> List[TraceEvent]:
     """Exactly the events a memory-channel probe sees.
 
-    That is: every link-bus event, plus DRAM activity on the *main*
-    channels only.  SDIMM-internal channels (``sdimm*`` lanes) sit behind
-    the secure buffer and are invisible to the Section III-B adversary.
+    That is: every link-bus event and every functional link message, plus
+    DRAM activity on the *main* channels only.  SDIMM-internal channels
+    (``sdimm*`` lanes) sit behind the secure buffer and are invisible to
+    the Section III-B adversary.
     """
     return [event for event in events
-            if event.category == CATEGORY_BUS
+            if event.category in (CATEGORY_BUS, CATEGORY_LINK)
             or (event.category == CATEGORY_DRAM
                 and event.lane.startswith(MAIN_LANE_PREFIX))]
+
+
+def link_instants(events: Sequence[TraceEvent],
+                  lane: str) -> List[TraceEvent]:
+    """The functional link messages a probe sees on one link ``lane``."""
+    return [event for event in adversary_observations(events)
+            if event.category == CATEGORY_LINK and event.lane == lane]
+
+
+def link_shapes(events: Sequence[TraceEvent],
+                lane: str) -> List[Tuple[str, str, int]]:
+    """The content-free part of one lane's messages, in order.
+
+    ``(direction, command, payload_bytes)`` per message — what
+    obliviousness fixes.  The target SDIMM is excluded: it is a uniform
+    random function of the (secret, freshly remapped) leaf, identical in
+    distribution for every access pattern.
+    """
+    return [(event.args["direction"], event.name,
+             event.args["payload_bytes"])
+            for event in link_instants(events, lane)]
 
 
 def scan_secret_args(events: Sequence[TraceEvent]) -> List[str]:
@@ -250,44 +277,29 @@ def audit_timing_design(design, misses: int = 12, channels: int = 1,
 # Functional-tier audits (canonicalized link shapes)
 # ----------------------------------------------------------------------
 
-class LeakyLink:
+class LeakyLink(LinkRecorder):
     """Fault-injection link recorder: one secret leaf bit escapes.
 
-    Wraps :class:`~repro.core.secure_buffer.LinkRecorder`'s interface but
-    inflates FETCH_RESULT payloads by ``leak_bit`` — the audit driver sets
+    Inflates FETCH_RESULT payloads by ``leak_bit`` — the audit driver sets
     that to the accessed block's real leaf parity before each access,
     modelling a buggy buffer whose response size depends on the position
     it serves.  Audits must catch this as distinguishable.
     """
 
-    def __init__(self):
-        from repro.core.secure_buffer import LinkRecorder
-
-        self._inner = LinkRecorder(enabled=True)
-        self.leak_bit = 0
-
-    def up(self, command, sdimm: int, payload_bytes: int) -> None:
-        self._inner.up(command, sdimm, payload_bytes)
+    leak_bit = 0
 
     def down(self, command, sdimm: int, payload_bytes: int) -> None:
-        from repro.core.commands import SdimmCommand
-
         if command is SdimmCommand.FETCH_RESULT:
             payload_bytes += self.leak_bit
-        self._inner.down(command, sdimm, payload_bytes)
+        super().down(command, sdimm, payload_bytes)
 
-    def shapes(self):
-        return self._inner.shapes()
 
-    @property
-    def events(self):
-        return self._inner.events
-
-    def clear(self) -> None:
-        self._inner.clear()
-
-    def __len__(self) -> int:
-        return len(self._inner)
+def _observe_link(tracer: CollectingTracer, lane: str,
+                  violations: List[str]) -> List[Tuple[str, str, int]]:
+    """One run's link shapes on ``lane``; its secret-arg scan joins
+    ``violations``."""
+    violations.extend(scan_secret_args(tracer.events))
+    return link_shapes(tracer.events, lane)
 
 
 def audit_protocol(design: str, addresses_a: Sequence[int],
@@ -306,18 +318,23 @@ def audit_protocol(design: str, addresses_a: Sequence[int],
     from repro.core.designs import build_protocol
 
     shapes = []
+    violations: List[str] = []
     for stream in (addresses_a, addresses_b):
-        protocol = build_protocol(design, levels, sites, seed=seed)
+        tracer = CollectingTracer()
+        protocol = build_protocol(design, levels, sites, seed=seed,
+                                  tracer=tracer)
+        link = protocol.link
         if inject_leak:
-            protocol.link = LeakyLink()
+            protocol.link = LeakyLink(tracer, link.lane, link.clock)
         for address in stream:
             if inject_leak:
                 protocol.link.leak_bit = protocol.posmap.lookup(address) & 1
             protocol.read(address)
-        shapes.append(protocol.link.shapes())
+        shapes.append(_observe_link(tracer, link.lane, violations))
     suffix = "+leak" if inject_leak else ""
     return compare_observables(f"protocol:{design}{suffix}", "link-shape",
-                               shapes[0], shapes[1])
+                               shapes[0], shapes[1],
+                               secret_violations=violations)
 
 
 def audit_freecursive_protocol(addresses_a: Sequence[int],
@@ -369,7 +386,7 @@ def audit_sharded_routing(addresses_a: Sequence[int],
     The shard key *is* a function of the address (top leaf-MSB bits
     through the consistent-hash ring), so sharding is only oblivious if
     the adversary cannot tell **which** shard served an access.  On the
-    link bus that holds: :meth:`LinkEvent.shape` excludes the target, and
+    link bus that holds: :func:`link_shapes` excludes the target, and
     every shard's per-access traffic has the same fixed shape — so the
     arrival-ordered concatenation of per-access link-shape chunks across
     all shard protocols must be identical for two different address
@@ -389,25 +406,32 @@ def audit_sharded_routing(addresses_a: Sequence[int],
                      virtual_nodes=8)
     limit = 1 << (levels - 1)
     canonical = []
+    violations: List[str] = []
     for stream in (addresses_a, addresses_b):
-        protocols = [build_protocol("independent", levels, sites, seed=seed)
+        # every shard's link shares one lane: the probe cannot tell them
+        # apart, so one tracer records them in arrival order
+        tracer = CollectingTracer()
+        protocols = [build_protocol("independent", levels, sites, seed=seed,
+                                    tracer=tracer)
                      for _ in range(shards)]
+        lane = protocols[0].link.lane
         observed: List[Tuple] = []
         for raw in stream:
             address = raw % limit
             shard = plan.shard_of_address(address)
-            protocol = protocols[shard]
-            before = len(protocol.link)
-            protocol.read(address)
-            chunk = protocol.link.shapes()[before:]
+            before = len(tracer.events)
+            protocols[shard].read(address)
+            chunk = link_shapes(tracer.events[before:], lane)
             if expose_shard:
                 observed.extend((shard,) + shape for shape in chunk)
             else:
                 observed.extend(chunk)
+        violations.extend(scan_secret_args(tracer.events))
         canonical.append(observed)
     suffix = "+shard-exposed" if expose_shard else ""
     return compare_observables(f"routing:sharded{suffix}", "link-shape",
-                               canonical[0], canonical[1])
+                               canonical[0], canonical[1],
+                               secret_violations=violations)
 
 
 # ----------------------------------------------------------------------
@@ -547,7 +571,8 @@ def audit_adaptive_control(requests: int = 96, levels: int = 6,
 # Faulted audits (repro.faults): retries must look like re-accesses
 # ----------------------------------------------------------------------
 
-def _drive_faulted_protocol(spec, plan, addresses: Sequence[int]) -> List:
+def _drive_faulted_protocol(spec, plan, addresses: Sequence[int],
+                            violations: List[str]) -> List:
     """One faulted run over an address stream; returns link shapes.
 
     Exhausted retry budgets quarantine where the design allows it (the
@@ -558,7 +583,9 @@ def _drive_faulted_protocol(spec, plan, addresses: Sequence[int]) -> List:
     from repro.faults.campaign import build_faulted_protocol
     from repro.faults.recovery import RetryExhaustedError
 
-    protocol, injector, _ = build_faulted_protocol(spec, plan)
+    tracer = CollectingTracer()
+    protocol, injector, _ = build_faulted_protocol(spec, plan,
+                                                   tracer=tracer)
     for index, address in enumerate(addresses):
         injector.begin_access(index)
         try:
@@ -568,7 +595,7 @@ def _drive_faulted_protocol(spec, plan, addresses: Sequence[int]) -> List:
                 protocol.quarantine(error.site)
                 continue
             break
-    return list(protocol.link.shapes())
+    return _observe_link(tracer, protocol.link.lane, violations)
 
 
 def audit_faulted_protocol(design: str,
@@ -598,10 +625,12 @@ def audit_faulted_protocol(design: str,
                         link_duplicates=link_duplicates,
                         link_delays=link_delays)
     plan = spec.build_plan()
-    shapes = [_drive_faulted_protocol(spec, plan, stream)
+    violations: List[str] = []
+    shapes = [_drive_faulted_protocol(spec, plan, stream, violations)
               for stream in (addresses_a, addresses_b)]
     return compare_observables(f"faulted:{design}", "link-shape",
-                               shapes[0], shapes[1])
+                               shapes[0], shapes[1],
+                               secret_violations=violations)
 
 
 # ----------------------------------------------------------------------

@@ -21,10 +21,7 @@ from repro.obs.tracer import CATEGORY_PROTOCOL, TraceEvent
 
 #: Attribution priority, most-specific first: a PROBE poll inside a path
 #: access charges to PROBE, the surrounding path access soaks up the rest.
-#: CONTROL (adaptive-controller evaluations) outranks everything so the
-#: control plane's overhead is visible in hotspots however it overlaps.
 PHASE_PRIORITY: Tuple[str, ...] = (
-    "CONTROL",
     "PROBE",
     "FETCH_RESULT",
     "ACCESS",

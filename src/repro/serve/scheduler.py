@@ -17,10 +17,12 @@ service, K waiting slots.  This module implements that queue explicitly:
   construction: a write to the address republishes the bytes later
   riders must see, and the scheduler replays program order within the
   batch.
-* **service-time calibration** — the cost of a batch is measured off the
-  protocol's own :class:`~repro.core.secure_buffer.LinkRecorder` (link
-  events per access are constant per design), so one tick on the serving
-  timeline equals one link event and utilization is dimensionless.
+* **service-time calibration** — the cost of a batch is the growth of
+  the protocol's link count (``len(protocol.link)``, see
+  :class:`~repro.core.secure_buffer.LinkRecorder`) over the batch: link
+  messages per access are constant per design, so one tick on the
+  serving timeline equals one link message and utilization is
+  dimensionless.
 
 Everything is deterministic: same protocol, same request list, same
 outcome, byte for byte.
@@ -122,17 +124,14 @@ class SchedulerOutcome:
 class BatchingScheduler:
     """Single-server bounded queue draining an ORAM protocol.
 
-    ``protocol`` is any of the three SDIMM protocols (or a raw
-    ``PathOram``-compatible object): it must expose
-    ``access(address, op, data=None) -> bytes`` and, for link-calibrated
-    service timing, a ``link`` recorder with ``record_link=True``.
-    Without a link recorder each access costs ``fallback_access_ticks``.
+    ``protocol`` is any of the three SDIMM protocols: it must expose
+    ``access(address, op, data=None) -> bytes`` and a ``link`` whose
+    ``len()`` counts the messages sent so far.  A batch costs one tick
+    per message it put on the link.
     """
 
     def __init__(self, protocol, queue_capacity: int, batch_size: int = 1,
                  metrics: Optional[MetricsRegistry] = None,
-                 ticks_per_link_event: int = 1,
-                 fallback_access_ticks: int = 64,
                  keep_read_bytes: bool = False,
                  sample_seed: int = 2018,
                  control: Optional[ServeControlPlane] = None,
@@ -141,33 +140,17 @@ class BatchingScheduler:
             raise ValueError("admission queue needs capacity >= 1")
         if batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        if ticks_per_link_event < 1:
-            raise ValueError("ticks per link event must be positive")
         self.protocol = protocol
         self.queue_capacity = queue_capacity
         self.batch_size = batch_size
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.ticks_per_link_event = ticks_per_link_event
-        self.fallback_access_ticks = fallback_access_ticks
         self.keep_read_bytes = keep_read_bytes
         self._sample_seed = sample_seed
         self.control = control
         self.coalesce = coalesce
-        link = getattr(protocol, "link", None)
-        self._link = link if (link is not None and
-                              getattr(link, "enabled", False)) else None
+        self._link = protocol.link
 
     # ------------------------------------------------------------------
-
-    def _access_cost(self, count: int) -> int:
-        """Ticks spent performing ``count`` protocol accesses."""
-        if self._link is None:
-            return count * self.fallback_access_ticks
-        events = len(self._link.events)
-        # The recorder only exists to meter service time here; clearing it
-        # after each reading keeps a long serving run O(batch) in memory.
-        self._link.clear()
-        return max(count, events * self.ticks_per_link_event)
 
     def _serve_batch(self, batch: List[Request]):
         """Issue a batch in arrival order, coalescing duplicate reads.
@@ -186,8 +169,6 @@ class BatchingScheduler:
         through the coalescing window (the plain path has no access to
         amortize and must not perturb secure batch shapes).
         """
-        if self._link is not None:
-            self._link.clear()
         served: Dict[object, bytes] = {}
         coalesced_keys = set()
         accesses = 0
@@ -276,10 +257,11 @@ class BatchingScheduler:
                 batch = [waiting.popleft()
                          for _ in range(min(self.batch_size, len(waiting)))]
                 depth_gauge.adjust(-len(batch))
+                sent = len(self._link)
                 served, coalesced_keys, batch_accesses, batch_plain = \
                     self._serve_batch(batch)
-                cost = (self._access_cost(batch_accesses) + batch_plain *
-                        PLAIN_LINK_EVENTS * self.ticks_per_link_event)
+                cost = (len(self._link) - sent +
+                        batch_plain * PLAIN_LINK_EVENTS)
                 finish = start + cost
                 for request in batch:
                     key = (request.tenant, request.sequence)
@@ -338,12 +320,11 @@ class BatchingScheduler:
                 addresses = plane.take_dirty(tenant)
                 if not addresses:
                     continue
-                if self._link is not None:
-                    self._link.clear()
+                sent = len(self._link)
                 for address in addresses:
                     self.protocol.access(address, Op.WRITE,
                                          plane.overlay[address])
-                cost = self._access_cost(len(addresses))
+                cost = len(self._link) - sent
                 busy_ticks += cost
                 server_free += cost
                 accesses += len(addresses)

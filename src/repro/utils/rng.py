@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -59,27 +58,8 @@ class DeterministicRng:
     def expovariate(self, rate: float) -> float:
         return self._rng.expovariate(rate)
 
-    def gauss(self, mean: float, stddev: float) -> float:
-        return self._rng.gauss(mean, stddev)
-
     def random_bytes(self, count: int) -> bytes:
         return self._rng.getrandbits(count * 8).to_bytes(count, "little")
-
-    def choice(self, sequence):
-        return self._rng.choice(sequence)
-
-    def shuffle(self, sequence) -> None:
-        self._rng.shuffle(sequence)
-
-    def zipf_index(self, population: int, exponent: float,
-                   _cache: Optional[list] = None) -> int:
-        """Draw an index in ``[0, population)`` with a Zipf-like distribution.
-
-        Implemented by inverse-transform over the harmonic weights; callers
-        that draw repeatedly should use :class:`ZipfSampler` instead.
-        """
-        sampler = ZipfSampler(self, population, exponent)
-        return sampler.sample()
 
 
 class ZipfSampler:

@@ -129,7 +129,6 @@ class TestSystemConfig:
         cpu = CpuConfig()
         assert cpu.llc_bytes == 2 * 2**20
         assert cpu.llc_assoc == 8
-        assert cpu.rob_entries == 128
 
     def test_sdimm_config_validates(self):
         SdimmConfig().validate()

@@ -13,6 +13,8 @@ import pytest
 
 from repro.control.morph import MorphController
 from repro.control.plane import ServeControlPlane
+from repro.core.commands import SdimmCommand
+from repro.core.secure_buffer import LinkRecorder
 from repro.obs.audit import audit_adaptive_control, run_full_audit
 from repro.oram.path_oram import Op
 from repro.parallel.cache import RunCache
@@ -33,14 +35,17 @@ def adaptive_spec(**overrides):
 
 
 class _StubProtocol:
-    """A link-less protocol double: constant-size blocks, logged calls."""
+    """A protocol double: constant-size blocks, logged calls, and one
+    link message (so one service tick) per access."""
 
     def __init__(self, block_bytes=64):
         self.block_bytes = block_bytes
         self.calls = []
+        self.link = LinkRecorder()
 
     def access(self, address, op, data=None):
         self.calls.append((address, op, data))
+        self.link.up(SdimmCommand.ACCESS, 0, self.block_bytes)
         return data if data is not None else bytes(self.block_bytes)
 
 
@@ -166,8 +171,7 @@ class TestMorphedServing:
         plane = ServeControlPlane(100, morph=morph)
         protocol = _StubProtocol()
         scheduler = BatchingScheduler(protocol, queue_capacity=32,
-                                      batch_size=1, control=plane,
-                                      fallback_access_ticks=1)
+                                      batch_size=1, control=plane)
         outcome = scheduler.run(self._requests())
         return protocol, plane, outcome
 
@@ -193,8 +197,7 @@ class TestMorphedServing:
         plane = ServeControlPlane(100, morph=morph)
         scheduler = BatchingScheduler(_StubProtocol(), queue_capacity=32,
                                       batch_size=1, control=plane,
-                                      keep_read_bytes=True,
-                                      fallback_access_ticks=1)
+                                      keep_read_bytes=True)
         outcome = scheduler.run(self._requests())
         reads = {key: data for key, data in outcome.read_bytes.items()}
         # the window-2 read of address 0 is served from the overlay and

@@ -14,6 +14,8 @@ from repro.config import DesignPoint, table2_config
 from repro.core.commands import SdimmCommand
 from repro.core.independent import IndependentProtocol
 from repro.core.split import SplitProtocol
+from repro.obs.audit import link_instants
+from repro.obs.tracer import CollectingTracer
 from repro.sim.events import EventQueue
 from repro.sim.system import build_backend, run_trace_file
 from repro.workloads.trace import TraceRecord, save_trace
@@ -24,21 +26,24 @@ class TestIndependentMessageCounts:
         """Functional: ACCESS + FETCH_RESULT + N APPENDs carry blocks.
         Timing: the same count of bus block reservations per accessORAM."""
         sdimms = 2
+        tracer = CollectingTracer()
         functional = IndependentProtocol(global_levels=8,
                                          sdimm_count=sdimms,
                                          block_bytes=16,
                                          stash_capacity=200,
                                          drain_probability=0.0,
-                                         record_link=True)
+                                         tracer=tracer)
         accesses = 12
         for address in range(accesses):
             functional.read(address)
+        block_commands = {command.value for command in (
+            SdimmCommand.ACCESS, SdimmCommand.FETCH_RESULT,
+            SdimmCommand.APPEND)}
         block_messages = sum(
-            1 for event in functional.link.events
-            if event.command in (SdimmCommand.ACCESS,
-                                 SdimmCommand.FETCH_RESULT,
-                                 SdimmCommand.APPEND) and
-            event.payload_bytes > 0)
+            1 for event in link_instants(tracer.events,
+                                         functional.link.lane)
+            if event.name in block_commands and
+            event.args["payload_bytes"] > 0)
         functional_per_access = block_messages / accesses
 
         events = EventQueue()
@@ -81,11 +86,12 @@ class TestSplitMessageStructure:
         """Functional: one metadata slice per bucket per way.  Timing: the
         same per-bucket metadata line count on the buses."""
         levels = 8
+        tracer = CollectingTracer()
         functional = SplitProtocol(levels=levels, ways=2, block_bytes=16,
-                                   stash_capacity=200, record_link=True)
+                                   stash_capacity=200, tracer=tracer)
         functional.read(1)
-        metadata_messages = sum(1 for event in functional.link.events
-                                if event.command is None)
+        metadata_messages = sum(1 for event in link_instants(
+            tracer.events, functional.link.lane) if event.name == "data")
         assert metadata_messages == levels * 2  # one slice per way/bucket
 
         config = table2_config(DesignPoint.SPLIT_2, channels=1)

@@ -11,6 +11,7 @@ from repro.faults.campaign import (_CAMPAIGN_KEY, CampaignSpec,
                                    campaign_request, run_campaign,
                                    run_campaign_sweep)
 from repro.faults.plan import FAULT_BIT_FLIP, FaultPlan, FaultSpec
+from repro.obs.audit import link_shapes
 from repro.obs.tracer import CATEGORY_LINK, NULL_TRACER, CollectingTracer
 from repro.parallel import fingerprint as fingerprint_module
 from repro.parallel.cache import RunCache
@@ -63,15 +64,20 @@ class TestZeroFaultEquivalence:
                            link_drops=0, link_duplicates=0, link_delays=0,
                            buffer_stalls=0)
         empty = FaultPlan(seed=spec.seed, specs=())
-        wrapped, injector, stats = build_faulted_protocol(spec, empty)
+        wrapped_trace, bare_trace = CollectingTracer(), CollectingTracer()
+        wrapped, injector, stats = build_faulted_protocol(
+            spec, empty, tracer=wrapped_trace)
         bare = build_protocol(spec.design, spec.levels, spec.sites,
-                              seed=spec.seed, key=_CAMPAIGN_KEY)
+                              seed=spec.seed, key=_CAMPAIGN_KEY,
+                              tracer=bare_trace)
         addresses = [i % 8 for i in range(24)]
         for index, address in enumerate(addresses):
             injector.begin_access(index)
             wrapped.read(address)
             bare.read(address)
-        assert wrapped.link.shapes() == bare.link.shapes()
+        lane = bare.link.lane
+        assert link_shapes(wrapped_trace.events, lane) == \
+            link_shapes(bare_trace.events, lane)
         assert stats.detections == 0
         assert stats.retries == 0
 

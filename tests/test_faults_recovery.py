@@ -12,7 +12,9 @@ from repro.faults.plan import (FAULT_BIT_FLIP, FAULT_LINK_DELAY,
 from repro.faults.recovery import (JITTER, ResilienceStats, ResilientLink,
                                    RetryExhaustedError, RetryPolicy,
                                    RetryingStore)
+from repro.obs.audit import link_shapes
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import CollectingTracer
 from repro.oram.integrity import IntegrityError
 from repro.utils.rng import DeterministicRng
 
@@ -184,7 +186,7 @@ class TestRetryingSplitReader:
 def link_with_plan(*specs, seed=4):
     plan = FaultPlan(seed=seed, specs=tuple(sorted(specs)))
     injector = FaultInjector(plan)
-    recorder = LinkRecorder(enabled=True)
+    recorder = LinkRecorder(tracer=CollectingTracer())
     stats = ResilienceStats()
     link = ResilientLink(recorder, injector, stats, RetryPolicy(), rng())
     injector.begin_access(0)
@@ -208,7 +210,7 @@ class TestResilientLink:
         link, recorder, stats, _ = link_with_plan(
             link_spec(FAULT_LINK_DROP))
         link.up(SdimmCommand.ACCESS, 0, 64)
-        shapes = recorder.shapes()
+        shapes = link_shapes(recorder.tracer.events, recorder.lane)
         assert len(shapes) == 2
         assert shapes[0] == shapes[1]
         assert stats.link_drops == 1

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core.commands import SdimmCommand
 from repro.core.indep_split import IndepSplitProtocol
+from repro.obs.audit import link_instants, link_shapes
+from repro.obs.tracer import CollectingTracer
 from repro.oram.path_oram import Op
 
 
@@ -13,6 +15,12 @@ def make_protocol(levels=8, groups=2, ways=2, seed=2018, p=0.1, **kwargs):
     return IndepSplitProtocol(
         global_levels=levels, groups=groups, ways=ways, block_bytes=16,
         stash_capacity=200, drain_probability=p, seed=seed, **kwargs)
+
+
+def traced_protocol(**kwargs):
+    """A protocol whose link messages land in a fresh tracer."""
+    tracer = CollectingTracer()
+    return make_protocol(tracer=tracer, **kwargs), tracer
 
 
 def payload(value):
@@ -88,13 +96,13 @@ class TestStructure:
 
 class TestObliviousness:
     def _shapes(self, operations, seed=2018):
-        protocol = make_protocol(seed=seed, p=0.0, record_link=True)
+        protocol, tracer = traced_protocol(seed=seed, p=0.0)
         for address, op, value in operations:
             if op is Op.WRITE:
                 protocol.access(address, op, payload(value))
             else:
                 protocol.access(address, op)
-        return protocol.link.shapes()
+        return link_shapes(tracer.events, protocol.link.lane)
 
     def test_link_shape_independent_of_addresses(self):
         hot = [(1, Op.READ, 0)] * 10
@@ -107,8 +115,9 @@ class TestObliviousness:
         assert self._shapes(reads) == self._shapes(writes)
 
     def test_append_broadcast_to_every_group(self):
-        protocol = make_protocol(p=0.0, record_link=True)
+        protocol, tracer = traced_protocol(p=0.0)
         protocol.read(3)
-        appends = [event for event in protocol.link.events
-                   if event.command is SdimmCommand.APPEND]
-        assert sorted(event.sdimm for event in appends) == [0, 1]
+        appends = [event for event
+                   in link_instants(tracer.events, protocol.link.lane)
+                   if event.name == SdimmCommand.APPEND.value]
+        assert sorted(event.args["sdimm"] for event in appends) == [0, 1]

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core.commands import SdimmCommand
 from repro.core.independent import IndependentProtocol
+from repro.obs.audit import link_instants, link_shapes
+from repro.obs.tracer import CollectingTracer
 from repro.oram.path_oram import Op
 
 
@@ -13,6 +15,20 @@ def make_protocol(levels=8, sdimms=2, seed=2018, p=0.1, **kwargs):
     return IndependentProtocol(
         global_levels=levels, sdimm_count=sdimms, block_bytes=16,
         stash_capacity=200, drain_probability=p, seed=seed, **kwargs)
+
+
+def traced_protocol(**kwargs):
+    """A protocol whose link messages land in a fresh tracer."""
+    tracer = CollectingTracer()
+    return make_protocol(tracer=tracer, **kwargs), tracer
+
+
+def sent(tracer, protocol, command, since=0):
+    """The ``command`` messages on the protocol's link after event
+    ``since`` of the trace."""
+    return [event for event in link_instants(tracer.events[since:],
+                                             protocol.link.lane)
+            if event.name == command.value]
 
 
 def payload(value):
@@ -71,15 +87,14 @@ class TestDistribution:
         assert min(counts) > 20  # roughly uniform
 
     def test_access_goes_to_owner(self):
-        protocol = make_protocol(record_link=True)
+        protocol, tracer = traced_protocol()
         protocol.write(1, payload(1))
         owner_before = protocol.locate(1)
-        protocol.link.clear()
+        since = len(tracer.events)
         protocol.read(1)
-        access_events = [event for event in protocol.link.events
-                         if event.command is SdimmCommand.ACCESS]
+        access_events = sent(tracer, protocol, SdimmCommand.ACCESS, since)
         assert len(access_events) == 1
-        assert access_events[0].sdimm == owner_before
+        assert access_events[0].args["sdimm"] == owner_before
 
     def test_drains_happen_under_migration_load(self):
         protocol = make_protocol(levels=8, sdimms=2, p=0.5, seed=7)
@@ -97,14 +112,14 @@ class TestDistribution:
 
 class TestObliviousness:
     def _shapes(self, operations, seed=2018):
-        protocol = make_protocol(levels=8, sdimms=2, seed=seed, p=0.0,
-                                 record_link=True)
+        protocol, tracer = traced_protocol(levels=8, sdimms=2, seed=seed,
+                                           p=0.0)
         for address, op, value in operations:
             if op is Op.WRITE:
                 protocol.access(address, op, payload(value))
             else:
                 protocol.access(address, op)
-        return protocol.link.shapes()
+        return link_shapes(tracer.events, protocol.link.lane)
 
     def test_link_shape_independent_of_addresses(self):
         hot = [(1, Op.READ, 0)] * 15
@@ -118,20 +133,19 @@ class TestObliviousness:
 
     def test_append_broadcast_to_every_sdimm(self):
         """Step 6: every access APPENDs to all SDIMMs, dummies included."""
-        protocol = make_protocol(sdimms=4, record_link=True, p=0.0)
+        protocol, tracer = traced_protocol(sdimms=4, p=0.0)
         protocol.read(3)
-        appends = [event for event in protocol.link.events
-                   if event.command is SdimmCommand.APPEND]
-        assert sorted(event.sdimm for event in appends) == [0, 1, 2, 3]
+        appends = sent(tracer, protocol, SdimmCommand.APPEND)
+        assert sorted(event.args["sdimm"] for event in appends) == \
+            [0, 1, 2, 3]
 
     def test_access_always_carries_block(self):
         """ACCESS is always followed by one block of data, even for reads,
         so the operation type is hidden."""
-        protocol = make_protocol(record_link=True)
+        protocol, tracer = traced_protocol()
         protocol.read(3)
-        access = [event for event in protocol.link.events
-                  if event.command is SdimmCommand.ACCESS][0]
-        assert access.payload_bytes == 16
+        access = sent(tracer, protocol, SdimmCommand.ACCESS)[0]
+        assert access.args["payload_bytes"] == 16
 
     def test_local_bus_trace_is_paths(self):
         """Each SDIMM's internal bus carries whole-path reads/writes only."""

@@ -13,10 +13,14 @@ A deliberate change to the policy, the RNG streams or the store layout
 must update the digests and say so.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.core.indep_split import IndepSplitProtocol
 from repro.core.independent import IndependentProtocol
+from repro.obs.audit import link_instants
+from repro.obs.tracer import CollectingTracer
 from repro.utils.canonical import canonical_digest
 from repro.utils.rng import DeterministicRng
 
@@ -24,9 +28,9 @@ LEVELS, SITES, BLOCK_BYTES = 7, 2, 16
 OPERATIONS, ADDRESSES = 400, 48
 
 
-def _build(design, seed):
+def _build(design, seed, tracer):
     common = dict(global_levels=LEVELS, block_bytes=BLOCK_BYTES, seed=seed,
-                  record_link=True)
+                  tracer=tracer)
     if design == "indep-split":
         return IndepSplitProtocol(groups=SITES, **common)
     key = b"site-pin-key-16b" if design == "independent-encrypted" else None
@@ -35,8 +39,10 @@ def _build(design, seed):
 
 
 def _run(design, seed):
-    """Drive the stream; returns (protocol, read results, queue pulls)."""
-    protocol = _build(design, seed)
+    """Drive the stream; returns (protocol, tracer, read results, queue
+    pulls)."""
+    tracer = CollectingTracer()
+    protocol = _build(design, seed, tracer)
     stream = DeterministicRng(seed, "site-pin-stream")
     seen, results, pulls = set(), [], 0
     for _ in range(OPERATIONS):
@@ -51,7 +57,7 @@ def _run(design, seed):
             protocol.write(address, stream.random_bytes(BLOCK_BYTES))
         else:
             results.append(protocol.read(address).hex())
-    return protocol, results, pulls
+    return protocol, tracer, results, pulls
 
 
 def _block(block):
@@ -63,10 +69,11 @@ def _queue(queue):
             "counters": queue.counters_dict()}
 
 
-def _links(link):
-    return [[event.direction,
-             event.command.value if event.command is not None else None,
-             event.sdimm, event.payload_bytes] for event in link.events]
+def _links(tracer, link):
+    return [[event.args["direction"],
+             None if event.name == "data" else event.name,
+             event.args["sdimm"], event.args["payload_bytes"]]
+            for event in link_instants(tracer.events, link.lane)]
 
 
 def _path_oram_store(store):
@@ -82,7 +89,7 @@ def _path_oram_store(store):
             "reads": store.reads, "writes": store.writes}
 
 
-def _independent_site(site):
+def _independent_site(tracer, site):
     oram = site.oram
     return {
         "stash": [_block(oram.stash.get(address))
@@ -95,7 +102,7 @@ def _independent_site(site):
     }
 
 
-def _split_site(site):
+def _split_site(tracer, site):
     split = site.split
     return {
         "shadow": [[entry.address, entry.leaf] for entry in split.shadow],
@@ -109,20 +116,20 @@ def _split_site(site):
                       for bucket, cell in sorted(buffer._store.items())],
             "counters": [buffer.writes, buffer.local_line_transfers],
         } for buffer in split.buffers],
-        "link": _links(split.link),
+        "link": _links(tracer, split.link),
         "queue": _queue(site.queue),
         "counters": [site.accesses, split.accesses, split.stash_peak],
     }
 
 
 def _state(design, seed):
-    protocol, results, pulls = _run(design, seed)
-    describe = _split_site if design == "indep-split" else \
-        _independent_site
+    protocol, tracer, results, pulls = _run(design, seed)
+    describe = partial(_split_site if design == "indep-split" else
+                       _independent_site, tracer)
     return protocol, pulls, {
         "results": results,
         "sites": [describe(site) for site in protocol.sites],
-        "link": _links(protocol.link),
+        "link": _links(tracer, protocol.link),
     }
 
 

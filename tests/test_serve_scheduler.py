@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.commands import SdimmCommand
+from repro.core.secure_buffer import LinkRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.oram.path_oram import Op
 from repro.serve.loadgen import Request
@@ -13,13 +15,18 @@ class FakeProtocol:
     """Deterministic in-memory backend with the protocols' access seam."""
 
     BLOCK = 16
+    #: link messages per access: one access costs this many ticks
+    LINK_MESSAGES = 10
 
     def __init__(self):
         self.store = {}
         self.access_log = []
+        self.link = LinkRecorder()
 
     def access(self, address, op, data=None):
         self.access_log.append((address, op))
+        for _ in range(self.LINK_MESSAGES):
+            self.link.up(SdimmCommand.ACCESS, 0, self.BLOCK)
         previous = self.store.get(address, bytes(self.BLOCK))
         if op is Op.WRITE:
             self.store[address] = data
@@ -38,8 +45,7 @@ def write(arrival, sequence, address, data, tenant="t0"):
 
 def run(requests, capacity=8, batch=4, **kwargs):
     scheduler = BatchingScheduler(FakeProtocol(), queue_capacity=capacity,
-                                  batch_size=batch,
-                                  fallback_access_ticks=10, **kwargs)
+                                  batch_size=batch, **kwargs)
     return scheduler.run(requests)
 
 
@@ -50,9 +56,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BatchingScheduler(FakeProtocol(), queue_capacity=4,
                               batch_size=0)
-        with pytest.raises(ValueError):
-            BatchingScheduler(FakeProtocol(), queue_capacity=4,
-                              ticks_per_link_event=0)
 
 
 class TestEmptyAndTrivial:
@@ -71,7 +74,7 @@ class TestEmptyAndTrivial:
         assert len(outcome.completions) == 1
         completion = outcome.completions[0]
         assert completion.start == 3
-        assert completion.finish == 13        # fallback cost 10
+        assert completion.finish == 13        # ten link messages
         assert completion.sojourn == 10
         assert outcome.busy_ticks == 10
         assert outcome.elapsed_ticks == 13
@@ -181,8 +184,7 @@ class TestAccounting:
         metrics = MetricsRegistry()
         requests = [read(0, i, i % 2) for i in range(6)]
         scheduler = BatchingScheduler(FakeProtocol(), queue_capacity=4,
-                                      batch_size=4, metrics=metrics,
-                                      fallback_access_ticks=10)
+                                      batch_size=4, metrics=metrics)
         outcome = scheduler.run(requests)
         snapshot = metrics.as_dict()
         counters = snapshot["counters"]

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro.core.commands import SdimmCommand
 from repro.core.indep_split import IndepSplitProtocol
 from repro.core.split import SplitIntegrityError, SplitProtocol
+from repro.obs.audit import link_instants, link_shapes
+from repro.obs.tracer import CollectingTracer
 from repro.oram.path_oram import Op
 from repro.utils.bitops import bit_slice
 
@@ -16,6 +18,12 @@ from repro.utils.bitops import bit_slice
 def make_protocol(levels=6, ways=2, seed=2018, **kwargs):
     return SplitProtocol(levels=levels, ways=ways, block_bytes=16,
                          stash_capacity=200, seed=seed, **kwargs)
+
+
+def traced_protocol(**kwargs):
+    """A protocol whose link messages land in a fresh tracer."""
+    tracer = CollectingTracer()
+    return make_protocol(tracer=tracer, **kwargs), tracer
 
 
 def payload(value):
@@ -346,13 +354,13 @@ class TestIntegrity:
 
 class TestObliviousness:
     def _shapes(self, operations, seed=2018):
-        protocol = make_protocol(levels=6, seed=seed, record_link=True)
+        protocol, tracer = traced_protocol(levels=6, seed=seed)
         for address, op, value in operations:
             if op is Op.WRITE:
                 protocol.access(address, op, payload(value))
             else:
                 protocol.access(address, op)
-        return protocol.link.shapes()
+        return link_shapes(tracer.events, protocol.link.lane)
 
     def test_link_shape_independent_of_addresses(self):
         hot = [(1, Op.READ, 0)] * 10
@@ -367,20 +375,22 @@ class TestObliviousness:
     def test_data_moves_locally_metadata_to_cpu(self):
         """The Split property: FETCH_DATA carries no payload on the channel;
         only metadata and the single requested block cross it."""
-        protocol = make_protocol(record_link=True)
+        protocol, tracer = traced_protocol()
         protocol.read(1)
-        fetch_data = [event for event in protocol.link.events
-                      if event.command is SdimmCommand.FETCH_DATA]
+        events = link_instants(tracer.events, protocol.link.lane)
+        fetch_data = [event for event in events
+                      if event.name == SdimmCommand.FETCH_DATA.value]
         assert fetch_data
-        assert all(event.payload_bytes == 0 for event in fetch_data)
-        stash_down = [event for event in protocol.link.events
-                      if event.command is SdimmCommand.FETCH_STASH and
-                      event.direction == "down"]
+        assert all(event.args["payload_bytes"] == 0 for event in fetch_data)
+        stash_down = [event for event in events
+                      if event.name == SdimmCommand.FETCH_STASH.value and
+                      event.args["direction"] == "down"]
         # each way returns only its slice of the one requested block
-        assert {event.payload_bytes for event in stash_down} == {8}
+        assert {event.args["payload_bytes"] for event in stash_down} == {8}
 
     def test_every_way_participates(self):
-        protocol = make_protocol(ways=4, record_link=True)
+        protocol, tracer = traced_protocol(ways=4)
         protocol.read(1)
-        targets = {event.sdimm for event in protocol.link.events}
+        targets = {event.args["sdimm"] for event
+                   in link_instants(tracer.events, protocol.link.lane)}
         assert targets == {0, 1, 2, 3}

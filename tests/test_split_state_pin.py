@@ -19,6 +19,8 @@ layout must update the digests and say so.
 import pytest
 
 from repro.core.split import SplitProtocol
+from repro.obs.audit import link_instants
+from repro.obs.tracer import CollectingTracer
 from repro.utils.canonical import canonical_digest
 from repro.utils.rng import DeterministicRng
 
@@ -32,7 +34,7 @@ def _run(seed):
     protocol = SplitProtocol(levels=LEVELS, ways=WAYS,
                              blocks_per_bucket=BLOCKS_PER_BUCKET,
                              block_bytes=BLOCK_BYTES, seed=seed,
-                             record_link=True)
+                             tracer=CollectingTracer())
     stream = DeterministicRng(seed, "split-pin-stream")
     results, trail, dummies = [], [], 0
     for _ in range(OPERATIONS):
@@ -67,10 +69,11 @@ def _state(protocol, results, trail):
                       for bucket, cell in sorted(buffer._store.items())],
             "counters": [buffer.writes, buffer.local_line_transfers],
         } for buffer in protocol.buffers],
-        "link": [[event.direction,
-                  event.command.value if event.command is not None
-                  else None, event.sdimm, event.payload_bytes]
-                 for event in protocol.link.events],
+        "link": [[event.args["direction"],
+                  None if event.name == "data" else event.name,
+                  event.args["sdimm"], event.args["payload_bytes"]]
+                 for event in link_instants(protocol.tracer.events,
+                                            protocol.link.lane)],
         "counters": [protocol.accesses, protocol.stash_peak],
     }
 
