@@ -8,11 +8,12 @@ counter).  Its two properties matter to the ORAM protocols:
 * re-encrypting a bucket after an access requires only bumping its counter,
   so identical plaintexts never produce identical ciphertexts.
 
-The functional tier decrypts and immediately re-encrypts every bucket it
-touches, so each (nonce, counter) pad is requested at least twice; the
-cipher keeps a bounded cache of derived keystreams (the emulation of the
-hardware pipeline's pad precomputation) and XORs through large-integer
-arithmetic instead of a per-byte generator.
+The functional tier writes a bucket back under a bumped counter and reads
+it next under that same counter, so each (nonce, counter) pad is requested
+at least twice, and a nonce's pad is dead once its counter advances.  The
+cipher therefore keeps one derived keystream per nonce, the latest one
+(the emulation of the hardware pipeline's pad precomputation), and XORs
+through large-integer arithmetic instead of a per-byte generator.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Dict, Tuple
 
 from repro.crypto.prf import Prf
 from repro.utils import memo
-from repro.utils.memo import DEFAULT_MEMO_CAP
 
 #: A pad's seed: the ``pad:`` label, then nonce and counter, 8
 #: little-endian bytes each.
@@ -34,19 +34,21 @@ class CounterModeCipher:
 
     def __init__(self, key: bytes):
         self._prf = Prf(key)
-        self._pad_cache: Dict[Tuple[int, int], bytes] = {}
+        # nonce -> (counter, keystream) of the last pad derived for it
+        self._pads: Dict[int, Tuple[int, bytes]] = {}
 
     def pad(self, nonce: int, counter: int, length: int) -> bytes:
         """The keystream for a given (nonce, counter) pair."""
-        cached = self._pad_cache.get((nonce, counter))
-        if cached is not None and len(cached) >= length:
-            return cached if len(cached) == length else cached[:length]
+        cached = self._pads.get(nonce)
+        if cached is not None:
+            cached_counter, keystream = cached
+            if cached_counter == counter and len(keystream) >= length:
+                return keystream if len(keystream) == length \
+                    else keystream[:length]
         keystream = self._prf.evaluate(
             _PAD_SEED.pack(b"pad:", nonce, counter), length)
         if not memo.CORE.reference:
-            if len(self._pad_cache) >= DEFAULT_MEMO_CAP:
-                self._pad_cache.clear()
-            self._pad_cache[(nonce, counter)] = keystream
+            self._pads[nonce] = (counter, keystream)
         return keystream
 
     def encrypt(self, plaintext: bytes, nonce: int, counter: int,

@@ -14,14 +14,12 @@ Two layouts, both keyed on the same subtree-packed linearization:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.config import DramOrganization, OramConfig
 from repro.dram.address import DecodedAddress
 from repro.oram.tree import TreeGeometry
 from repro.utils.bitops import log2_exact
-from repro.utils import memo
-from repro.utils.memo import DEFAULT_MEMO_CAP
 
 
 def subtree_packed_index(geometry: TreeGeometry, bucket: int,
@@ -120,9 +118,6 @@ class TreeLayout:
         self.channels = channels
         self.subtree_levels = subtree_levels
         self._decoder = _SequentialDecoder(organization, oram.block_bytes)
-        # path_runs is pure in (leaf, skip_levels) and dominates every
-        # timing-tier path access; memoized results are immutable tuples.
-        self._runs_cache: Dict[Tuple[int, int], Tuple] = {}
 
     def bucket_lines(self, bucket: int) -> List[Tuple[int, DecodedAddress]]:
         """(channel, coordinates) of each cache line of one bucket."""
@@ -146,19 +141,15 @@ class TreeLayout:
         return lines
 
     def path_runs(self, leaf: int, skip_levels: int = 0
-                  ) -> Sequence[Tuple[int, DecodedAddress, int]]:
+                  ) -> List[Tuple[int, DecodedAddress, int]]:
         """The path's lines coalesced into same-row streaming runs.
 
         Returns (channel, first-line coordinates, line count) triples that
         :meth:`repro.dram.channel.Channel.schedule_run` consumes.  Exactly
         covers :meth:`path_lines` — adjacent buckets in one packing band
         merge into longer runs; channel striping and row boundaries split
-        them.  The result is a memoized immutable tuple — do not mutate.
+        them.
         """
-        cache_key = (leaf, skip_levels)
-        cached = self._runs_cache.get(cache_key)
-        if cached is not None:
-            return cached
         ranges = _bucket_line_ranges(
             self.geometry, self.geometry.path(leaf)[skip_levels:],
             self.subtree_levels, self.oram.lines_per_bucket)
@@ -174,12 +165,7 @@ class TreeLayout:
                     (channel, address, run_count)
                     for address, run_count in _split_rows(
                         self._decoder, first // self.channels, count))
-        result = tuple(runs)
-        if memo.CORE.memo:
-            if len(self._runs_cache) >= DEFAULT_MEMO_CAP:
-                self._runs_cache.clear()
-            self._runs_cache[cache_key] = result
-        return result
+        return runs
 
 
 class LowPowerLayout:
@@ -211,7 +197,6 @@ class LowPowerLayout:
             _SequentialDecoder(organization, oram.block_bytes,
                                fixed_rank=rank)
             for rank in range(self.ranks)]
-        self._runs_cache: Dict[Tuple[int, int], Tuple] = {}
 
     def rank_of_leaf(self, leaf: int) -> int:
         """Which rank serves an access to ``leaf`` (its subtree owner)."""
@@ -250,17 +235,12 @@ class LowPowerLayout:
         return lines
 
     def path_runs(self, leaf: int,
-                  skip_levels: int = 0) -> Sequence[Tuple[DecodedAddress, int]]:
+                  skip_levels: int = 0) -> List[Tuple[DecodedAddress, int]]:
         """The path's DRAM lines coalesced into same-row streaming runs.
 
         All runs land in the one rank owning ``leaf``'s subtree — the
         low-power invariant — so entries are (coordinates, count) pairs.
-        The result is a memoized immutable tuple — do not mutate.
         """
-        cache_key = (leaf, skip_levels)
-        cached = self._runs_cache.get(cache_key)
-        if cached is not None:
-            return cached
         rank = self.rank_of_leaf(leaf)
         sub_buckets = []
         for bucket in self.geometry.path(leaf)[skip_levels:]:
@@ -278,9 +258,4 @@ class LowPowerLayout:
                 self._rank_geometry, sub_buckets, self.subtree_levels,
                 self.oram.lines_per_bucket):
             runs.extend(_split_rows(decoder, begin, end - begin))
-        result = tuple(runs)
-        if memo.CORE.memo:
-            if len(self._runs_cache) >= DEFAULT_MEMO_CAP:
-                self._runs_cache.clear()
-            self._runs_cache[cache_key] = result
-        return result
+        return runs

@@ -227,17 +227,6 @@ class PathOram:
         if address in self.stash:
             return True
         leaf = self.posmap.lookup(address)
-        for bucket_index in self.geometry.path(leaf):
-            bucket = self.store.read(bucket_index)
-            for block in bucket.blocks():
-                if block.address == address:
-                    # put everything back where it was
-                    self._restore(bucket_index, bucket)
-                    return True
-            self._restore(bucket_index, bucket)
-        return False
-
-    def _restore(self, bucket_index: int, bucket: Bucket) -> None:
-        # Every store hands out copies on read, so an un-written read never
-        # perturbs stored state — nothing to restore.  Kept for symmetry.
-        pass
+        return any(block.address == address
+                   for bucket_index in self.geometry.path(leaf)
+                   for block in self.store.read(bucket_index).blocks())

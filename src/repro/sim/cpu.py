@@ -19,21 +19,12 @@ from typing import Dict, Iterable, Iterator, Optional
 
 from repro.cache.cache import SetAssociativeCache
 from repro.config import SystemConfig
-from repro.core.transfer_queue import TransferQueueOverflow
 from repro.obs.metrics import phase_breakdown
 from repro.obs.tracer import CATEGORY_CPU, NULL_TRACER, Tracer
-from repro.oram.integrity import IntegrityError
-from repro.oram.path_oram import StashOverflowError
 from repro.sim.events import EventQueue
-from repro.sim.stats import (LatencyStats, RunResult,
-                             failure_record_from_exception)
+from repro.sim.stats import LatencyStats, RunResult
 from repro.utils.rng import DeterministicRng
 from repro.workloads.trace import TraceRecord
-
-#: Detections that may terminate a run gracefully under on_fault="record"
-#: (a Split slice failure is an IntegrityError).
-RECOVERABLE_FAULTS = (IntegrityError, StashOverflowError,
-                      TransferQueueOverflow)
 
 
 class _MissSlot:
@@ -93,37 +84,15 @@ class SimulationDriver:
     # ------------------------------------------------------------------
 
     def run(self, trace: Iterable[TraceRecord],
-            warmup_records: int = 0,
-            on_fault: str = "raise") -> RunResult:
-        """Execute the trace; statistics cover the post-warm-up window.
-
-        ``on_fault`` controls what a detection does to the run:
-
-        * ``"raise"`` (default) — detections propagate, today's behaviour;
-        * ``"record"`` — an :class:`IntegrityError`, Split integrity error,
-          stash overflow, or transfer-queue overflow becomes a structured
-          entry in ``RunResult.failures`` and the partial statistics up to
-          the terminal event are preserved.
-        """
-        if on_fault not in ("raise", "record"):
-            raise ValueError(f"unknown on_fault policy {on_fault!r}")
+            warmup_records: int = 0) -> RunResult:
+        """Execute the trace; statistics cover the post-warm-up window."""
         self._records = iter(trace)
         self._warmup_records = warmup_records
         self.events.at(0, self._issue_loop)
-        terminal = None
-        try:
-            self.events.run()
-        except RECOVERABLE_FAULTS as error:
-            if on_fault != "record":
-                raise
-            terminal = failure_record_from_exception(error)
+        self.events.run()
         end = max(self._final_cycle, self.events.now)
         self.backend.finalize(end)
-        result = self._build_result(end)
-        if terminal is not None:
-            terminal["terminal"] = True
-            result.failures.append(terminal)
-        return result
+        return self._build_result(end)
 
     # ------------------------------------------------------------------
     # The core's issue process

@@ -104,9 +104,10 @@ class RunResult:
     #: (repro.obs.metrics.phase_breakdown); empty without a tracer
     phase_cycles: Dict[str, int] = field(default_factory=dict)
     extras: Dict[str, float] = field(default_factory=dict)
-    #: structured terminal-event records (integrity faults, overflows)
-    #: when the run completed degraded instead of raising; empty for a
-    #: clean run.  Each record carries at least ``kind`` and ``detail``.
+    #: structured terminal-event records (integrity faults, overflows),
+    #: each with at least ``kind`` and ``detail``.  No timing backend
+    #: holds data that a fault could corrupt, so a simulated run leaves
+    #: this empty; reports and cache entries keep the field.
     failures: List[Dict[str, object]] = field(default_factory=list)
     #: tumbling cycle-window snapshots (repro.obs.timeseries) when the
     #: run asked for them via ``window_cycles``; empty otherwise.  Each
@@ -162,8 +163,8 @@ def failure_record_from_exception(error: BaseException) -> Dict[str, object]:
     Picks up the structured fields the integrity/overflow exceptions carry
     (``index``, ``expected_counter``, ``bucket``, ``way``, ``occupancy``,
     ``capacity``, plus their ``kind`` discriminator as ``fault_kind``) so
-    ``RunResult.failures`` preserves everything a traceback would have
-    shown, minus the crash.
+    a failure record preserves everything a traceback would have shown,
+    minus the crash.
     """
     record: Dict[str, object] = {
         "kind": type(error).__name__,

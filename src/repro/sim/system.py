@@ -38,7 +38,6 @@ def run_simulation(config: SystemConfig,
                    trace_seed: int = 2018,
                    window_policy: str = "in-order",
                    tracer: Tracer = NULL_TRACER,
-                   on_fault: str = "raise",
                    window_cycles: int = 0) -> RunResult:
     """Run one (design, workload) pair and return its measurements.
 
@@ -86,8 +85,7 @@ def run_simulation(config: SystemConfig,
     if was_collecting:
         gc.disable()
     try:
-        result = driver.run(trace, warmup_records=warmup_records,
-                            on_fault=on_fault)
+        result = driver.run(trace, warmup_records=warmup_records)
     finally:
         if was_collecting:
             gc.enable()
@@ -101,8 +99,7 @@ def run_simulation(config: SystemConfig,
 def run_trace_file(config: SystemConfig, path: str, mlp: int = 4,
                    warmup_records: int = 0,
                    window_policy: str = "in-order",
-                   tracer: Tracer = NULL_TRACER,
-                   on_fault: str = "raise") -> RunResult:
+                   tracer: Tracer = NULL_TRACER) -> RunResult:
     """Run a trace previously saved with
     :func:`repro.workloads.trace.save_trace` (or captured elsewhere in the
     same format) through any design point."""
@@ -117,8 +114,7 @@ def run_trace_file(config: SystemConfig, path: str, mlp: int = 4,
                               workload_name=path,
                               window_policy=window_policy,
                               tracer=tracer)
-    return driver.run(records, warmup_records=warmup_records,
-                      on_fault=on_fault)
+    return driver.run(records, warmup_records=warmup_records)
 
 
 def run_design_comparison(designs, workload, channels: int,

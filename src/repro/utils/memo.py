@@ -7,8 +7,8 @@ scheduling in :mod:`repro.sim.events`, the helper-per-constraint
 ``_schedule_run_reference`` behind both ``schedule_run`` and
 ``schedule_access`` in :mod:`repro.dram.channel`, the bank-scanning
 ``note_activity`` in :mod:`repro.dram.rank`).  The reference core is the
-unbatched, unmemoized spec: it also turns off the pure memoization
-caches (:mod:`repro.oram.layout`, :mod:`repro.crypto.ctr`), and every
+unbatched, unmemoized spec: it also turns off the one memo, the counter-
+mode cipher's last pad per nonce (:mod:`repro.crypto.ctr`), and every
 path pass walks the layout's runs instead of stamping
 (:mod:`repro.fastpath.access`).
 
@@ -42,11 +42,6 @@ class CoreSelection:
 
     reference: bool = False
 
-    @property
-    def memo(self) -> bool:
-        """The pure memo caches run on every core but the reference one."""
-        return not self.reference
-
 
 def selection_from_env() -> CoreSelection:
     """The selection the environment asks for."""
@@ -67,9 +62,3 @@ def selected(core: CoreSelection) -> Iterator[None]:
         yield
     finally:
         CORE = previous
-
-
-#: Default bound for per-instance memo dictionaries.  Caches clear and
-#: restart when full — simpler and faster than LRU bookkeeping, and a
-#: full wipe keeps worst-case memory at one bounded dict per instance.
-DEFAULT_MEMO_CAP = 1 << 16

@@ -125,6 +125,55 @@ class TestCounterMode:
         assert cipher.encrypt(b"hello world!", 3, 9) == manual
 
 
+class TestPadMemo:
+    """The cipher keeps one pad per nonce: the one for its last counter.
+
+    A bucket is re-encrypted under a bumped counter on every write-back
+    and read back under that counter, so an older pad never hits again.
+    """
+
+    @staticmethod
+    def counted(cipher):
+        calls = []
+        evaluate = cipher._prf.evaluate
+
+        def counting(message, length):
+            calls.append(length)
+            return evaluate(message, length)
+
+        cipher._prf.evaluate = counting
+        return calls
+
+    def test_one_entry_per_nonce(self):
+        cipher = CounterModeCipher(KEY_A)
+        for counter in range(1, 501):
+            cipher.encrypt(b"bucket bytes", 7, counter)
+        assert len(cipher._pads) == 1
+
+    def test_decrypt_at_current_counter_derives_no_pad(self):
+        cipher = CounterModeCipher(KEY_A)
+        ciphertext = cipher.encrypt(b"bucket bytes", 7, 4)
+        calls = self.counted(cipher)
+        assert cipher.decrypt(ciphertext, 7, 4) == b"bucket bytes"
+        assert calls == []
+
+    def test_older_counter_still_decrypts(self):
+        cipher = CounterModeCipher(KEY_A)
+        old = cipher.encrypt(b"old bucket", 7, 1)
+        new = cipher.encrypt(b"new bucket", 7, 2)
+        calls = self.counted(cipher)
+        assert cipher.decrypt(old, 7, 1) == b"old bucket"
+        assert calls == [len(old)]
+        assert cipher.decrypt(new, 7, 2) == b"new bucket"
+
+    def test_short_request_served_from_longer_pad(self):
+        cipher = CounterModeCipher(KEY_A)
+        long_pad = cipher.pad(3, 9, 64)
+        calls = self.counted(cipher)
+        assert cipher.pad(3, 9, 12) == long_pad[:12]
+        assert calls == []
+
+
 class TestMacEngine:
     def test_verify_accepts_valid(self):
         mac = MacEngine(KEY_A)

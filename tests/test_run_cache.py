@@ -13,7 +13,9 @@ from repro.parallel.cache import (CACHE_DIR_ENV, DEFAULT_CACHE_DIRNAME,
                                   RunCache, default_cache_dir)
 from repro.parallel.pool import fanout
 from repro.parallel.serialize import run_result_from_dict, run_result_to_dict
+from repro.oram.integrity import IntegrityError
 from repro.parallel.sweep import SweepPoint, run_sweep
+from repro.sim.stats import failure_record_from_exception
 from repro.sim.system import run_simulation
 
 CONFIG = small_config(DesignPoint.FREECURSIVE)
@@ -52,6 +54,20 @@ class TestRoundTrip:
                 == payload["result"])
         assert cache.stats.hits == 1
         assert cache.stats.writes == 1
+
+    def test_failure_records_round_trip(self, payload):
+        result = run_result_from_dict(payload["result"])
+        assert result.completed_clean
+        result.failures.append(failure_record_from_exception(
+            IntegrityError("stale bucket", index=5, expected_counter=9,
+                           kind="mac")))
+        restored = run_result_from_dict(run_result_to_dict(result))
+        assert not restored.completed_clean
+        assert restored.failures == result.failures
+        record = restored.failures[0]
+        assert (record["kind"], record["fault_kind"], record["index"],
+                record["expected_counter"]) == ("IntegrityError", "mac", 5, 9)
+        assert "stale bucket" in record["detail"]
 
     def test_chrome_json_round_trips(self, cache, payload):
         traced = dict(payload, chrome_json='{"traceEvents":[]}')

@@ -3,9 +3,10 @@
 Everything a protocol keeps between requests is bounded by its tree,
 its address space and its queues, so serving 3,000 requests must leave
 it no larger than serving 1,000.  The walk below sizes every object
-reachable from the protocol.  It skips classes, modules and functions,
-which are shared code rather than protocol state, and the CTR ciphers,
-whose pad memo is a cache capped at ``DEFAULT_MEMO_CAP`` entries.
+reachable from the protocol, its counter-mode ciphers included: a
+cipher keeps one pad per nonce, so its memo is bounded by the bucket
+count.  The walk skips classes, modules and functions, which are shared
+code rather than protocol state.
 
 INDEP-SPLIT is the design this guards: each group runs a Split protocol
 with its own link, below the top-level link the scheduler meters.
@@ -15,11 +16,10 @@ import gc
 import sys
 import types
 
-from repro.crypto.ctr import CounterModeCipher
 from repro.serve.bench import ServeSpec, generate_requests, serve_requests
 
 _SHARED = (type, types.ModuleType, types.FunctionType,
-           types.BuiltinFunctionType, types.CodeType, CounterModeCipher)
+           types.BuiltinFunctionType, types.CodeType)
 
 
 def _retained_bytes(root) -> int:
