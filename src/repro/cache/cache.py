@@ -13,21 +13,23 @@ tier keeps none).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from repro.utils.bitops import is_power_of_two
+from repro.utils.bitops import is_power_of_two, log2_exact
 
 
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of one cache access."""
+class AccessResult(NamedTuple):
+    """Outcome of one cache access; every hit returns one shared instance."""
 
     hit: bool
     #: line address of the evicted victim, if the fill displaced one
     victim_address: Optional[int] = None
     #: True when the victim was dirty and must be written back
     victim_dirty: bool = False
+
+
+_HIT = AccessResult(True)
+_CLEAN_FILL = AccessResult(False)
 
 
 class SetAssociativeCache:
@@ -46,48 +48,52 @@ class SetAssociativeCache:
                              f"of two for address slicing")
         # per-set mapping tag -> dirty, in LRU order (oldest first)
         self._sets: Dict[int, Dict[int, bool]] = {}
+        self._set_mask = self.set_count - 1
+        self._tag_shift = log2_exact(self.set_count)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.writebacks = 0
 
     def _locate(self, line_address: int) -> Tuple[int, int]:
-        return line_address % self.set_count, line_address // self.set_count
+        return line_address & self._set_mask, line_address >> self._tag_shift
 
     def access(self, line_address: int, is_write: bool = False) -> AccessResult:
         """Reference a line; fill on miss; return hit/victim information."""
-        set_index, tag = self._locate(line_address)
-        cache_set = self._sets.setdefault(set_index, {})
-        if tag in cache_set:
+        set_index = line_address & self._set_mask
+        tag = line_address >> self._tag_shift
+        cache_set = self._sets.get(set_index)
+        if cache_set is None:
+            cache_set = self._sets[set_index] = {}
+        elif tag in cache_set:
             self.hits += 1
             dirty = cache_set.pop(tag) or is_write
             cache_set[tag] = dirty  # reinsert as most-recently-used
-            return AccessResult(hit=True)
+            return _HIT
 
         self.misses += 1
-        victim_address = None
-        victim_dirty = False
-        if len(cache_set) >= self.associativity:
-            victim_tag, victim_dirty = next(iter(cache_set.items()))
-            del cache_set[victim_tag]
-            victim_address = victim_tag * self.set_count + set_index
-            self.evictions += 1
-            if victim_dirty:
-                self.writebacks += 1
         cache_set[tag] = is_write
-        return AccessResult(hit=False, victim_address=victim_address,
-                            victim_dirty=victim_dirty)
+        if len(cache_set) <= self.associativity:
+            return _CLEAN_FILL
+        victim_tag = next(iter(cache_set))
+        victim_dirty = cache_set.pop(victim_tag)
+        self.evictions += 1
+        if victim_dirty:
+            self.writebacks += 1
+        return AccessResult(False, (victim_tag << self._tag_shift) | set_index,
+                            victim_dirty)
 
     def probe(self, line_address: int) -> bool:
         """Check residency without touching LRU state."""
         set_index, tag = self._locate(line_address)
-        return tag in self._sets.get(set_index, {})
+        cache_set = self._sets.get(set_index)
+        return cache_set is not None and tag in cache_set
 
     def invalidate(self, line_address: int) -> bool:
         """Drop a line if present; returns whether it was resident."""
         set_index, tag = self._locate(line_address)
-        cache_set = self._sets.get(set_index, {})
-        if tag in cache_set:
+        cache_set = self._sets.get(set_index)
+        if cache_set is not None and tag in cache_set:
             del cache_set[tag]
             return True
         return False

@@ -10,15 +10,15 @@ bypass this mapper and place buckets explicitly; they still produce
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.config import DramOrganization
-from repro.utils.bitops import extract_bits, log2_exact
+from repro.utils.bitops import log2_exact
 
 
-@dataclass(frozen=True)
-class DecodedAddress:
-    """Coordinates of one cache line inside a channel."""
+class DecodedAddress(NamedTuple):
+    """Coordinates of one cache line inside a channel (a NamedTuple: one
+    is built per miss, at tuple cost)."""
 
     rank: int
     bank: int
@@ -28,6 +28,9 @@ class DecodedAddress:
     def same_row(self, other: "DecodedAddress") -> bool:
         return (self.rank, self.bank, self.row) == (
             other.rank, other.bank, other.row)
+
+
+_FIELDS = DecodedAddress._fields
 
 
 class AddressMapper:
@@ -55,13 +58,18 @@ class AddressMapper:
         self.line_bytes = line_bytes
         self.scheme = scheme
         self.lines_per_channel = organization.channel_bytes // line_bytes
-        self._field_bits = {
+        widths = {
             "column": log2_exact(organization.row_bytes // line_bytes),
             "bank": log2_exact(organization.banks_per_rank),
             "rank": log2_exact(organization.ranks_per_channel),
             "row": log2_exact(organization.rows_per_bank),
         }
-        self._order = self.SCHEMES[scheme]
+        shifts, low = {}, 0
+        for name in self.SCHEMES[scheme]:
+            shifts[name], low = low, low + widths[name]
+        #: (shift, mask) per field, in DecodedAddress order
+        self._table = tuple((shifts[name], (1 << widths[name]) - 1)
+                            for name in _FIELDS)
 
     def decode(self, line_address: int) -> DecodedAddress:
         """Split a line address into channel coordinates."""
@@ -69,26 +77,19 @@ class AddressMapper:
             raise ValueError(
                 f"line address {line_address} outside channel "
                 f"(capacity {self.lines_per_channel} lines)")
-        fields = {}
-        low = 0
-        for name in self._order:
-            width = self._field_bits[name]
-            fields[name] = extract_bits(line_address, low, width)
-            low += width
-        return DecodedAddress(rank=fields["rank"], bank=fields["bank"],
-                              row=fields["row"], column=fields["column"])
+        (rank_shift, rank_mask), (bank_shift, bank_mask), \
+            (row_shift, row_mask), (column_shift, column_mask) = self._table
+        return DecodedAddress((line_address >> rank_shift) & rank_mask,
+                              (line_address >> bank_shift) & bank_mask,
+                              (line_address >> row_shift) & row_mask,
+                              (line_address >> column_shift) & column_mask)
 
     def encode(self, decoded: DecodedAddress) -> int:
         """Inverse of :meth:`decode`."""
-        values = {"rank": decoded.rank, "bank": decoded.bank,
-                  "row": decoded.row, "column": decoded.column}
         line_address = 0
-        low = 0
-        for name in self._order:
-            width = self._field_bits[name]
-            value = values[name]
-            if value >> width:
-                raise ValueError(f"{name}={value} does not fit in {width} bits")
-            line_address |= value << low
-            low += width
+        for name, value, (shift, mask) in zip(_FIELDS, decoded, self._table):
+            if value & ~mask:
+                raise ValueError(
+                    f"{name}={value} does not fit in {mask.bit_length()} bits")
+            line_address |= value << shift
         return line_address

@@ -10,9 +10,8 @@ cross-channel I/O.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, NamedTuple, Optional
 
 from repro.config import DramOrganization, DramTiming
 from repro.dram.address import DecodedAddress
@@ -23,21 +22,24 @@ from repro.dram.stamp import stamp_pass
 from repro.obs.tracer import CATEGORY_DRAM, NULL_TRACER, Tracer
 from repro.utils import memo
 
-_request_ids = itertools.count()
-
 _HIT = RowBufferOutcome.HIT
 _MISS = RowBufferOutcome.MISS
 _CONFLICT = RowBufferOutcome.CONFLICT
 
 
-@dataclass
+@dataclass(eq=False)
 class MemoryRequest:
-    """One cache-line request presented to a channel scheduler."""
+    """One cache-line request presented to a channel scheduler.
+
+    ``on_complete(data_end)``, if given, runs when the request's data
+    burst ends.  Requests compare by identity, so the scheduler's
+    ``list.remove`` finds the picked one without comparing fields.
+    """
 
     address: DecodedAddress
     is_write: bool
     arrival_time: int
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    on_complete: Optional[Callable[[int], None]] = None
     completion_time: Optional[int] = None
 
 

@@ -45,7 +45,7 @@ class FrFcfsScheduler:
         return len(self.read_queue) + len(self.write_queue)
 
     def has_work(self) -> bool:
-        return self.pending > 0
+        return bool(self.read_queue or self.write_queue)
 
     @property
     def write_queue_full(self) -> bool:
@@ -84,8 +84,10 @@ class FrFcfsScheduler:
             request = self._pick(self.write_queue)
         else:
             request = self._pick(self.read_queue)
+        arrival = request.arrival_time
         timing = self.channel.schedule_access(
-            request.address, request.is_write, max(now, request.arrival_time))
+            request.address, request.is_write,
+            now if now > arrival else arrival)
         request.completion_time = timing.data_end
         if self.tracer.enabled:
             self.tracer.counter("queue_depth", CATEGORY_DRAM,

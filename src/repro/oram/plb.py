@@ -16,8 +16,7 @@ manages the frontend of ORAM while SDIMMs accelerate the backend").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.cache.cache import SetAssociativeCache
 from repro.config import OramConfig
@@ -27,8 +26,7 @@ from repro.utils.bitops import log2_exact
 _MAX_POSMAP_LEVELS = 7
 
 
-@dataclass(frozen=True)
-class OramAccess:
+class OramAccess(NamedTuple):
     """One accessORAM operation the backend must perform."""
 
     oram_level: int        # 0 = data ORAM, k >= 1 = PosMap ORAM_k

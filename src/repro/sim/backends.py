@@ -107,7 +107,6 @@ class NonSecureBackend:
                                            tracer=tracer)
                            for channel in self.channels]
         self._issuing = [False] * config.channels
-        self._callbacks: Dict[int, CompletionCallback] = {}
         self.mapper = AddressMapper(config.organization,
                                     config.oram.block_bytes)
         self.buses: List[LinkBus] = []
@@ -115,14 +114,11 @@ class NonSecureBackend:
 
     def submit(self, line_address: int, now: int, is_write: bool,
                on_complete: CompletionCallback = None) -> None:
-        channel_index = line_address % len(self.channels)
-        local_line = (line_address // len(self.channels)) % \
-            self.mapper.lines_per_channel
-        request = MemoryRequest(self.mapper.decode(local_line), is_write,
-                                now)
-        if on_complete is not None:
-            self._callbacks[request.request_id] = on_complete
-        self.schedulers[channel_index].enqueue(request)
+        channels = len(self.channels)
+        local_line = (line_address // channels) % self.mapper.lines_per_channel
+        channel_index = line_address % channels
+        self.schedulers[channel_index].enqueue(MemoryRequest(
+            self.mapper.decode(local_line), is_write, now, on_complete))
         self._pump(channel_index)
 
     def _pump(self, channel_index: int) -> None:
@@ -140,16 +136,14 @@ class NonSecureBackend:
             return
         request, timing = scheduler.issue_next(self.events.now)
         self._issuing[channel_index] = True
-        callback = self._callbacks.pop(request.request_id, None)
+        call_at = self.events.call_at
+        call_at(timing.data_start, self._rearm, channel_index)
+        if request.on_complete is not None:
+            call_at(timing.data_end, request.on_complete, timing.data_end)
 
-        def rearm():
-            self._issuing[channel_index] = False
-            self._pump(channel_index)
-
-        self.events.at(timing.data_start, rearm)
-        if callback is not None:
-            self.events.at(timing.data_end,
-                           lambda: callback(timing.data_end))
+    def _rearm(self, channel_index: int) -> None:
+        self._issuing[channel_index] = False
+        self._pump(channel_index)
 
     def finalize(self, end_cycle: int) -> None:
         for index, scheduler in enumerate(self.schedulers):

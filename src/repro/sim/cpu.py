@@ -66,6 +66,7 @@ class SimulationDriver:
             line_bytes=config.cpu.llc_line_bytes,
             associativity=config.cpu.llc_assoc,
             name="llc")
+        self._llc_latency = config.cpu.llc_latency_cycles
         # run state
         self._records: Optional[Iterator[TraceRecord]] = None
         self._window: deque = deque()
@@ -119,7 +120,7 @@ class SimulationDriver:
         self._cpu_clock += record.gap_cycles
         result = self.llc.access(record.line_address, record.is_write)
         if result.hit:
-            self._cpu_clock += self.config.cpu.llc_latency_cycles
+            self._cpu_clock += self._llc_latency
             if measuring:
                 self._measured_hits += 1
             return
@@ -145,21 +146,25 @@ class SimulationDriver:
                 self._retire(self._window.popleft())
         if self._blocked and len(self._window) < self.mlp:
             self._blocked = False
-            self._cpu_clock = max(self._cpu_clock, self.events.now)
+            if self.events.now > self._cpu_clock:
+                self._cpu_clock = self.events.now
             self._issue_loop()
 
     def _retire(self, slot: _MissSlot) -> None:
+        completion = slot.completion
         if slot.measured:
             self._measured_misses += 1
-            self._latency.record(max(0, slot.completion - slot.issue_cycle))
+            latency = completion - slot.issue_cycle
+            self._latency.record(latency if latency > 0 else 0)
         if self.tracer.enabled:
             self.tracer.span("miss", CATEGORY_CPU, "cpu", slot.issue_cycle,
-                             max(slot.issue_cycle, slot.completion),
+                             max(slot.issue_cycle, completion),
                              measured=int(slot.measured))
-        if self.window_policy == "in-order":
-            # commit order: the core cannot run past an unretired miss
-            self._cpu_clock = max(self._cpu_clock, slot.completion)
-        self._final_cycle = max(self._final_cycle, slot.completion)
+        # commit order: an in-order core cannot run past an unretired miss
+        if self.window_policy == "in-order" and completion > self._cpu_clock:
+            self._cpu_clock = completion
+        if completion > self._final_cycle:
+            self._final_cycle = completion
 
     # ------------------------------------------------------------------
 

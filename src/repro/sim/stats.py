@@ -30,7 +30,8 @@ class LatencyStats:
     def record(self, latency: int) -> None:
         self.count += 1
         self.total += latency
-        self.maximum = max(self.maximum, latency)
+        if latency > self.maximum:
+            self.maximum = latency
         if len(self.samples) < self.sample_cap:
             self.samples.append(latency)
         elif self.sample_rng is not None:

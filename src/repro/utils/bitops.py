@@ -1,9 +1,9 @@
 """Bit-manipulation helpers used by address mapping and bucket splitting.
 
-The DRAM address mapper decomposes physical addresses into
-(channel, DIMM, rank, bank, row, column) fields, and the Split protocol
-bit-slices every block and metadata field across SDIMMs.  Both reduce to a
-handful of primitive operations on integers, collected here.
+The DRAM address mapper sizes its (rank, bank, row, column) fields from
+power-of-two geometry, and the Split protocol bit-slices every block and
+metadata field across SDIMMs.  Both reduce to a handful of primitive
+operations on integers, collected here.
 """
 
 from __future__ import annotations
@@ -39,21 +39,6 @@ def ceil_div(numerator: int, denominator: int) -> int:
     if denominator <= 0:
         raise ValueError(f"denominator must be positive, got {denominator}")
     return -(-numerator // denominator)
-
-
-def extract_bits(value: int, low: int, width: int) -> int:
-    """Return ``width`` bits of ``value`` starting at bit ``low``."""
-    if low < 0 or width < 0:
-        raise ValueError("low and width must be non-negative")
-    return (value >> low) & ((1 << width) - 1)
-
-
-def insert_bits(value: int, low: int, width: int, field: int) -> int:
-    """Return ``value`` with bits ``[low, low+width)`` replaced by ``field``."""
-    if field >> width:
-        raise ValueError(f"field {field} does not fit in {width} bits")
-    mask = ((1 << width) - 1) << low
-    return (value & ~mask) | (field << low)
 
 
 def bit_slice(data: bytes, way: int, ways: int) -> bytes:

@@ -18,6 +18,19 @@ class TestBasics:
         assert not cache.access(0).hit
         assert cache.access(0).hit
 
+    def test_hits_return_equal_immutable_results(self):
+        cache = tiny_cache()
+        cache.access(0)
+        first = cache.access(0)
+        second = cache.access(0, is_write=True)
+        assert first.hit and first == second
+        assert first.victim_address is None and not first.victim_dirty
+        with pytest.raises(AttributeError):
+            first.hit = False
+        with pytest.raises(AttributeError):
+            second.victim_dirty = True
+        assert cache.access(0).hit
+
     def test_counts(self):
         cache = tiny_cache()
         cache.access(0)

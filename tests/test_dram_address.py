@@ -53,6 +53,42 @@ class TestAddressMapper:
         mapper = make_mapper("row:col:rank:bank")
         assert mapper.encode(mapper.decode(line)) == line
 
+    @given(st.integers(min_value=0, max_value=16 * 2**30 // 64 - 1))
+    def test_roundtrip_bank_rank_scheme(self, line):
+        mapper = make_mapper("row:bank:rank:col")
+        assert mapper.encode(mapper.decode(line)) == line
+
+    # Default organization: 128 columns (7 bits), 8 banks (3), 8 ranks
+    # (3), 32768 rows (15).  80261 = 5 + 3 << 7 + 6 << 10 + 9 << 13.
+    # Expected (rank, bank, row, column) worked out by hand per scheme.
+    @pytest.mark.parametrize("scheme, line, expected", [
+        ("row:rank:bank:col", 0, (0, 0, 0, 0)),
+        ("row:rank:bank:col", 127, (0, 0, 0, 127)),
+        ("row:rank:bank:col", 128, (0, 1, 0, 0)),
+        ("row:rank:bank:col", 80261, (6, 3, 9, 5)),
+        ("row:rank:bank:col", 2**28 - 1, (7, 7, 32767, 127)),
+        ("row:col:rank:bank", 0, (0, 0, 0, 0)),
+        ("row:col:rank:bank", 127, (7, 7, 0, 1)),
+        ("row:col:rank:bank", 128, (0, 0, 0, 2)),
+        ("row:col:rank:bank", 80261, (0, 5, 9, 102)),
+        ("row:col:rank:bank", 2**28 - 1, (7, 7, 32767, 127)),
+        ("row:bank:rank:col", 0, (0, 0, 0, 0)),
+        ("row:bank:rank:col", 127, (0, 0, 0, 127)),
+        ("row:bank:rank:col", 128, (1, 0, 0, 0)),
+        ("row:bank:rank:col", 80261, (3, 6, 9, 5)),
+        ("row:bank:rank:col", 2**28 - 1, (7, 7, 32767, 127)),
+    ])
+    def test_decode_pins_hand_computed_fields(self, scheme, line, expected):
+        decoded = make_mapper(scheme).decode(line)
+        assert (decoded.rank, decoded.bank, decoded.row,
+                decoded.column) == expected
+
+    def test_decoded_address_is_immutable(self):
+        decoded = make_mapper().decode(80261)
+        assert decoded == DecodedAddress(rank=6, bank=3, row=9, column=5)
+        with pytest.raises(AttributeError):
+            decoded.row = 0
+
     def test_encode_rejects_oversized_field(self):
         mapper = make_mapper()
         with pytest.raises(ValueError):

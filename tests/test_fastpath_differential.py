@@ -5,7 +5,8 @@ not just on clean straight-line runs but when stamped path accesses
 interleave with everything that perturbs shared state: faulted
 campaigns (:mod:`repro.faults`), out-of-order stall windows, tumbling
 window boundaries cutting through bursts, the low-power layout's rank
-wakes, and channel striping.  The parked-rank fallback never fires in
+wakes, channel striping, and the non-secure baseline's FR-FCFS
+requests with their write drain.  The parked-rank fallback never fires in
 these runs (``prepare_rank`` wakes the rank first);
 ``tests/test_sim_backends.py::TestParkedRankFallback`` forces it.
 
@@ -28,7 +29,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 #: Runs a seed-shuffled interleaving and prints a canonical digest.
 DRIVER = r"""
-import hashlib, json, sys
+import dataclasses, hashlib, json, sys
 
 from repro.config import DesignPoint, small_config
 from repro.faults.campaign import CampaignSpec, run_campaign
@@ -38,16 +39,25 @@ from repro.utils.rng import DeterministicRng
 
 seed = int(sys.argv[1])
 
+# (kind, design, workload, window policy, window cycles, channels,
+#  records, LLC bytes or None for Table II's 2 MB)
 SIM_OPS = [
-    ("sim", "freecursive", "mcf", "in-order", 700, 1),
-    ("sim", "freecursive", "gromacs", "out-of-order", 0, 1),
-    ("sim", "indep-2", "mcf", "in-order", 900, 1),
-    ("sim", "split-2", "mcf", "out-of-order", 700, 1),
+    ("sim", "freecursive", "mcf", "in-order", 700, 1, 300, None),
+    ("sim", "freecursive", "gromacs", "out-of-order", 0, 1, 300, None),
+    ("sim", "indep-2", "mcf", "in-order", 900, 1, 300, None),
+    ("sim", "split-2", "mcf", "out-of-order", 700, 1, 300, None),
     # striped channels: per-channel segments stamped back into the
     # layout's emission order by slot
-    ("sim", "freecursive", "libquantum", "in-order", 700, 2),
+    ("sim", "freecursive", "libquantum", "in-order", 700, 2, 300, None),
     # Split groups on two channels: per-way segment shares
-    ("sim", "indep-split", "mcf", "out-of-order", 900, 2),
+    ("sim", "indep-split", "mcf", "out-of-order", 900, 2, 300, None),
+    # NONSECURE behind FR-FCFS: call_at against closures, stamp_pass
+    # against the reference chain.  The 2 MB LLC posts no dirty victim
+    # in short runs (gromacs and libquantum: none in 60,000 records); an
+    # 8 KiB LLC posts over 100 in 600 lbm records and crosses the
+    # write-drain watermark.
+    ("sim", "nonsecure", "lbm", "in-order", 0, 1, 600, 8192),
+    ("sim", "nonsecure", "lbm", "out-of-order", 900, 2, 600, 8192),
 ]
 CAMPAIGN_OPS = [
     ("campaign", dict(design="independent", accesses=24, levels=5,
@@ -67,11 +77,14 @@ digest = []
 for index in order:
     op = ops[index]
     if op[0] == "sim":
-        _, design, workload, policy, window_cycles, channels = op
+        (_, design, workload, policy, window_cycles, channels, records,
+         llc_bytes) = op
+        config = small_config(DesignPoint(design), channels=channels)
+        if llc_bytes is not None:
+            config = dataclasses.replace(config, cpu=dataclasses.replace(
+                config.cpu, llc_bytes=llc_bytes))
         tracer = CollectingTracer()
-        result = run_simulation(small_config(DesignPoint(design),
-                                             channels=channels),
-                                workload, trace_length=300,
+        result = run_simulation(config, workload, trace_length=records,
                                 trace_seed=seed,
                                 window_policy=policy, tracer=tracer,
                                 window_cycles=window_cycles)
@@ -112,3 +125,12 @@ class TestInterleavedDifferential:
         fast = run_interleaving(seed, {})
         reference = run_interleaving(seed, {"REPRO_REFERENCE_CORE": "1"})
         assert fast == reference
+        # the baseline ops must post write-backs, or the write queue and
+        # its drain go unchecked
+        baseline = [entry for entry in fast
+                    if entry["op"] != "campaign"
+                    and entry["op"][1] == "nonsecure"]
+        assert len(baseline) == 2
+        for entry in baseline:
+            assert sum(channel["writes"]
+                       for channel in entry["channel_counters"]) > 0

@@ -8,8 +8,6 @@ from repro.utils.bitops import (
     bit_slice,
     ceil_div,
     ceil_log2,
-    extract_bits,
-    insert_bits,
     is_power_of_two,
     log2_exact,
     merge_bit_slices,
@@ -67,28 +65,6 @@ class TestCeilHelpers:
         assert (1 << bits) >= value
         if bits:
             assert (1 << (bits - 1)) < value
-
-
-class TestBitFields:
-    def test_extract(self):
-        assert extract_bits(0b110110, 1, 3) == 0b011
-        assert extract_bits(0xFF, 4, 4) == 0xF
-
-    def test_insert(self):
-        assert insert_bits(0, 4, 4, 0xA) == 0xA0
-        assert insert_bits(0xFF, 0, 4, 0) == 0xF0
-
-    def test_insert_rejects_overflow(self):
-        with pytest.raises(ValueError):
-            insert_bits(0, 0, 2, 4)
-
-    @given(st.integers(min_value=0, max_value=2**40 - 1),
-           st.integers(min_value=0, max_value=30),
-           st.integers(min_value=0, max_value=10))
-    def test_insert_extract_roundtrip(self, value, low, width):
-        field = extract_bits(value, low, width)
-        assert extract_bits(insert_bits(value, low, width, field),
-                            low, width) == field
 
 
 class TestByteSlicing:
