@@ -18,10 +18,7 @@ from _harness import WORKLOADS, emit, print_header, run_cached
 def energy_of(design, workload, channels):
     config = table2_config(design, channels=channels)
     result = run_cached(design, workload, channels)
-    model = DramEnergyModel(config.power, config.timing,
-                            config.organization,
-                            config.cpu.cpu_cycles_per_mem_cycle)
-    return model.report(result)
+    return DramEnergyModel(config).report(result)
 
 
 @pytest.mark.parametrize("channels,sdimm_design,paper_factor", [

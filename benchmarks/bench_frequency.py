@@ -25,10 +25,7 @@ def run_grade(design, timing, label):
     config.validate()
     result = run_simulation(config, WORKLOAD,
                             trace_length=TRACE_LENGTH // 2)
-    model = DramEnergyModel(config.power, config.timing,
-                            config.organization,
-                            config.cpu.cpu_cycles_per_mem_cycle)
-    energy = model.report(result)
+    energy = DramEnergyModel(config).report(result)
     wall_ns = result.execution_cycles * (timing.tck_ns / 2)
     return {
         "label": label,

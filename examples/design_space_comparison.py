@@ -29,10 +29,7 @@ def evaluate(designs, channels, workload, trace_length):
         config = table2_config(design, channels=channels)
         result = run_simulation(config, workload,
                                 trace_length=trace_length)
-        model = DramEnergyModel(config.power, config.timing,
-                                config.organization,
-                                config.cpu.cpu_cycles_per_mem_cycle)
-        energy = model.report(result)
+        energy = DramEnergyModel(config).report(result)
         if design is DesignPoint.FREECURSIVE:
             baseline = result
         norm = (result.normalized_time(baseline)

@@ -76,8 +76,7 @@ def main() -> None:
 
     print("Figure 10 - memory energy " + "=" * 41)
     config = table2_config(DesignPoint.FREECURSIVE, channels=1)
-    model = DramEnergyModel(config.power, config.timing,
-                            config.organization)
+    model = DramEnergyModel(config)
     freecursive_energy = sum(
         model.report(run).total_pj
         for run in one_channel[DesignPoint.FREECURSIVE])

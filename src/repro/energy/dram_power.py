@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.config import DramOrganization, DramPower, DramTiming
+from repro.config import SystemConfig
 from repro.sim.stats import RunResult
 
 _BITS_PER_LINE = 64 * 8
@@ -64,15 +64,13 @@ class EnergyReport:
 class DramEnergyModel:
     """Converts counters from a :class:`RunResult` into an energy report."""
 
-    def __init__(self, power: DramPower, timing: DramTiming,
-                 organization: DramOrganization,
-                 cpu_cycles_per_mem_cycle: int = 2):
-        self.power = power
-        self.timing = timing
-        self.organization = organization
-        self._tck = timing.tck_ns
-        self._cpu_cycle_ns = timing.tck_ns / cpu_cycles_per_mem_cycle
-        self._devices = organization.devices_per_rank
+    def __init__(self, config: SystemConfig):
+        self.power = config.power
+        self.timing = config.timing
+        self._tck = config.timing.tck_ns
+        self._cpu_cycle_ns = (config.timing.tck_ns /
+                              config.cpu.cpu_cycles_per_mem_cycle)
+        self._devices = config.organization.devices_per_rank
 
     # ------------------------------------------------------------------
     # Per-event energies (pJ)

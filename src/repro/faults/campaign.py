@@ -37,7 +37,7 @@ from repro.faults.recovery import (ResilienceStats, ResilientLink,
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.oram.path_oram import StashOverflowError
-from repro.parallel.pool import fanout
+from repro.parallel.pool import Outcome, fanout
 from repro.parallel.cache import RunCache
 from repro.sim.stats import failure_record_from_exception
 from repro.utils.canonical import canonical_json
@@ -293,18 +293,13 @@ def _campaign_worker(spec: CampaignSpec) -> Dict[str, object]:
 
 
 def run_campaign_sweep(specs: Sequence[CampaignSpec], jobs: int = 1,
-                       cache: Optional[RunCache] = None,
-                       meta: Optional[List[Dict[str, object]]] = None
-                       ) -> List[Dict[str, object]]:
-    """Run several campaigns; results come back in submission order.
+                       cache: Optional[RunCache] = None) -> List[Outcome]:
+    """Run several campaigns; ``(report, meta)`` outcomes come back in
+    submission order.
 
     One :func:`repro.parallel.pool.fanout` call: cache-first, pool with
-    serial fallback, bit-identical regardless of completion order.
-    ``meta``, when given, receives one ``{"wall_ms", "from_cache"}`` dict
-    per spec, as :func:`repro.serve.bench.run_serve_sweep` fills it.
+    serial fallback, bit-identical reports regardless of completion
+    order; ``meta`` is ``fanout``'s ``{"wall_ms", "from_cache"}``.
     """
-    outcomes = fanout(specs, _campaign_worker, jobs=jobs, cache=cache,
-                      key=campaign_request)
-    if meta is not None:
-        meta.extend(entry for _, entry in outcomes)
-    return [payload for payload, _ in outcomes]
+    return fanout(specs, _campaign_worker, jobs=jobs, cache=cache,
+                  key=campaign_request)

@@ -24,7 +24,7 @@ from repro.core.designs import (PROTOCOL_DESIGNS, QUARANTINABLE,
                                 build_protocol, design_sites)
 from repro.crypto.prf import Prf
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.pool import fanout
+from repro.parallel.pool import Outcome, fanout
 from repro.parallel.cache import RunCache
 from repro.serve.loadgen import (Request, TenantSpec, generate_stream,
                                  merge_streams, tenant_from_profile)
@@ -354,26 +354,20 @@ def _serve_point(task: Tuple[ServeSpec, int]) -> Dict[str, object]:
 
 
 def run_serve_sweep(specs: Sequence[ServeSpec], jobs: int = 1,
-                    cache: Optional[RunCache] = None,
-                    meta: Optional[List[Dict[str, object]]] = None
-                    ) -> List[Dict[str, object]]:
-    """Run several serving points; reports come back in submission order.
+                    cache: Optional[RunCache] = None) -> List[Outcome]:
+    """Run several serving points; ``(report, meta)`` outcomes come back
+    in submission order.
 
     One :func:`repro.parallel.pool.fanout` call: cache-first, warm pool with
-    serial fallback, byte-identical regardless of completion order or
-    ``jobs``.  Single-server points run in parallel; once any point is
-    sharded, the points run in-process and each fans its own shards out
-    over ``jobs`` workers, so pools never nest.
-
-    ``meta``, when given, receives one ``{"wall_ms", "from_cache"}`` dict
-    per spec (submission order) — the volatile side-channel the ledger
-    records; the returned reports never contain it.
+    serial fallback, byte-identical reports regardless of completion
+    order or ``jobs``.  Single-server points run in parallel; once any
+    point is sharded, the points run in-process and each fans its own
+    shards out over ``jobs`` workers, so pools never nest.  ``meta`` is
+    ``fanout``'s volatile ``{"wall_ms", "from_cache"}``, which the
+    ledger records and the reports never contain.
     """
     specs = list(specs)
     point_jobs = jobs if all(spec.shards == 1 for spec in specs) else 1
-    outcomes = fanout([(spec, jobs) for spec in specs], _serve_point,
-                      jobs=point_jobs, cache=cache,
-                      key=lambda task: serve_request(task[0]))
-    if meta is not None:
-        meta.extend(entry for _, entry in outcomes)
-    return [report for report, _ in outcomes]
+    return fanout([(spec, jobs) for spec in specs], _serve_point,
+                  jobs=point_jobs, cache=cache,
+                  key=lambda task: serve_request(task[0]))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import gc
 from typing import Optional
 
-from repro.config import DesignPoint, SystemConfig
+from repro.config import SystemConfig
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.backends import BACKEND_CLASSES
 from repro.sim.cpu import SimulationDriver
@@ -69,26 +69,11 @@ def run_simulation(config: SystemConfig,
 
         windowed = WindowedTracer(tracer, window_cycles)
         tracer = windowed
-    events = EventQueue()
-    backend = build_backend(config, events, tracer=tracer)
-    driver = SimulationDriver(config, backend, events, mlp=profile.mlp,
-                              workload_name=profile.name,
-                              window_policy=window_policy,
-                              tracer=tracer)
     trace = iterate_trace(profile, trace_length, seed=trace_seed)
-    # One run allocates millions of short-lived tuples/events; cyclic
-    # collection pauses buy nothing mid-run (the object graph is torn
-    # down wholesale afterwards) and cost ~15% of wall time, so pause
-    # the collector for the duration.  Purely a host-side change: the
-    # simulated state machine never observes the collector.
-    was_collecting = gc.isenabled()
-    if was_collecting:
-        gc.disable()
-    try:
-        result = driver.run(trace, warmup_records=warmup_records)
-    finally:
-        if was_collecting:
-            gc.enable()
+    result = _drive(config, trace, mlp=profile.mlp,
+                    workload_name=profile.name,
+                    warmup_records=warmup_records,
+                    window_policy=window_policy, tracer=tracer)
     if windowed is not None:
         from repro.obs.timeseries import windows_to_dicts
 
@@ -108,28 +93,31 @@ def run_trace_file(config: SystemConfig, path: str, mlp: int = 4,
     records = load_trace(path)
     if warmup_records >= len(records):
         raise ValueError("warm-up must leave a measurement window")
+    return _drive(config, records, mlp=mlp, workload_name=path,
+                  warmup_records=warmup_records,
+                  window_policy=window_policy, tracer=tracer)
+
+
+def _drive(config: SystemConfig, trace, *, mlp: int, workload_name: str,
+           warmup_records: int, window_policy: str,
+           tracer: Tracer) -> RunResult:
+    """Build the backend and driver for ``config`` and run ``trace``."""
     events = EventQueue()
     backend = build_backend(config, events, tracer=tracer)
     driver = SimulationDriver(config, backend, events, mlp=mlp,
-                              workload_name=path,
+                              workload_name=workload_name,
                               window_policy=window_policy,
                               tracer=tracer)
-    return driver.run(records, warmup_records=warmup_records)
-
-
-def run_design_comparison(designs, workload, channels: int,
-                          config_factory,
-                          trace_length: int = 20_000,
-                          **kwargs) -> dict:
-    """Run several designs on one workload with a shared config factory.
-
-    ``config_factory(design, channels)`` builds the configuration (e.g.
-    :func:`repro.config.table2_config`).  Returns {design: RunResult}.
-    """
-    results = {}
-    for design in designs:
-        config = config_factory(design, channels)
-        results[design] = run_simulation(config, workload,
-                                         trace_length=trace_length, **kwargs)
-    return results
-
+    # One run allocates millions of short-lived tuples/events; cyclic
+    # collection pauses buy nothing mid-run (the object graph is torn
+    # down wholesale afterwards) and cost ~15% of wall time, so pause
+    # the collector for the duration.  Purely a host-side change: the
+    # simulated state machine never observes the collector.
+    was_collecting = gc.isenabled()
+    if was_collecting:
+        gc.disable()
+    try:
+        return driver.run(trace, warmup_records=warmup_records)
+    finally:
+        if was_collecting:
+            gc.enable()

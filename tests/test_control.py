@@ -24,6 +24,11 @@ from repro.serve.scheduler import BatchingScheduler
 from repro.serve.slo import canonical_json
 
 
+def sweep_reports(specs, **sweep):
+    """A serving sweep's reports, without ``fanout``'s host metadata."""
+    return [report for report, _ in run_serve_sweep(specs, **sweep)]
+
+
 def adaptive_spec(**overrides):
     """A small adaptive serving point that exercises every controller."""
     base = dict(design="split", levels=6, rate=0.05, requests=96,
@@ -95,15 +100,15 @@ class TestAdaptiveDeterminism:
 
     def test_adaptive_sweep_identical_across_jobs(self):
         specs = [adaptive_spec(), adaptive_spec(rate=0.02)]
-        serial = run_serve_sweep(specs, jobs=1)
-        fanned = run_serve_sweep(specs, jobs=2)
+        serial = sweep_reports(specs, jobs=1)
+        fanned = sweep_reports(specs, jobs=2)
         assert canonical_json(serial) == canonical_json(fanned)
 
     def test_adaptive_sweep_identical_across_cache_replay(self, tmp_path):
         specs = [adaptive_spec()]
         cache = RunCache(str(tmp_path / "serve-cache"))
-        first = run_serve_sweep(specs, jobs=1, cache=cache)
-        replay = run_serve_sweep(specs, jobs=1, cache=cache)
+        first = sweep_reports(specs, jobs=1, cache=cache)
+        replay = sweep_reports(specs, jobs=1, cache=cache)
         assert canonical_json(first) == canonical_json(replay)
 
     def test_adaptation_changes_the_outcome(self):
@@ -206,8 +211,9 @@ class TestMorphedServing:
 
     def test_control_overhead_is_charged(self):
         _, plane, outcome = self._run()
-        assert outcome.control_overhead_ticks == plane.overhead_ticks
-        assert outcome.control_overhead_ticks > 0
+        assert outcome.control_payload["overhead_ticks"] == \
+            plane.overhead_ticks
+        assert plane.overhead_ticks > 0
 
 
 class TestShardedAdaptive:
@@ -221,11 +227,11 @@ class TestShardedAdaptive:
 
     def test_sharded_adaptive_identical_across_jobs(self):
         spec = self.spec()
-        assert canonical_json(run_serve_sweep([spec], jobs=1)) == \
-            canonical_json(run_serve_sweep([spec], jobs=2))
+        assert canonical_json(sweep_reports([spec], jobs=1)) == \
+            canonical_json(sweep_reports([spec], jobs=2))
 
     def test_aggregate_control_section_folds_shards(self):
-        [report] = run_serve_sweep([self.spec()])
+        [report] = sweep_reports([self.spec()])
         control = report["control"]
         assert control is not None
         per_shard = [shard["control"] for shard in report["shards"]]
@@ -236,7 +242,7 @@ class TestShardedAdaptive:
             control["decisions"]
 
     def test_migration_controller_retargets_drain(self):
-        [report] = run_serve_sweep([self.spec()])
+        [report] = sweep_reports([self.spec()])
         migration = report["migration"]
         assert migration["control"]["window_ticks"] == 256
         assert migration["measured_utilization"] is not None
@@ -249,7 +255,7 @@ class TestShardedAdaptive:
                 "drain_probability"] == probability
 
     def test_open_loop_sharded_has_no_control_sections(self):
-        [report] = run_serve_sweep([self.spec(adapt=False)])
+        [report] = sweep_reports([self.spec(adapt=False)])
         assert report["control"] is None
         assert "control" not in report["migration"]
 

@@ -4,10 +4,8 @@ import pytest
 
 from repro.config import (
     DesignPoint,
-    DramOrganization,
-    DramPower,
-    DramTiming,
     SdimmConfig,
+    SystemConfig,
     table2_config,
 )
 from repro.energy.area import (
@@ -20,7 +18,7 @@ from repro.sim.system import run_simulation
 
 
 def make_model():
-    return DramEnergyModel(DramPower(), DramTiming(), DramOrganization())
+    return DramEnergyModel(SystemConfig())
 
 
 class TestPerEventEnergies:
@@ -79,10 +77,7 @@ class TestEndToEndEnergy:
     def run_energy(self, design, channels=1):
         config = table2_config(design, channels=channels)
         result = run_simulation(config, "mcf", trace_length=self.TRACE)
-        model = DramEnergyModel(config.power, config.timing,
-                                config.organization,
-                                config.cpu.cpu_cycles_per_mem_cycle)
-        return model.report(result)
+        return DramEnergyModel(config).report(result)
 
     def test_freecursive_costs_much_more_than_nonsecure(self):
         nonsecure = self.run_energy(DesignPoint.NONSECURE)

@@ -222,7 +222,7 @@ class TestSweepWithCache:
         # cached bytes match the pool-free serial ground truth
         assert ([bytes_ for bytes_, _, _ in result_bytes(second)] ==
                 [bytes_ for bytes_, _, _ in result_bytes(serial_outcome)])
-        assert second.cache_stats["hits"] == len(POINTS)
+        assert cache.stats.hits == len(POINTS)
 
     def test_traced_and_untraced_points_never_share_entries(self, tmp_path):
         cache = RunCache(str(tmp_path / "runs"))

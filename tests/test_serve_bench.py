@@ -18,6 +18,11 @@ from repro.serve.slo import canonical_json, compare_with_model
 SMALL = dict(levels=5, requests=64, capacity=16, batch=4, seed=2018)
 
 
+def sweep_reports(specs, **sweep):
+    """A serving sweep's reports, without ``fanout``'s host metadata."""
+    return [report for report, _ in run_serve_sweep(specs, **sweep)]
+
+
 def render(reports):
     """The exact bytes ``serve-bench --report`` writes."""
     return "[" + ",".join(canonical_json(report) for report in reports) + "]\n"
@@ -155,15 +160,15 @@ class TestSweepDeterminism:
                 for rate in (0.005, 0.02)]
 
     def test_jobs_one_vs_four_byte_identical(self):
-        serial = run_serve_sweep(self.specs(), jobs=1)
-        fanned = run_serve_sweep(self.specs(), jobs=4)
+        serial = sweep_reports(self.specs(), jobs=1)
+        fanned = sweep_reports(self.specs(), jobs=4)
         assert render(serial) == render(fanned)
 
     def test_cached_replay_byte_identical(self, tmp_path):
         cache = RunCache(str(tmp_path / "serve-cache"))
-        first = run_serve_sweep(self.specs(), jobs=2, cache=cache)
+        first = sweep_reports(self.specs(), jobs=2, cache=cache)
         misses = cache.stats.misses
-        replay = run_serve_sweep(self.specs(), jobs=1, cache=cache)
+        replay = sweep_reports(self.specs(), jobs=1, cache=cache)
         assert render(first) == render(replay)
         assert cache.stats.misses == misses      # replay was all hits
         assert cache.stats.hits >= len(self.specs())
@@ -178,12 +183,11 @@ class TestSweepDeterminism:
     def test_code_change_turns_a_warm_point_into_a_miss(self, tmp_path,
                                                          monkeypatch):
         cache = RunCache(str(tmp_path / "serve-cache"))
-        meta = []
         specs = self.specs()[:1]
-        run_serve_sweep(specs, cache=cache, meta=meta)
-        run_serve_sweep(specs, cache=cache, meta=meta)
+        outcomes = run_serve_sweep(specs, cache=cache)
+        outcomes += run_serve_sweep(specs, cache=cache)
         monkeypatch.setattr(fingerprint_module, "_cached_fingerprint",
                             "0" * 64)
-        run_serve_sweep(specs, cache=cache, meta=meta)
-        assert [entry["from_cache"] for entry in meta] == \
+        outcomes += run_serve_sweep(specs, cache=cache)
+        assert [meta["from_cache"] for _, meta in outcomes] == \
             [False, True, False]

@@ -66,7 +66,7 @@ def _sharded_spec(**fields):
 @pytest.mark.parametrize("name", sorted(SINGLE))
 def test_single_server_report_bytes_are_pinned(name):
     fields, expected = SINGLE[name]
-    [report] = run_serve_sweep([ServeSpec(**dict(BASE, **fields))])
+    [(report, _)] = run_serve_sweep([ServeSpec(**dict(BASE, **fields))])
     assert _digest(report) == expected
 
 

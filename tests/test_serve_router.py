@@ -30,8 +30,8 @@ def spec(**overrides):
     return ServeSpec(**merged)
 
 
-def run_point(point, jobs=1, **sweep):
-    [report] = run_serve_sweep([point], jobs=jobs, **sweep)
+def run_point(point, jobs=1):
+    [(report, _)] = run_serve_sweep([point], jobs=jobs)
     return report
 
 
@@ -50,11 +50,10 @@ class TestDeterminism:
     def test_cached_replay_is_byte_identical(self, tmp_path):
         cache = RunCache(str(tmp_path / "runs"))
         point = spec()
-        meta = []
-        fresh = run_point(point, jobs=2, cache=cache, meta=meta)
-        replay = run_point(point, jobs=1, cache=cache, meta=meta)
+        [(fresh, cold)] = run_serve_sweep([point], jobs=2, cache=cache)
+        [(replay, warm)] = run_serve_sweep([point], jobs=1, cache=cache)
         assert canonical_json(fresh) == canonical_json(replay)
-        assert [entry["from_cache"] for entry in meta] == [False, True]
+        assert (cold["from_cache"], warm["from_cache"]) == (False, True)
         pool_module.shutdown_pools()
 
     def test_cache_key_depends_on_shard_geometry(self, tmp_path):
@@ -74,14 +73,15 @@ class TestDeterminism:
 
     def test_mixed_sweep_keeps_order_and_single_server_bytes(self):
         single = spec(shards=1)
-        reports = run_serve_sweep([single, spec()], jobs=2)
+        reports = [report for report, _ in
+                   run_serve_sweep([single, spec()], jobs=2)]
         pool_module.shutdown_pools()
         assert canonical_json(reports[0]) == canonical_json(run_serve(single))
         assert reports[1]["spec"]["shards"] == 2
 
     def test_sweep_preserves_submission_order(self):
         points = [spec(rate=0.01), spec(rate=0.03)]
-        reports = run_serve_sweep(points, jobs=1)
+        reports = [report for report, _ in run_serve_sweep(points, jobs=1)]
         assert [report["spec"]["rate"] for report in reports] == \
             [0.01, 0.03]
 

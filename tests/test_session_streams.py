@@ -59,19 +59,3 @@ class TestSessionStreams:
         pads = [cpu.encrypt_upstream(bytes(32))[0] for _ in range(256)]
         assert len(set(pads)) == 256
 
-
-class TestDesignComparisonHelper:
-    def test_runs_requested_designs(self):
-        from repro.config import DesignPoint, table2_config
-        from repro.sim.system import run_design_comparison
-
-        results = run_design_comparison(
-            (DesignPoint.NONSECURE, DesignPoint.FREECURSIVE),
-            "gromacs", channels=1,
-            config_factory=lambda design, channels: table2_config(
-                design, channels=channels),
-            trace_length=800)
-        assert set(results) == {DesignPoint.NONSECURE,
-                                DesignPoint.FREECURSIVE}
-        assert results[DesignPoint.FREECURSIVE].execution_cycles > \
-            results[DesignPoint.NONSECURE].execution_cycles
