@@ -125,13 +125,12 @@ class ServeControlPlane:
                 if mode == MODE_MORPHED)
         return sorted(candidates)
 
-    def flush_until(self, tick: int, depth: int) -> Tuple[
-            List[ControlDecision], List[str]]:
+    def flush_until(self, tick: int, depth: int) -> List[str]:
         """Evaluate every window that closed at or before ``tick``.
 
-        Returns the new decisions plus the tenants that just
-        reclassified (morphed back to secure) — the scheduler owes each
-        of those a dirty-address replay into the protocol.
+        The new decisions join :attr:`decisions`.  Returns the tenants
+        that just reclassified (morphed back to secure) — the scheduler
+        owes each of those a dirty-address replay into the protocol.
         """
         fresh: List[ControlDecision] = []
         reclassified: List[str] = []
@@ -160,10 +159,9 @@ class ServeControlPlane:
                         reclassified.append(tenant)
             self._next_window += 1
         self.decisions.extend(fresh)
-        return fresh, reclassified
+        return reclassified
 
-    def flush_final(self, last_tick: int, depth: int) -> Tuple[
-            List[ControlDecision], List[str]]:
+    def flush_final(self, last_tick: int, depth: int) -> List[str]:
         """Close every window with data left after the final completion."""
         pending = [self._next_window]
         for tracker in (self._win_sojourns, self._win_shed,
