@@ -44,7 +44,7 @@ distinguishable, which the tier-1 suite asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.commands import SdimmCommand
 from repro.core.secure_buffer import LinkRecorder
@@ -100,19 +100,20 @@ def scan_secret_args(events: Sequence[TraceEvent]) -> List[str]:
     Returns a list of violation descriptions (empty = clean).  Checked on
     every audit run and asserted by the tier-1 suite.
     """
-    violations = []
-    for event in adversary_observations(events):
-        for key in event.args:
-            if key.lower() in FORBIDDEN_ADVERSARY_ARGS:
-                violations.append(
-                    f"{event.category}/{event.name} on {event.lane} at "
-                    f"{event.start} carries forbidden arg {key!r}")
-    return violations
+    return [f"{event.category}/{event.name} on {event.lane} at "
+            f"{event.start} carries forbidden arg {key!r}"
+            for event in adversary_observations(events)
+            for key in event.args
+            if key.lower() in FORBIDDEN_ADVERSARY_ARGS]
 
 
 # ----------------------------------------------------------------------
 # Comparison machinery
 # ----------------------------------------------------------------------
+
+#: Names an audit that must FAIL: a leaky variant proving the audit bites.
+NEGATIVE_CONTROL = "negative-control:"
+
 
 @dataclass
 class AuditResult:
@@ -129,6 +130,11 @@ class AuditResult:
     @property
     def passed(self) -> bool:
         return self.indistinguishable and not self.secret_arg_violations
+
+    @property
+    def sound(self) -> bool:
+        """The expected verdict: a PASS, or a FAIL for a negative control."""
+        return self.passed != self.name.startswith(NEGATIVE_CONTROL)
 
     def describe(self) -> str:
         if self.passed:
@@ -150,17 +156,35 @@ def compare_observables(name: str, observable: str,
                         trace_a: Sequence, trace_b: Sequence,
                         secret_violations: Sequence[str] = ()) -> AuditResult:
     """Element-wise comparison of two canonical observable streams."""
-    divergence = None
-    for index, (left, right) in enumerate(zip(trace_a, trace_b)):
-        if left != right:
-            divergence = (index, left, right)
-            break
+    divergence = next(((index, left, right) for index, (left, right)
+                       in enumerate(zip(trace_a, trace_b)) if left != right),
+                      None)
     same = divergence is None and len(trace_a) == len(trace_b)
     return AuditResult(name=name, observable=observable,
                        length_a=len(trace_a), length_b=len(trace_b),
                        indistinguishable=same,
                        first_divergence=divergence,
                        secret_arg_violations=tuple(secret_violations))
+
+
+def audit_pair(name: str, observable: str,
+               streams: Sequence[Sequence[int]],
+               observe: Callable[[Sequence[int], CollectingTracer], Sequence]
+               ) -> AuditResult:
+    """The one two-run comparison every audit is.
+
+    ``observe(stream, tracer)`` runs the system under audit over one
+    address stream, tracing into a fresh :class:`CollectingTracer`, and
+    returns that run's canonical observable.  Every run's events are
+    screened by :func:`scan_secret_args`; the two observables must match.
+    """
+    observed, violations = [], []
+    for stream in streams:
+        tracer = CollectingTracer()
+        observed.append(observe(stream, tracer))
+        violations.extend(scan_secret_args(tracer.events))
+    return compare_observables(name, observable, *observed,
+                               secret_violations=violations)
 
 
 # ----------------------------------------------------------------------
@@ -207,70 +231,52 @@ def audit_address_streams(count: int, seed: int = 2018,
 BUS_STALLS: Tuple[Tuple[int, int], ...] = ((2_000, 600), (9_000, 900))
 
 
-def collect_timing_observations(design, addresses: Sequence[int],
-                                channels: int = 1, seed: int = 2018,
-                                gap_cycles: int = 4000,
-                                stalls: Sequence[Tuple[int, int]] = ()
-                                ) -> List[TraceEvent]:
-    """One traced backend run over a fixed-arrival miss stream.
-
-    Misses arrive on a fixed schedule (every ``gap_cycles``) so arrival
-    timing carries no address information; the PLB is disabled so the
-    per-miss accessORAM count is the full recursion depth for every miss.
-    What remains observable is purely the backend's behaviour.  Each
-    ``(start, cycles)`` in ``stalls`` occupies every link bus for that
-    interval: a transient SDIMM buffer stall.
-    """
-    from repro.config import DesignPoint, table2_config
-    from repro.oram.plb import PlbFrontend
-    from repro.sim.events import EventQueue
-    from repro.sim.system import build_backend
-
-    if isinstance(design, str):
-        design = DesignPoint(design)
-    config = table2_config(design, channels=channels, seed=seed)
-    tracer = CollectingTracer()
-    events = EventQueue()
-    backend = build_backend(config, events, tracer=tracer)
-    backend.frontend = PlbFrontend(config.oram, enabled=False)
-    for bus in backend.buses:
-        for start, cycles in stalls:
-            bus.inject_stall(start, cycles)
-    for index, address in enumerate(addresses):
-        arrival = index * gap_cycles
-        events.at(arrival,
-                  lambda a=address, t=arrival: backend.submit(
-                      a, t, is_write=False))
-    events.run()
-    backend.finalize(events.now)
-    return adversary_observations(tracer.events)
-
-
 def audit_timing_design(design, misses: int = 12, channels: int = 1,
                         seed: int = 2018, gap_cycles: int = 4000,
                         stalls: Sequence[Tuple[int, int]] = ()
                         ) -> AuditResult:
     """Byte-exact adversary-trace equality across two address streams.
 
-    With ``stalls`` (see :data:`BUS_STALLS`) the identical bus-stall
-    schedule goes into both runs.  It is positional (absolute cycles), so
-    it shifts every later reservation identically: the adversary traces
-    must stay byte-exact for secure designs.
+    Each run is one traced backend over a fixed-arrival miss stream.
+    Misses arrive on a fixed schedule (every ``gap_cycles``) so arrival
+    timing carries no address information; the PLB is disabled so the
+    per-miss accessORAM count is the full recursion depth for every miss.
+    What remains observable is purely the backend's behaviour.
+
+    Each ``(start, cycles)`` in ``stalls`` (see :data:`BUS_STALLS`)
+    occupies every link bus for that interval: a transient SDIMM buffer
+    stall.  The identical schedule goes into both runs.  It is positional
+    (absolute cycles), so it shifts every later reservation identically:
+    the adversary traces must stay byte-exact for secure designs.
     """
-    violations: List[str] = []
-    keyed = []
-    for stream in audit_address_streams(misses, seed=seed):
-        observed = collect_timing_observations(design, stream,
-                                               channels=channels, seed=seed,
-                                               gap_cycles=gap_cycles,
-                                               stalls=stalls)
-        violations.extend(scan_secret_args(observed))
-        keyed.append([event.key() for event in observed])
-    name = design.value if hasattr(design, "value") else str(design)
+    from repro.config import DesignPoint, table2_config
+    from repro.oram.plb import PlbFrontend
+    from repro.sim.events import EventQueue
+    from repro.sim.system import build_backend
+
+    design = DesignPoint(design)
+    config = table2_config(design, channels=channels, seed=seed)
+
+    def observe(addresses, tracer):
+        events = EventQueue()
+        backend = build_backend(config, events, tracer=tracer)
+        backend.frontend = PlbFrontend(config.oram, enabled=False)
+        for bus in backend.buses:
+            for start, cycles in stalls:
+                bus.inject_stall(start, cycles)
+        for index, address in enumerate(addresses):
+            arrival = index * gap_cycles
+            events.at(arrival,
+                      lambda a=address, t=arrival: backend.submit(
+                          a, t, is_write=False))
+        events.run()
+        backend.finalize(events.now)
+        return [event.key()
+                for event in adversary_observations(tracer.events)]
+
     tier = "timing+stalls" if stalls else "timing"
-    return compare_observables(f"{tier}:{name}", "adversary",
-                               keyed[0], keyed[1],
-                               secret_violations=violations)
+    return audit_pair(f"{tier}:{design.value}", "adversary",
+                      audit_address_streams(misses, seed=seed), observe)
 
 
 # ----------------------------------------------------------------------
@@ -294,14 +300,6 @@ class LeakyLink(LinkRecorder):
         super().down(command, sdimm, payload_bytes)
 
 
-def _observe_link(tracer: CollectingTracer, lane: str,
-                  violations: List[str]) -> List[Tuple[str, str, int]]:
-    """One run's link shapes on ``lane``; its secret-arg scan joins
-    ``violations``."""
-    violations.extend(scan_secret_args(tracer.events))
-    return link_shapes(tracer.events, lane)
-
-
 def audit_protocol(design: str, addresses_a: Sequence[int],
                    addresses_b: Sequence[int], levels: int = 6,
                    sites: int = 2, seed: int = 2018,
@@ -317,24 +315,21 @@ def audit_protocol(design: str, addresses_a: Sequence[int],
     """
     from repro.core.designs import build_protocol
 
-    shapes = []
-    violations: List[str] = []
-    for stream in (addresses_a, addresses_b):
-        tracer = CollectingTracer()
+    def observe(stream, tracer):
         protocol = build_protocol(design, levels, sites, seed=seed,
                                   tracer=tracer)
-        link = protocol.link
+        lane = protocol.link.lane
         if inject_leak:
-            protocol.link = LeakyLink(tracer, link.lane, link.clock)
+            protocol.link = LeakyLink(tracer, lane, protocol.link.clock)
         for address in stream:
             if inject_leak:
                 protocol.link.leak_bit = protocol.posmap.lookup(address) & 1
             protocol.read(address)
-        shapes.append(_observe_link(tracer, link.lane, violations))
+        return link_shapes(tracer.events, lane)
+
     suffix = "+leak" if inject_leak else ""
-    return compare_observables(f"protocol:{design}{suffix}", "link-shape",
-                               shapes[0], shapes[1],
-                               secret_violations=violations)
+    return audit_pair(f"protocol:{design}{suffix}", "link-shape",
+                      (addresses_a, addresses_b), observe)
 
 
 def audit_freecursive_protocol(addresses_a: Sequence[int],
@@ -355,20 +350,19 @@ def audit_freecursive_protocol(addresses_a: Sequence[int],
 
     config = OramConfig(levels=levels, cached_levels=2, recursive_posmaps=2,
                         stash_capacity=max(200, levels * 8))
-    canonical = []
-    for label, stream in (("a", addresses_a), ("b", addresses_b)):
+
+    def observe(stream, _tracer):
         oram = FreecursiveOram(config,
                                DeterministicRng(seed, "audit-freecursive"),
                                plb_enabled=False, record_trace=True,
                                unified_tree=True)
         for address in stream:
             oram.read(address)
-        canonical.append([
-            (event.kind, (event.bucket + 1).bit_length() - 1)
-            for event in oram.orams[0].trace
-        ])
-    return compare_observables("protocol:freecursive", "bucket-level",
-                               canonical[0], canonical[1])
+        return [(event.kind, (event.bucket + 1).bit_length() - 1)
+                for event in oram.orams[0].trace]
+
+    return audit_pair("protocol:freecursive", "bucket-level",
+                      (addresses_a, addresses_b), observe)
 
 
 # ----------------------------------------------------------------------
@@ -405,12 +399,10 @@ def audit_sharded_routing(addresses_a: Sequence[int],
     plan = ShardPlan(shards=shards, subtrees=subtrees, levels=levels,
                      virtual_nodes=8)
     limit = 1 << (levels - 1)
-    canonical = []
-    violations: List[str] = []
-    for stream in (addresses_a, addresses_b):
+
+    def observe(stream, tracer):
         # every shard's link shares one lane: the probe cannot tell them
         # apart, so one tracer records them in arrival order
-        tracer = CollectingTracer()
         protocols = [build_protocol("independent", levels, sites, seed=seed,
                                     tracer=tracer)
                      for _ in range(shards)]
@@ -421,17 +413,14 @@ def audit_sharded_routing(addresses_a: Sequence[int],
             shard = plan.shard_of_address(address)
             before = len(tracer.events)
             protocols[shard].read(address)
-            chunk = link_shapes(tracer.events[before:], lane)
-            if expose_shard:
-                observed.extend((shard,) + shape for shape in chunk)
-            else:
-                observed.extend(chunk)
-        violations.extend(scan_secret_args(tracer.events))
-        canonical.append(observed)
+            observed.extend((shard,) + shape if expose_shard else shape
+                            for shape in link_shapes(tracer.events[before:],
+                                                     lane))
+        return observed
+
     suffix = "+shard-exposed" if expose_shard else ""
-    return compare_observables(f"routing:sharded{suffix}", "link-shape",
-                               canonical[0], canonical[1],
-                               secret_violations=violations)
+    return audit_pair(f"routing:sharded{suffix}", "link-shape",
+                      (addresses_a, addresses_b), observe)
 
 
 # ----------------------------------------------------------------------
@@ -473,67 +462,6 @@ def _tainted_plane_class():
     return _TaintedPlane
 
 
-def _drive_adaptive_run(addresses: Sequence[int], levels: int,
-                        window_ticks: int, gap_ticks: int, slo_p99: int,
-                        capacity: int, batch: int, seed: int,
-                        taint_signal: bool) -> List[Tuple]:
-    """One adaptive serving run over a fixed arrival timeline.
-
-    Arrivals sit on a fixed grid (every ``gap_ticks``) so arrival timing
-    carries no address information, and read coalescing is disabled: a
-    coalesced batch's service time depends on address *equality* within
-    the batch by construction, which is a property of the open-loop
-    scheduler, not of the control loop under audit here.  Two tenants
-    alternate, the second declassified, so the morph controller's
-    secure<->morphed switching is part of the audited behaviour.
-
-    The canonical observable is everything adaptation adds to what the
-    adversary already sees: the full structured decision log (controller
-    moves with their signals) plus the resulting completion and shed
-    timelines.  All of it must be a pure function of public queue
-    statistics — identical across address streams.
-    """
-    from repro.control.admission import AdmissionController
-    from repro.control.morph import MorphController
-    from repro.control.plane import ServeControlPlane
-    from repro.core.designs import build_protocol
-    from repro.oram.path_oram import Op
-    from repro.serve.loadgen import Request
-    from repro.serve.scheduler import BatchingScheduler
-
-    plane_class = (_tainted_plane_class() if taint_signal
-                   else ServeControlPlane)
-    plane = plane_class(
-        window_ticks,
-        admission=AdmissionController(slo_p99, capacity, batch_size=batch),
-        morph=MorphController(frozenset({"t1"})))
-    protocol = build_protocol("split", levels, seed=seed)
-    limit = 1 << (levels - 1)
-    sequences = {"t0": 0, "t1": 0}
-    requests = []
-    for index, address in enumerate(addresses):
-        tenant = "t0" if index % 2 == 0 else "t1"
-        requests.append(Request(arrival=index * gap_ticks, tenant=tenant,
-                                sequence=sequences[tenant],
-                                address=address % limit, op=Op.READ))
-        sequences[tenant] += 1
-    scheduler = BatchingScheduler(protocol, queue_capacity=capacity,
-                                  batch_size=batch, control=plane,
-                                  coalesce=False)
-    outcome = scheduler.run(requests)
-    observable: List[Tuple] = [
-        ("decision",) + tuple(sorted(
-            (key, tuple(sorted(value.items()))
-             if isinstance(value, dict) else value)
-            for key, value in decision.to_dict().items()))
-        for decision in outcome.decisions]
-    observable.extend(("completion", record.start, record.finish)
-                      for record in outcome.completions)
-    observable.extend(("shed", record.arrival, record.queue_depth,
-                       record.capacity) for record in outcome.shed)
-    return observable
-
-
 def audit_adaptive_control(requests: int = 96, levels: int = 6,
                            window_ticks: int = 256, gap_ticks: int = 48,
                            slo_p99: int = 512, capacity: int = 8,
@@ -547,56 +475,68 @@ def audit_adaptive_control(requests: int = 96, levels: int = 6,
     count, queue depth) is a public aggregate the adversary already
     observes, so closing the loop adds no address-dependence.
 
+    Arrivals sit on a fixed grid (every ``gap_ticks``) so arrival timing
+    carries no address information, and read coalescing is disabled: a
+    coalesced batch's service time depends on address *equality* within
+    the batch by construction, which is a property of the open-loop
+    scheduler, not of the control loop under audit here.  Two tenants
+    alternate, the second declassified, so the morph controller's
+    secure<->morphed switching is part of the audited behaviour.
+
     ``taint_signal`` is the negative control: it swaps in a control
     plane whose :meth:`window_signal` folds an address-parity term into
     the p99 the controller sees.  Decisions then differ between the
     streams and the audit must catch it.
     """
-    stream_a, stream_b = audit_address_streams(requests, seed=seed,
-                                               span=1 << 10)
-    observables = [
-        _drive_adaptive_run(stream, levels=levels,
-                            window_ticks=window_ticks,
-                            gap_ticks=gap_ticks, slo_p99=slo_p99,
-                            capacity=capacity, batch=batch, seed=seed,
-                            taint_signal=taint_signal)
-        for stream in (stream_a, stream_b)]
+    from repro.control.admission import AdmissionController
+    from repro.control.morph import MorphController
+    from repro.control.plane import ServeControlPlane
+    from repro.core.designs import build_protocol
+    from repro.oram.path_oram import Op
+    from repro.serve.loadgen import Request
+    from repro.serve.scheduler import BatchingScheduler
+
+    plane_class = (_tainted_plane_class() if taint_signal
+                   else ServeControlPlane)
+    limit = 1 << (levels - 1)
+
+    def observe(addresses, _tracer):
+        plane = plane_class(
+            window_ticks,
+            admission=AdmissionController(slo_p99, capacity,
+                                          batch_size=batch),
+            morph=MorphController(frozenset({"t1"})))
+        protocol = build_protocol("split", levels, seed=seed)
+        # the tenants alternate, so each one's sequence is index // 2
+        arrivals = [Request(arrival=index * gap_ticks, tenant=f"t{index % 2}",
+                            sequence=index // 2, address=address % limit,
+                            op=Op.READ)
+                    for index, address in enumerate(addresses)]
+        scheduler = BatchingScheduler(protocol, queue_capacity=capacity,
+                                      batch_size=batch, control=plane,
+                                      coalesce=False)
+        outcome = scheduler.run(arrivals)
+        observable: List[Tuple] = [
+            ("decision",) + tuple(sorted(
+                (key, tuple(sorted(value.items()))
+                 if isinstance(value, dict) else value)
+                for key, value in decision.to_dict().items()))
+            for decision in outcome.decisions]
+        observable.extend(("completion", record.start, record.finish)
+                          for record in outcome.completions)
+        observable.extend(("shed", record.arrival, record.queue_depth,
+                           record.capacity) for record in outcome.shed)
+        return observable
+
     suffix = "+tainted-signal" if taint_signal else ""
-    return compare_observables(f"control:adaptive{suffix}",
-                               "decision+timeline",
-                               observables[0], observables[1])
+    return audit_pair(f"control:adaptive{suffix}", "decision+timeline",
+                      audit_address_streams(requests, seed=seed,
+                                            span=1 << 10), observe)
 
 
 # ----------------------------------------------------------------------
 # Faulted audits (repro.faults): retries must look like re-accesses
 # ----------------------------------------------------------------------
-
-def _drive_faulted_protocol(spec, plan, addresses: Sequence[int],
-                            violations: List[str]) -> List:
-    """One faulted run over an address stream; returns link shapes.
-
-    Exhausted retry budgets quarantine where the design allows it (the
-    degraded path emits the normal per-access shape) and otherwise end
-    the run — the plan, not the addresses, decides where, so both audit
-    streams truncate at the same access.
-    """
-    from repro.faults.campaign import build_faulted_protocol
-    from repro.faults.recovery import RetryExhaustedError
-
-    tracer = CollectingTracer()
-    protocol, injector, _ = build_faulted_protocol(spec, plan,
-                                                   tracer=tracer)
-    for index, address in enumerate(addresses):
-        injector.begin_access(index)
-        try:
-            protocol.read(address)
-        except RetryExhaustedError as error:
-            if hasattr(protocol, "quarantine"):
-                protocol.quarantine(error.site)
-                continue
-            break
-    return _observe_link(tracer, protocol.link.lane, violations)
-
 
 def audit_faulted_protocol(design: str,
                            addresses_a: Sequence[int],
@@ -615,8 +555,14 @@ def audit_faulted_protocol(design: str,
     re-issues the same messages a fresh fetch would — so two different
     address streams under the *same* plan must still produce identical
     link-shape sequences.
+
+    Exhausted retry budgets quarantine where the design allows it (the
+    degraded path emits the normal per-access shape) and otherwise end
+    the run — the plan, not the addresses, decides where, so both audit
+    streams truncate at the same access.
     """
-    from repro.faults.campaign import CampaignSpec
+    from repro.faults.campaign import CampaignSpec, build_faulted_protocol
+    from repro.faults.recovery import RetryExhaustedError
 
     spec = CampaignSpec(design=design, accesses=len(addresses_a),
                         levels=levels, sites=sites, seed=seed,
@@ -625,12 +571,23 @@ def audit_faulted_protocol(design: str,
                         link_duplicates=link_duplicates,
                         link_delays=link_delays)
     plan = spec.build_plan()
-    violations: List[str] = []
-    shapes = [_drive_faulted_protocol(spec, plan, stream, violations)
-              for stream in (addresses_a, addresses_b)]
-    return compare_observables(f"faulted:{design}", "link-shape",
-                               shapes[0], shapes[1],
-                               secret_violations=violations)
+
+    def observe(stream, tracer):
+        protocol, injector, _ = build_faulted_protocol(spec, plan,
+                                                       tracer=tracer)
+        for index, address in enumerate(stream):
+            injector.begin_access(index)
+            try:
+                protocol.read(address)
+            except RetryExhaustedError as error:
+                if hasattr(protocol, "quarantine"):
+                    protocol.quarantine(error.site)
+                    continue
+                break
+        return link_shapes(tracer.events, protocol.link.lane)
+
+    return audit_pair(f"faulted:{design}", "link-shape",
+                      (addresses_a, addresses_b), observe)
 
 
 # ----------------------------------------------------------------------
@@ -640,7 +597,8 @@ def audit_faulted_protocol(design: str,
 def run_full_audit(misses: int = 12, accesses: int = 48,
                    seed: int = 2018,
                    include_negative_control: bool = True,
-                   with_faults: bool = False) -> List[AuditResult]:
+                   with_faults: bool = False,
+                   inject_leak: bool = False) -> List[AuditResult]:
     """Audit every Figure-8 design at both tiers.
 
     Timing tier: freecursive / indep-2 / split-2 must show byte-identical
@@ -650,15 +608,17 @@ def run_full_audit(misses: int = 12, accesses: int = 48,
     The adaptive control plane is audited too
     (:func:`audit_adaptive_control`): closing the loop must not make the
     decision log or service timeline address-dependent.  With
-    ``include_negative_control``, three *expected* failures are audited
-    as well — the non-secure baseline, a shard-exposing routing variant,
-    and a control plane fed a secret-tainted signal — each returned with
-    the name prefix ``negative-control:``
-    so callers treat distinguishability as the success condition.  With
     ``with_faults``, the faulted variants run too: the same designs under
     an identical seeded fault plan (and a fixed bus-stall schedule at the
     timing tier) must remain indistinguishable — retries have to look
     like normal re-accesses.
+
+    Negative controls come last, named with the :data:`NEGATIVE_CONTROL`
+    prefix so that distinguishability is their success condition
+    (:attr:`AuditResult.sound`).  ``include_negative_control`` adds three
+    — the non-secure baseline, a shard-exposing routing variant, and a
+    control plane fed a secret-tainted signal — and ``inject_leak`` adds
+    a :class:`LeakyLink` run of the independent protocol.
     """
     from repro.config import DesignPoint
 
@@ -689,16 +649,18 @@ def run_full_audit(misses: int = 12, accesses: int = 48,
             audit_timing_design(DesignPoint.SPLIT_2, misses=misses,
                                 seed=seed, stalls=BUS_STALLS),
         ])
+    controls = []
     if include_negative_control:
-        control = audit_timing_design(DesignPoint.NONSECURE, misses=misses,
-                                      seed=seed)
-        control.name = f"negative-control:{control.name}"
-        results.append(control)
-        exposed = audit_sharded_routing(stream_a, stream_b, seed=seed,
-                                        expose_shard=True)
-        exposed.name = f"negative-control:{exposed.name}"
-        results.append(exposed)
-        tainted = audit_adaptive_control(seed=seed, taint_signal=True)
-        tainted.name = f"negative-control:{tainted.name}"
-        results.append(tainted)
-    return results
+        controls = [
+            audit_timing_design(DesignPoint.NONSECURE, misses=misses,
+                                seed=seed),
+            audit_sharded_routing(stream_a, stream_b, seed=seed,
+                                  expose_shard=True),
+            audit_adaptive_control(seed=seed, taint_signal=True),
+        ]
+    if inject_leak:
+        controls.append(audit_protocol("independent", stream_a, stream_b,
+                                       seed=seed, inject_leak=True))
+    for control in controls:
+        control.name = NEGATIVE_CONTROL + control.name
+    return results + controls

@@ -184,6 +184,36 @@ class TestFaultsCommand:
         assert args.with_faults
 
 
+class TestAuditTrace:
+    @pytest.mark.parametrize("flags", [
+        ["--misses", "0", "--accesses", "0"],
+        ["--misses", "1"],
+        ["--accesses", "1"],
+        ["--accesses", "-5"],
+    ], ids=["both-zero", "one-miss", "one-access", "negative"])
+    def test_streams_below_two_are_a_usage_error(self, flags, capsys):
+        # two streams of fewer than two addresses can be identical, so a
+        # verdict on them would be about the input, not the designs
+        with pytest.raises(SystemExit) as excinfo:
+            main(["audit-trace"] + flags)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert errors == [err.splitlines()[-1]]
+        assert errors[0].startswith("repro audit-trace: error: argument --")
+        assert "must be at least 2" in errors[0]
+        assert "Traceback" not in err
+
+    def test_short_streams_keep_their_honest_verdict(self, capsys):
+        # 8 accesses route every address of both streams to one shard, so
+        # the exposed-shard control cannot diverge: the audit says UNSOUND
+        assert main(["audit-trace", "--misses", "2", "--accesses", "8"]) == 1
+        captured = capsys.readouterr()
+        assert ("BAD  negative-control:routing:sharded+shard-exposed: PASS"
+                in captured.out)
+        assert captured.err == "audit UNSOUND\n"
+
+
 class TestServeBench:
     ARGS = SERVE_ARGS + ["--no-cache"]
 
