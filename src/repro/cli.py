@@ -65,12 +65,16 @@ def _design(name: str) -> DesignPoint:
                                      f"choose from {known}")
 
 
-def _stream_length(text: str) -> int:
-    # shorter streams can coincide: the verdict would be about the input
-    length = int(text)
-    if length < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {length}")
-    return length
+def _at_least(minimum: int):
+    """An ``int`` argument type that rejects values below ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse
 
 
 def _print_result(result: RunResult, energy_pj: Optional[float]) -> None:
@@ -550,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=2018)
 
     def concurrency(sub):
-        sub.add_argument("--jobs", type=int, default=1, metavar="N",
+        sub.add_argument("--jobs", type=_at_least(1), default=1, metavar="N",
                          help="worker processes for independent points "
                               "(1 = in-process serial; output is "
                               "identical for any value)")
@@ -584,11 +588,12 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--hotspots", type=int, default=0, metavar="N",
                           help="print the top-N exclusive-cycle hotspot "
                                "table (implies trace collection)")
-    simulate.add_argument("--window-cycles", type=int, default=0,
+    simulate.add_argument("--window-cycles", type=_at_least(0), default=0,
                           metavar="C",
-                          help="fold metrics into tumbling C-cycle "
-                               "windows (0 = off); --json includes the "
-                               "snapshots")
+                          help="cut the run's events into tumbling "
+                               "C-cycle metric windows (0 = off; collects "
+                               "events like --trace-out); --json includes "
+                               "the snapshots")
     common(simulate)
     ledger_opt(simulate)
     simulate.set_defaults(handler=cmd_simulate)
@@ -632,9 +637,10 @@ def build_parser() -> argparse.ArgumentParser:
         "audit-trace",
         help="check adversary-trace indistinguishability across "
              "address streams (the threat model, executed)")
-    audit.add_argument("--misses", type=_stream_length, default=12,
+    # shorter streams can coincide: the verdict would be about the input
+    audit.add_argument("--misses", type=_at_least(2), default=12,
                        help="misses per timing-tier run (at least 2)")
-    audit.add_argument("--accesses", type=_stream_length, default=48,
+    audit.add_argument("--accesses", type=_at_least(2), default=48,
                        help="accesses per functional-tier run (at least 2)")
     audit.add_argument("--seed", type=int, default=2018)
     audit.add_argument("--inject-leak", action="store_true",

@@ -8,8 +8,7 @@ write-to-read turnaround — once per **row segment** of one pass (see
 counters hoisted into locals.  It collects the burst trace events —
 still one per sub-run — into a plain list instead of pushing them
 through the tracer one at a time; :func:`emit_batch` then commits such a
-list, straight into a :class:`CollectingTracer`'s event list and through
-an inlined window fold when a :class:`WindowedTracer` wraps it.
+list, straight into a :class:`CollectingTracer`'s event list.
 :meth:`repro.dram.channel.Channel.schedule_run` and
 :meth:`~repro.dram.channel.Channel.schedule_access` stamp their single
 run through it too, so the only other copy of the chain is the
@@ -41,7 +40,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.dram.commands import PARKED, PowerState
-from repro.obs.timeseries import WindowSnapshot, WindowedTracer
 from repro.obs.tracer import CATEGORY_DRAM, CollectingTracer, TraceEvent
 
 _HIT = "hit"
@@ -244,62 +242,14 @@ def emit_batch(tracer, events: List[TraceEvent]) -> None:
     """Commit a batch of prebuilt span events through ``tracer``.
 
     Equivalent to calling ``tracer.span(...)`` once per event, in order,
-    but appends straight to a :class:`CollectingTracer`'s list and folds
-    windows with :func:`_fold_batch` when a :class:`WindowedTracer`
-    wraps the stream.  Any other enabled tracer gets per-event ``span``
-    calls (exact, just not batched).
+    but appends straight to a :class:`CollectingTracer`'s list.  Any
+    other enabled tracer gets per-event ``span`` calls (exact, just not
+    batched).
     """
-    if not events:
-        return
-    if type(tracer) is WindowedTracer:
-        inner = tracer.inner
-        if type(inner) is CollectingTracer:
-            inner.events.extend(events)
-        elif inner.enabled:
-            for event in events:
-                inner.span(event.name, event.category, event.lane,
-                           event.start, event.start + event.duration,
-                           **event.args)
-        _fold_batch(tracer, events)
-    elif type(tracer) is CollectingTracer:
+    if type(tracer) is CollectingTracer:
         tracer.events.extend(events)
     elif tracer.enabled:
         for event in events:
             tracer.span(event.name, event.category, event.lane,
                         event.start, event.start + event.duration,
                         **event.args)
-
-
-def _fold_batch(windowed: WindowedTracer, events: List[TraceEvent]) -> None:
-    """Fold a span batch into a :class:`WindowedTracer`'s windows: the
-    histogram record of ``WindowedTracer._fold``, inlined per batch."""
-    if windowed._closed:
-        raise RuntimeError("windowed tracer already closed")
-    window_cycles = windowed.window_cycles
-    windows = windowed._windows
-    histogram = None
-    last_index = -1
-    last_name = None
-    last_category = None
-    for event in events:
-        index = event.start // window_cycles
-        name = event.name
-        category = event.category
-        # A batch is nearly always a run of same-named bursts in one
-        # window; comparing the three fields beats building a tuple key
-        # per event.
-        if index != last_index or name != last_name \
-                or category != last_category:
-            window = windows.get(index)
-            if window is None:
-                window = windows[index] = WindowSnapshot(index, window_cycles)
-            histogram = window.registry.histogram(category + "/" + name)
-            last_index = index
-            last_name = name
-            last_category = category
-        duration = event.duration
-        buckets = histogram.buckets
-        bucket = duration.bit_length()
-        buckets[bucket] = buckets.get(bucket, 0) + 1
-        histogram.count += 1
-        histogram.total += duration

@@ -342,7 +342,9 @@ def audit_freecursive_protocol(addresses_a: Sequence[int],
     observable is the (kind, tree-level) sequence: the level walk is the
     deterministic part of a path access, while the bucket index within a
     level is a uniform function of the fresh leaf and carries no address
-    information.
+    information.  The observable is read from ``FreecursiveOram.trace``,
+    not from tracer events, so :func:`scan_secret_args` has nothing to
+    screen here.
     """
     from repro.config import OramConfig
     from repro.oram.freecursive import FreecursiveOram
@@ -500,13 +502,13 @@ def audit_adaptive_control(requests: int = 96, levels: int = 6,
                    else ServeControlPlane)
     limit = 1 << (levels - 1)
 
-    def observe(addresses, _tracer):
+    def observe(addresses, tracer):
         plane = plane_class(
             window_ticks,
             admission=AdmissionController(slo_p99, capacity,
                                           batch_size=batch),
             morph=MorphController(frozenset({"t1"})))
-        protocol = build_protocol("split", levels, seed=seed)
+        protocol = build_protocol("split", levels, seed=seed, tracer=tracer)
         # the tenants alternate, so each one's sequence is index // 2
         arrivals = [Request(arrival=index * gap_ticks, tenant=f"t{index % 2}",
                             sequence=index // 2, address=address % limit,

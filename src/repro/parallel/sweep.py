@@ -13,10 +13,10 @@ this module adds what is specific to simulation points:
 * :func:`execute_point`, the worker that re-derives everything from the
   point (a small picklable description), never from parent state, which
   is what makes the serial and parallel paths indistinguishable;
-* folding each worker's metrics into a single
-  :class:`~repro.obs.metrics.MetricsRegistry` for the caller, and one
-  ledger record per point (:meth:`SweepOutcome.append_ledger`), whose
-  core the point itself gives (:meth:`SweepPoint.ledger_core`).
+* the ``sweep/*`` counters of a :class:`~repro.obs.metrics.MetricsRegistry`
+  for the caller, and one ledger record per point
+  (:meth:`SweepOutcome.append_ledger`), whose core the point itself
+  gives (:meth:`SweepPoint.ledger_core`).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import DesignPoint, SystemConfig, table2_config
 from repro.obs.ledger import append_record, config_digest_hex, simulation_core
-from repro.obs.metrics import MetricsRegistry, fold_metrics_dict
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import NULL_TRACER, CollectingTracer, Tracer
 from repro.parallel.cache import RunCache
 from repro.parallel.pool import fanout
 from repro.parallel.serialize import (run_result_from_dict,
@@ -55,6 +55,11 @@ class SweepPoint:
     #: snapshots ride on ``RunResult.windows`` and round-trip the cache
     window_cycles: int = 0
     config: Optional[SystemConfig] = None
+
+    def __post_init__(self):
+        if self.window_cycles < 0:
+            raise ValueError(f"window_cycles must be at least 0, "
+                             f"got {self.window_cycles}")
 
     def system_config(self) -> SystemConfig:
         if self.config is not None:
@@ -103,7 +108,6 @@ class PointResult:
     result: RunResult
     from_cache: bool
     wall_ms: float
-    chrome_json: Optional[str] = None
 
 
 @dataclass
@@ -113,20 +117,6 @@ class SweepOutcome:
     results: List[PointResult]
     metrics: MetricsRegistry
     jobs: int
-
-    def fold_windows(self) -> MetricsRegistry:
-        """Fold every point's time-series windows into one registry.
-
-        Submission order, then window order — deterministic regardless
-        of ``jobs`` or cache hits, so the folded view is byte-identical
-        serial vs. pool (``tests/test_obs_timeseries.py`` pins it).
-        """
-        from repro.obs.timeseries import fold_windows
-
-        snapshots: List[Dict[str, object]] = []
-        for entry in self.results:
-            snapshots.extend(entry.result.windows)
-        return fold_windows(snapshots)
 
     def append_ledger(self, ledger, kind: str) -> None:
         """One ``kind`` ledger record per point, in submission order
@@ -142,27 +132,16 @@ class SweepOutcome:
 # ----------------------------------------------------------------------
 
 def execute_point(point: SweepPoint) -> Dict[str, object]:
-    """Run one point; returns a JSON-friendly payload (cacheable as-is).
+    """Run one point; returns its ``RunResult`` as a JSON-friendly dict
+    (cacheable as-is).
 
     Used verbatim by the serial path and by pool workers, which is the
     determinism argument in one line: both paths run *this* function.
+    A traced point traces into a :class:`CollectingTracer` only for what
+    the result itself carries (``phase_cycles``, ``windows``).
     """
-    from repro.obs.tracer import CollectingTracer
-
     tracer = CollectingTracer() if point.collect_trace else NULL_TRACER
-    result = point.simulate(tracer)
-    chrome_json = None
-    worker_metrics = MetricsRegistry()
-    if isinstance(tracer, CollectingTracer):
-        from repro.obs.chrome import render_chrome_trace
-
-        chrome_json = render_chrome_trace(tracer.events)
-        worker_metrics.from_events(tracer.events)
-    return {
-        "result": run_result_to_dict(result),
-        "chrome_json": chrome_json,
-        "metrics": worker_metrics.as_dict(),
-    }
+    return run_result_to_dict(point.simulate(tracer))
 
 
 # ----------------------------------------------------------------------
@@ -191,9 +170,7 @@ def run_sweep(points: Sequence[SweepPoint], jobs: int = 1,
         if not from_cache:
             metrics.counter("sweep/executed").inc()
             metrics.histogram("sweep/wall_ms").record(int(meta["wall_ms"]))
-            fold_metrics_dict(metrics, payload["metrics"])
         results.append(PointResult(
-            point=point, result=run_result_from_dict(payload["result"]),
-            from_cache=from_cache, wall_ms=float(meta["wall_ms"]),
-            chrome_json=payload["chrome_json"]))
+            point=point, result=run_result_from_dict(payload),
+            from_cache=from_cache, wall_ms=float(meta["wall_ms"])))
     return SweepOutcome(results=results, metrics=metrics, jobs=max(1, jobs))

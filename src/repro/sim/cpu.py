@@ -15,6 +15,7 @@ backend's PLB and row buffers) before the measured window begins.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Dict, Iterable, Iterator, Optional
 
 from repro.cache.cache import SetAssociativeCache
@@ -89,11 +90,13 @@ class SimulationDriver:
         """Execute the trace; statistics cover the post-warm-up window."""
         self._records = iter(trace)
         self._warmup_records = warmup_records
+        # a reused tracer holds earlier runs' events: attribute only ours
+        first_event = len(getattr(self.tracer, "events", ()))
         self.events.at(0, self._issue_loop)
         self.events.run()
         end = max(self._final_cycle, self.events.now)
         self.backend.finalize(end)
-        return self._build_result(end)
+        return self._build_result(end, first_event)
 
     # ------------------------------------------------------------------
     # The core's issue process
@@ -177,7 +180,7 @@ class SimulationDriver:
             bus.command_slots = 0
             bus.busy_cycles = 0
 
-    def _build_result(self, end: int) -> RunResult:
+    def _build_result(self, end: int, first_event: int) -> RunResult:
         execution = end - self._window_start_cycle
         total = self._measured_hits + self._measured_misses
         phases = {}
@@ -185,8 +188,9 @@ class SimulationDriver:
             # Exclusive attribution of every measured-window cycle to the
             # highest-priority active protocol phase (or idle): the sum
             # equals execution_cycles by construction.
-            phases = phase_breakdown(getattr(self.tracer, "events", ()),
-                                     self._window_start_cycle, end)
+            phases = phase_breakdown(
+                islice(getattr(self.tracer, "events", ()), first_event, None),
+                self._window_start_cycle, end)
         return RunResult(
             design=self.config.design.value,
             workload=self.workload_name,

@@ -112,8 +112,8 @@ class RunResult:
     failures: List[Dict[str, object]] = field(default_factory=list)
     #: tumbling cycle-window snapshots (repro.obs.timeseries) when the
     #: run asked for them via ``window_cycles``; empty otherwise.  Each
-    #: entry is one WindowSnapshot.as_dict() — folding them in order
-    #: reproduces the run's cumulative metrics registry exactly.
+    #: entry is one window of ``windows_from_events`` — folding them in
+    #: order reproduces the run's cumulative metrics registry exactly.
     windows: List[Dict[str, object]] = field(default_factory=list)
 
     @property

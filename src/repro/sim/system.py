@@ -8,10 +8,11 @@ trace, warm up, and measure.
 from __future__ import annotations
 
 import gc
+from itertools import islice
 from typing import Optional
 
 from repro.config import SystemConfig
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, CollectingTracer, Tracer
 from repro.sim.backends import BACKEND_CLASSES
 from repro.sim.cpu import SimulationDriver
 from repro.sim.events import EventQueue
@@ -49,10 +50,13 @@ def run_simulation(config: SystemConfig,
     1M + 1M accesses — scale ``trace_length`` up for higher fidelity runs
     (the default keeps a full benchmark sweep tractable in pure Python).
 
-    ``window_cycles > 0`` is the time-series seam: every tracer event is
-    additionally folded into tumbling cycle windows
-    (:mod:`repro.obs.timeseries`), whose snapshots land on
-    ``RunResult.windows``.
+    ``window_cycles > 0`` is the time-series seam: the run traces into
+    ``tracer`` (a :class:`~repro.obs.tracer.CollectingTracer`, or a fresh
+    one when none is given), and the events it appends are cut into
+    tumbling cycle windows afterwards
+    (:func:`repro.obs.timeseries.windows_from_events`), whose snapshots
+    land on ``RunResult.windows``.  Collecting costs memory the way a
+    trace export does.
     """
     if isinstance(workload, WorkloadProfile):
         profile = workload
@@ -63,21 +67,20 @@ def run_simulation(config: SystemConfig,
     if warmup_records >= trace_length:
         raise ValueError("warm-up must leave a measurement window")
 
-    windowed = None
     if window_cycles > 0:
-        from repro.obs.timeseries import WindowedTracer
-
-        windowed = WindowedTracer(tracer, window_cycles)
-        tracer = windowed
+        if not tracer.enabled:
+            tracer = CollectingTracer()
+        first_event = len(tracer.events)
     trace = iterate_trace(profile, trace_length, seed=trace_seed)
     result = _drive(config, trace, mlp=profile.mlp,
                     workload_name=profile.name,
                     warmup_records=warmup_records,
                     window_policy=window_policy, tracer=tracer)
-    if windowed is not None:
-        from repro.obs.timeseries import windows_to_dicts
+    if window_cycles > 0:
+        from repro.obs.timeseries import windows_from_events
 
-        result.windows = windows_to_dicts(windowed.close())
+        result.windows = windows_from_events(
+            islice(tracer.events, first_event, None), window_cycles)
     return result
 
 

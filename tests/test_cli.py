@@ -184,6 +184,29 @@ class TestFaultsCommand:
         assert args.with_faults
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,flag", [
+        (["simulate", "indep-2", "mcf", "--window-cycles", "-5"],
+         "--window-cycles"),
+        (["compare", "mcf", "--jobs", "-2"], "--jobs"),
+        (["sweep", "indep-2", "--jobs", "0"], "--jobs"),
+        (["faults", "--jobs", "0"], "--jobs"),
+        (SERVE_ARGS + ["--jobs", "-1"], "--jobs"),
+    ], ids=["window-cycles", "compare-jobs", "sweep-jobs", "faults-jobs",
+            "serve-jobs"])
+    def test_bad_count_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert errors == [err.splitlines()[-1]]
+        assert errors[0].startswith(
+            f"repro {argv[0]}: error: argument {flag}")
+        assert "must be at least" in errors[0]
+        assert "Traceback" not in err
+
+
 class TestAuditTrace:
     @pytest.mark.parametrize("flags", [
         ["--misses", "0", "--accesses", "0"],

@@ -16,6 +16,7 @@ from repro.control.plane import ServeControlPlane
 from repro.core.commands import SdimmCommand
 from repro.core.secure_buffer import LinkRecorder
 from repro.obs.audit import audit_adaptive_control, run_full_audit
+from repro.obs.tracer import CATEGORY_LINK, NULL_TRACER
 from repro.oram.path_oram import Op
 from repro.parallel.cache import RunCache
 from repro.serve.bench import ServeSpec, run_serve, run_serve_sweep
@@ -269,6 +270,24 @@ class TestAdaptiveAudit:
         result = audit_adaptive_control(taint_signal=True)
         assert not result.passed
         assert result.first_divergence is not None
+
+    def test_secret_arg_on_the_link_is_caught(self, monkeypatch):
+        # the audit screens its runs' link: a leaf= instant planted on
+        # the protocol's link lane must turn the verdict into a FAIL
+        from repro.core import designs
+
+        build = designs.build_protocol
+
+        def planted(*args, tracer=NULL_TRACER, **kwargs):
+            protocol = build(*args, tracer=tracer, **kwargs)
+            tracer.instant("ACCESS", CATEGORY_LINK, protocol.link.lane, 0,
+                           leaf=1)
+            return protocol
+
+        monkeypatch.setattr(designs, "build_protocol", planted)
+        result = audit_adaptive_control()
+        assert not result.passed
+        assert "secret-tainted payloads" in result.describe()
 
     def test_full_audit_includes_both_directions(self):
         results = {result.name: result for result in run_full_audit()}

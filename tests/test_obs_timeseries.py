@@ -1,15 +1,14 @@
-"""Tumbling cycle windows: exactness, the tracer seam, determinism."""
+"""Tumbling cycle windows: exactness, the run seam, determinism."""
 
 import json
 
 import pytest
 
 from repro.config import DesignPoint, small_config
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import (WINDOW_SCHEMA, WindowedTracer,
-                                  WindowSnapshot, fold_windows,
-                                  windows_from_events, windows_to_dicts)
-from repro.obs.tracer import CollectingTracer, Tracer
+from repro.obs.metrics import MetricsRegistry, fold_metrics_dict
+from repro.obs.timeseries import (WINDOW_SCHEMA, fold_windows,
+                                  windows_from_events)
+from repro.obs.tracer import CollectingTracer, TraceEvent
 from repro.parallel.cache import RunCache
 from repro.parallel.sweep import SweepPoint, run_sweep
 from repro.sim.system import run_simulation
@@ -24,15 +23,17 @@ def _collect_events(trace_length=400, design=DesignPoint.FREECURSIVE):
 
 class TestSnapshot:
     def test_window_bounds(self):
-        snapshot = WindowSnapshot(3, 500)
-        assert (snapshot.start, snapshot.end) == (1500, 2000)
-        as_dict = snapshot.as_dict()
-        assert as_dict["schema"] == WINDOW_SCHEMA
-        assert as_dict["metrics"] == MetricsRegistry().as_dict()
+        event = TraceEvent("instant", "tick", "bus", "lane", 1700, 0)
+        (snapshot,) = windows_from_events([event], 500)
+        assert (snapshot["index"], snapshot["start"], snapshot["end"]) == \
+            (3, 1500, 2000)
+        assert snapshot["schema"] == WINDOW_SCHEMA
+        assert snapshot["metrics"] == \
+            MetricsRegistry().from_events([event]).as_dict()
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WindowedTracer(Tracer(), 0)
+            windows_from_events([], 0)
 
 
 class TestExactness:
@@ -41,8 +42,7 @@ class TestExactness:
     def test_fold_reproduces_cumulative_registry(self):
         events = _collect_events()
         cumulative = MetricsRegistry().from_events(events)
-        snapshots = windows_from_events(events, 1000)
-        folded = fold_windows(windows_to_dicts(snapshots))
+        folded = fold_windows(windows_from_events(events, 1000))
         cum = cumulative.as_dict()
         out = folded.as_dict()
         assert out["counters"] == cum["counters"]
@@ -56,40 +56,62 @@ class TestExactness:
         events = _collect_events()
         snapshots = windows_from_events(events, 777)  # awkward width
         span_total = sum(
-            sum(h["count"] for h in s.registry.as_dict()
-                ["histograms"].values())
+            sum(h["count"] for h in s["metrics"]["histograms"].values())
             for s in snapshots)
         assert span_total == sum(1 for e in events if e.kind == "span")
         for snapshot, nxt in zip(snapshots, snapshots[1:]):
-            assert snapshot.index < nxt.index
+            assert snapshot["index"] < nxt["index"]
 
     def test_window_keyed_on_start_cycle(self):
-        tracer = WindowedTracer(Tracer(), 100)
+        tracer = CollectingTracer()
         # span straddles the boundary; its start cycle owns it
         tracer.span("straddle", "bus", "lane", 95, 160)
         tracer.instant("tick", "bus", "lane", 100)
-        snapshots = tracer.close()
-        assert [s.index for s in snapshots] == [0, 1]
-        assert snapshots[0].registry.as_dict()["histograms"][
+        snapshots = windows_from_events(tracer.events, 100)
+        assert [s["index"] for s in snapshots] == [0, 1]
+        assert snapshots[0]["metrics"]["histograms"][
             "bus/straddle"]["count"] == 1
-        assert snapshots[1].registry.as_dict()["counters"][
-            "bus/tick"] == 1
+        assert snapshots[1]["metrics"]["counters"]["bus/tick"] == 1
 
 
-class TestFlushing:
-    def test_closed_tracer_rejects_events(self):
-        tracer = WindowedTracer(Tracer(), 100)
-        tracer.close()
-        with pytest.raises(RuntimeError):
-            tracer.instant("tick", "bus", "lane", 0)
+class TestRunSeam:
+    """``run_simulation(window_cycles > 0)`` windows what the run traced."""
 
-    def test_forwards_to_inner(self):
-        inner = CollectingTracer()
-        tracer = WindowedTracer(inner, 100)
-        tracer.span("s", "bus", "lane", 0, 10)
-        tracer.counter("c", "bus", "lane", 5, 7)
-        assert len(inner.events) == 2
-        assert tracer.events is inner.events
+    CONFIG = small_config(DesignPoint.INDEP_2)
+
+    def _run(self, **kwargs):
+        return run_simulation(self.CONFIG, "mcf", trace_length=300,
+                              window_cycles=1000, **kwargs)
+
+    def test_untraced_run_matches_traced_run(self):
+        # the run collects its own events, so the phase breakdown is the
+        # traced one and not all-idle
+        untraced = self._run()
+        traced = self._run(tracer=CollectingTracer())
+        assert untraced.phase_cycles == traced.phase_cycles
+        assert set(untraced.phase_cycles) != {"idle"}
+        assert untraced.windows == traced.windows
+
+    def test_windows_cover_only_this_runs_events(self):
+        tracer = CollectingTracer()
+        first = self._run(tracer=tracer)
+        count = len(tracer.events)
+        second = self._run(tracer=tracer)
+        assert first.windows == windows_from_events(tracer.events[:count],
+                                                    1000)
+        assert second.windows == windows_from_events(tracer.events[count:],
+                                                     1000)
+
+    def test_reused_tracer_attributes_only_this_run(self):
+        tracer = CollectingTracer()
+        run_simulation(self.CONFIG, "lbm", trace_length=300, tracer=tracer)
+        reused = self._run(tracer=tracer)
+        assert reused.phase_cycles == \
+            self._run(tracer=CollectingTracer()).phase_cycles
+
+    def test_negative_window_is_rejected(self):
+        with pytest.raises(ValueError, match="window_cycles"):
+            SweepPoint(DesignPoint.INDEP_2, "mcf", window_cycles=-5)
 
 
 class TestDeterminism:
@@ -128,9 +150,10 @@ class TestDeterminism:
 
     def test_outcome_fold_windows_matches_direct_event_fold(self):
         outcome = run_sweep(self.POINTS, jobs=1, cache=None)
-        folded = outcome.fold_windows().as_dict()
+        folded = fold_windows(
+            snapshot for entry in outcome.results
+            for snapshot in entry.result.windows).as_dict()
         # the same points, traced directly, folded point-then-event order
-        from repro.obs.metrics import fold_metrics_dict
         direct = MetricsRegistry()
         for point in self.POINTS:
             tracer = CollectingTracer()

@@ -2,10 +2,10 @@
 
 The ISSUE-level guarantee: ``run_sweep(points, jobs=4)`` is **byte
 identical** to ``run_sweep(points, jobs=1)`` — same ``RunResult`` fields
-(including the traced ``phase_cycles`` breakdown), same Chrome-trace
-export, same submission ordering — no matter how pool workers interleave.
-Also covered: the serial fallback when no pool can be created, metrics
-folding, cache interaction of a full sweep, and the core selection
+(including the traced ``phase_cycles`` breakdown), same submission
+ordering — no matter how pool workers interleave.
+Also covered: the serial fallback when no pool can be created, the
+sweep counters, cache interaction of a full sweep, and the core selection
 reaching every task whatever ``jobs`` is.
 """
 
@@ -32,7 +32,6 @@ def result_bytes(outcome):
     """Every observable of a sweep, canonically serialized."""
     return [
         (canonical_json(run_result_to_dict(entry.result)),
-         entry.chrome_json,
          entry.from_cache)
         for entry in outcome.results
     ]
@@ -55,13 +54,6 @@ class TestDeterminism:
             assert serial_entry.result.phase_cycles
             assert (serial_entry.result.phase_cycles ==
                     parallel_entry.result.phase_cycles)
-
-    def test_chrome_traces_are_identical_and_nonempty(self, serial_outcome):
-        parallel = run_sweep(list(POINTS), jobs=4)
-        for serial_entry, parallel_entry in zip(serial_outcome.results,
-                                                parallel.results):
-            assert serial_entry.chrome_json
-            assert serial_entry.chrome_json == parallel_entry.chrome_json
 
     def test_results_come_back_in_submission_order(self, serial_outcome):
         for point, entry in zip(POINTS, serial_outcome.results):
@@ -185,8 +177,8 @@ class TestCoreSelection:
         fresh = run_sweep(points, jobs=2)
         pool_module.shutdown_pools()
         assert all(not entry.from_cache for entry in toggled.results)
-        assert ([bytes_ for bytes_, _, _ in result_bytes(toggled)] ==
-                [bytes_ for bytes_, _, _ in result_bytes(fresh)])
+        assert ([bytes_ for bytes_, _ in result_bytes(toggled)] ==
+                [bytes_ for bytes_, _ in result_bytes(fresh)])
         for entry in toggled.results:
             assert entry.result.extras["fastpath_hit_rate"] == 0.0
         # and the toggled entries replay under the toggled core
@@ -220,8 +212,8 @@ class TestSweepWithCache:
         second = run_sweep(list(POINTS), jobs=2, cache=cache)
         assert all(entry.from_cache for entry in second.results)
         # cached bytes match the pool-free serial ground truth
-        assert ([bytes_ for bytes_, _, _ in result_bytes(second)] ==
-                [bytes_ for bytes_, _, _ in result_bytes(serial_outcome)])
+        assert ([bytes_ for bytes_, _ in result_bytes(second)] ==
+                [bytes_ for bytes_, _ in result_bytes(serial_outcome)])
         assert cache.stats.hits == len(POINTS)
 
     def test_traced_and_untraced_points_never_share_entries(self, tmp_path):

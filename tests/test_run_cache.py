@@ -1,6 +1,7 @@
 """The persistent run cache: hits, misses, corruption, invalidation, and
 the one cache key :func:`repro.parallel.pool.fanout` builds."""
 
+import glob
 import json
 import os
 import re
@@ -14,9 +15,8 @@ from repro.parallel.cache import (CACHE_DIR_ENV, DEFAULT_CACHE_DIRNAME,
 from repro.parallel.pool import fanout
 from repro.parallel.serialize import run_result_from_dict, run_result_to_dict
 from repro.oram.integrity import IntegrityError
-from repro.parallel.sweep import SweepPoint, run_sweep
+from repro.parallel.sweep import SweepPoint, execute_point, run_sweep
 from repro.sim.stats import failure_record_from_exception
-from repro.sim.system import run_simulation
 
 CONFIG = small_config(DesignPoint.FREECURSIVE)
 POINT = SweepPoint(DesignPoint.FREECURSIVE, "mcf", trace_length=200,
@@ -25,8 +25,7 @@ POINT = SweepPoint(DesignPoint.FREECURSIVE, "mcf", trace_length=200,
 
 @pytest.fixture(scope="module")
 def payload():
-    result = run_simulation(CONFIG, "mcf", trace_length=200)
-    return {"result": run_result_to_dict(result), "chrome_json": None}
+    return execute_point(POINT)
 
 
 @pytest.fixture
@@ -50,13 +49,12 @@ class TestRoundTrip:
         cache.put_json("ab" * 32, payload, fingerprint="f1")
         entry = cache.get_json("ab" * 32)
         assert entry == payload
-        assert (run_result_to_dict(run_result_from_dict(entry["result"]))
-                == payload["result"])
+        assert run_result_to_dict(run_result_from_dict(entry)) == payload
         assert cache.stats.hits == 1
         assert cache.stats.writes == 1
 
     def test_failure_records_round_trip(self, payload):
-        result = run_result_from_dict(payload["result"])
+        result = run_result_from_dict(payload)
         assert result.completed_clean
         result.failures.append(failure_record_from_exception(
             IntegrityError("stale bucket", index=5, expected_counter=9,
@@ -69,11 +67,19 @@ class TestRoundTrip:
                 record["expected_counter"]) == ("IntegrityError", "mac", 5, 9)
         assert "stale bucket" in record["detail"]
 
-    def test_chrome_json_round_trips(self, cache, payload):
-        traced = dict(payload, chrome_json='{"traceEvents":[]}')
-        cache.put_json("ab" * 32, traced, fingerprint="f1")
-        assert cache.get_json("ab" * 32)["chrome_json"] == \
-            '{"traceEvents":[]}'
+    def test_traced_point_entry_holds_only_the_result(self, tmp_path):
+        # a traced, windowed point caches its RunResult and nothing else:
+        # the phase breakdown and windows ride inside it
+        traced = SweepPoint(DesignPoint.FREECURSIVE, "mcf", trace_length=200,
+                            collect_trace=True, window_cycles=1000,
+                            config=CONFIG)
+        cache = RunCache(str(tmp_path / "runs"))
+        (entry,) = run_sweep([traced], cache=cache).results
+        (path,) = glob.glob(os.path.join(cache.directory, "*", "*.json"))
+        with open(path) as handle:
+            stored = json.load(handle)["payload"]
+        assert stored == run_result_to_dict(entry.result)
+        assert stored["phase_cycles"] and stored["windows"]
 
     def test_unknown_key_is_a_miss(self, cache):
         assert cache.get_json("00" * 32) is None
@@ -144,7 +150,7 @@ class TestCorruption:
         key, path = self.put_one(cache, payload)
         with open(path) as handle:
             entry = json.load(handle)
-        entry["payload"]["result"]["execution_cycles"] += 1
+        entry["payload"]["execution_cycles"] += 1
         with open(path, "w") as handle:
             json.dump(entry, handle)
         assert cache.get_json(key) is None
