@@ -5,7 +5,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import DeterministicRng, IndependentProtocol, Op, PathOram
-from repro.obs.audit import link_instants
+from repro.obs.audit import adversary_observations, link_instants
 from repro.obs.tracer import CollectingTracer
 from repro.oram.integrity import EncryptedBucketStore
 
@@ -17,8 +17,9 @@ def pad(text: str) -> bytes:
 def main() -> None:
     print("=== 1. A plain Path ORAM " + "=" * 40)
     rng = DeterministicRng(2018, "quickstart")
+    bus = CollectingTracer()
     oram = PathOram(levels=10, blocks_per_bucket=4, block_bytes=64,
-                    stash_capacity=200, rng=rng, record_trace=True)
+                    stash_capacity=200, rng=rng, tracer=bus)
 
     oram.access(7, Op.WRITE, pad("the secret launch codes"))
     oram.access(8, Op.WRITE, pad("a decoy grocery list"))
@@ -29,7 +30,9 @@ def main() -> None:
 
     # what the bus saw: whole paths, root first, for every access
     per_access = 2 * oram.geometry.levels
-    first = [event.bucket for event in oram.trace[:oram.geometry.levels]]
+    touches = adversary_observations(bus.events)
+    first = [event.args["bucket"]
+             for event in touches[:oram.geometry.levels]]
     print(f"  every access touches {per_access} buckets "
           f"(read+write one full path)")
     print(f"  first path: buckets {first}")

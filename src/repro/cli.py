@@ -42,11 +42,13 @@ append-only JSONL record per executed point (``docs/observability.md``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.config import (DOUBLE_CHANNEL_DESIGNS, SINGLE_CHANNEL_DESIGNS,
-                          DesignPoint)
+                          DesignPoint, table2_config)
 from repro.core.designs import PROTOCOL_DESIGNS
 from repro.energy.dram_power import DramEnergyModel
 from repro.sim.stats import RunResult
@@ -91,6 +93,16 @@ def _print_result(result: RunResult, energy_pj: Optional[float]) -> None:
         print(f"memory energy       {energy_pj / 1e6:,.1f} uJ")
 
 
+@contextmanager
+def _specs_of(args):
+    """Build a verb's specs, before any work starts: a spec's
+    ``ValueError`` is bad input, the verb's usage error (exit 2)."""
+    try:
+        yield
+    except ValueError as error:
+        args.verb_parser.error(str(error))
+
+
 def _ledger(args):
     """The run ledger this invocation appends to (or ``None``)."""
     from repro.obs.ledger import resolve_ledger
@@ -106,12 +118,26 @@ def cmd_simulate(args) -> int:
 
     tracer = (CollectingTracer() if args.trace_out or args.hotspots
               else NULL_TRACER)
-    point = SweepPoint(args.design, args.workload, channels=args.channels,
-                       trace_length=args.trace_length, seed=args.seed,
-                       window_cycles=args.window_cycles)
-    config = point.system_config()
-    started = host_clock_s()
+    point = None
     if args.trace_file:
+        # a replay runs the file, not the positional workload or
+        # --trace-length, so only the design and channels are checked
+        if not os.path.isfile(args.trace_file):
+            args.verb_parser.error(f"no trace file {args.trace_file!r}")
+        with _specs_of(args):
+            config = table2_config(args.design, channels=args.channels,
+                                   seed=args.seed)
+            config.validate()
+    else:
+        with _specs_of(args):
+            point = SweepPoint(args.design, args.workload,
+                               channels=args.channels,
+                               trace_length=args.trace_length,
+                               seed=args.seed,
+                               window_cycles=args.window_cycles)
+        config = point.system_config()
+    started = host_clock_s()
+    if point is None:
         from repro.sim.system import run_trace_file
 
         result = run_trace_file(config, args.trace_file, mlp=args.mlp,
@@ -120,7 +146,7 @@ def cmd_simulate(args) -> int:
         result = point.simulate(tracer)
     energy = DramEnergyModel(config).report(result).total_pj
     wall_ms = (host_clock_s() - started) * 1000.0
-    if not args.trace_file:
+    if point is not None:
         # trace-file replays have no canonical point identity (the
         # point is a local file), so they stay out of the ledger
         append_record(_ledger(args), "simulate", point.ledger_core(result),
@@ -189,16 +215,18 @@ def cmd_faults(args) -> int:
 
     designs = list(args.design or PROTOCOL_DESIGNS)
     seeds = list(args.seeds) if args.seeds else [args.seed]
-    specs = [CampaignSpec(design=design, accesses=args.accesses,
-                          levels=args.levels, sites=args.sites, seed=seed,
-                          bit_flips=args.bit_flips, replays=args.replays,
-                          stuck_cells=args.stuck_cells,
-                          link_drops=args.link_drops,
-                          link_duplicates=args.link_duplicates,
-                          link_delays=args.link_delays,
-                          buffer_stalls=args.buffer_stalls,
-                          max_retries=args.retries)
-             for design in designs for seed in seeds]
+    with _specs_of(args):
+        specs = [CampaignSpec(design=design, accesses=args.accesses,
+                              levels=args.levels, sites=args.sites,
+                              seed=seed, bit_flips=args.bit_flips,
+                              replays=args.replays,
+                              stuck_cells=args.stuck_cells,
+                              link_drops=args.link_drops,
+                              link_duplicates=args.link_duplicates,
+                              link_delays=args.link_delays,
+                              buffer_stalls=args.buffer_stalls,
+                              max_retries=args.retries)
+                 for design in designs for seed in seeds]
     outcomes = run_campaign_sweep(specs, jobs=args.jobs,
                                   cache=_sweep_cache(args))
     ledger = _ledger(args)
@@ -247,8 +275,7 @@ def cmd_serve_bench(args) -> int:
     ``serve-sharded`` record per point instead of one ``serve`` record.
     Exit code 0 requires every report's peak queue depth to respect the
     admission bound (the backpressure contract: overload sheds, it never
-    buffers unboundedly).  A spec the serving tier cannot run is a usage
-    error (exit 2), reported before any point starts.
+    buffers unboundedly).
     """
     import json
 
@@ -258,7 +285,7 @@ def cmd_serve_bench(args) -> int:
 
     designs = list(args.design) if args.design else ["split"]
     rates = list(args.rates) if args.rates else [0.002, 0.008, 0.02]
-    try:
+    with _specs_of(args):
         specs = [ServeSpec(design=design, levels=args.levels,
                            sites=args.sites, rate=rate,
                            requests=args.requests, capacity=args.capacity,
@@ -272,8 +299,6 @@ def cmd_serve_bench(args) -> int:
                            shards=args.shards, subtrees=args.subtrees,
                            quarantined=tuple(args.quarantine_shard or ()))
                  for design in designs for rate in rates]
-    except ValueError as error:
-        args.usage_error(str(error))
     outcomes = run_serve_sweep(specs, jobs=args.jobs,
                                cache=_sweep_cache(args))
     ledger = _ledger(args)
@@ -366,9 +391,10 @@ def cmd_compare(args) -> int:
     designs = [DesignPoint.NONSECURE, DesignPoint.FREECURSIVE,
                *(SINGLE_CHANNEL_DESIGNS if args.channels == 1
                  else DOUBLE_CHANNEL_DESIGNS)]
-    points = [SweepPoint(design, args.workload, channels=args.channels,
-                         trace_length=args.trace_length, seed=args.seed)
-              for design in designs]
+    with _specs_of(args):
+        points = [SweepPoint(design, args.workload, channels=args.channels,
+                             trace_length=args.trace_length, seed=args.seed)
+                  for design in designs]
     outcome = run_sweep(points, jobs=args.jobs, cache=_sweep_cache(args))
     outcome.append_ledger(_ledger(args), "compare")
     print(f"{'design':12s} {'cycles':>12s} {'vs freec':>9s} "
@@ -399,9 +425,10 @@ def cmd_sweep(args) -> int:
     """
     from repro.parallel.sweep import SweepPoint, run_sweep
 
-    points = [SweepPoint(args.design, workload, channels=args.channels,
-                         trace_length=args.trace_length, seed=args.seed)
-              for workload in profile_names()]
+    with _specs_of(args):
+        points = [SweepPoint(args.design, workload, channels=args.channels,
+                             trace_length=args.trace_length, seed=args.seed)
+                  for workload in profile_names()]
     outcome = run_sweep(points, jobs=args.jobs, cache=_sweep_cache(args))
     outcome.append_ledger(_ledger(args), "sweep")
     print(f"{'workload':12s} {'cycles':>12s} {'hit':>5s} {'ap/ms':>6s} "
@@ -458,8 +485,9 @@ def cmd_coresident(args) -> int:
 
 def cmd_trace(args) -> int:
     """Handle ``repro trace``."""
-    records = generate_trace(get_profile(args.workload), args.length,
-                             seed=args.seed)
+    with _specs_of(args):
+        profile = get_profile(args.workload)
+    records = generate_trace(profile, args.length, seed=args.seed)
     count = save_trace(records, args.output)
     print(f"wrote {count} records of {args.workload!r} to {args.output}")
     return 0
@@ -754,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit machine-readable reports on stdout")
     concurrency(serve)
     ledger_opt(serve)
-    serve.set_defaults(handler=cmd_serve_bench, usage_error=serve.error)
+    serve.set_defaults(handler=cmd_serve_bench)
 
     lint = subparsers.add_parser(
         "lint", help="run reprolint over source trees")
@@ -788,6 +816,8 @@ def build_parser() -> argparse.ArgumentParser:
         .set_defaults(handler=cmd_designs)
     subparsers.add_parser("workloads", help="list workload profiles") \
         .set_defaults(handler=cmd_workloads)
+    for verb in subparsers.choices.values():
+        verb.set_defaults(verb_parser=verb)
     return parser
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Union
 
+from repro.sim.stats import nearest_rank
+
 Scalar = Union[int, float, str]
 
 
@@ -69,6 +71,4 @@ def window_p99(sojourns: List[int]) -> int:
     """
     if not sojourns:
         raise ValueError("p99 of an empty window is undefined")
-    ordered = sorted(sojourns)
-    rank = max(1, -(-99 * len(ordered) // 100))  # ceil without floats
-    return ordered[rank - 1]
+    return nearest_rank(sorted(sojourns), 0.99)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.utils.bitops import is_power_of_two
 
 #: The content-carrying designs, in the order every report lists them.
 PROTOCOL_DESIGNS = ("independent", "split", "indep-split")
@@ -27,6 +28,26 @@ def design_sites(design: str, sites: int) -> int:
     """The site count ``design`` builds: plain Split always splits two
     ways, so a spec that names it records 2 whatever it was given."""
     return 2 if design == "split" else sites
+
+
+def check_sites_fit(design: str, levels: int, sites: int) -> None:
+    """Raise ``ValueError`` unless ``design`` can build a ``levels``-level
+    tree over ``sites`` sites.
+
+    Sites are SDIMMs (independent) or split groups (indep-split), each
+    owning a leaf-MSB subtree at least one level deep; plain Split is
+    one site.
+    """
+    if levels < 1:
+        raise ValueError(f"a tree needs at least one level, got {levels}")
+    if design == "split":
+        return
+    if not is_power_of_two(sites):
+        raise ValueError(f"{design} needs a power-of-two site count, "
+                         f"got {sites}")
+    if sites.bit_length() > levels:
+        raise ValueError(f"a {levels}-level tree is too shallow for "
+                         f"{sites} sites")
 
 
 def build_protocol(design: str, levels: int, sites: int = 2, *,

@@ -148,8 +148,8 @@ class IndependentBuffer(PartitionSite):
                  blocks_per_bucket: int, block_bytes: int,
                  stash_capacity: int, transfer_queue_capacity: int,
                  drain_probability: float, rng: DeterministicRng,
-                 record_trace: bool = False,
-                 encryption_key: Optional[bytes] = None):
+                 encryption_key: Optional[bytes] = None,
+                 tracer: Tracer = NULL_TRACER):
         local_levels = self.local_levels(global_levels, sites)
         store = None
         if encryption_key is not None:
@@ -169,7 +169,8 @@ class IndependentBuffer(PartitionSite):
             stash_capacity=stash_capacity,
             rng=rng.child(f"sdimm{site_id}"),
             store=store,
-            record_trace=record_trace,
+            tracer=tracer,
+            trace_lane=f"sdimm{site_id}",
         )
         queue = TransferQueue(transfer_queue_capacity, drain_probability,
                               rng.child(f"queue{site_id}"))
@@ -370,7 +371,6 @@ class IndependentProtocol(PartitionedProtocol):
                  transfer_queue_capacity: int = 128,
                  drain_probability: float = 0.05,
                  seed: int = 2018,
-                 record_trace: bool = False,
                  encryption_key: Optional[bytes] = None,
                  tracer: Tracer = NULL_TRACER):
         rng = DeterministicRng(seed, self.label)
@@ -381,7 +381,7 @@ class IndependentProtocol(PartitionedProtocol):
                 stash_capacity=stash_capacity,
                 transfer_queue_capacity=transfer_queue_capacity,
                 drain_probability=drain_probability, rng=rng,
-                record_trace=record_trace, encryption_key=encryption_key)
+                encryption_key=encryption_key, tracer=tracer)
             for index in range(sdimm_count)]
         super().__init__(self.sdimms, rng, seed, block_bytes, tracer)
 

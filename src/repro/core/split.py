@@ -51,6 +51,7 @@ from repro.obs.tracer import (
     NULL_TRACER,
     StepClock,
     Tracer,
+    trace_bucket_touches,
 )
 from repro.oram.posmap import PositionMap
 from repro.oram.path_oram import Op
@@ -127,10 +128,15 @@ class BucketMetadata(NamedTuple):
 
 
 class SplitBuffer:
-    """One SDIMM's secure buffer holding slice ``way`` of every bucket."""
+    """One SDIMM's secure buffer holding slice ``way`` of every bucket.
+
+    Each bucket it reads (a retried re-read too) or writes on-DIMM is one
+    ``bucket`` instant on ``trace_lane``, stamped ``clock.now``.
+    """
 
     def __init__(self, way: int, ways: int, blocks_per_bucket: int,
-                 block_bytes: int, key: bytes, record_trace: bool = False):
+                 block_bytes: int, key: bytes, *, tracer: Tracer,
+                 trace_lane: str, clock: StepClock):
         if block_bytes % ways:
             raise ValueError("block size must divide evenly across ways")
         if blocks_per_bucket * 16 % ways:
@@ -153,9 +159,9 @@ class SplitBuffer:
         self._fetched: Dict[int, Tuple[int, Optional[_StoreCell]]] = {}
         self.local_line_transfers = 0
         self.writes = 0
-        self.record_trace = record_trace
-        #: what a probe on this DIMM's internal bus sees: (kind, bucket)
-        self.bucket_trace: List[Tuple[str, int]] = []
+        self.tracer = tracer
+        self.trace_lane = trace_lane
+        self.clock = clock
 
     # ------------------------------------------------------------------
     # Step 1: FETCH_DATA
@@ -163,13 +169,20 @@ class SplitBuffer:
 
     def fetch_data(self, path: List[int]) -> None:
         """Pull this way's data slices of the whole path into the stash."""
+        self._trace("read", path)
         self._fetched = {}
         for bucket in path:
             self._load(bucket, len(self.stash))
 
     def refetch(self, bucket: int) -> None:
         """Re-read one fetched bucket's cell on-DIMM (a retried read)."""
+        self._trace("read", (bucket,))
         self._load(bucket, self._fetched[bucket][0])
+
+    def _trace(self, kind: str, buckets) -> None:
+        if self.tracer.enabled:
+            trace_bucket_touches(self.tracer, self.trace_lane,
+                                 self.clock.now, kind, buckets)
 
     def _load(self, bucket: int, first: int) -> None:
         """Copy one bucket's cell from DRAM into stash slots ``first`` on.
@@ -178,8 +191,6 @@ class SplitBuffer:
         bucket contributes zero slices; a written one placeholders until
         the CPU's counters arrive to decrypt its data ciphertext.
         """
-        if self.record_trace:
-            self.bucket_trace.append(("read", bucket))
         cell = self._store.get(bucket)
         self._fetched[bucket] = (first, cell)
         slots = self.blocks_per_bucket
@@ -284,11 +295,10 @@ class SplitBuffer:
         if 0 <= updated_index < len(stash):
             stash[updated_index] = updated_slice
         empty = bytes(self.slice_bytes)
+        self._trace("write", path_buckets)
         for bucket, placed, metadata, counter, slices in zip(
                 path_buckets, placements, metadata_slices, new_counters,
                 counter_slices):
-            if self.record_trace:
-                self.bucket_trace.append(("write", bucket))
             ciphertext = self._cipher.encrypt(b"".join([
                 metadata, *[stash[index] for index in placed],
                 empty * (slots - len(placed))]), bucket, counter)
@@ -356,7 +366,6 @@ class SplitProtocol:
                  blocks_per_bucket: int = 4, block_bytes: int = 64,
                  stash_capacity: int = 200, seed: int = 2018,
                  key: bytes = b"split-protocol-key",
-                 record_trace: bool = False,
                  tracer: Tracer = NULL_TRACER,
                  trace_lane: str = "split"):
         self.geometry = TreeGeometry(levels)
@@ -373,7 +382,8 @@ class SplitProtocol:
                                   rng.child("posmap"))
         self.buffers: List[SplitBuffer] = [
             SplitBuffer(way, ways, blocks_per_bucket, block_bytes, key,
-                        record_trace=record_trace)
+                        tracer=tracer, trace_lane=f"{trace_lane}-way{way}",
+                        clock=self.clock)
             for way in range(ways)
         ]
         # The CPU holds the same per-way keys (it is in the TCB): it

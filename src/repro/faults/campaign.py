@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.designs import (PROTOCOL_DESIGNS, build_protocol,
-                                design_sites)
+                                check_sites_fit, design_sites)
 from repro.core.transfer_queue import TransferQueueOverflow
 from repro.faults.injector import (FaultInjector, FaultyStore,
                                    SplitFaultyReader)
@@ -82,6 +82,7 @@ class CampaignSpec:
             raise ValueError("a campaign needs at least one site")
         object.__setattr__(self, "sites",
                            design_sites(self.design, self.sites))
+        check_sites_fit(self.design, self.levels, self.sites)
 
     @property
     def plan_sites(self) -> int:

@@ -48,11 +48,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.commands import SdimmCommand
 from repro.core.secure_buffer import LinkRecorder
-from repro.obs.tracer import (CATEGORY_BUS, CATEGORY_DRAM, CATEGORY_LINK,
-                              CollectingTracer, TraceEvent)
+from repro.obs.tracer import (BUCKET_EVENT, CATEGORY_BUS, CATEGORY_DRAM,
+                              CATEGORY_LINK, CollectingTracer, TraceEvent)
 
 #: Argument keys that would carry secret-tainted values if they ever
-#: appeared on an adversary-visible event (SEC003's secret vocabulary).
+#: appeared on an adversary-visible event.  A superset of SEC003's secret
+#: vocabulary (``lint/dataflow._SECRET_VOCABULARY``: leaf, plaintext,
+#: secret): a block's address and tag name the program's data too.
 FORBIDDEN_ADVERSARY_ARGS = ("leaf", "address", "plaintext", "secret", "tag")
 
 #: The lane-name prefix of CPU-side (adversary-visible) DRAM channels.
@@ -92,6 +94,14 @@ def link_shapes(events: Sequence[TraceEvent],
     return [(event.args["direction"], event.name,
              event.args["payload_bytes"])
             for event in link_instants(events, lane)]
+
+
+def bucket_touches(events: Sequence[TraceEvent],
+                   lane: str) -> List[Tuple[str, int]]:
+    """One tree's bucket-level trace: ``(kind, bucket)`` of every
+    ``bucket`` instant on ``lane``, in order."""
+    return [(event.args["kind"], event.args["bucket"]) for event in events
+            if event.name == BUCKET_EVENT and event.lane == lane]
 
 
 def scan_secret_args(events: Sequence[TraceEvent]) -> List[str]:
@@ -342,9 +352,9 @@ def audit_freecursive_protocol(addresses_a: Sequence[int],
     observable is the (kind, tree-level) sequence: the level walk is the
     deterministic part of a path access, while the bucket index within a
     level is a uniform function of the fresh leaf and carries no address
-    information.  The observable is read from ``FreecursiveOram.trace``,
-    not from tracer events, so :func:`scan_secret_args` has nothing to
-    screen here.
+    information.  The tree sits CPU-side, so its ``bucket`` instants lie
+    on a main lane: they are adversary observations, and
+    :func:`scan_secret_args` screens each one.
     """
     from repro.config import OramConfig
     from repro.oram.freecursive import FreecursiveOram
@@ -353,15 +363,16 @@ def audit_freecursive_protocol(addresses_a: Sequence[int],
     config = OramConfig(levels=levels, cached_levels=2, recursive_posmaps=2,
                         stash_capacity=max(200, levels * 8))
 
-    def observe(stream, _tracer):
+    def observe(stream, tracer):
         oram = FreecursiveOram(config,
                                DeterministicRng(seed, "audit-freecursive"),
-                               plb_enabled=False, record_trace=True,
-                               unified_tree=True)
+                               plb_enabled=False, unified_tree=True,
+                               tracer=tracer)
         for address in stream:
             oram.read(address)
-        return [(event.kind, (event.bucket + 1).bit_length() - 1)
-                for event in oram.orams[0].trace]
+        return [(kind, (bucket + 1).bit_length() - 1)
+                for kind, bucket in bucket_touches(
+                    adversary_observations(tracer.events), MAIN_LANE_PREFIX)]
 
     return audit_pair("protocol:freecursive", "bucket-level",
                       (addresses_a, addresses_b), observe)

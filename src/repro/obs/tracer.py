@@ -37,6 +37,9 @@ CATEGORY_STASH = "stash"
 #: and the audit must prove the *observable* categories stay identical.
 CATEGORY_FAULT = "fault"
 
+#: The instant name of one tree bucket read or written (category ``dram``).
+BUCKET_EVENT = "bucket"
+
 
 class TraceEvent:
     """One recorded event.  Plain slotted object for allocation speed."""
@@ -153,6 +156,21 @@ class CollectingTracer(Tracer):
         for event in self.events:
             seen.setdefault(event.lane, None)
         return list(seen)
+
+
+def trace_bucket_touches(tracer: Tracer, lane: str, ts: int, kind: str,
+                         buckets: Iterable[int]) -> None:
+    """One ``bucket`` instant per bucket (``kind`` is ``"read"`` or
+    ``"write"``): the one record of a tree's bucket touches.
+
+    A CPU-side tree traces on a ``main`` lane, which the adversary audit
+    counts as a main channel; an on-DIMM tree on its SDIMM's or split
+    way's lane, behind the secure buffer.  Callers guard on
+    ``tracer.enabled``.
+    """
+    for bucket in buckets:
+        tracer.instant(BUCKET_EVENT, CATEGORY_DRAM, lane, ts, kind=kind,
+                       bucket=bucket)
 
 
 class StepClock:

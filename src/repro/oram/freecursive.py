@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.config import OramConfig
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.oram.path_oram import Op, PathOram
 from repro.oram.plb import OramAccess, PlbFrontend
 from repro.utils.bitops import ceil_log2
@@ -34,13 +35,17 @@ class FreecursiveOram:
     namespaced by level inside the shared address space.  The default
     (separate trees per level) is the simpler construction the recursion
     literature describes.
+
+    With a tracer, bucket touches trace on CPU-side ``main`` lanes: the
+    unified tree's on ``main``, separate trees' each on its own
+    ``main.oram{level}``, so no lane mixes two trees' bucket indices.
     """
 
     def __init__(self, config: OramConfig, rng: DeterministicRng,
                  data_levels: Optional[int] = None,
                  plb_enabled: bool = True,
-                 record_trace: bool = False,
-                 unified_tree: bool = False):
+                 unified_tree: bool = False,
+                 tracer: Tracer = NULL_TRACER):
         self.config = config
         self.frontend = PlbFrontend(config, enabled=plb_enabled)
         self.rng = rng
@@ -57,7 +62,7 @@ class FreecursiveOram:
                 block_bytes=config.block_bytes,
                 stash_capacity=config.stash_capacity,
                 rng=rng.child("freecursive-unified"),
-                record_trace=record_trace,
+                tracer=tracer,
             )
             self.orams = [shared] * (config.recursive_posmaps + 1)
         else:
@@ -69,7 +74,8 @@ class FreecursiveOram:
                     block_bytes=config.block_bytes,
                     stash_capacity=config.stash_capacity,
                     rng=rng.child(f"freecursive-oram{level}"),
-                    record_trace=record_trace,
+                    tracer=tracer,
+                    trace_lane=f"main.oram{level}",
                 ))
 
     # ------------------------------------------------------------------

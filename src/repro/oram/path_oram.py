@@ -10,9 +10,9 @@ trace independent of the program's addresses and operations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
+from repro.obs.tracer import NULL_TRACER, trace_bucket_touches
 from repro.oram.bucket import Block, Bucket
 from repro.oram.posmap import PositionMap
 from repro.oram.stash import Stash
@@ -41,24 +41,20 @@ class Op(enum.Enum):
     DUMMY = "dummy"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One bucket touch visible to a physical-bus adversary."""
-
-    kind: str       # "read" or "write"
-    bucket: int
-
-
 class PathOram:
-    """A single Path ORAM tree with stash, posmap, and observable trace."""
+    """A single Path ORAM tree with stash and position map.
+
+    With a tracer, each bucket read and write is one ``bucket`` instant
+    on ``trace_lane``, stamped with the stash's clock, which samples its
+    occupancy on the same lane: ``main`` for a CPU-side tree.
+    """
 
     def __init__(self, levels: int, blocks_per_bucket: int, block_bytes: int,
                  stash_capacity: int, rng: DeterministicRng,
-                 store=None, record_trace: bool = False,
+                 store=None,
                  background_eviction: bool = True,
                  new_block_fill: int = 0,
-                 tracer=None, trace_lane: str = "stash"):
-        from repro.obs.tracer import NULL_TRACER
+                 tracer=None, trace_lane: str = "main"):
         from repro.oram.integrity import PlainBucketStore
 
         self.new_block_fill = new_block_fill
@@ -67,14 +63,12 @@ class PathOram:
         self.block_bytes = block_bytes
         self.rng = rng
         self.posmap = PositionMap(self.geometry.leaf_count, rng.child("posmap"))
-        self.stash = Stash(stash_capacity,
-                           tracer=tracer if tracer is not None
-                           else NULL_TRACER,
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.trace_lane = trace_lane
+        self.stash = Stash(stash_capacity, tracer=self.tracer,
                            lane=trace_lane)
         self.store = store if store is not None else PlainBucketStore(
             self.geometry.bucket_count, blocks_per_bucket, block_bytes)
-        self.record_trace = record_trace
-        self.trace: List[TraceEvent] = []
         self.background_eviction = background_eviction
         self.access_count = 0
         self.dummy_access_count = 0
@@ -171,30 +165,36 @@ class PathOram:
         self._handle_pressure()
         return result
 
+    def _trace_path(self, kind: str, path) -> None:
+        trace_bucket_touches(self.tracer, self.trace_lane,
+                             self.stash.clock.now, kind, path)
+
     def _read_path(self, leaf: int) -> None:
+        path = self.geometry.path(leaf)
+        if self.tracer.enabled:
+            self._trace_path("read", path)
         # The store hands over each bucket outright: its blocks move to
         # the stash without emptying the bucket first.
         read = self.store.read
         add = self.stash.add
-        for bucket_index in self.geometry.path(leaf):
+        for bucket_index in path:
             for block in read(bucket_index).slots:
                 if block is not None:
                     add(block)
-            if self.record_trace:
-                self.trace.append(TraceEvent("read", bucket_index))
 
     def _write_path(self, leaf: int) -> None:
         capacity = self.blocks_per_bucket
         placement = self.stash.plan_eviction(self.geometry, leaf, capacity)
+        path = self.geometry.path(leaf)
+        if self.tracer.enabled:
+            self._trace_path("write", path)
         write = self.store.write
-        for level, bucket_index in enumerate(self.geometry.path(leaf)):
+        for level, bucket_index in enumerate(path):
             bucket = Bucket(capacity, self.block_bytes)
             chosen = placement.get(level)
             if chosen:
                 bucket.slots[:len(chosen)] = chosen
             write(bucket_index, bucket)
-            if self.record_trace:
-                self.trace.append(TraceEvent("write", bucket_index))
 
     def _handle_pressure(self) -> None:
         if not self.stash.over_capacity:

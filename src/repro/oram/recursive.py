@@ -45,7 +45,6 @@ class RecursiveOram:
                  entries_per_block: int = 16,
                  max_posmap_levels: int = 5,
                  onchip_entries: int = 64,
-                 record_trace: bool = False,
                  encryption_key: Optional[bytes] = None):
         if data_blocks < 1:
             raise ValueError("need at least one data block")
@@ -79,7 +78,6 @@ class RecursiveOram:
                 stash_capacity=stash_capacity,
                 rng=rng.child(f"oram{level}"),
                 store=store,
-                record_trace=record_trace,
                 new_block_fill=fill,
             ))
             # The on-chip map holds one leaf per block of the top ORAM;

@@ -11,8 +11,12 @@ of them and returns the results in submission order:
   :func:`fanout` is the one place that turns it into a cache key, by
   digesting it together with the code fingerprint and the core
   selection;
-* **one warm pool per ``jobs``** — a ``ProcessPoolExecutor`` kept alive
-  across calls (torn down at interpreter exit).  Its ``map`` keeps
+* **one warm pool** — a ``ProcessPoolExecutor`` of ``min(jobs, pending
+  tasks)`` workers (a large ``jobs`` over a short list forks no idle
+  worker), kept alive across calls (torn down at interpreter exit).  A
+  later call reuses it while its size lies between the workers it needs
+  and its ``jobs``; otherwise the live pool is shut down before another
+  is built, so a process never holds more than one.  Its ``map`` keeps
   submission order, so completion order never reaches a result; a worker
   that dies raises ``BrokenProcessPool`` instead of hanging, and any
   failure discards the pool so the next call starts from fresh workers.
@@ -54,41 +58,39 @@ if TYPE_CHECKING:
 #: One task's result and its host metadata ``{"wall_ms", "from_cache"}``.
 Outcome = Tuple[Any, Dict[str, object]]
 
-#: Live pools keyed by worker count.  Keeping workers alive amortizes
-#: process start-up and keeps worker-side memo caches warm; a warm worker
-#: re-derives every result from the pickled task under the task's own
-#: core selection, so it returns exactly what a cold one would.
+#: The live pool, keyed by its worker count; at most one entry.  Keeping
+#: workers alive amortizes process start-up and keeps worker-side memo
+#: caches warm; a warm worker re-derives every result from the pickled
+#: task under the task's own core selection, so it returns exactly what a
+#: cold one would.
 _POOLS: Dict[int, ProcessPoolExecutor] = {}
 
 
-def _pool(jobs: int) -> Optional[ProcessPoolExecutor]:
-    """The warm pool for ``jobs`` workers, or ``None`` if none can be made."""
-    pool = _POOLS.get(jobs)
-    if pool is None:
-        # imported on first use: it loads multiprocessing, which a
-        # process that never fans out should not pay for in memory
-        import concurrent.futures
+def _pool(workers: int, jobs: int) -> Optional[ProcessPoolExecutor]:
+    """A warm pool of ``workers`` to ``jobs`` workers, or ``None`` if none
+    can be made.  A live pool outside that range is shut down first."""
+    for size, pool in _POOLS.items():
+        if workers <= size <= jobs:
+            return pool
+    shutdown_pools()
+    # imported on first use: it loads multiprocessing, which a process
+    # that never fans out should not pay for in memory
+    import concurrent.futures
 
-        try:
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
-        except (ImportError, NotImplementedError, OSError, ValueError):
-            return None
-        _POOLS[jobs] = pool
+    try:
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    except (ImportError, NotImplementedError, OSError, ValueError):
+        return None
+    _POOLS[workers] = pool
     return pool
-
-
-def discard_pool(jobs: int) -> None:
-    """Shut down and forget the pool for ``jobs`` (error recovery)."""
-    pool = _POOLS.pop(jobs, None)
-    if pool is not None:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 @atexit.register
 def shutdown_pools() -> None:
-    """Shut down every warm pool (atexit hook; also used by tests)."""
-    for jobs in list(_POOLS):
-        discard_pool(jobs)
+    """Shut down the warm pool (atexit hook; error recovery; tests)."""
+    while _POOLS:
+        _, pool = _POOLS.popitem()
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _run(job: Tuple[Callable[[Any], Any], memo.CoreSelection, Any]
@@ -132,7 +134,8 @@ def fanout(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
         pending.append(index)
 
     jobs_list = [(worker, core, tasks[index]) for index in pending]
-    pool = _pool(jobs) if jobs > 1 and len(pending) > 1 else None
+    workers = min(jobs, len(pending))
+    pool = _pool(workers, jobs) if workers > 1 else None
     try:
         # Both maps are lazy and keep submission order, so each result is
         # cached as it arrives and a later failure loses none of them.
@@ -146,6 +149,6 @@ def fanout(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
                 cache.put_json(entry_key, value)
     except BaseException:
         if pool is not None:
-            discard_pool(jobs)
+            shutdown_pools()
         raise
     return cast(List[Outcome], outcomes)

@@ -33,6 +33,7 @@ from repro.parallel.pool import fanout
 from repro.parallel.serialize import (run_result_from_dict,
                                       run_result_to_dict)
 from repro.sim.stats import RunResult
+from repro.workloads.spec import get_profile
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,16 @@ class SweepPoint:
     config: Optional[SystemConfig] = None
 
     def __post_init__(self):
+        """Reject a point that cannot run, before any work starts."""
         if self.window_cycles < 0:
             raise ValueError(f"window_cycles must be at least 0, "
                              f"got {self.window_cycles}")
+        if self.trace_length < 1:
+            raise ValueError(f"trace length must be at least 1 to leave a "
+                             f"measurement window after the warm-up, got "
+                             f"{self.trace_length}")
+        get_profile(self.workload)
+        self.system_config().validate()
 
     def system_config(self) -> SystemConfig:
         if self.config is not None:

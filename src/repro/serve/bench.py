@@ -21,7 +21,8 @@ from repro.control.admission import AdmissionController
 from repro.control.morph import MorphController
 from repro.control.plane import ServeControlPlane
 from repro.core.designs import (PROTOCOL_DESIGNS, QUARANTINABLE,
-                                build_protocol, design_sites)
+                                build_protocol, check_sites_fit,
+                                design_sites)
 from repro.crypto.prf import Prf
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.pool import Outcome, fanout
@@ -127,15 +128,7 @@ class ServeSpec:
             raise ValueError("need at least one tenant")
         if self.levels < 3:
             raise ValueError("serving trees need at least 3 levels")
-        if self.design != "split":
-            # sites are SDIMMs (independent) or split groups (indep-split),
-            # each owning a leaf-MSB subtree at least one level deep
-            if not is_power_of_two(self.sites):
-                raise ValueError(f"{self.design} needs a power-of-two "
-                                 f"site count, got {self.sites}")
-            if self.sites.bit_length() > self.levels:
-                raise ValueError(f"a {self.levels}-level tree is too "
-                                 f"shallow for {self.sites} sites")
+        check_sites_fit(self.design, self.levels, self.sites)
         if self.slo_p99 < 0:
             raise ValueError("SLO target must be non-negative")
         if self.window_ticks < 0:
@@ -147,10 +140,7 @@ class ServeSpec:
         if unknown:
             raise ValueError(f"unknown declassified tenants {unknown}; "
                              f"tenants are t0..t{self.tenants - 1}")
-        try:
-            self.tenant_specs()
-        except KeyError as error:  # an unknown workload profile
-            raise ValueError(error.args[0]) from None
+        self.tenant_specs()  # an unknown workload profile raises here
         self._check_shard_tier()
 
     def _check_shard_tier(self) -> None:

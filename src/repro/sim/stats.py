@@ -4,7 +4,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
+
+
+def nearest_rank(ordered: Sequence[int], fraction: float) -> int:
+    """Nearest-rank percentile: the ceil(fraction * n)-th smallest.
+
+    ``ordered`` is sorted and non-empty.  The textbook nearest-rank
+    definition — ``int(fraction * n)`` as an index overshoots by one rank
+    for every non-boundary fraction (for three samples it reports the
+    *second* smallest as p50's neighbour p34, and the maximum as p67).
+    """
+    return ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
 
 
 @dataclass
@@ -45,20 +56,12 @@ class LatencyStats:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, fraction: float) -> int:
-        """Nearest-rank percentile: the ceil(fraction * n)-th smallest.
-
-        The textbook nearest-rank definition — ``int(fraction * n)`` as an
-        index overshoots by one rank for every non-boundary fraction (for
-        three samples it reports the *second* smallest as p50's neighbour
-        p34, and the maximum as p67).
-        """
+        """The :func:`nearest_rank` percentile of the samples (0 if none)."""
         if not self.samples:
             return 0
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be within [0, 1]")
-        ordered = sorted(self.samples)
-        rank = math.ceil(fraction * len(ordered))
-        return ordered[max(0, rank - 1)]
+        return nearest_rank(sorted(self.samples), fraction)
 
     def summary(self) -> Dict[str, object]:
         """The SLO quantile ladder as one JSON-friendly dict.
@@ -70,14 +73,12 @@ class LatencyStats:
             return {"count": self.count, "mean": 0.0, "max": 0,
                     "p50": 0, "p95": 0, "p99": 0, "p999": 0}
         ordered = sorted(self.samples)
-        size = len(ordered)
-
-        def rank(fraction: float) -> int:
-            return ordered[max(0, math.ceil(fraction * size) - 1)]
-
         return {"count": self.count, "mean": self.mean,
-                "max": self.maximum, "p50": rank(0.50), "p95": rank(0.95),
-                "p99": rank(0.99), "p999": rank(0.999)}
+                "max": self.maximum,
+                "p50": nearest_rank(ordered, 0.50),
+                "p95": nearest_rank(ordered, 0.95),
+                "p99": nearest_rank(ordered, 0.99),
+                "p999": nearest_rank(ordered, 0.999)}
 
 
 @dataclass

@@ -95,13 +95,14 @@ def get_profile(name: str) -> WorkloadProfile:
     """Look up a profile by benchmark name.
 
     Raises:
-        KeyError: with the list of known names, for typos.
+        ValueError: with the list of known names, for typos.
     """
     try:
         return SPEC_PROFILES[name]
     except KeyError:
         known = ", ".join(sorted(SPEC_PROFILES))
-        raise KeyError(f"unknown workload {name!r}; choose from {known}")
+        raise ValueError(f"unknown workload {name!r}; "
+                         f"choose from {known}") from None
 
 
 def profile_names() -> Tuple[str, ...]:

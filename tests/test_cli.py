@@ -92,6 +92,11 @@ class TestCommands:
         assert main(["simulate", "freecursive", "--trace-file", trace]) == 0
         output = capsys.readouterr().out
         assert "execution cycles" in output
+        # a replay ignores the positional workload and --trace-length, so
+        # neither is checked against the profiles
+        assert main(["simulate", "freecursive", "myapp", "--trace-length",
+                     "0", "--trace-file", trace]) == 0
+        assert capsys.readouterr().out == output
 
     def test_coresident(self, capsys):
         assert main(["coresident", "--requests", "30"]) == 0
@@ -204,6 +209,33 @@ class TestUsageErrors:
         assert errors[0].startswith(
             f"repro {argv[0]}: error: argument {flag}")
         assert "must be at least" in errors[0]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "indep-2", "nosuch"], "unknown workload 'nosuch'"),
+        (["simulate", "indep-2", "mcf", "--trace-length", "0"],
+         "measurement window"),
+        (["sweep", "indep-2", "--trace-length", "-5"],
+         "measurement window"),
+        (["simulate", "indep-split", "mcf", "--channels", "1"],
+         "requires 4 SDIMMs"),
+        (["simulate", "indep-2", "--trace-file", "no-such-dir/trace.txt"],
+         "no trace file"),
+        (["faults", "--accesses", "0"], "at least one access"),
+        (["faults", "--levels", "1"], "too shallow for 2 sites"),
+        (["trace", "nosuch", "out.trace"], "unknown workload 'nosuch'"),
+    ], ids=["workload", "trace-length-0", "sweep-trace-length",
+            "channels", "trace-file", "faults-accesses", "faults-levels",
+            "trace-workload"])
+    def test_bad_spec_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [err.splitlines()[-1]]
+        assert errors[0].startswith(f"repro {argv[0]}: error: ")
+        assert message in errors[0]
         assert "Traceback" not in err
 
 

@@ -14,7 +14,7 @@ from repro.config import DesignPoint, table2_config
 from repro.core.commands import SdimmCommand
 from repro.core.independent import IndependentProtocol
 from repro.core.split import SplitProtocol
-from repro.obs.audit import link_instants
+from repro.obs.audit import bucket_touches, link_instants
 from repro.obs.tracer import CollectingTracer
 from repro.sim.events import EventQueue
 from repro.sim.system import build_backend, run_trace_file
@@ -59,15 +59,17 @@ class TestIndependentMessageCounts:
 
     def test_path_bucket_counts_match(self):
         """Functional buffers and timing devices walk same-length paths."""
+        tracer = CollectingTracer()
         functional = IndependentProtocol(global_levels=10, sdimm_count=2,
                                          block_bytes=16,
                                          stash_capacity=200,
                                          drain_probability=0.0,
-                                         record_trace=True)
+                                         tracer=tracer)
         functional.read(1)
-        touched = [sdimm for sdimm in functional.sdimms
-                   if sdimm.oram.trace][0]
-        functional_buckets = len(touched.oram.trace) // 2  # read + write
+        trace = [touches for touches in (
+                     bucket_touches(tracer.events, sdimm.oram.trace_lane)
+                     for sdimm in functional.sdimms) if touches][0]
+        functional_buckets = len(trace) // 2  # read + write
 
         config = table2_config(DesignPoint.INDEP_2, channels=1)
         backend = build_backend(config)

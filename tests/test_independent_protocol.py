@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.commands import SdimmCommand
 from repro.core.independent import IndependentProtocol
-from repro.obs.audit import link_instants, link_shapes
+from repro.obs.audit import bucket_touches, link_instants, link_shapes
 from repro.obs.tracer import CollectingTracer
 from repro.oram.path_oram import Op
 
@@ -149,14 +149,18 @@ class TestObliviousness:
 
     def test_local_bus_trace_is_paths(self):
         """Each SDIMM's internal bus carries whole-path reads/writes only."""
+        tracer = CollectingTracer()
         protocol = IndependentProtocol(
             global_levels=8, sdimm_count=2, block_bytes=16,
             stash_capacity=200, drain_probability=0.0, seed=1,
-            record_trace=True)
+            tracer=tracer)
         protocol.read(3)
+        traces = {sdimm.site_id: bucket_touches(tracer.events,
+                                                sdimm.oram.trace_lane)
+                  for sdimm in protocol.sdimms}
         touched = [sdimm for sdimm in protocol.sdimms
-                   if sdimm.oram.trace]
+                   if traces[sdimm.site_id]]
         assert len(touched) == 1
         local_levels = touched[0].oram.geometry.levels
-        kinds = [event.kind for event in touched[0].oram.trace]
+        kinds = [kind for kind, _ in traces[touched[0].site_id]]
         assert kinds == ["read"] * local_levels + ["write"] * local_levels

@@ -146,6 +146,24 @@ class TestSecretArgScreen:
             "t: FAIL — secret-tainted payloads: link/ACCESS on link at 0 "
             "carries forbidden arg 'leaf'")
 
+    def test_freecursive_bucket_touches_are_screened(self, monkeypatch):
+        # Freecursive's tree sits CPU-side: a leaf planted on its bucket
+        # instants is on the main channel, and the audit must fail on it
+        import repro.obs.audit as audit
+        from repro.obs.tracer import BUCKET_EVENT, CollectingTracer
+
+        class PlantingTracer(CollectingTracer):
+            def instant(self, name, category, lane, ts, **args):
+                if name == BUCKET_EVENT:
+                    args["leaf"] = 0
+                super().instant(name, category, lane, ts, **args)
+
+        monkeypatch.setattr(audit, "CollectingTracer", PlantingTracer)
+        result = audit_freecursive_protocol(*audit_address_streams(12))
+        assert result.indistinguishable and not result.passed
+        assert len(result.secret_arg_violations) == 2 * result.length_a
+        assert "secret-tainted payloads" in result.describe()
+
 
 class TestCompareObservables:
     def test_identical_streams_pass(self):

@@ -1,6 +1,8 @@
 """Tests for the functional Freecursive ORAM (PLB + backends)."""
 
 from repro.config import OramConfig
+from repro.obs.audit import bucket_touches
+from repro.obs.tracer import CollectingTracer
 from repro.oram.freecursive import FreecursiveOram
 from repro.utils.rng import DeterministicRng
 
@@ -115,3 +117,37 @@ class TestUnifiedTree:
         for address in range(0, 90, 5):
             oram.read(address)
         assert oram.read(5) == b"D" * 64
+
+
+class TestBucketLanes:
+    """Each tree's bucket touches trace on a lane of its own."""
+
+    def test_separate_trees_trace_on_one_lane_each(self):
+        config = OramConfig(levels=14, cached_levels=3, recursive_posmaps=3,
+                            plb_bytes=2048, plb_assoc=4)
+        tracer = CollectingTracer()
+        oram = FreecursiveOram(config, DeterministicRng(9, "fc"),
+                               data_levels=10, tracer=tracer)
+        for address in range(0, 400, 13):
+            oram.read(address)
+        for level, tree in enumerate(oram.orams):
+            touches = bucket_touches(tracer.events, f"main.oram{level}")
+            reads = [bucket for kind, bucket in touches if kind == "read"]
+            assert len(reads) == \
+                tree.access_count * tree.geometry.levels
+            assert max(bucket for _, bucket in touches) < \
+                tree.geometry.bucket_count
+        assert bucket_touches(tracer.events, "main") == []
+
+    def test_unified_tree_traces_on_main(self):
+        tracer = CollectingTracer()
+        config = OramConfig(levels=14, cached_levels=3, recursive_posmaps=3,
+                            plb_bytes=2048, plb_assoc=4)
+        oram = FreecursiveOram(config, DeterministicRng(9, "fc-uni"),
+                               data_levels=10, unified_tree=True,
+                               tracer=tracer)
+        oram.read(1)
+        reads = [kind for kind, _ in bucket_touches(tracer.events, "main")
+                 if kind == "read"]
+        shared = oram.orams[0]
+        assert len(reads) == shared.access_count * shared.geometry.levels

@@ -51,6 +51,50 @@ class TestFanout:
         assert [meta for _, meta in second] == \
             [{"wall_ms": 0.0, "from_cache": True}] * 2
 
+    def test_pool_is_sized_to_the_pending_tasks(self, monkeypatch):
+        import concurrent.futures
+
+        asked = []
+
+        def recording(max_workers):
+            asked.append(max_workers)
+            raise NotImplementedError  # no pool: fanout runs in-process
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            recording)
+        outcomes = fanout([2, 3], square, jobs=64)
+        assert asked == [2]
+        assert [value for value, _ in outcomes] == \
+            [{"value": 4}, {"value": 9}]
+
+    def test_one_warm_pool_serves_calls_with_fewer_pending(self,
+                                                           monkeypatch):
+        import concurrent.futures
+
+        built = []
+
+        class InProcessPool:
+            """Stands in for a process pool; starts no process."""
+
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def map(self, function, items):
+                return map(function, items)
+
+            def shutdown(self, wait, cancel_futures):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
+        fanout([1, 2, 3], square, jobs=64)
+        fanout([1, 2], square, jobs=64)  # fewer pending: reuses the pool
+        assert built == [3]
+        fanout([1, 2, 3, 4], square, jobs=64)  # more: replaces it
+        fanout([1, 2], square, jobs=2)  # a pool above jobs is replaced
+        assert built == [3, 4, 2]
+        assert list(pool_module._POOLS) == [2]  # never two live pools
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_tasks_run_under_the_selection_from_the_env(self, jobs,
                                                         monkeypatch):

@@ -132,9 +132,11 @@ class TestWarmPools:
 
     def test_discard_pool_recovers_after_worker_error(self, monkeypatch):
         pool_module.shutdown_pools()
-        bad = SweepPoint(DesignPoint.FREECURSIVE, "no-such-workload",
-                         trace_length=300,
+        bad = SweepPoint(DesignPoint.FREECURSIVE, "mcf", trace_length=300,
                          config=small_config(DesignPoint.FREECURSIVE))
+        # a point rejects an unknown workload when it is built, so plant
+        # one afterwards: the worker is what must fail here
+        object.__setattr__(bad, "workload", "no-such-workload")
         with pytest.raises(Exception):
             run_sweep([bad, bad], jobs=2)
         assert pool_module._POOLS == {}  # broken pool was dropped

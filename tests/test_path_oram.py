@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.audit import bucket_touches
+from repro.obs.tracer import CollectingTracer
 from repro.oram.path_oram import Op, PathOram, StashOverflowError
 from repro.utils.rng import DeterministicRng
 
@@ -122,15 +124,21 @@ class TestInvariants:
 
 
 class TestObliviousness:
+    def _traced(self, levels=6, seed=1):
+        """An ORAM and the bucket touches its tracer records on ``main``."""
+        tracer = CollectingTracer()
+        oram = make_oram(levels=levels, seed=seed, tracer=tracer)
+        return oram, lambda: bucket_touches(tracer.events, "main")
+
     def _trace_shape(self, operations, seed=7):
         """Bucket-level trace for a given logical access sequence."""
-        oram = make_oram(levels=6, seed=seed, record_trace=True)
+        oram, touches = self._traced(seed=seed)
         for address, op, value in operations:
             if op is Op.WRITE:
                 oram.access(address, op, payload(value))
             else:
                 oram.access(address, op)
-        return oram.trace
+        return touches()
 
     def test_trace_length_depends_only_on_count(self):
         """Same number of accesses => same trace length, any addresses."""
@@ -143,13 +151,13 @@ class TestObliviousness:
 
     def test_trace_structure_is_paths(self):
         """Every access is exactly one path read then one path write."""
-        oram = make_oram(levels=6, record_trace=True)
+        oram, touches = self._traced()
         oram.access(3, Op.READ)
-        events = oram.trace
+        events = touches()
         assert len(events) == 2 * 6
-        assert [event.kind for event in events] == ["read"] * 6 + ["write"] * 6
-        read_buckets = [event.bucket for event in events[:6]]
-        write_buckets = [event.bucket for event in events[6:]]
+        assert [kind for kind, _ in events] == ["read"] * 6 + ["write"] * 6
+        read_buckets = [bucket for _, bucket in events[:6]]
+        write_buckets = [bucket for _, bucket in events[6:]]
         assert read_buckets == write_buckets
         assert read_buckets[0] == 0  # root first
 
@@ -158,25 +166,25 @@ class TestObliviousness:
         of identical structure (the leaf is random either way)."""
         read_trace = self._trace_shape([(5, Op.READ, 0)])
         write_trace = self._trace_shape([(5, Op.WRITE, 9)])
-        assert [event.kind for event in read_trace] == \
-            [event.kind for event in write_trace]
+        assert [kind for kind, _ in read_trace] == \
+            [kind for kind, _ in write_trace]
 
     def test_repeated_access_touches_fresh_paths(self):
         """Temporal locality must not show up as repeated identical paths."""
-        oram = make_oram(levels=10, record_trace=True)
+        oram, touches = self._traced(levels=10)
         oram.access(1, Op.WRITE, payload(1))
         paths = []
         for _ in range(20):
-            start = len(oram.trace)
+            start = len(touches())
             oram.access(1, Op.READ)
-            paths.append(tuple(event.bucket
-                               for event in oram.trace[start:start + 10]))
+            paths.append(tuple(bucket for _, bucket
+                               in touches()[start:start + 10]))
         assert len(set(paths)) > 10
 
     def test_dummy_access_indistinguishable(self):
-        oram = make_oram(levels=6, record_trace=True)
+        oram, dummy_touches = self._traced()
         oram.dummy_access()
-        real = make_oram(levels=6, record_trace=True)
+        real, real_touches = self._traced()
         real.access(1, Op.READ)
-        assert [event.kind for event in oram.trace] == \
-            [event.kind for event in real.trace]
+        assert [kind for kind, _ in dummy_touches()] == \
+            [kind for kind, _ in real_touches()]

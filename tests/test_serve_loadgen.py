@@ -43,7 +43,7 @@ class TestTenantSpec:
         assert 1 <= spec.hot_span <= 128
 
     def test_from_profile_unknown_name_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             tenant_from_profile("t0", "no-such-benchmark", rate=0.1,
                                 requests=10)
 

@@ -80,7 +80,7 @@ class TestRunSimulation:
         assert result.workload == "gromacs"
 
     def test_unknown_workload_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             quick_run(DesignPoint.NONSECURE, workload="doom")
 
     def test_deterministic(self):

@@ -10,6 +10,9 @@ import pytest
 
 from repro.core.independent import IndependentProtocol
 from repro.core.split import SplitProtocol
+from repro.faults.campaign import CampaignSpec, build_faulted_protocol
+from repro.obs.audit import bucket_touches
+from repro.obs.tracer import CollectingTracer
 from repro.oram.integrity import IntegrityError
 from repro.oram.path_oram import Op
 
@@ -71,47 +74,62 @@ class TestEncryptedIndependentDimm:
 
 class TestSplitDimmTrace:
     def make(self):
-        return SplitProtocol(levels=6, ways=2, block_bytes=16,
-                             stash_capacity=200, seed=5, record_trace=True)
+        """A traced protocol and, per way, the bucket touches its bus saw."""
+        tracer = CollectingTracer()
+        protocol = SplitProtocol(levels=6, ways=2, block_bytes=16,
+                                 stash_capacity=200, seed=5, tracer=tracer)
+        return protocol, lambda buffer: bucket_touches(tracer.events,
+                                                       buffer.trace_lane)
 
     def test_trace_is_whole_paths(self):
-        protocol = self.make()
+        protocol, touches = self.make()
         protocol.read(3)
         for buffer in protocol.buffers:
-            kinds = [kind for kind, _ in buffer.bucket_trace]
+            kinds = [kind for kind, _ in touches(buffer)]
             assert kinds == ["read"] * 6 + ["write"] * 6
-            reads = [bucket for kind, bucket in buffer.bucket_trace
+            reads = [bucket for kind, bucket in touches(buffer)
                      if kind == "read"]
-            writes = [bucket for kind, bucket in buffer.bucket_trace
+            writes = [bucket for kind, bucket in touches(buffer)
                       if kind == "write"]
             assert reads == writes
             assert reads[0] == 0  # root first
 
     def test_both_ways_see_identical_bucket_sequences(self):
         """Bit-slicing: each SDIMM touches the same buckets of its copy."""
-        protocol = self.make()
+        protocol, touches = self.make()
         for address in range(10):
             protocol.write(address, payload(address))
         first, second = protocol.buffers
-        assert first.bucket_trace == second.bucket_trace
+        assert touches(first) == touches(second)
 
     def test_trace_shape_independent_of_pattern(self):
         def trace_of(operations):
-            protocol = self.make()
+            protocol, touches = self.make()
             for address, op, value in operations:
                 if op is Op.WRITE:
                     protocol.access(address, op, payload(value))
                 else:
                     protocol.access(address, op)
-            return [kind for kind, _ in protocol.buffers[0].bucket_trace]
+            return [kind for kind, _ in touches(protocol.buffers[0])]
 
         hot = trace_of([(1, Op.READ, 0)] * 8)
         scan = trace_of([(address, Op.WRITE, address)
                          for address in range(8)])
         assert hot == scan
 
-    def test_trace_off_by_default(self):
-        protocol = SplitProtocol(levels=6, ways=2, block_bytes=16,
-                                 stash_capacity=200)
-        protocol.read(1)
-        assert protocol.buffers[0].bucket_trace == []
+    def test_retry_refetch_is_a_read(self):
+        """A retried metadata read re-reads its bucket on every way."""
+        spec = CampaignSpec(design="split", accesses=16, levels=6,
+                            bit_flips=2)
+        tracer = CollectingTracer()
+        protocol, injector, stats = build_faulted_protocol(
+            spec, spec.build_plan(), tracer=tracer)
+        for index in range(spec.accesses):
+            injector.begin_access(index)
+            protocol.read(index % 8)
+        assert stats.retries > 0
+        for buffer in protocol.buffers:
+            kinds = [kind for kind, _ in bucket_touches(tracer.events,
+                                                        buffer.trace_lane)]
+            assert kinds.count("read") == \
+                kinds.count("write") + stats.retries

@@ -57,7 +57,7 @@ class TestProfiles:
         assert get_profile("GemsFDTD").mlp <= 2
 
     def test_unknown_name_raises_with_hint(self):
-        with pytest.raises(KeyError, match="GemsFDTD"):
+        with pytest.raises(ValueError, match="GemsFDTD"):
             get_profile("doom")
 
     def test_validation(self):
